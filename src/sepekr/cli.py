@@ -2,8 +2,9 @@
 
 Exit codes: 0 success or verified, 1 verification failure, 2 usage error,
 3 resource-limit abort.  Output for a fixed invocation is byte-identical
-across runs; the SEPEKR_THREADS environment variable caps worker counts and
-never changes results (the solver is sequential).
+across runs.  The SEPEKR_THREADS environment variable is validated (positive
+integer) and accepted for compatibility, but the solver is sequential, so
+results never depend on it.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ from typing import Iterator
 
 from .core import SetFamily, enumerate_separated
 from .search import (
+    DEFAULT_MAX_VERTICES,
     ResourceLimitError,
     disjointness_adjacency,
     solve_max_independent,
 )
 
-DEFAULT_MAX_VERTICES = 20000
 COLORING_MAX_VERTICES = 64
 
 

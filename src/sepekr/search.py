@@ -2,8 +2,11 @@
 
 Vertices are the k-separated r-sets of a circle; two vertices clash when the
 sets are disjoint, so intersecting families are exactly the independent sets.
-The solver uses Python-int bitsets for adjacency rows and candidate sets, a
-greedy clique-cover upper bound, and deterministic branching, so repeated runs
+One depth-first branch-and-bound core serves two modes: optimise (the
+maximum weight) and enumerate (every independent set of a given size).  It
+uses Python-int bitsets for adjacency rows and candidate sets, a greedy
+clique-cover upper bound whose clique classes are built bit-parallel, as in
+BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
 return identical answers.
 """
 
@@ -69,28 +72,23 @@ def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
 def _cover_bound(cand: int, adj: list[int], weights: list[int] | None) -> int:
     """Greedy partition of cand into cliques; an independent set takes at most one per clique.
 
-    Returns the clique count, or with weights the sum of per-clique maxima.
+    Each class is built bit-parallel from the lowest remaining vertex, keeping
+    the vertices adjacent to every member so far: the first-fit partition in
+    index order.  Returns the clique count, or with (non-negative) weights the
+    sum of per-clique maxima.
     """
     bound = 0
-    class_masks: list[int] = []
-    class_best: list[int] = []
-    rem = cand
-    while rem:
-        b = rem & -rem
-        v = b.bit_length() - 1
-        rem ^= b
-        w = 1 if weights is None else weights[v]
-        for ci in range(len(class_masks)):
-            if class_masks[ci] & ~adj[v] == 0:
-                class_masks[ci] |= b
-                if w > class_best[ci]:
-                    bound += w - class_best[ci]
-                    class_best[ci] = w
-                break
-        else:
-            class_masks.append(b)
-            class_best.append(w)
-            bound += w
+    while cand:
+        q = cand
+        top = 0 if weights is not None else 1
+        while q:
+            b = q & -q
+            v = b.bit_length() - 1
+            cand ^= b
+            q &= adj[v]
+            if weights is not None and weights[v] > top:
+                top = weights[v]
+        bound += top
     return bound
 
 
@@ -110,21 +108,48 @@ def _pick_branch_vertex(cand: int, adj: list[int]) -> int:
     return best_v
 
 
-class _Budget:
-    """Shared node counter with optional wall-clock deadline."""
+def _search(
+    adj: list[int],
+    weights: list[int] | None,
+    target: int | None,
+    time_limit: float | None,
+) -> tuple[int, int, int, list[int]]:
+    """The one branch-and-bound DFS behind both search modes.
 
-    def __init__(self, time_limit: float | None):
-        self.nodes = 0
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
-
-    def tick(self) -> None:
-        self.nodes += 1
+    With target None it optimises: floor is the best weight found so far.
+    Otherwise it enumerates: floor stays at target - 1 and every set of
+    exactly target vertices is collected.  Returns (floor, best mask, nodes
+    explored, collected masks).
+    """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    nodes = 0
+    floor = 0 if target is None else target - 1
+    best_mask = 0
+    found: list[int] = []
+    stack = [((1 << len(adj)) - 1, 0, 0)]
+    while stack:
+        cand, cur, mask = stack.pop()
+        nodes += 1
         if (
-            self.deadline is not None
-            and self.nodes & _TIME_CHECK_MASK == 0
-            and time.monotonic() > self.deadline
+            deadline is not None
+            and nodes & _TIME_CHECK_MASK == 0
+            and time.monotonic() > deadline
         ):
-            raise ResourceLimitError(f"time limit exceeded after {self.nodes} nodes")
+            raise ResourceLimitError(f"time limit exceeded after {nodes} nodes")
+        if cur > floor:
+            if target is None:
+                floor, best_mask = cur, mask
+            elif cur == target:
+                found.append(mask)
+                continue
+        if not cand or cur + _cover_bound(cand, adj, weights) <= floor:
+            continue
+        v = _pick_branch_vertex(cand, adj)
+        b = 1 << v
+        stack.append((cand & ~b, cur, mask))
+        w = 1 if weights is None else weights[v]
+        stack.append((cand & ~adj[v] & ~b, cur + w, mask | b))
+    return floor, best_mask, nodes, found
 
 
 def solve_max_independent(
@@ -134,26 +159,7 @@ def solve_max_independent(
     time_limit: float | None = None,
 ) -> tuple[int, int, int]:
     """Maximum(-weight) independent set; returns (optimum, vertex bitmask, nodes explored)."""
-    budget = _Budget(time_limit)
-    best_w = 0
-    best_mask = 0
-    stack = [((1 << len(adj)) - 1, 0, 0)]
-    while stack:
-        cand, cur_w, cur_mask = stack.pop()
-        budget.tick()
-        if cur_w > best_w:
-            best_w = cur_w
-            best_mask = cur_mask
-        if not cand:
-            continue
-        if cur_w + _cover_bound(cand, adj, weights) <= best_w:
-            continue
-        v = _pick_branch_vertex(cand, adj)
-        b = 1 << v
-        stack.append((cand & ~b, cur_w, cur_mask))
-        w = 1 if weights is None else weights[v]
-        stack.append((cand & ~adj[v] & ~b, cur_w + w, cur_mask | b))
-    return best_w, best_mask, budget.nodes
+    return _search(adj, weights, None, time_limit)[:3]
 
 
 def enumerate_max_independent(
@@ -167,24 +173,8 @@ def enumerate_max_independent(
     Each qualifying set is emitted exactly once as a bitmask; the include or
     exclude branching visits every subset along a unique path.
     """
-    budget = _Budget(time_limit)
-    found: list[int] = []
-    stack = [((1 << len(adj)) - 1, 0, 0)]
-    while stack:
-        cand, size, mask = stack.pop()
-        budget.tick()
-        if size == target:
-            found.append(mask)
-            continue
-        if not cand:
-            continue
-        if size + _cover_bound(cand, adj, None) < target:
-            continue
-        v = _pick_branch_vertex(cand, adj)
-        b = 1 << v
-        stack.append((cand & ~b, size, mask))
-        stack.append((cand & ~adj[v] & ~b, size + 1, mask | b))
-    return found, budget.nodes
+    _, _, nodes, found = _search(adj, None, target, time_limit)
+    return found, nodes
 
 
 def _family_from_mask(universe: SetFamily, mask: int) -> SetFamily:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .core import CircSet, SetFamily, gap_vector, is_k_separated
 from .families import star_family
-from .search import SearchResult, max_intersecting_weighted
+from .search import DEFAULT_MAX_VERTICES, SearchResult, max_intersecting_weighted
 
 
 def weight(a: CircSet, k: int) -> int:
@@ -90,7 +90,7 @@ def verify_weighted_ekr(
     r: int,
     k: int,
     *,
-    max_vertices: int = 20000,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
     time_limit: float | None = None,
 ) -> WeightedBoundReport:
     """Solve the weighted problem exactly and compare with the star family.

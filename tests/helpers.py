@@ -128,3 +128,38 @@ def nx_max_intersecting(members, weights=None) -> int:
                 g.add_edge(i, j)
     _, value = nx.max_weight_clique(g, weight="weight")
     return value
+
+
+def first_fit_clique_bound(vertices, edges, weights=None) -> int:
+    """First-fit clique partition: each vertex, in index order, joins the first
+    class whose members are all adjacent to it, or opens a new class.
+
+    Returns the number of classes, or with weights the sum of class maxima.
+    edges is a set of frozenset pairs.
+    """
+    classes: list[list[int]] = []
+    for v in sorted(vertices):
+        for members in classes:
+            if all(frozenset((u, v)) in edges for u in members):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    if weights is None:
+        return len(classes)
+    return sum(max(weights[v] for v in members) for members in classes)
+
+
+def max_weight_independent(vertices, edges, weights=None) -> int:
+    """Largest total weight of a set of pairwise non-adjacent vertices, by
+    walking every independent set."""
+
+    def best_from(cands: list[int]) -> int:
+        best = 0
+        for i, v in enumerate(cands):
+            rest = [u for u in cands[i + 1 :] if frozenset((u, v)) not in edges]
+            w = 1 if weights is None else weights[v]
+            best = max(best, w + best_from(rest))
+        return best
+
+    return best_from(sorted(vertices))

@@ -1,6 +1,10 @@
 """Exact search: optimum sizes, weighted optima, and extremal class censuses."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepekr import (
     ResourceLimitError,
@@ -18,10 +22,13 @@ from sepekr import (
     star_family,
     star_size_formula,
 )
+from sepekr.search import _cover_bound
 
 from helpers import (
     all_maximum_intersecting,
     count_classes,
+    first_fit_clique_bound,
+    max_weight_independent,
     max_intersecting_size,
     max_weight_intersecting,
     nx_max_intersecting,
@@ -224,3 +231,69 @@ def test_exceptional_families_appear_in_census():
 def test_classes_vertex_budget():
     with pytest.raises(ResourceLimitError):
         extremal_classes(10, 3, 1, max_vertices=5)
+
+
+# === clique-cover bound and search modes on random graphs ===
+
+
+@st.composite
+def random_graphs(draw, max_vertices):
+    """(adj rows, edge set, candidate vertices, weights) for a random simple graph."""
+    n = draw(st.integers(0, max_vertices))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = {
+        frozenset((u, v))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < density
+    }
+    adj = [0] * n
+    for u, v in map(tuple, edges):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    cand = draw(st.integers(0, (1 << n) - 1))
+    weights = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    return adj, edges, cand, weights
+
+
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+@settings(max_examples=200)
+@given(random_graphs(40))
+def test_cover_bound_is_first_fit_partition(graph):
+    adj, edges, cand, weights = graph
+    members = _members(cand)
+    assert _cover_bound(cand, adj, None) == first_fit_clique_bound(members, edges)
+    assert _cover_bound(cand, adj, weights) == first_fit_clique_bound(
+        members, edges, weights
+    )
+
+
+@settings(max_examples=150)
+@given(random_graphs(14))
+def test_cover_bound_is_an_upper_bound(graph):
+    adj, edges, cand, weights = graph
+    members = _members(cand)
+    assert _cover_bound(cand, adj, None) >= max_weight_independent(members, edges)
+    assert _cover_bound(cand, adj, weights) >= max_weight_independent(
+        members, edges, weights
+    )
+
+
+@settings(max_examples=100)
+@given(random_graphs(14))
+def test_search_modes_agree_with_brute_force(graph):
+    adj, edges, _, weights = graph
+    everything = range(len(adj))
+    optimum, mask, _ = solve_max_independent(adj)
+    assert optimum == max_weight_independent(everything, edges)
+    assert optimum == mask.bit_count()
+    best, _, _ = solve_max_independent(adj, weights)
+    assert best == max_weight_independent(everything, edges, weights)
+    found, _ = enumerate_max_independent(adj, optimum)
+    assert found and all(m.bit_count() == optimum for m in found)
+    assert all(adj[v] & m == 0 for m in found for v in _members(m))
+    assert enumerate_max_independent(adj, optimum + 1)[0] == []
