@@ -10,6 +10,7 @@ from .core import (
     CircSet,
     GapVector,
     SetFamily,
+    disjointness_adjacency,
     enumerate_separated,
     from_gaps,
     gap_vector,
@@ -43,7 +44,6 @@ from .compression import (
 from .search import (
     ResourceLimitError,
     SearchResult,
-    disjointness_adjacency,
     enumerate_max_independent,
     extremal_classes,
     max_intersecting,

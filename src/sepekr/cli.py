@@ -1,10 +1,10 @@
 """Command-line front end: reproducible reports over the verification toolkit.
 
-Exit codes: 0 success or verified, 1 verification failure, 2 usage error,
-3 resource-limit abort.  Output for a fixed invocation is byte-identical
-across runs.  The SEPEKR_THREADS environment variable is validated (positive
-integer) and accepted for compatibility, but the solver is sequential, so
-results never depend on it.
+Exit codes: 0 success or verified, 1 verification failure, 2 usage error or
+unwritable output path, 3 resource-limit abort.  Output for a fixed invocation
+is byte-identical across runs.  The SEPEKR_THREADS environment variable is
+validated (positive integer) and accepted for compatibility, but the solver is
+sequential, so results never depend on it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ def _read_thread_env() -> int:
     return threads
 
 
+def _positive(convert):
+    """argparse type: convert the text, then reject values that are not positive."""
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="circle size")
     p.add_argument("--r", type=int, required=True, help="set size")
@@ -68,13 +80,13 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
     p.add_argument(
         "--limit-vertices",
-        type=int,
+        type=_positive(int),
         default=default_vertices,
         help="abort instances with more vertices than this",
     )
     p.add_argument(
         "--limit-seconds",
-        type=float,
+        type=_positive(float),
         default=None,
         help="abort searches running longer than this",
     )
@@ -108,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="run the compression verification suite")
     _add_instance_args(p)
-    p.add_argument("--samples", type=int, default=200, help="random maximal families to check")
+    p.add_argument(
+        "--samples", type=_positive(int), default=200, help="random maximal families to check"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled families")
     _add_output_args(p)
 
@@ -131,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="verify the bound across a parameter grid")
     p.add_argument("--grid", choices=("default", "quick"), default="default")
     p.add_argument(
-        "--limit-seconds", type=float, default=None, help="per-row time budget"
+        "--limit-seconds", type=_positive(float), default=None, help="per-row time budget"
     )
     _add_output_args(p)
 
@@ -422,7 +436,7 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CircSet, SetFamily, is_k_separated
-from .families import is_intersecting
+from .core import CircSet, SetFamily, disjointness_adjacency, is_k_separated
 
 
 def compress(a: CircSet) -> CircSet:
@@ -51,7 +50,6 @@ class PartitionResult:
     free: SetFamily
     anchored: SetFamily
     boundary: tuple[SetFamily, ...]
-    exhaustive: bool
 
     @property
     def n(self) -> int:
@@ -121,7 +119,6 @@ def partition_family(family: SetFamily) -> PartitionResult:
         free=SetFamily(n, r, k, tuple(free)),
         anchored=SetFamily(n, r, k, tuple(anchored)),
         boundary=tuple(SetFamily(n, r, k, tuple(b)) for b in boundary),
-        exhaustive=True,
     )
 
 
@@ -296,6 +293,24 @@ def _collision_clause(family: SetFamily) -> ClauseResult:
     return ClauseResult("collision-structure", not witnesses, tuple(witnesses))
 
 
+def _disjoint_pairs(sets: tuple[CircSet, ...]) -> tuple[CircSet, ...]:
+    """The first five disjoint pairs (i < j) in (i, j) order, flattened: a clause's witnesses."""
+    out: list[CircSet] = []
+    for i, row in enumerate(disjointness_adjacency(sets)):
+        rem = row >> (i + 1) << (i + 1)
+        while rem:
+            b = rem & -rem
+            out.extend((sets[i], sets[b.bit_length() - 1]))
+            if len(out) == 10:
+                return tuple(out)
+            rem ^= b
+    return tuple(out)
+
+
+def _violation_members(derived: DerivedFamilies, kind: str) -> tuple[CircSet, ...]:
+    return tuple(m for v in derived.violations if v.kind == kind for m in v.members)
+
+
 def verify_compression_suite(family: SetFamily) -> CompressionReport:
     """Check every structural clause of the compression argument on one family.
 
@@ -312,14 +327,8 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
         raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
     clauses: list[ClauseResult] = []
 
-    disjoint_pairs: list[CircSet] = []
-    for i in range(len(family.sets)):
-        for j in range(i + 1, len(family.sets)):
-            if not family.sets[i].mask & family.sets[j].mask:
-                disjoint_pairs.extend((family.sets[i], family.sets[j]))
-    clauses.append(
-        ClauseResult("input-intersecting", not disjoint_pairs, tuple(disjoint_pairs[:10]))
-    )
+    disjoint_pairs = _disjoint_pairs(family.sets)
+    clauses.append(ClauseResult("input-intersecting", not disjoint_pairs, disjoint_pairs))
 
     clauses.append(_collision_clause(family))
 
@@ -335,48 +344,27 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     clauses.append(ClauseResult("compressed-separated", not bad_images, bad_images))
 
     image_union = SetFamily(n - 1, r, k, tuple(image_members))
-    img = image_union.sets
-    disjoint_images: list[CircSet] = []
-    for i in range(len(img)):
-        for j in range(i + 1, len(img)):
-            if not img[i].mask & img[j].mask:
-                disjoint_images.extend((img[i], img[j]))
+    disjoint_images = _disjoint_pairs(image_union.sets)
     clauses.append(
-        ClauseResult(
-            "compressed-intersecting", not disjoint_images, tuple(disjoint_images[:10])
-        )
+        ClauseResult("compressed-intersecting", not disjoint_images, disjoint_images)
     )
 
-    overlap_witnesses = tuple(
-        m
-        for v in derived.violations
-        if v.kind == "component-overlap"
-        for m in v.members
-    )
+    overlap_witnesses = _violation_members(derived, "component-overlap")
     clauses.append(
         ClauseResult(
             "reduced-components-disjoint", not overlap_witnesses, overlap_witnesses
         )
     )
 
-    red = derived.reduced.sets
-    disjoint_reduced: list[CircSet] = []
-    for i in range(len(red)):
-        for j in range(i + 1, len(red)):
-            if not red[i].mask & red[j].mask:
-                disjoint_reduced.extend((red[i], red[j]))
+    disjoint_reduced = _disjoint_pairs(derived.reduced.sets)
     clauses.append(
-        ClauseResult(
-            "reduced-intersecting", not disjoint_reduced, tuple(disjoint_reduced[:10])
-        )
+        ClauseResult("reduced-intersecting", not disjoint_reduced, disjoint_reduced)
     )
 
-    bad_reduced = tuple(m for m in derived.reduced if not is_k_separated(m, k))
+    bad_reduced = _violation_members(derived, "reduced-not-separated")
     clauses.append(ClauseResult("reduced-separated", not bad_reduced, bad_reduced))
 
-    bad_reduced_image = tuple(
-        m for m in derived.reduced_image if not is_k_separated(m, k)
-    )
+    bad_reduced_image = _violation_members(derived, "reduced-image-not-separated")
     clauses.append(
         ClauseResult("reduced-image-separated", not bad_reduced_image, bad_reduced_image)
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -250,3 +250,35 @@ def star_size_formula(n: int, r: int, k: int) -> int:
     if n < (k + 1) * r:
         raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
     return math.comb(n - k * r - 1, r - 1)
+
+
+def count_separated(n: int, r: int, k: int) -> int:
+    """Closed form for the number of k-separated r-sets of [n]: n C(n - k r, r) / (n - k r).
+
+    Zero when the circle is too small (n < (k+1) r); k = 0 gives C(n, r).
+    """
+    if r < 1 or k < 0:
+        raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
+    if n < (k + 1) * r:
+        return 0
+    return n * math.comb(n - k * r, r) // (n - k * r)
+
+
+def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
+    """Bitmask adjacency rows: bit j of row i set when sets i and j are disjoint.
+
+    Built bit-parallel from element incidence: meets[a] holds the sets that
+    contain a, and row i is every set outside the union of meets[a] over a in set i.
+    """
+    meets: dict[int, int] = {}
+    for j, s in enumerate(sets):
+        for a in s.elems:
+            meets[a] = meets.get(a, 0) | 1 << j
+    full = (1 << len(sets)) - 1
+    rows = []
+    for s in sets:
+        hit = 0
+        for a in s.elems:
+            hit |= meets[a]
+        rows.append(full & ~hit)
+    return rows

@@ -8,6 +8,7 @@ from typing import Iterable
 from .core import (
     CircSet,
     SetFamily,
+    disjointness_adjacency,
     enumerate_separated,
     is_k_separated,
     reflect,
@@ -18,13 +19,7 @@ from .core import (
 
 def is_intersecting(family: SetFamily) -> bool:
     """True when every two members share an element.  Empty and singleton families qualify."""
-    members = family.sets
-    for i in range(len(members)):
-        mi = members[i].mask
-        for j in range(i + 1, len(members)):
-            if not mi & members[j].mask:
-                return False
-    return True
+    return not any(disjointness_adjacency(family.sets))
 
 
 def star_family(n: int, r: int, k: int, i: int) -> SetFamily:
@@ -124,11 +119,11 @@ def random_maximal_intersecting(
 ) -> SetFamily:
     """Greedily grow an intersecting family over a shuffled universe until maximal."""
     universe = enumerate_separated(n, r, k).sets
+    adj = disjointness_adjacency(universe)
     order = list(range(len(universe)))
     rng.shuffle(order)
-    chosen: list[CircSet] = []
+    chosen = 0
     for idx in order:
-        s = universe[idx]
-        if all(s.mask & t.mask for t in chosen):
-            chosen.append(s)
-    return SetFamily(n, r, k, tuple(chosen))
+        if not adj[idx] & chosen:
+            chosen |= 1 << idx
+    return SetFamily(n, r, k, tuple(s for i, s in enumerate(universe) if chosen >> i & 1))

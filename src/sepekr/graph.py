@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import SetFamily, enumerate_separated
+from .core import SetFamily, disjointness_adjacency
 from .search import (
     DEFAULT_MAX_VERTICES,
     ResourceLimitError,
-    disjointness_adjacency,
+    _pick_branch_vertex,
+    separated_universe,
     solve_max_independent,
 )
 
@@ -54,27 +54,14 @@ def _build(family: SetFamily) -> DisjointnessGraph:
 
 def build_kneser(n: int, r: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> DisjointnessGraph:
     """Kneser graph: all r-subsets of [n], edges between disjoint pairs."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if math.comb(n, r) > max_vertices:
-        raise ResourceLimitError(
-            f"{math.comb(n, r)} vertices exceed the limit of {max_vertices}"
-        )
-    return _build(enumerate_separated(n, r, 0))
+    return _build(separated_universe(n, r, 0, max_vertices))
 
 
 def build_schrijver(
     n: int, r: int, k: int = 1, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> DisjointnessGraph:
     """Induced subgraph of the Kneser graph on the k-separated r-sets."""
-    if n < (k + 1) * r:
-        raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
-    family = enumerate_separated(n, r, k)
-    if len(family) > max_vertices:
-        raise ResourceLimitError(
-            f"{len(family)} vertices exceed the limit of {max_vertices}"
-        )
-    return _build(family)
+    return _build(separated_universe(n, r, k, max_vertices))
 
 
 def independence_number(
@@ -95,17 +82,7 @@ def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
         clique = [seed]
         cand = adj[seed]
         while cand:
-            pick = -1
-            pick_deg = -1
-            rem = cand
-            while rem:
-                b = rem & -rem
-                u = b.bit_length() - 1
-                rem ^= b
-                deg = (adj[u] & cand).bit_count()
-                if deg > pick_deg:
-                    pick_deg = deg
-                    pick = u
+            pick = _pick_branch_vertex(cand, adj)
             clique.append(pick)
             cand &= adj[pick]
         if len(clique) > len(best):

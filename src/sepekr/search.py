@@ -14,9 +14,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .core import CircSet, SetFamily, enumerate_separated
+from .core import (
+    CircSet,
+    SetFamily,
+    count_separated,
+    disjointness_adjacency,
+    enumerate_separated,
+)
 from .families import canonical_form
 
 
@@ -54,19 +60,6 @@ class SearchResult:
             else [[list(s.elems) for s in c.sets] for c in self.classes],
             "nodes": self.nodes_explored,
         }
-
-
-def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
-    """Bitmask adjacency rows: bit j of row i set when sets i and j are disjoint."""
-    masks = [s.mask for s in sets]
-    rows = [0] * len(masks)
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if not mi & masks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
 
 
 def _cover_bound(cand: int, adj: list[int], weights: list[int] | None) -> int:
@@ -187,15 +180,14 @@ def _family_from_mask(universe: SetFamily, mask: int) -> SetFamily:
     return SetFamily(universe.n, universe.r, universe.k, tuple(members))
 
 
-def _universe(n: int, r: int, k: int, max_vertices: int) -> SetFamily:
+def separated_universe(n: int, r: int, k: int, max_vertices: int) -> SetFamily:
+    """The k-separated r-sets of [n], enumerated only after their count is within the limit."""
     if n < (k + 1) * r:
         raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
-    universe = enumerate_separated(n, r, k)
-    if len(universe) > max_vertices:
-        raise ResourceLimitError(
-            f"{len(universe)} vertices exceed the limit of {max_vertices}"
-        )
-    return universe
+    count = count_separated(n, r, k)
+    if count > max_vertices:
+        raise ResourceLimitError(f"{count} vertices exceed the limit of {max_vertices}")
+    return enumerate_separated(n, r, k)
 
 
 def max_intersecting(
@@ -210,7 +202,7 @@ def max_intersecting(
 
     The witness is returned in canonical form; repeated runs are identical.
     """
-    universe = _universe(n, r, k, max_vertices)
+    universe = separated_universe(n, r, k, max_vertices)
     adj = disjointness_adjacency(universe.sets)
     optimum, mask, nodes = solve_max_independent(adj, time_limit=time_limit)
     witness = canonical_form(_family_from_mask(universe, mask))
@@ -231,7 +223,7 @@ def max_intersecting_weighted(
     The witness is one optimal family as found; it is not canonicalised because
     an arbitrary weight function need not respect the circle symmetries.
     """
-    universe = _universe(n, r, k, max_vertices)
+    universe = separated_universe(n, r, k, max_vertices)
     weights = []
     for s in universe:
         w = weight_fn(s)
@@ -258,7 +250,7 @@ def extremal_classes(
     Representatives are canonical forms sorted lexicographically; the witness
     is the least of them.
     """
-    universe = _universe(n, r, k, max_vertices)
+    universe = separated_universe(n, r, k, max_vertices)
     adj = disjointness_adjacency(universe.sets)
     optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_limit)
     masks, nodes_enum = enumerate_max_independent(adj, optimum, time_limit=time_limit)

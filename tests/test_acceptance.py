@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from sepekr import (
     are_isomorphic,
@@ -179,16 +180,19 @@ def test_07_report_determinism():
         proc = subprocess.run(argv, capture_output=True, env=env)
         outs.append((proc.returncode, proc.stdout))
     codes = [code for code, _ in outs]
+    frozen = (Path(__file__).parent / "data" / "report_default.txt").read_bytes()
     ok = (
         codes == [0, 0, 0]
         and outs[0][1] == outs[1][1]
         and outs[0][1] == outs[2][1]
         and b"verified true" in outs[0][1]
+        and outs[0][1] == frozen
     )
     report(
         "deterministic report",
         ok,
         f"exit codes {codes}, identical bytes across reruns and thread settings: "
-        f"{outs[0][1] == outs[1][1] == outs[2][1]}",
+        f"{outs[0][1] == outs[1][1] == outs[2][1]}, matches tests/data/report_default.txt: "
+        f"{outs[0][1] == frozen}",
     )
     assert ok

@@ -219,6 +219,35 @@ def test_bad_threads_env_is_usage_error(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    assert run(["enumerate", "--n", "5", "--r", "2", "--k", "1", "--output", missing]) == 2
+    assert "error:" in capsys.readouterr().err
+    code = run(["graph", "--kind", "schrijver", "--n", "5", "--r", "2", "--dimacs", missing])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemmas", "--n", "9", "--r", "2", "--k", "1", "--samples", "-3"],
+        ["lemmas", "--n", "9", "--r", "2", "--k", "1", "--samples", "0"],
+        ["max-family", "--n", "9", "--r", "2", "--k", "1", "--limit-seconds", "-1"],
+        ["report", "--grid", "quick", "--limit-seconds", "0"],
+        ["max-family", "--n", "9", "--r", "2", "--k", "1", "--limit-vertices", "-1"],
+        ["graph", "--kind", "kneser", "--n", "5", "--r", "2", "--limit-vertices", "0"],
+    ],
+)
+def test_non_positive_counts_and_budgets_are_usage_errors(argv):
+    proc = _run([sys.executable, "-m", "sepekr"], argv)
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_argument_hits_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["enumerate", "--n", "5", "--r", "2"])

@@ -116,7 +116,6 @@ def test_partition_star_6_2_1():
     assert [s.elems for s in part.anchored] == [(1, 4), (1, 5)]
     assert [s.elems for s in part.boundary[0]] == [(1, 3)]
     assert [s.elems for s in part.boundary[1]] == []
-    assert part.exhaustive
     assert part.size() == 3
     assert len(part.cells) == 4  # free, anchored, k+1 boundary cells
 
@@ -230,6 +229,17 @@ def test_suite_flags_non_intersecting_input():
     assert failing == ["input-intersecting"]
     bad = report.clause("input-intersecting")
     assert {w.elems for w in bad.witnesses} == {(1, 3), (2, 4)}
+
+    # more than five disjoint pairs: the first five in (i, j) order are the witnesses
+    fam = SetFamily(8, 2, 1, tuple(CircSet(8, e) for e in [(1, 3), (2, 4), (5, 7), (6, 8)]))
+    report = verify_compression_suite(fam)
+    assert [w.elems for w in report.clause("input-intersecting").witnesses] == [
+        (1, 3), (2, 4),
+        (1, 3), (5, 7),
+        (1, 3), (6, 8),
+        (2, 4), (5, 7),
+        (2, 4), (6, 8),
+    ]
 
 
 def test_suite_flags_disjoint_reduced_members():

@@ -10,6 +10,7 @@ from sepekr import (
     CircSet,
     GapVector,
     SetFamily,
+    disjointness_adjacency,
     enumerate_separated,
     from_gaps,
     gap_vector,
@@ -18,6 +19,7 @@ from sepekr import (
     rotate,
     star_size_formula,
 )
+from sepekr.core import count_separated
 
 from helpers import brute_separated, circ_gaps
 
@@ -229,3 +231,28 @@ def test_separation_monotone_in_k(case):
     s, k = case
     for smaller in range(k + 1):
         assert is_k_separated(s, smaller)
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 3), st.integers(1, 4), st.data())
+def test_count_separated_matches_brute_force(k, r, data):
+    n = data.draw(st.integers(1, (k + 1) * r + 6))
+    assert count_separated(n, r, k) == len(brute_separated(n, r, k))
+
+
+@st.composite
+def circset_lists(draw):
+    """Random CircSets on one circle, separated or not, duplicates allowed."""
+    n = draw(st.integers(1, 12))
+    elems = st.sets(st.integers(1, n), min_size=1, max_size=n)
+    return [CircSet(n, tuple(e)) for e in draw(st.lists(elems, max_size=30))]
+
+
+@settings(max_examples=150)
+@given(circset_lists())
+def test_disjointness_adjacency_matches_definition(sets):
+    expected = [
+        sum(1 << j for j, t in enumerate(sets) if not set(s.elems) & set(t.elems))
+        for s in sets
+    ]
+    assert disjointness_adjacency(sets) == expected

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sepekr import (
     ResourceLimitError,
     are_isomorphic,
+    build_kneser,
+    build_schrijver,
     canonical_form,
     disjointness_adjacency,
     enumerate_max_independent,
@@ -84,6 +86,19 @@ def test_search_rejects_small_n():
 def test_vertex_budget():
     with pytest.raises(ResourceLimitError):
         max_intersecting(12, 3, 1, max_vertices=10)
+
+
+def test_vertex_limit_is_checked_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a universe over the vertex limit")
+
+    monkeypatch.setattr("sepekr.search.enumerate_separated", refuse)
+    with pytest.raises(ResourceLimitError):
+        max_intersecting(60, 8, 1)
+    with pytest.raises(ResourceLimitError):
+        build_schrijver(60, 8, 1, max_vertices=100)
+    with pytest.raises(ResourceLimitError):
+        build_kneser(60, 8, max_vertices=100)
 
 
 def test_time_budget():
