@@ -32,6 +32,7 @@ from .search import (
     ResourceLimitError,
     extremal_classes,
     max_intersecting,
+    separated_universe,
 )
 from .weighted import verify_weighted_ekr
 
@@ -152,7 +153,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: str) -> None:
+def _cell(value) -> str:
+    """One CSV cell or text value: booleans as true/false, None as empty."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _emit(args, record, rows, text, *, columns=()) -> None:
+    """Write the result in args.format, calling only the builder for that format.
+
+    record() gives the JSON value, rows() the flat CSV rows (dicts; the header
+    is the first row's keys, or columns when there are no rows) and text()
+    the plain text.
+    """
+    if args.format == "json":
+        payload = json.dumps(record(), indent=2)
+    elif args.format == "csv":
+        table = rows()
+        lines = [",".join(table[0] if table else columns)]
+        lines.extend(",".join(_cell(v) for v in row.values()) for row in table)
+        payload = "\n".join(lines)
+    else:
+        payload = text()
     if not payload.endswith("\n"):
         payload += "\n"
     if args.output:
@@ -162,43 +185,29 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _json_dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False)
-
-
 def _cmd_enumerate(args) -> int:
     family = enumerate_separated(args.n, args.r, args.k)
-    if args.format == "json":
-        _emit(args, _json_dumps(family.to_json_dict()))
-    elif args.format == "csv":
-        rows = ["elems"] + [" ".join(str(a) for a in s.elems) for s in family]
-        _emit(args, "\n".join(rows))
-    else:
-        _emit(args, family.to_line())
+    _emit(
+        args,
+        family.to_json_dict,
+        lambda: [{"elems": " ".join(str(a) for a in s.elems)} for s in family],
+        family.to_line,
+        columns=("elems",),
+    )
     return EXIT_OK
 
 
 def _cmd_max_family(args) -> int:
     result = max_intersecting(
-        args.n,
-        args.r,
-        args.k,
-        max_vertices=args.limit_vertices,
-        time_limit=args.limit_seconds,
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=args.limit_seconds
     )
-    if args.format == "json":
-        _emit(args, _json_dumps(result.to_json_dict()))
-    elif args.format == "csv":
-        _emit(
-            args,
-            "n,r,k,optimum,nodes\n"
-            f"{result.n},{result.r},{result.k},{result.optimum},{result.nodes_explored}",
-        )
-    else:
-        _emit(
-            args,
-            f"optimum {result.optimum}\nwitness {result.witness.to_line()}",
-        )
+    row = dict(n=args.n, r=args.r, k=args.k, optimum=result.optimum, nodes=result.nodes_explored)
+    _emit(
+        args,
+        result.to_json_dict,
+        lambda: [row],
+        lambda: f"optimum {result.optimum}\nwitness {result.witness.to_line()}",
+    )
     return EXIT_OK
 
 
@@ -211,84 +220,70 @@ def _cmd_classes(args) -> int:
         max_vertices=args.limit_vertices,
         time_limit=args.limit_seconds,
     )
-    if args.format == "json":
-        _emit(args, _json_dumps(result.to_json_dict()))
-    elif args.format == "csv":
-        _emit(
-            args,
-            "n,r,k,optimum,classes,nodes\n"
-            f"{result.n},{result.r},{result.k},{result.optimum},"
-            f"{len(result.classes or ())},{result.nodes_explored}",
-        )
-    else:
-        lines = [f"optimum {result.optimum}", f"classes {len(result.classes or ())}"]
-        lines.extend(c.to_line() for c in result.classes or ())
-        _emit(args, "\n".join(lines))
+    classes = result.classes
+    row = dict(
+        n=args.n, r=args.r, k=args.k, optimum=result.optimum, classes=len(classes),
+        nodes=result.nodes_explored,
+    )
+    lines = [f"optimum {result.optimum}", f"classes {len(classes)}"]
+    _emit(
+        args,
+        result.to_json_dict,
+        lambda: [row],
+        lambda: "\n".join(lines + [c.to_line() for c in classes]),
+    )
     return EXIT_OK
 
 
 def _cmd_lemmas(args) -> int:
+    # The star and the sampler enumerate the universe, so check its size first.
+    separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES)
     rng = random.Random(f"{args.seed}:{args.n}:{args.r}:{args.k}")
     families = [star_family(args.n, args.r, args.k, 1)]
     for _ in range(args.samples):
         families.append(random_maximal_intersecting(args.n, args.r, args.k, rng))
-    failures = []
-    for family in families:
-        report = verify_compression_suite(family)
-        if not report.passed:
-            failures.append((family, report))
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "r": args.r,
-            "k": args.k,
-            "samples": args.samples,
-            "seed": args.seed,
-            "families_checked": len(families),
-            "all_passed": not failures,
+    reports = ((family, verify_compression_suite(family)) for family in families)
+    failures = [(family, report) for family, report in reports if not report.passed]
+    summary = dict(
+        n=args.n, r=args.r, k=args.k, samples=args.samples, seed=args.seed,
+        families_checked=len(families), all_passed=not failures,
+    )
+
+    def text() -> str:
+        lines = [
+            f"checked {len(families)} intersecting families on n={args.n} r={args.r} k={args.k}"
+        ]
+        for fam, rep in failures:
+            failed = ",".join(c.clause_id for c in rep.clauses if not c.passed)
+            lines.append(f"FAIL [{failed}] {fam.to_line()}")
+        return "\n".join(lines if failures else lines + ["all clauses passed"])
+
+    _emit(
+        args,
+        lambda: {
+            **summary,
             "failures": [
                 {"family": fam.to_json_dict(), "report": rep.to_json_dict()}
                 for fam, rep in failures
             ],
-        }
-        _emit(args, _json_dumps(payload))
-    else:
-        lines = [
-            f"checked {len(families)} intersecting families on n={args.n} r={args.r} k={args.k}"
-        ]
-        if failures:
-            for fam, rep in failures:
-                failed = ",".join(c.clause_id for c in rep.clauses if not c.passed)
-                lines.append(f"FAIL [{failed}] {fam.to_line()}")
-        else:
-            lines.append("all clauses passed")
-        _emit(args, "\n".join(lines))
+        },
+        lambda: [{**summary, "failures": len(failures)}],
+        text,
+    )
     return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_weighted(args) -> int:
     report = verify_weighted_ekr(
-        args.n,
-        args.r,
-        args.k,
-        max_vertices=args.limit_vertices,
-        time_limit=args.limit_seconds,
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=args.limit_seconds
     )
-    if args.format == "json":
-        _emit(args, _json_dumps(report.to_json_dict()))
-    elif args.format == "csv":
-        _emit(
-            args,
-            "n,r,k,optimum,star_weight,binomial,pass\n"
-            f"{report.n},{report.r},{report.k},{report.optimum},"
-            f"{report.star_weight},{report.binomial},{str(report.passed).lower()}",
-        )
-    else:
-        _emit(
-            args,
-            f"optimum {report.optimum}\nstar_weight {report.star_weight}\n"
-            f"binomial {report.binomial}\npass {str(report.passed).lower()}",
-        )
+    _emit(
+        args,
+        report.to_json_dict,
+        lambda: [report.to_json_dict()],
+        lambda: f"optimum {report.optimum}\nstar_weight {report.star_weight}\n"
+        f"binomial {report.binomial}\npass {_cell(report.passed)}",
+    )
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
@@ -299,37 +294,29 @@ def _cmd_graph(args) -> int:
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
         k = args.k
+    # chi first, so that its vertex limit fires before any alpha search is spent.
+    chi = chromatic_number(graph) if args.chi else None
     alpha = (
         independence_number(graph, time_limit=args.limit_seconds) if args.alpha else None
     )
-    chi = chromatic_number(graph) if args.chi else None
     if args.dimacs:
         export_dimacs(graph, args.dimacs)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "n": args.n,
-            "r": args.r,
-            "k": k,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-        }
-        if alpha is not None:
-            payload["alpha"] = alpha
-        if chi is not None:
-            payload["chi"] = chi
-        payload.update(graph.to_json_dict())
-        _emit(args, _json_dumps(payload))
-    else:
-        lines = [
-            f"{args.kind} n={args.n} r={args.r} k={k}: "
-            f"{graph.num_vertices} vertices, {graph.num_edges} edges"
-        ]
-        if alpha is not None:
-            lines.append(f"alpha {alpha}")
-        if chi is not None:
-            lines.append(f"chi {chi}")
-        _emit(args, "\n".join(lines))
+    summary = dict(
+        kind=args.kind, n=args.n, r=args.r, k=k,
+        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
+    )
+    invariants = {"alpha": alpha, "chi": chi}
+    computed = {name: value for name, value in invariants.items() if value is not None}
+    heading = (
+        f"{args.kind} n={args.n} r={args.r} k={k}: "
+        f"{graph.num_vertices} vertices, {graph.num_edges} edges"
+    )
+    _emit(
+        args,
+        lambda: {**summary, **computed, **graph.to_json_dict()},
+        lambda: [{**summary, **invariants}],
+        lambda: "\n".join([heading] + [f"{name} {value}" for name, value in computed.items()]),
+    )
     return EXIT_OK
 
 
@@ -387,22 +374,11 @@ def _cmd_report(args) -> int:
             }
         )
     elapsed = time.monotonic() - started
-    if args.format == "json":
-        _emit(args, _json_dumps({"grid": args.grid, "rows": out_rows, "all_verified": all_ok}))
-    elif args.format == "csv":
-        lines = ["n,r,k,optimum,formula,match,classes,class_ok,nodes"]
-        for row in out_rows:
-            lines.append(
-                f"{row['n']},{row['r']},{row['k']},{row['optimum']},{row['formula']},"
-                f"{str(row['match']).lower()},"
-                f"{'' if row['classes'] is None else row['classes']},"
-                f"{'' if row['class_ok'] is None else str(row['class_ok']).lower()},"
-                f"{row['nodes']}"
-            )
-        _emit(args, "\n".join(lines))
-    else:
-        header = f"{'n':>3} {'r':>2} {'k':>2} {'optimum':>8} {'formula':>8} {'match':>6} {'classes':>8} {'nodes':>10}"
-        lines = [header]
+
+    def text() -> str:
+        lines = [
+            f"{'n':>3} {'r':>2} {'k':>2} {'optimum':>8} {'formula':>8} {'match':>6} {'classes':>8} {'nodes':>10}"
+        ]
         for row in out_rows:
             classes = "-" if row["classes"] is None else str(row["classes"])
             lines.append(
@@ -410,8 +386,15 @@ def _cmd_report(args) -> int:
                 f"{row['formula']:>8} {'ok' if row['match'] else 'FAIL':>6} "
                 f"{classes:>8} {row['nodes']:>10}"
             )
-        lines.append(f"verified {str(all_ok).lower()}")
-        _emit(args, "\n".join(lines))
+        lines.append(f"verified {_cell(all_ok)}")
+        return "\n".join(lines)
+
+    _emit(
+        args,
+        lambda: {"grid": args.grid, "rows": out_rows, "all_verified": all_ok},
+        lambda: out_rows,
+        text,
+    )
     print(f"grid completed in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 

@@ -248,14 +248,27 @@ def extremal_classes(
     """All maximum intersecting families, reported as one representative per symmetry class.
 
     Representatives are canonical forms sorted lexicographically; the witness
-    is the least of them.
+    is the least of them.  One time limit covers the whole call: the solve,
+    the enumeration of all optima and their canonicalisation.
     """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+
+    def time_left(stage: str) -> float | None:
+        """Seconds left before the deadline (None without one); raises once none are left."""
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
+            raise ResourceLimitError(f"time limit exceeded before {stage}")
+        return left
+
     universe = separated_universe(n, r, k, max_vertices)
     adj = disjointness_adjacency(universe.sets)
-    optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_limit)
-    masks, nodes_enum = enumerate_max_independent(adj, optimum, time_limit=time_limit)
+    optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_left("the solve"))
+    masks, nodes_enum = enumerate_max_independent(
+        adj, optimum, time_limit=time_left("enumerating the optima")
+    )
     reps: dict[frozenset, SetFamily] = {}
     for mask in masks:
+        time_left("canonicalising the optima")
         rep = canonical_form(_family_from_mask(universe, mask), rotations_only)
         reps.setdefault(rep.member_keys, rep)
     classes = tuple(sorted(reps.values(), key=lambda f: tuple(s.elems for s in f.sets)))

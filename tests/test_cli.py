@@ -195,6 +195,57 @@ def test_report_is_byte_identical_across_runs_and_threads(capsys, monkeypatch):
     assert json.loads(first)["all_verified"] is True
 
 
+# === golden output: every subcommand in every format ===
+
+DATA = Path(__file__).resolve().parent / "data" / "cli"
+GOLDEN = {
+    "enumerate": ["enumerate", "--n", "5", "--r", "2", "--k", "1"],
+    "max-family": ["max-family", "--n", "8", "--r", "2", "--k", "1"],
+    "classes": ["classes", "--n", "8", "--r", "3", "--k", "1"],
+    "lemmas": ["lemmas", "--n", "9", "--r", "3", "--k", "1", "--samples", "5", "--seed", "3"],
+    "weighted": ["weighted", "--n", "9", "--r", "2", "--k", "1"],
+    "graph": ["graph", "--kind", "schrijver", "--n", "7", "--r", "2", "--k", "1", "--alpha", "--chi"],
+    "report": ["report", "--grid", "quick"],
+}
+SUFFIX = {"text": "txt", "json": "json", "csv": "csv"}
+CSV_HEADER = {
+    "enumerate": "elems",
+    "max-family": "n,r,k,optimum,nodes",
+    "classes": "n,r,k,optimum,classes,nodes",
+    "lemmas": "n,r,k,samples,seed,families_checked,all_passed,failures",
+    "weighted": "n,r,k,optimum,star_weight,binomial,pass",
+    "graph": "kind,n,r,k,num_vertices,num_edges,alpha,chi",
+    "report": "n,r,k,optimum,formula,match,classes,class_ok,nodes",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIX))
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_matches_golden_file(capsys, command, fmt):
+    """Stdout equals tests/data/cli/<command>.<suffix>, written by `sepekr <argv> --format <fmt>`."""
+    assert run(GOLDEN[command] + ["--format", fmt]) == 0
+    assert out_of(capsys) == (DATA / f"{command}.{SUFFIX[fmt]}").read_text()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_csv_has_a_header_and_rows_of_its_width(capsys, command):
+    assert run(GOLDEN[command] + ["--format", "csv"]) == 0
+    header, *rows = out_of(capsys).splitlines()
+    assert header == CSV_HEADER[command]
+    assert rows and all(row.count(",") == header.count(",") for row in rows)
+
+
+def test_empty_family_csv_is_the_header_alone(capsys):
+    assert run(["enumerate", "--n", "5", "--r", "3", "--k", "1", "--format", "csv"]) == 0
+    assert out_of(capsys) == "elems\n"
+
+
+def test_graph_csv_leaves_unrequested_invariants_empty(capsys):
+    argv = ["graph", "--kind", "schrijver", "--n", "7", "--r", "2", "--chi", "--format", "csv"]
+    assert run(argv) == 0
+    assert out_of(capsys).splitlines()[1] == "schrijver,7,2,1,14,49,,5"
+
+
 # === exit codes and environment ===
 
 
@@ -209,6 +260,24 @@ def test_resource_error_on_vertex_limit(capsys):
     assert code == 3
     captured = capsys.readouterr()
     assert "resource limit" in captured.err
+
+
+def test_lemmas_checks_the_vertex_limit_before_enumerating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a universe over the vertex limit")
+
+    monkeypatch.setattr("sepekr.families.enumerate_separated", refuse)
+    assert run(["lemmas", "--n", "60", "--r", "8", "--k", "1", "--samples", "1"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed alpha although chi is over its limit")
+
+    monkeypatch.setattr("sepekr.cli.independence_number", refuse)
+    assert run(["graph", "--kind", "kneser", "--n", "10", "--r", "3", "--alpha", "--chi"]) == 3
+    assert "colouring limit" in capsys.readouterr().err
 
 
 def test_bad_threads_env_is_usage_error(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Exact search: optimum sizes, weighted optima, and extremal class censuses."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from sepekr import (
     star_family,
     star_size_formula,
 )
+import sepekr.search
 from sepekr.search import _cover_bound
 
 from helpers import (
@@ -246,6 +248,24 @@ def test_exceptional_families_appear_in_census():
 def test_classes_vertex_budget():
     with pytest.raises(ResourceLimitError):
         extremal_classes(10, 3, 1, max_vertices=5)
+
+
+@pytest.mark.parametrize(
+    "slow_stage, next_stage",
+    [("solve_max_independent", "enumerating"), ("enumerate_max_independent", "canonicalising")],
+)
+def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_stage):
+    """One deadline: a stage that ends after it stops the call before the next stage runs."""
+    real = getattr(sepekr.search, slow_stage)
+
+    def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(0.3)
+        return result
+
+    monkeypatch.setattr(sepekr.search, slow_stage, slow)
+    with pytest.raises(ResourceLimitError, match=next_stage):
+        extremal_classes(8, 3, 1, time_limit=0.2)
 
 
 # === clique-cover bound and search modes on random graphs ===
