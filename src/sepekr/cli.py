@@ -17,7 +17,7 @@ import sys
 import time
 
 from .compression import verify_compression_suite
-from .core import enumerate_separated, star_size_formula
+from .core import SetFamily, separated_universe, star_size_formula
 from .families import random_maximal_intersecting, star_family
 from .graph import (
     build_kneser,
@@ -32,7 +32,6 @@ from .search import (
     ResourceLimitError,
     extremal_classes,
     max_intersecting,
-    separated_universe,
 )
 from .weighted import verify_weighted_ekr
 
@@ -186,7 +185,10 @@ def _emit(args, record, rows, text, *, columns=()) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    family = enumerate_separated(args.n, args.r, args.k)
+    if args.n < (args.k + 1) * args.r:  # no separated set fits: the universe is empty
+        family = SetFamily(args.n, args.r, args.k, ())
+    else:
+        family, _ = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES, rows=False)
     _emit(
         args,
         family.to_json_dict,
@@ -236,8 +238,6 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    # The star and the sampler enumerate the universe, so check its size first.
-    separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES)
     rng = random.Random(f"{args.seed}:{args.n}:{args.r}:{args.k}")
     families = [star_family(args.n, args.r, args.k, 1)]
     for _ in range(args.samples):

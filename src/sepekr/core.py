@@ -9,8 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a search exceeds its configured vertex, node, or time budget."""
+
+
+DEFAULT_MAX_VERTICES = 20000
 
 
 @dataclass(frozen=True, order=True)
@@ -218,10 +225,8 @@ def enumerate_separated(n: int, r: int, k: int) -> SetFamily:
         raise ValueError(f"separation parameter must be non-negative, got k={k}")
     out: list[CircSet] = []
     step = k + 1
-    if r == 1:
-        if n > k:
-            out = [CircSet(n, (a,)) for a in range(1, n + 1)]
-        return SetFamily(n, r, k, tuple(out))
+    if n < step * r:
+        return SetFamily(n, r, k, ())
 
     def grow(prefix: tuple[int, ...], first: int) -> None:
         i = len(prefix)
@@ -282,3 +287,29 @@ def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
             hit |= meets[a]
         rows.append(full & ~hit)
     return rows
+
+
+@lru_cache(maxsize=1)
+def _universe(n: int, r: int, k: int) -> SetFamily:
+    return enumerate_separated(n, r, k)
+
+
+@lru_cache(maxsize=1)
+def _universe_rows(n: int, r: int, k: int) -> tuple[int, ...]:
+    return tuple(disjointness_adjacency(_universe(n, r, k).sets))
+
+
+def separated_universe(
+    n: int, r: int, k: int, max_vertices: int, *, rows: bool = True
+) -> tuple[SetFamily, tuple[int, ...]]:
+    """The k-separated r-sets of [n] and, when rows is set, their disjointness rows (else ()).
+
+    Raises ValueError when n < (k+1)r; checks the count against max_vertices before
+    enumerating.  The last instance is cached and shared; both values are immutable.
+    """
+    count = count_separated(n, r, k)
+    if n < (k + 1) * r:
+        raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
+    if count > max_vertices:
+        raise ResourceLimitError(f"{count} vertices exceed the limit of {max_vertices}")
+    return _universe(n, r, k), (_universe_rows(n, r, k) if rows else ())

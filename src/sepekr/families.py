@@ -6,14 +6,14 @@ import random
 from typing import Iterable
 
 from .core import (
+    DEFAULT_MAX_VERTICES,
     CircSet,
     SetFamily,
     disjointness_adjacency,
-    enumerate_separated,
     is_k_separated,
     reflect,
     rotate,
-    star_size_formula,
+    separated_universe,
 )
 
 
@@ -22,13 +22,13 @@ def is_intersecting(family: SetFamily) -> bool:
     return not any(disjointness_adjacency(family.sets))
 
 
-def star_family(n: int, r: int, k: int, i: int) -> SetFamily:
+def star_family(
+    n: int, r: int, k: int, i: int, *, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> SetFamily:
     """All k-separated r-sets through the fixed element i."""
     if not (1 <= i <= n):
         raise ValueError(f"centre {i} outside 1..{n}")
-    if n < (k + 1) * r:
-        raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
-    universe = enumerate_separated(n, r, k)
+    universe, _ = separated_universe(n, r, k, max_vertices, rows=False)
     bit = 1 << (i - 1)
     return SetFamily(n, r, k, tuple(s for s in universe if s.mask & bit))
 
@@ -48,7 +48,7 @@ def exceptional_family(r: int, i: int) -> SetFamily:
     window = 0
     for a in range(1, 4 * i + 2, 2):
         window |= 1 << (a - 1)
-    universe = enumerate_separated(n, r, 1)
+    universe, _ = separated_universe(n, r, 1, DEFAULT_MAX_VERTICES, rows=False)
     members = tuple(s for s in universe if (s.mask & window).bit_count() >= i + 1)
     return SetFamily(n, r, 1, members)
 
@@ -118,8 +118,7 @@ def random_maximal_intersecting(
     n: int, r: int, k: int, rng: random.Random
 ) -> SetFamily:
     """Greedily grow an intersecting family over a shuffled universe until maximal."""
-    universe = enumerate_separated(n, r, k).sets
-    adj = disjointness_adjacency(universe)
+    universe, adj = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
     order = list(range(len(universe)))
     rng.shuffle(order)
     chosen = 0

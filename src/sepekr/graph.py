@@ -5,14 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import SetFamily, disjointness_adjacency
-from .search import (
-    DEFAULT_MAX_VERTICES,
-    ResourceLimitError,
-    _pick_branch_vertex,
-    separated_universe,
-    solve_max_independent,
-)
+from .core import DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, separated_universe
+from .search import _pick_branch_vertex, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -48,20 +42,16 @@ class DisjointnessGraph:
         }
 
 
-def _build(family: SetFamily) -> DisjointnessGraph:
-    return DisjointnessGraph(family, tuple(disjointness_adjacency(family.sets)))
-
-
 def build_kneser(n: int, r: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> DisjointnessGraph:
     """Kneser graph: all r-subsets of [n], edges between disjoint pairs."""
-    return _build(separated_universe(n, r, 0, max_vertices))
+    return DisjointnessGraph(*separated_universe(n, r, 0, max_vertices))
 
 
 def build_schrijver(
     n: int, r: int, k: int = 1, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> DisjointnessGraph:
     """Induced subgraph of the Kneser graph on the k-separated r-sets."""
-    return _build(separated_universe(n, r, k, max_vertices))
+    return DisjointnessGraph(*separated_universe(n, r, k, max_vertices))
 
 
 def independence_number(
@@ -70,8 +60,7 @@ def independence_number(
     time_limit: float | None = None,
 ) -> int:
     """Exact independence number via the branch-and-bound solver."""
-    optimum, _, _ = solve_max_independent(list(graph.adjacency), time_limit=time_limit)
-    return optimum
+    return solve_max_independent(graph.adjacency, time_limit=time_limit)[0]
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:

@@ -13,24 +13,18 @@ return identical answers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from .core import (
+    DEFAULT_MAX_VERTICES,
     CircSet,
+    ResourceLimitError,
     SetFamily,
-    count_separated,
-    disjointness_adjacency,
-    enumerate_separated,
+    separated_universe,
 )
 from .families import canonical_form
 
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a search exceeds its configured vertex, node, or time budget."""
-
-
-DEFAULT_MAX_VERTICES = 20000
 CLASS_MAX_VERTICES = 2000
 
 _TIME_CHECK_MASK = 0x3FF
@@ -62,7 +56,7 @@ class SearchResult:
         }
 
 
-def _cover_bound(cand: int, adj: list[int], weights: list[int] | None) -> int:
+def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> int:
     """Greedy partition of cand into cliques; an independent set takes at most one per clique.
 
     Each class is built bit-parallel from the lowest remaining vertex, keeping
@@ -85,7 +79,7 @@ def _cover_bound(cand: int, adj: list[int], weights: list[int] | None) -> int:
     return bound
 
 
-def _pick_branch_vertex(cand: int, adj: list[int]) -> int:
+def _pick_branch_vertex(cand: int, adj: Sequence[int]) -> int:
     """Candidate with the most conflicts inside cand; ties go to the lowest index."""
     best_v = -1
     best_deg = -1
@@ -102,7 +96,7 @@ def _pick_branch_vertex(cand: int, adj: list[int]) -> int:
 
 
 def _search(
-    adj: list[int],
+    adj: Sequence[int],
     weights: list[int] | None,
     target: int | None,
     time_limit: float | None,
@@ -146,7 +140,7 @@ def _search(
 
 
 def solve_max_independent(
-    adj: list[int],
+    adj: Sequence[int],
     weights: list[int] | None = None,
     *,
     time_limit: float | None = None,
@@ -156,7 +150,7 @@ def solve_max_independent(
 
 
 def enumerate_max_independent(
-    adj: list[int],
+    adj: Sequence[int],
     target: int,
     *,
     time_limit: float | None = None,
@@ -180,14 +174,15 @@ def _family_from_mask(universe: SetFamily, mask: int) -> SetFamily:
     return SetFamily(universe.n, universe.r, universe.k, tuple(members))
 
 
-def separated_universe(n: int, r: int, k: int, max_vertices: int) -> SetFamily:
-    """The k-separated r-sets of [n], enumerated only after their count is within the limit."""
-    if n < (k + 1) * r:
-        raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
-    count = count_separated(n, r, k)
-    if count > max_vertices:
-        raise ResourceLimitError(f"{count} vertices exceed the limit of {max_vertices}")
-    return enumerate_separated(n, r, k)
+def _solve(n, r, k, weight_fn, max_vertices, time_limit) -> SearchResult:
+    """The path from universe to solve behind both max_intersecting functions."""
+    universe, adj = separated_universe(n, r, k, max_vertices)
+    weights = None if weight_fn is None else [weight_fn(s) for s in universe]
+    for s, w in zip(universe, weights or ()):
+        if not isinstance(w, int) or w < 0:
+            raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
+    optimum, mask, nodes = solve_max_independent(adj, weights, time_limit=time_limit)
+    return SearchResult(n, r, k, optimum, _family_from_mask(universe, mask), None, nodes)
 
 
 def max_intersecting(
@@ -202,11 +197,8 @@ def max_intersecting(
 
     The witness is returned in canonical form; repeated runs are identical.
     """
-    universe = separated_universe(n, r, k, max_vertices)
-    adj = disjointness_adjacency(universe.sets)
-    optimum, mask, nodes = solve_max_independent(adj, time_limit=time_limit)
-    witness = canonical_form(_family_from_mask(universe, mask))
-    return SearchResult(n, r, k, optimum, witness, None, nodes)
+    result = _solve(n, r, k, None, max_vertices, time_limit)
+    return replace(result, witness=canonical_form(result.witness))
 
 
 def max_intersecting_weighted(
@@ -223,17 +215,7 @@ def max_intersecting_weighted(
     The witness is one optimal family as found; it is not canonicalised because
     an arbitrary weight function need not respect the circle symmetries.
     """
-    universe = separated_universe(n, r, k, max_vertices)
-    weights = []
-    for s in universe:
-        w = weight_fn(s)
-        if not isinstance(w, int) or w < 0:
-            raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
-        weights.append(w)
-    adj = disjointness_adjacency(universe.sets)
-    optimum, mask, nodes = solve_max_independent(adj, weights, time_limit=time_limit)
-    witness = _family_from_mask(universe, mask)
-    return SearchResult(n, r, k, optimum, witness, None, nodes)
+    return _solve(n, r, k, weight_fn, max_vertices, time_limit)
 
 
 def extremal_classes(
@@ -260,8 +242,7 @@ def extremal_classes(
             raise ResourceLimitError(f"time limit exceeded before {stage}")
         return left
 
-    universe = separated_universe(n, r, k, max_vertices)
-    adj = disjointness_adjacency(universe.sets)
+    universe, adj = separated_universe(n, r, k, max_vertices)
     optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_left("the solve"))
     masks, nodes_enum = enumerate_max_independent(
         adj, optimum, time_limit=time_left("enumerating the optima")

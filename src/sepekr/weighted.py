@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import CircSet, SetFamily, gap_vector, is_k_separated
+from .core import DEFAULT_MAX_VERTICES, CircSet, SetFamily, gap_vector, is_k_separated
 from .families import star_family
-from .search import DEFAULT_MAX_VERTICES, SearchResult, max_intersecting_weighted
+from .search import SearchResult, max_intersecting_weighted
 
 
 def weight(a: CircSet, k: int) -> int:
@@ -105,13 +105,12 @@ def verify_weighted_ekr(
     result: SearchResult = max_intersecting_weighted(
         n, r, k, lambda s: weight(s, k), max_vertices=max_vertices, time_limit=time_limit
     )
-    star = star_family(n, r, k, 1)
     return WeightedBoundReport(
         n=n,
         r=r,
         k=k,
         optimum=result.optimum,
-        star_weight=family_weight(star),
+        star_weight=family_weight(star_family(n, r, k, 1, max_vertices=max_vertices)),
         binomial=math.comb(n - 1, (k + 1) * r - 1),
         witness=result.witness,
         nodes_explored=result.nodes_explored,

@@ -163,3 +163,17 @@ def max_weight_independent(vertices, edges, weights=None) -> int:
         return best
 
     return best_from(sorted(vertices))
+
+
+def greedy_maximal_intersecting(n: int, r: int, k: int, rng) -> list[tuple[int, ...]]:
+    """The random maximal family from its definition: shuffle the indices of the
+    separated sets, then keep each set, in that order, that meets every set kept
+    so far.  Returned sorted."""
+    universe = brute_separated(n, r, k)
+    order = list(range(len(universe)))
+    rng.shuffle(order)
+    kept: list[set] = []
+    for i in order:
+        if all(set(universe[i]) & s for s in kept):
+            kept.append(set(universe[i]))
+    return sorted(tuple(sorted(s)) for s in kept)

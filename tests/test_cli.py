@@ -8,6 +8,8 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepekr
 from sepekr.cli import run
@@ -266,9 +268,54 @@ def test_lemmas_checks_the_vertex_limit_before_enumerating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a universe over the vertex limit")
 
-    monkeypatch.setattr("sepekr.families.enumerate_separated", refuse)
+    monkeypatch.setattr("sepekr.core.enumerate_separated", refuse)
     assert run(["lemmas", "--n", "60", "--r", "8", "--k", "1", "--samples", "1"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_enumerate_aborts_above_the_vertex_limit_without_building_rows(capsys, monkeypatch):
+    # (31,4,1) has 20150 sets, just above the default limit of 20000.
+    assert run(["enumerate", "--n", "31", "--r", "4", "--k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource limit" in captured.err
+
+    def refuse(*args):
+        raise AssertionError("built disjointness rows for enumerate")
+
+    monkeypatch.setattr("sepekr.core.disjointness_adjacency", refuse)
+    assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0
+    assert out_of(capsys).startswith("13 3 1 : {1,3,5} ")
+
+
+def test_weighted_star_keeps_a_vertex_limit_above_the_default(capsys, monkeypatch):
+    over = sepekr.core.DEFAULT_MAX_VERTICES + 1
+    monkeypatch.setattr("sepekr.core.count_separated", lambda n, r, k: over)
+    argv = ["weighted", "--n", "15", "--r", "3", "--k", "1"]
+    assert run(argv + ["--limit-vertices", str(over)]) == 0
+    assert run(argv) == 3
+    capsys.readouterr()
+
+
+_SMALL = st.integers(min_value=-3, max_value=12)
+_LIMITS = ["--limit-vertices", "120", "--limit-seconds", "0.25"]
+
+
+@settings(deadline=None)
+@given(n=_SMALL, r=_SMALL, k=_SMALL)
+def test_any_instance_arguments_exit_with_a_documented_code(n, r, k):
+    instance = ["--n", str(n), "--r", str(r), "--k", str(k)]
+    invocations = [
+        ["enumerate", *instance],
+        ["max-family", *instance, *_LIMITS],
+        ["classes", *instance, *_LIMITS],
+        ["lemmas", *instance, "--samples", "1"],
+        ["weighted", *instance, *_LIMITS],
+        ["graph", "--kind", "kneser", *instance, *_LIMITS],
+        ["graph", "--kind", "schrijver", *instance, *_LIMITS],
+    ]
+    for argv in invocations:
+        assert run(argv + ["--output", os.devnull]) in (0, 1, 2, 3), argv
 
 
 def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
@@ -377,3 +424,4 @@ def test_console_script_and_module_agree(tmp_path):
 def test_module_exit_code_propagates():
     proc = _run([sys.executable, "-m", "sepekr"], USAGE_ERROR)
     assert proc.returncode == 2
+

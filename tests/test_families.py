@@ -23,7 +23,7 @@ from sepekr import (
     transform_family,
 )
 
-from helpers import dihedral_images, intersecting
+from helpers import dihedral_images, greedy_maximal_intersecting, intersecting
 
 
 # === stars ===
@@ -241,3 +241,24 @@ def test_random_maximal_varies_with_seed():
         for seed in range(8)
     }
     assert len(fams) > 1
+
+
+def test_random_maximal_matches_the_greedy_reference_on_interleaved_instances():
+    # One n with r or k differing, sampled in turn, so a cache keyed on less
+    # than (n, r, k) hands one instance another's universe.
+    instances = [(12, 3, 1), (12, 2, 2), (12, 3, 2)]
+    for seed in range(5):
+        rngs = [random.Random(seed) for _ in instances]
+        refs = [random.Random(seed) for _ in instances]
+        for _ in range(3):
+            for inst, rng, ref in zip(instances, rngs, refs):
+                got = random_maximal_intersecting(*inst, rng)
+                assert [s.elems for s in got] == greedy_maximal_intersecting(*inst, ref)
+
+
+def test_star_and_samples_enumerate_the_universe_once(enumerations):
+    rng = random.Random(0)
+    star_family(20, 4, 2, 1)
+    for _ in range(200):
+        random_maximal_intersecting(20, 4, 2, rng)
+    assert enumerations == [(20, 4, 2)]

@@ -94,7 +94,7 @@ def test_vertex_limit_is_checked_before_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a universe over the vertex limit")
 
-    monkeypatch.setattr("sepekr.search.enumerate_separated", refuse)
+    monkeypatch.setattr("sepekr.core.enumerate_separated", refuse)
     with pytest.raises(ResourceLimitError):
         max_intersecting(60, 8, 1)
     with pytest.raises(ResourceLimitError):

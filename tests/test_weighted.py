@@ -168,3 +168,8 @@ def test_weighted_report_json_shape():
         "binomial": 35,
         "pass": True,
     }
+
+
+def test_weighted_enumerates_its_universe_once(enumerations):
+    assert verify_weighted_ekr(15, 3, 1).passed
+    assert enumerations == [(15, 3, 1)]
