@@ -8,7 +8,6 @@ Kneser/Schrijver graph invariants.
 
 from .core import (
     CircSet,
-    GapVector,
     SetFamily,
     disjointness_adjacency,
     enumerate_separated,
@@ -34,7 +33,6 @@ from .compression import (
     CompressionReport,
     DerivedFamilies,
     PartitionResult,
-    Violation,
     compress,
     compress_iter,
     derive_families,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircSet",
-    "GapVector",
     "SetFamily",
     "enumerate_separated",
     "from_gaps",
@@ -91,7 +88,6 @@ __all__ = [
     "CompressionReport",
     "DerivedFamilies",
     "PartitionResult",
-    "Violation",
     "compress",
     "compress_iter",
     "derive_families",

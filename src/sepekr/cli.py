@@ -294,11 +294,18 @@ def _cmd_graph(args) -> int:
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
         k = args.k
-    # chi first, so that its vertex limit fires before any alpha search is spent.
-    chi = chromatic_number(graph) if args.chi else None
-    alpha = (
-        independence_number(graph, time_limit=args.limit_seconds) if args.alpha else None
-    )
+    # chi first, so that its vertex limit fires before any alpha search is spent;
+    # --limit-seconds covers the two together.
+    started = time.monotonic()
+    chi = chromatic_number(graph, time_limit=args.limit_seconds) if args.chi else None
+    alpha = None
+    if args.alpha:
+        left = None
+        if args.limit_seconds is not None:
+            left = args.limit_seconds - (time.monotonic() - started)
+            if left <= 0:
+                raise ResourceLimitError("time limit exceeded before alpha")
+        alpha = independence_number(graph, time_limit=left)
     if args.dimacs:
         export_dimacs(graph, args.dimacs)
     summary = dict(

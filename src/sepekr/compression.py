@@ -123,35 +123,26 @@ def partition_family(family: SetFamily) -> PartitionResult:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """A structural claim that failed during derivation, with the sets involved."""
-
-    kind: str
-    detail: str
-    members: tuple[CircSet, ...]
-
-
-@dataclass(frozen=True)
 class DerivedFamilies:
     """Families produced from a partition by compressing and dropping the anchor.
 
+    images: the compressed free and anchored members (ambient n-1).
     overlap: sets reachable by compression from both a free and an anchored
     member (ambient n-1).
     reduced: the (r-1)-set family on [n-k] assembled from the overlap and the
     boundary cells; claimed k-separated and intersecting when the source
     family is intersecting, so it is carried with k = 0 and the claims are
-    checked separately.
+    checked by the suite.
     reduced_image: one further compression of reduced, ambient n-k-1.
     components: the k+2 pieces of reduced before deduplication, overlap piece
     first.
-    violations: separation or disjointness claims that failed during assembly.
     """
 
+    images: SetFamily
     overlap: SetFamily
     reduced: SetFamily
     reduced_image: SetFamily
     components: tuple[SetFamily, ...]
-    violations: tuple[Violation, ...]
 
 
 def _drop_anchor(a: CircSet) -> CircSet:
@@ -165,68 +156,28 @@ def derive_families(partition: PartitionResult) -> DerivedFamilies:
     """Assemble the reduced (r-1)-set family a partition compresses onto.
 
     The overlap is compressed k-1 further steps, each boundary cell k steps,
-    and the anchor 1 is dropped from every image.  Violations of the expected
-    separation and disjointness are recorded, not raised; they indicate a
-    non-intersecting source family.
+    and the anchor 1 is dropped from every image.  Nothing is checked here;
+    verify_compression_suite tests every claim about the result.
     """
     n, r, k = partition.n, partition.r, partition.k
     if r < 2:
         raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
-    free_images = {compress(a).elems for a in partition.free}
-    anchored_images = {compress(a).elems for a in partition.anchored}
-    overlap = SetFamily(
-        n - 1,
-        r,
-        k,
-        tuple(CircSet(n - 1, e) for e in free_images & anchored_images),
-    )
+    free_images = {compress(a) for a in partition.free}
+    anchored_images = {compress(a) for a in partition.anchored}
+    overlap = SetFamily(n - 1, r, k, tuple(free_images & anchored_images))
     pieces: list[tuple[CircSet, ...]] = [
         tuple(_drop_anchor(compress_iter(e, k - 1)) for e in overlap)
     ]
     for cell in partition.boundary:
         pieces.append(tuple(_drop_anchor(compress_iter(a, k)) for a in cell))
     components = tuple(SetFamily(n - k, r - 1, 0, piece) for piece in pieces)
-
-    violations: list[Violation] = []
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            shared = components[i].member_keys & components[j].member_keys
-            if shared:
-                violations.append(
-                    Violation(
-                        kind="component-overlap",
-                        detail=f"components {i} and {j} share {len(shared)} set(s)",
-                        members=tuple(CircSet(n - k, e) for e in sorted(shared)),
-                    )
-                )
     reduced = SetFamily(n - k, r - 1, 0, tuple(m for c in components for m in c))
-    bad = tuple(m for m in reduced if not is_k_separated(m, k))
-    if bad:
-        violations.append(
-            Violation(
-                kind="reduced-not-separated",
-                detail=f"{len(bad)} reduced member(s) not {k}-separated in [{n - k}]",
-                members=bad,
-            )
-        )
-    reduced_image = SetFamily(
-        n - k - 1, r - 1, 0, tuple(compress(m) for m in reduced)
-    )
-    bad_image = tuple(m for m in reduced_image if not is_k_separated(m, k))
-    if bad_image:
-        violations.append(
-            Violation(
-                kind="reduced-image-not-separated",
-                detail=f"{len(bad_image)} compressed member(s) not {k}-separated in [{n - k - 1}]",
-                members=bad_image,
-            )
-        )
     return DerivedFamilies(
+        images=SetFamily(n - 1, r, k, tuple(free_images | anchored_images)),
         overlap=overlap,
         reduced=reduced,
-        reduced_image=reduced_image,
+        reduced_image=SetFamily(n - k - 1, r - 1, 0, tuple(compress(m) for m in reduced)),
         components=components,
-        violations=tuple(violations),
     )
 
 
@@ -307,8 +258,14 @@ def _disjoint_pairs(sets: tuple[CircSet, ...]) -> tuple[CircSet, ...]:
     return tuple(out)
 
 
-def _violation_members(derived: DerivedFamilies, kind: str) -> tuple[CircSet, ...]:
-    return tuple(m for v in derived.violations if v.kind == kind for m in v.members)
+def _shared_members(components: tuple[SetFamily, ...]) -> tuple[CircSet, ...]:
+    """Members each later component shares with each earlier one, in (i, j, sorted) order."""
+    return tuple(
+        CircSet(c.n, e)
+        for i, c in enumerate(components)
+        for later in components[i + 1 :]
+        for e in sorted(c.member_keys & later.member_keys)
+    )
 
 
 def verify_compression_suite(family: SetFamily) -> CompressionReport:
@@ -332,51 +289,43 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
 
     clauses.append(_collision_clause(family))
 
-    partition = partition_family(family)
-    derived = derive_families(partition)
+    derived = derive_families(partition_family(family))
+    images = derived.images
 
-    image_members = [compress(a) for a in partition.free] + [
-        compress(a) for a in partition.anchored
-    ]
-    bad_images = tuple(
-        m for m in image_members if m.r != r or not is_k_separated(m, k)
-    )
+    bad_images = tuple(m for m in images if m.r != r or not is_k_separated(m, k))
     clauses.append(ClauseResult("compressed-separated", not bad_images, bad_images))
 
-    image_union = SetFamily(n - 1, r, k, tuple(image_members))
-    disjoint_images = _disjoint_pairs(image_union.sets)
+    disjoint_images = _disjoint_pairs(images.sets)
     clauses.append(
         ClauseResult("compressed-intersecting", not disjoint_images, disjoint_images)
     )
 
-    overlap_witnesses = _violation_members(derived, "component-overlap")
-    clauses.append(
-        ClauseResult(
-            "reduced-components-disjoint", not overlap_witnesses, overlap_witnesses
-        )
-    )
+    shared = _shared_members(derived.components)
+    clauses.append(ClauseResult("reduced-components-disjoint", not shared, shared))
 
     disjoint_reduced = _disjoint_pairs(derived.reduced.sets)
     clauses.append(
         ClauseResult("reduced-intersecting", not disjoint_reduced, disjoint_reduced)
     )
 
-    bad_reduced = _violation_members(derived, "reduced-not-separated")
+    bad_reduced = tuple(m for m in derived.reduced if not is_k_separated(m, k))
     clauses.append(ClauseResult("reduced-separated", not bad_reduced, bad_reduced))
 
-    bad_reduced_image = _violation_members(derived, "reduced-image-not-separated")
+    bad_reduced_image = tuple(
+        m for m in derived.reduced_image if not is_k_separated(m, k)
+    )
     clauses.append(
         ClauseResult("reduced-image-separated", not bad_reduced_image, bad_reduced_image)
     )
 
     total = len(family)
-    recovered = len(image_union) + len(derived.reduced)
+    recovered = len(images) + len(derived.reduced)
     clauses.append(
         ClauseResult(
             "size-identity",
             total == recovered,
             (),
-            detail=f"{total} = {len(image_union)} + {len(derived.reduced)}",
+            detail=f"{total} = {len(images)} + {len(derived.reduced)}",
         )
     )
 

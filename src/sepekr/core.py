@@ -74,33 +74,6 @@ class CircSet:
 
 
 @dataclass(frozen=True)
-class GapVector:
-    """Circular gap sequence of a CircSet, in element order starting at the minimum."""
-
-    gaps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.gaps:
-            raise ValueError("gap vector must be non-empty")
-        if any(g < 1 for g in self.gaps):
-            raise ValueError(f"gaps must be positive, got {self.gaps}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.gaps)
-
-    @property
-    def min_gap(self) -> int:
-        return min(self.gaps)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.gaps)
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-@dataclass(frozen=True)
 class SetFamily:
     """A duplicate-free collection of k-separated r-sets over the same ground set.
 
@@ -164,11 +137,10 @@ class SetFamily:
         return f"{self.n} {self.r} {self.k} :" + (" " + body if body else "")
 
 
-def gap_vector(a: CircSet) -> GapVector:
-    """Circular gaps (a2-a1, ..., ar-a(r-1), a1+n-ar); they sum to n."""
+def gap_vector(a: CircSet) -> tuple[int, ...]:
+    """Circular gaps (a2-a1, ..., ar-a(r-1), a1+n-ar); they are positive and sum to n."""
     e = a.elems
-    gaps = tuple(e[i + 1] - e[i] for i in range(len(e) - 1)) + (e[0] + a.n - e[-1],)
-    return GapVector(gaps)
+    return tuple(e[i + 1] - e[i] for i in range(len(e) - 1)) + (e[0] + a.n - e[-1],)
 
 
 def is_k_separated(a: CircSet, k: int) -> bool:
@@ -177,7 +149,7 @@ def is_k_separated(a: CircSet, k: int) -> bool:
         raise ValueError(f"separation parameter must be non-negative, got k={k}")
     if k == 0:
         return True
-    return gap_vector(a).min_gap > k
+    return min(gap_vector(a)) > k
 
 
 def from_gaps(start: int, gaps: Iterable[int], n: int) -> CircSet:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, separated_universe
-from .search import _pick_branch_vertex, solve_max_independent
+from .search import _TIME_CHECK_MASK, _pick_branch_vertex, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -79,8 +80,13 @@ def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
     return best
 
 
-def _colorable(adj: tuple[int, ...], colors_allowed: int, clique: list[int]) -> bool:
-    """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking."""
+def _colorable(
+    adj: tuple[int, ...], colors_allowed: int, clique: list[int], deadline: float | None
+) -> bool:
+    """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
+
+    Raises ResourceLimitError once time.monotonic() passes deadline (None: no deadline).
+    """
     v_count = len(adj)
     assignment = [-1] * v_count
     used_masks = [0] * v_count  # colours taken by coloured neighbours
@@ -94,10 +100,16 @@ def _colorable(adj: tuple[int, ...], colors_allowed: int, clique: list[int]) -> 
             rem ^= b
             used_masks[u] |= 1 << assignment[v]
     degrees = [row.bit_count() for row in adj]
+    calls = 0
 
     def place(remaining: int, max_used: int) -> bool:
+        nonlocal calls
         if remaining == 0:
             return True
+        if deadline is not None:
+            calls += 1
+            if calls & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+                raise ResourceLimitError(f"time limit exceeded after {calls} colouring steps")
         v = -1
         v_key = (-1, -1, 0)
         for u in range(v_count):
@@ -138,8 +150,13 @@ def chromatic_number(
     graph: DisjointnessGraph,
     *,
     max_vertices: int = COLORING_MAX_VERTICES,
+    time_limit: float | None = None,
 ) -> int:
-    """Exact chromatic number by iterative deepening from a greedy clique bound."""
+    """Exact chromatic number by iterative deepening from a greedy clique bound.
+
+    Raises ResourceLimitError above max_vertices, or once time_limit seconds have passed.
+    """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     v_count = graph.num_vertices
     if v_count > max_vertices:
         raise ResourceLimitError(
@@ -149,7 +166,7 @@ def chromatic_number(
         return 1 if v_count else 0
     clique = _greedy_clique(graph.adjacency)
     for c in range(len(clique), v_count + 1):
-        if _colorable(graph.adjacency, c, clique):
+        if _colorable(graph.adjacency, c, clique, deadline):
             return c
     raise AssertionError("a graph is always colourable with one colour per vertex")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,27 @@ def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
     monkeypatch.setattr("sepekr.cli.independence_number", refuse)
     assert run(["graph", "--kind", "kneser", "--n", "10", "--r", "3", "--alpha", "--chi"]) == 3
     assert "colouring limit" in capsys.readouterr().err
+
+
+def test_graph_chi_obeys_the_time_limit(capsys):
+    started = time.monotonic()
+    argv = ["graph", "--kind", "schrijver", "--n", "10", "--r", "3", "--k", "1", "--chi"]
+    assert run(argv + ["--limit-seconds", "1"]) == 3
+    assert time.monotonic() - started < 10
+    assert "time limit" in capsys.readouterr().err
+
+
+def test_graph_chi_and_alpha_share_one_time_limit(capsys, monkeypatch):
+    def slow_chi(graph, **kwargs):
+        time.sleep(0.3)
+        return 3
+
+    monkeypatch.setattr("sepekr.cli.chromatic_number", slow_chi)
+    argv = ["graph", "--kind", "schrijver", "--n", "5", "--r", "2", "--k", "1", "--chi", "--alpha"]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    assert "time limit exceeded before alpha" in capsys.readouterr().err
+    assert run(argv + ["--limit-seconds", "30"]) == 0
+    assert out_of(capsys).endswith("alpha 2\nchi 3\n")
 
 
 def test_bad_threads_env_is_usage_error(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Compression map, partition cells, derived families, and the clause suite."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +161,7 @@ def test_derive_star_6_2_1():
     assert derived.reduced.n == 5 and derived.reduced.r == 1
     assert [s.elems for s in derived.reduced] == [(2,)]
     assert derived.reduced_image.n == 4
-    assert derived.violations == ()
+    assert [s.elems for s in derived.images] == [(1, 3), (1, 4)]
     assert len(derived.components) == 3  # overlap piece plus k+1 boundary pieces
 
 
@@ -170,7 +172,7 @@ def test_derive_overlap_example():
     assert [s.elems for s in derived.overlap] == [(1, 4)]
     assert [s.elems for s in derived.reduced] == [(4,)]
     assert derived.reduced.n == 6
-    assert derived.violations == ()
+    assert [s.elems for s in derived.images] == [(1, 4)]
 
 
 def test_derive_rejects_r1():
@@ -180,6 +182,7 @@ def test_derive_rejects_r1():
 
 
 def test_derive_no_violations_on_intersecting_families():
+    # the claims about the derived families hold, as checked by the suite
     rng = random.Random(11)
     for k in (1, 2):
         for r in (2, 3):
@@ -187,7 +190,14 @@ def test_derive_no_violations_on_intersecting_families():
                 for _ in range(6):
                     fam = random_maximal_intersecting(n, r, k, rng)
                     derived = derive_families(partition_family(fam))
-                    assert derived.violations == (), (n, r, k)
+                    report = verify_compression_suite(fam)
+                    for clause_id in (
+                        "reduced-components-disjoint",
+                        "reduced-separated",
+                        "reduced-image-separated",
+                    ):
+                        clause = report.clause(clause_id)
+                        assert clause.passed and clause.witnesses == (), (n, r, k, clause_id)
                     assert derived.reduced.n == n - k
                     assert derived.reduced.r == r - 1
 
@@ -249,6 +259,25 @@ def test_suite_flags_disjoint_reduced_members():
     assert failing == ["input-intersecting", "reduced-intersecting"]
 
 
+def test_suite_failure_reports_match_golden_file():
+    """Each family in tests/data/compression_failures.json still gets its recorded report.
+
+    The families are non-intersecting: between them they fail input-intersecting,
+    compressed-intersecting and reduced-intersecting, alone and together, and
+    hit the 10-witness cap, so witness content and order are pinned.
+    """
+    path = Path(__file__).resolve().parent / "data" / "compression_failures.json"
+    cases = json.loads(path.read_text())
+    failing = set()
+    for case in cases:
+        fam = SetFamily.from_json_dict(case["family"])
+        report = verify_compression_suite(fam).to_json_dict()
+        assert report == case["report"], fam.to_line()
+        failing.update(c["clause_id"] for c in report["clauses"] if not c["passed"])
+    assert failing == {"input-intersecting", "compressed-intersecting", "reduced-intersecting"}
+    assert any(len(c["witnesses"]) == 10 for case in cases for c in case["report"]["clauses"])
+
+
 def test_suite_rejects_bad_parameters():
     with pytest.raises(ValueError):
         verify_compression_suite(enumerate_separated(8, 2, 0))
@@ -298,4 +327,5 @@ def test_size_identity_components():
         images = {compress(a).elems for a in part.free} | {
             compress(a).elems for a in part.anchored
         }
+        assert derived.images.member_keys == images
         assert len(fam) == len(images) + len(derived.reduced)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sepekr import (
     CircSet,
-    GapVector,
     SetFamily,
     disjointness_adjacency,
     enumerate_separated,
@@ -72,9 +71,9 @@ def test_family_line_format():
 
 
 def test_gap_vector_examples():
-    assert gap_vector(CircSet(8, (1, 3, 6))).gaps == (2, 3, 3)
-    assert gap_vector(CircSet(5, (2,))).gaps == (5,)
-    assert gap_vector(CircSet(6, (1, 3))).gaps == (2, 4)
+    assert gap_vector(CircSet(8, (1, 3, 6))) == (2, 3, 3)
+    assert gap_vector(CircSet(5, (2,))) == (5,)
+    assert gap_vector(CircSet(6, (1, 3))) == (2, 4)
 
 
 def test_is_k_separated_examples():
@@ -98,15 +97,6 @@ def test_from_gaps_examples():
         from_gaps(0, (2, 3), 5)
     with pytest.raises(ValueError):
         from_gaps(1, (0, 5), 5)
-
-
-def test_gap_vector_type_invariants():
-    with pytest.raises(ValueError):
-        GapVector(())
-    with pytest.raises(ValueError):
-        GapVector((2, 0))
-    g = GapVector((2, 3))
-    assert g.total == 5 and g.min_gap == 2 and len(g) == 2
 
 
 # === symmetries ===
@@ -198,10 +188,10 @@ def separated_instances(draw):
 def test_gap_round_trip(case):
     s, k = case
     gaps = gap_vector(s)
-    assert gaps.total == s.n
-    assert from_gaps(s.elems[0], gaps.gaps, s.n) == s
-    assert is_k_separated(s, k) == (gaps.min_gap > k)
-    assert gaps.gaps == tuple(circ_gaps(s.elems, s.n))
+    assert sum(gaps) == s.n
+    assert from_gaps(s.elems[0], gaps, s.n) == s
+    assert is_k_separated(s, k) == (min(gaps) > k)
+    assert gaps == tuple(circ_gaps(s.elems, s.n))
 
 
 @settings(max_examples=150)
@@ -210,7 +200,7 @@ def test_rotation_properties(case, shift):
     s, k = case
     t = rotate(s, shift)
     assert is_k_separated(t, k)
-    assert sorted(gap_vector(t).gaps) == sorted(gap_vector(s).gaps)
+    assert sorted(gap_vector(t)) == sorted(gap_vector(s))
     assert rotate(t, -shift) == s
     assert rotate(s, shift + s.n) == t
 
@@ -222,7 +212,7 @@ def test_reflect_properties(case):
     t = reflect(s)
     assert is_k_separated(t, k)
     assert reflect(t) == s
-    assert sorted(gap_vector(t).gaps) == sorted(gap_vector(s).gaps)
+    assert sorted(gap_vector(t)) == sorted(gap_vector(s))
 
 
 @settings(max_examples=100)
@@ -256,3 +246,18 @@ def test_disjointness_adjacency_matches_definition(sets):
         for s in sets
     ]
     assert disjointness_adjacency(sets) == expected
+
+
+# === package exports ===
+
+
+def test_public_names_resolve_and_star_import_binds_exactly_them():
+    import sepekr
+
+    assert len(set(sepekr.__all__)) == len(sepekr.__all__)
+    for name in sepekr.__all__:
+        assert hasattr(sepekr, name), name
+    namespace: dict = {}
+    exec("from sepekr import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(sepekr.__all__)
