@@ -188,7 +188,7 @@ def _cmd_enumerate(args) -> int:
     if args.n < (args.k + 1) * args.r:  # no separated set fits: the universe is empty
         family = SetFamily(args.n, args.r, args.k, ())
     else:
-        family, _ = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES, rows=False)
+        family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES).vertices
     _emit(
         args,
         family.to_json_dict,

@@ -11,8 +11,9 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import CircSet, SetFamily, disjointness_adjacency, is_k_separated
+from .core import CircSet, DisjointnessGraph, SetFamily, is_k_separated
 
 
 def compress(a: CircSet) -> CircSet:
@@ -231,10 +232,12 @@ class CompressionReport:
 def _collision_clause(family: SetFamily) -> ClauseResult:
     """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1."""
     witnesses: list[CircSet] = []
+    images = family.sets
     for j in range(1, family.k + 1):
+        images = tuple(compress(a) for a in images)  # the j-fold images, carried forward
         buckets: dict[tuple[int, ...], list[CircSet]] = {}
-        for a in family:
-            buckets.setdefault(compress_iter(a, j).elems, []).append(a)
+        for a, image in zip(family, images):
+            buckets.setdefault(image.elems, []).append(a)
         for group in buckets.values():
             for x in range(len(group)):
                 for y in range(x + 1, len(group)):
@@ -244,18 +247,10 @@ def _collision_clause(family: SetFamily) -> ClauseResult:
     return ClauseResult("collision-structure", not witnesses, tuple(witnesses))
 
 
-def _disjoint_pairs(sets: tuple[CircSet, ...]) -> tuple[CircSet, ...]:
+def _disjoint_pairs(family: SetFamily) -> tuple[CircSet, ...]:
     """The first five disjoint pairs (i < j) in (i, j) order, flattened: a clause's witnesses."""
-    out: list[CircSet] = []
-    for i, row in enumerate(disjointness_adjacency(sets)):
-        rem = row >> (i + 1) << (i + 1)
-        while rem:
-            b = rem & -rem
-            out.extend((sets[i], sets[b.bit_length() - 1]))
-            if len(out) == 10:
-                return tuple(out)
-            rem ^= b
-    return tuple(out)
+    edges = islice(DisjointnessGraph(family).edges(), 5)
+    return tuple(family.sets[v] for edge in edges for v in edge)
 
 
 def _shared_members(components: tuple[SetFamily, ...]) -> tuple[CircSet, ...]:
@@ -273,7 +268,10 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
 
     Intended for intersecting families; a non-intersecting input fails the
     first clause and usually some later ones, all reported with witnesses
-    rather than raised.
+    rather than raised.  compressed-separated cannot fail: it restates the
+    exhaustiveness check of partition_family, which raises RuntimeError first,
+    and derived.images is a validated SetFamily with the same k.  It is kept so
+    the report lists every claim the size bound rests on.
     """
     n, r, k = family.n, family.r, family.k
     if k < 1:
@@ -284,7 +282,7 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
         raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
     clauses: list[ClauseResult] = []
 
-    disjoint_pairs = _disjoint_pairs(family.sets)
+    disjoint_pairs = _disjoint_pairs(family)
     clauses.append(ClauseResult("input-intersecting", not disjoint_pairs, disjoint_pairs))
 
     clauses.append(_collision_clause(family))
@@ -295,7 +293,7 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     bad_images = tuple(m for m in images if m.r != r or not is_k_separated(m, k))
     clauses.append(ClauseResult("compressed-separated", not bad_images, bad_images))
 
-    disjoint_images = _disjoint_pairs(images.sets)
+    disjoint_images = _disjoint_pairs(images)
     clauses.append(
         ClauseResult("compressed-intersecting", not disjoint_images, disjoint_images)
     )
@@ -303,7 +301,7 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     shared = _shared_members(derived.components)
     clauses.append(ClauseResult("reduced-components-disjoint", not shared, shared))
 
-    disjoint_reduced = _disjoint_pairs(derived.reduced.sets)
+    disjoint_reduced = _disjoint_pairs(derived.reduced)
     clauses.append(
         ClauseResult("reduced-intersecting", not disjoint_reduced, disjoint_reduced)
     )

@@ -1,4 +1,4 @@
-"""Circular set arithmetic: k-separated subsets of a cycle, gap encodings, enumeration.
+"""Circular set arithmetic: k-separated subsets of a cycle, gaps, enumeration, disjointness graphs.
 
 Positions 1..n are read around a circle.  An r-subset is k-separated when every
 circular gap between consecutive elements exceeds k; k = 0 places no constraint
@@ -94,7 +94,7 @@ class SetFamily:
             raise ValueError(f"member size must be positive, got r={self.r}")
         if self.k < 0:
             raise ValueError(f"separation parameter must be non-negative, got k={self.k}")
-        members = tuple(sorted(set(self.sets)))
+        members = tuple(sorted(set(self.sets), key=lambda s: s.elems))
         object.__setattr__(self, "sets", members)
         for s in members:
             if s.n != self.n:
@@ -261,27 +261,64 @@ def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
     return rows
 
 
-@lru_cache(maxsize=1)
-def _universe(n: int, r: int, k: int) -> SetFamily:
-    return enumerate_separated(n, r, k)
+@dataclass(frozen=True)
+class DisjointnessGraph:
+    """Graph on a set family where edges join disjoint members; rows are built on first use."""
+
+    vertices: SetFamily
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        return tuple(disjointness_adjacency(self.vertices.sets))
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency) // 2
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Edges as index pairs (u, v) with u < v, in vertex enumeration order."""
+        for u, row in enumerate(self.adjacency):
+            rem = row >> (u + 1) << (u + 1)
+            while rem:
+                b = rem & -rem
+                yield u, b.bit_length() - 1
+                rem ^= b
+
+    def subfamily(self, mask: int) -> SetFamily:
+        """The vertices whose bits are set in mask, as a family of the same (n, r, k)."""
+        family = self.vertices
+        members = []
+        while mask:
+            b = mask & -mask
+            members.append(family.sets[b.bit_length() - 1])
+            mask ^= b
+        return SetFamily(family.n, family.r, family.k, tuple(members))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vertices": [list(s.elems) for s in self.vertices.sets],
+            "edges": [[u, v] for u, v in self.edges()],
+        }
 
 
 @lru_cache(maxsize=1)
-def _universe_rows(n: int, r: int, k: int) -> tuple[int, ...]:
-    return tuple(disjointness_adjacency(_universe(n, r, k).sets))
+def _universe(n: int, r: int, k: int) -> DisjointnessGraph:
+    return DisjointnessGraph(enumerate_separated(n, r, k))
 
 
-def separated_universe(
-    n: int, r: int, k: int, max_vertices: int, *, rows: bool = True
-) -> tuple[SetFamily, tuple[int, ...]]:
-    """The k-separated r-sets of [n] and, when rows is set, their disjointness rows (else ()).
+def separated_universe(n: int, r: int, k: int, max_vertices: int) -> DisjointnessGraph:
+    """The disjointness graph on the k-separated r-sets of [n]; its rows are built on first use.
 
     Raises ValueError when n < (k+1)r; checks the count against max_vertices before
-    enumerating.  The last instance is cached and shared; both values are immutable.
+    enumerating.  The last instance is cached and shared, rows included.
     """
     count = count_separated(n, r, k)
     if n < (k + 1) * r:
         raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
     if count > max_vertices:
         raise ResourceLimitError(f"{count} vertices exceed the limit of {max_vertices}")
-    return _universe(n, r, k), (_universe_rows(n, r, k) if rows else ())
+    return _universe(n, r, k)

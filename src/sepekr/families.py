@@ -28,7 +28,7 @@ def star_family(
     """All k-separated r-sets through the fixed element i."""
     if not (1 <= i <= n):
         raise ValueError(f"centre {i} outside 1..{n}")
-    universe, _ = separated_universe(n, r, k, max_vertices, rows=False)
+    universe = separated_universe(n, r, k, max_vertices).vertices
     bit = 1 << (i - 1)
     return SetFamily(n, r, k, tuple(s for s in universe if s.mask & bit))
 
@@ -48,7 +48,7 @@ def exceptional_family(r: int, i: int) -> SetFamily:
     window = 0
     for a in range(1, 4 * i + 2, 2):
         window |= 1 << (a - 1)
-    universe, _ = separated_universe(n, r, 1, DEFAULT_MAX_VERTICES, rows=False)
+    universe = separated_universe(n, r, 1, DEFAULT_MAX_VERTICES).vertices
     members = tuple(s for s in universe if (s.mask & window).bit_count() >= i + 1)
     return SetFamily(n, r, 1, members)
 
@@ -118,11 +118,11 @@ def random_maximal_intersecting(
     n: int, r: int, k: int, rng: random.Random
 ) -> SetFamily:
     """Greedily grow an intersecting family over a shuffled universe until maximal."""
-    universe, adj = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
-    order = list(range(len(universe)))
+    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
+    order = list(range(graph.num_vertices))
     rng.shuffle(order)
     chosen = 0
     for idx in order:
-        if not adj[idx] & chosen:
+        if not graph.adjacency[idx] & chosen:
             chosen |= 1 << idx
-    return SetFamily(n, r, k, tuple(s for i, s in enumerate(universe) if chosen >> i & 1))
+    return graph.subfamily(chosen)

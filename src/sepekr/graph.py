@@ -3,56 +3,23 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator
 
-from .core import DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, separated_universe
+from .core import DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, separated_universe
 from .search import _TIME_CHECK_MASK, _pick_branch_vertex, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class DisjointnessGraph:
-    """Graph on a set family where edges join disjoint members."""
-
-    vertices: SetFamily
-    adjacency: tuple[int, ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as index pairs (u, v) with u < v, in vertex enumeration order."""
-        for u in range(self.num_vertices):
-            rem = self.adjacency[u] >> (u + 1) << (u + 1)
-            while rem:
-                b = rem & -rem
-                yield u, b.bit_length() - 1
-                rem ^= b
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [list(s.elems) for s in self.vertices.sets],
-            "edges": [[u, v] for u, v in self.edges()],
-        }
-
-
 def build_kneser(n: int, r: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> DisjointnessGraph:
     """Kneser graph: all r-subsets of [n], edges between disjoint pairs."""
-    return DisjointnessGraph(*separated_universe(n, r, 0, max_vertices))
+    return separated_universe(n, r, 0, max_vertices)
 
 
 def build_schrijver(
     n: int, r: int, k: int = 1, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> DisjointnessGraph:
     """Induced subgraph of the Kneser graph on the k-separated r-sets."""
-    return DisjointnessGraph(*separated_universe(n, r, k, max_vertices))
+    return separated_universe(n, r, k, max_vertices)
 
 
 def independence_number(

@@ -164,25 +164,15 @@ def enumerate_max_independent(
     return found, nodes
 
 
-def _family_from_mask(universe: SetFamily, mask: int) -> SetFamily:
-    members = []
-    rem = mask
-    while rem:
-        b = rem & -rem
-        members.append(universe.sets[b.bit_length() - 1])
-        rem ^= b
-    return SetFamily(universe.n, universe.r, universe.k, tuple(members))
-
-
 def _solve(n, r, k, weight_fn, max_vertices, time_limit) -> SearchResult:
     """The path from universe to solve behind both max_intersecting functions."""
-    universe, adj = separated_universe(n, r, k, max_vertices)
-    weights = None if weight_fn is None else [weight_fn(s) for s in universe]
-    for s, w in zip(universe, weights or ()):
+    graph = separated_universe(n, r, k, max_vertices)
+    weights = None if weight_fn is None else [weight_fn(s) for s in graph.vertices]
+    for s, w in zip(graph.vertices, weights or ()):
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
-    optimum, mask, nodes = solve_max_independent(adj, weights, time_limit=time_limit)
-    return SearchResult(n, r, k, optimum, _family_from_mask(universe, mask), None, nodes)
+    optimum, mask, nodes = solve_max_independent(graph.adjacency, weights, time_limit=time_limit)
+    return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
 def max_intersecting(
@@ -242,7 +232,8 @@ def extremal_classes(
             raise ResourceLimitError(f"time limit exceeded before {stage}")
         return left
 
-    universe, adj = separated_universe(n, r, k, max_vertices)
+    graph = separated_universe(n, r, k, max_vertices)
+    adj = graph.adjacency
     optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_left("the solve"))
     masks, nodes_enum = enumerate_max_independent(
         adj, optimum, time_limit=time_left("enumerating the optima")
@@ -250,7 +241,7 @@ def extremal_classes(
     reps: dict[frozenset, SetFamily] = {}
     for mask in masks:
         time_left("canonicalising the optima")
-        rep = canonical_form(_family_from_mask(universe, mask), rotations_only)
+        rep = canonical_form(graph.subfamily(mask), rotations_only)
         reps.setdefault(rep.member_keys, rep)
     classes = tuple(sorted(reps.values(), key=lambda f: tuple(s.elems for s in f.sets)))
     return SearchResult(

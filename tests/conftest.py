@@ -16,6 +16,5 @@ def enumerations(monkeypatch):
         return real(*args)
 
     sepekr.core._universe.cache_clear()
-    sepekr.core._universe_rows.cache_clear()
     monkeypatch.setattr("sepekr.core.enumerate_separated", counted)
     return calls

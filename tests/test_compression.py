@@ -109,6 +109,25 @@ def test_collision_structure_over_whole_universes():
                         assert max(diff) <= j + 1, (group[x], group[y])
 
 
+def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
+    # the j-fold image is the (j-1)-fold image compressed once more: k calls per member
+    import sepekr.compression
+
+    family = star_family(20, 4, 2, 1)
+    assert len(family) == 165
+    calls = []
+    real = sepekr.compression.compress
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr("sepekr.compression.compress", counted)
+    result = sepekr.compression._collision_clause(family)
+    assert result.passed and result.witnesses == ()
+    assert len(calls) == 165 * 2
+
+
 # === partition ===
 
 

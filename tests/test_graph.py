@@ -2,19 +2,28 @@
 
 import io
 import math
+import random
 
 import pytest
 
+import sepekr.core
+import sepekr.graph
 from sepekr import (
+    DisjointnessGraph,
     ResourceLimitError,
+    SetFamily,
     build_kneser,
     build_schrijver,
     chromatic_number,
     enumerate_separated,
+    exceptional_family,
     export_dimacs,
     independence_number,
     max_intersecting,
+    random_maximal_intersecting,
+    star_family,
 )
+from sepekr.cli import run
 
 from helpers import max_intersecting_size
 
@@ -122,6 +131,42 @@ def test_build_validation():
         build_kneser(20, 8)
     with pytest.raises(ResourceLimitError):
         build_schrijver(12, 3, 1, max_vertices=10)
+
+
+def test_one_graph_type_per_instance():
+    assert sepekr.graph.DisjointnessGraph is sepekr.core.DisjointnessGraph is DisjointnessGraph
+    g = build_schrijver(7, 2, 1)
+    assert g is sepekr.core.separated_universe(7, 2, 1, 100)
+    assert DisjointnessGraph(g.vertices) == g
+    assert DisjointnessGraph(g.vertices).adjacency == g.adjacency
+    assert g.subfamily(0b1011).sets == tuple(g.vertices.sets[i] for i in (0, 1, 3))
+    assert g.subfamily(0) == SetFamily(7, 2, 1, ())
+
+
+def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, capsys):
+    builds = []
+    real = sepekr.core.disjointness_adjacency
+
+    def counted(sets):
+        builds.append(len(sets))
+        return real(sets)
+
+    monkeypatch.setattr("sepekr.core.disjointness_adjacency", counted)
+    assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0
+    assert capsys.readouterr().out.startswith("13 3 1 : {1,3,5} ")
+    assert len(star_family(13, 3, 1, 1)) == 36
+    assert len(exceptional_family(3, 1)) == 6
+    assert builds == []
+
+    enumerations.clear()
+    assert max_intersecting(12, 3, 1).optimum == 28
+    graph = build_schrijver(12, 3, 1)
+    assert graph.num_vertices == 112
+    assert independence_number(graph) == 28
+    for seed in range(3):
+        random_maximal_intersecting(12, 3, 1, random.Random(seed))
+    assert enumerations == [(12, 3, 1)]
+    assert builds == [112]
 
 
 # === invariants ===
