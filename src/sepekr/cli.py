@@ -17,7 +17,7 @@ import sys
 import time
 
 from .compression import verify_compression_suite
-from .core import SetFamily, separated_universe, star_size_formula
+from .core import SetFamily, seconds_left, separated_universe, star_size_formula
 from .families import random_maximal_intersecting, star_family
 from .graph import (
     build_kneser,
@@ -296,16 +296,12 @@ def _cmd_graph(args) -> int:
         k = args.k
     # chi first, so that its vertex limit fires before any alpha search is spent;
     # --limit-seconds covers the two together.
-    started = time.monotonic()
-    chi = chromatic_number(graph, time_limit=args.limit_seconds) if args.chi else None
-    alpha = None
+    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
+    chi = alpha = None
+    if args.chi:
+        chi = chromatic_number(graph, time_limit=seconds_left(deadline, "chi"))
     if args.alpha:
-        left = None
-        if args.limit_seconds is not None:
-            left = args.limit_seconds - (time.monotonic() - started)
-            if left <= 0:
-                raise ResourceLimitError("time limit exceeded before alpha")
-        alpha = independence_number(graph, time_limit=left)
+        alpha = independence_number(graph, time_limit=seconds_left(deadline, "alpha"))
     if args.dimacs:
         export_dimacs(graph, args.dimacs)
     summary = dict(

@@ -28,14 +28,12 @@ def compress(a: CircSet) -> CircSet:
 
 
 def compress_iter(a: CircSet, j: int) -> CircSet:
-    """Apply compress j times, landing in ambient n - j."""
+    """Apply compress j times, landing in ambient n - j: every element x goes to max(1, x - j)."""
     if j < 0:
         raise ValueError(f"iteration count must be non-negative, got {j}")
     if a.n - j < a.r:
         raise ValueError(f"cannot fit {a.r} elements in ambient {a.n - j}")
-    for _ in range(j):
-        a = compress(a)
-    return a
+    return CircSet(a.n - j, tuple(sorted({max(1, x - j) for x in a.elems})))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ and recovers plain r-subsets.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -18,6 +19,14 @@ class ResourceLimitError(RuntimeError):
 
 
 DEFAULT_MAX_VERTICES = 20000
+
+
+def seconds_left(deadline: float | None, stage: str) -> float | None:
+    """Seconds left before a time.monotonic() deadline (None without one); raises once none are."""
+    left = None if deadline is None else deadline - time.monotonic()
+    if left is not None and left <= 0:
+        raise ResourceLimitError(f"time limit exceeded before {stage}")
+    return left
 
 
 @dataclass(frozen=True, order=True)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import time
 
-from .core import DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, separated_universe
-from .search import _TIME_CHECK_MASK, _pick_branch_vertex, solve_max_independent
+from .core import (
+    DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, seconds_left, separated_universe
+)
+from .search import _TIME_CHECK_MASK, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -29,22 +31,6 @@ def independence_number(
 ) -> int:
     """Exact independence number via the branch-and-bound solver."""
     return solve_max_independent(graph.adjacency, time_limit=time_limit)[0]
-
-
-def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
-    """Deterministic greedy clique, grown from every seed vertex; largest wins."""
-    best: list[int] = []
-    v_count = len(adj)
-    for seed in sorted(range(v_count), key=lambda v: (-adj[v].bit_count(), v)):
-        clique = [seed]
-        cand = adj[seed]
-        while cand:
-            pick = _pick_branch_vertex(cand, adj)
-            clique.append(pick)
-            cand &= adj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return best
 
 
 def _colorable(
@@ -108,32 +94,32 @@ def _colorable(
             assignment[v] = -1
         return False
 
-    if len(clique) > colors_allowed:
-        return False
     return place(v_count - len(clique), len(clique) - 1)
 
 
-def chromatic_number(
-    graph: DisjointnessGraph,
-    *,
-    max_vertices: int = COLORING_MAX_VERTICES,
-    time_limit: float | None = None,
-) -> int:
-    """Exact chromatic number by iterative deepening from a greedy clique bound.
+def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = None) -> int:
+    """Exact chromatic number by iterative deepening from a maximum clique.
 
-    Raises ResourceLimitError above max_vertices, or once time_limit seconds have passed.
+    The clique is a maximum independent set of the complement, found by the
+    search core.  Raises ResourceLimitError above COLORING_MAX_VERTICES, or
+    once time_limit seconds have passed.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     v_count = graph.num_vertices
-    if v_count > max_vertices:
+    if v_count > COLORING_MAX_VERTICES:
         raise ResourceLimitError(
-            f"{v_count} vertices exceed the colouring limit of {max_vertices}"
+            f"{v_count} vertices exceed the colouring limit of {COLORING_MAX_VERTICES}"
         )
-    if graph.num_edges == 0:
-        return 1 if v_count else 0
-    clique = _greedy_clique(graph.adjacency)
+    adj = graph.adjacency
+    full = (1 << v_count) - 1
+    complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    _, mask, _ = solve_max_independent(
+        complement, time_limit=seconds_left(deadline, "the clique search")
+    )
+    clique = [v for v in range(v_count) if mask >> v & 1]
+    seconds_left(deadline, "the colouring")
     for c in range(len(clique), v_count + 1):
-        if _colorable(graph.adjacency, c, clique, deadline):
+        if _colorable(adj, c, clique, deadline):
             return c
     raise AssertionError("a graph is always colourable with one colour per vertex")
 

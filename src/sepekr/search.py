@@ -21,6 +21,7 @@ from .core import (
     CircSet,
     ResourceLimitError,
     SetFamily,
+    seconds_left,
     separated_universe,
 )
 from .families import canonical_form
@@ -224,23 +225,17 @@ def extremal_classes(
     the enumeration of all optima and their canonicalisation.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-
-    def time_left(stage: str) -> float | None:
-        """Seconds left before the deadline (None without one); raises once none are left."""
-        left = None if deadline is None else deadline - time.monotonic()
-        if left is not None and left <= 0:
-            raise ResourceLimitError(f"time limit exceeded before {stage}")
-        return left
-
     graph = separated_universe(n, r, k, max_vertices)
     adj = graph.adjacency
-    optimum, _, nodes_opt = solve_max_independent(adj, time_limit=time_left("the solve"))
+    optimum, _, nodes_opt = solve_max_independent(
+        adj, time_limit=seconds_left(deadline, "the solve")
+    )
     masks, nodes_enum = enumerate_max_independent(
-        adj, optimum, time_limit=time_left("enumerating the optima")
+        adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima")
     )
     reps: dict[frozenset, SetFamily] = {}
     for mask in masks:
-        time_left("canonicalising the optima")
+        seconds_left(deadline, "canonicalising the optima")
         rep = canonical_form(graph.subfamily(mask), rotations_only)
         reps.setdefault(rep.member_keys, rep)
     classes = tuple(sorted(reps.values(), key=lambda f: tuple(s.elems for s in f.sets)))

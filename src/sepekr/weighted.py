@@ -19,8 +19,6 @@ from .search import SearchResult, max_intersecting_weighted
 
 def weight(a: CircSet, k: int) -> int:
     """Product over the circular gaps g of C(g-1, k)."""
-    if k < 0:
-        raise ValueError(f"separation parameter must be non-negative, got k={k}")
     if not is_k_separated(a, k):
         raise ValueError(f"{a} is not {k}-separated in [{a.n}]")
     w = 1
@@ -34,8 +32,6 @@ def expand(a: CircSet, k: int) -> SetFamily:
 
     Members have (k+1)r elements; their count equals weight(a, k).
     """
-    if k < 0:
-        raise ValueError(f"separation parameter must be non-negative, got k={k}")
     if not is_k_separated(a, k):
         raise ValueError(f"{a} is not {k}-separated in [{a.n}]")
     n = a.n

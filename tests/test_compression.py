@@ -72,6 +72,17 @@ def test_compress_iter_examples():
         compress_iter(a, 7)  # ambient would drop below the set size
 
 
+def test_compress_iter_equals_the_j_fold_compress():
+    # every r-set of [n], n <= 12, r <= 4, for every j the ambient allows
+    for n in range(1, 13):
+        for r in range(1, min(n, 4) + 1):
+            for a in enumerate_separated(n, r, 0):
+                images = [a]
+                for _ in range(n - r):
+                    images.append(compress(images[-1]))
+                assert [compress_iter(a, j) for j in range(n - r + 1)] == images, a
+
+
 def test_compress_merges_exactly_when_1_and_2_present():
     for n in (5, 6, 7):
         for r in (2, 3):

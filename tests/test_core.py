@@ -1,6 +1,7 @@
 """Core circular-set arithmetic: construction, gaps, enumeration, symmetries."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from sepekr import (
     rotate,
     star_size_formula,
 )
-from sepekr.core import count_separated
+from sepekr.core import ResourceLimitError, count_separated, seconds_left
 
 from helpers import brute_separated, circ_gaps
 
@@ -246,6 +247,13 @@ def test_disjointness_adjacency_matches_definition(sets):
         for s in sets
     ]
     assert disjointness_adjacency(sets) == expected
+
+
+def test_seconds_left_splits_one_deadline_between_stages():
+    assert seconds_left(None, "the solve") is None
+    assert 0 < seconds_left(time.monotonic() + 10, "the solve") <= 10
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the solve$"):
+        seconds_left(time.monotonic() - 1, "the solve")
 
 
 # === package exports ===

@@ -3,8 +3,11 @@
 import io
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepekr.core
 import sepekr.graph
@@ -218,7 +221,39 @@ def test_chromatic_edge_cases():
     assert single.num_vertices == 1
     assert chromatic_number(single) == 1
     with pytest.raises(ResourceLimitError):
-        chromatic_number(build_kneser(9, 3), max_vertices=64)
+        chromatic_number(build_kneser(9, 3))
+
+
+@st.composite
+def small_disjointness_graphs(draw):
+    """Disjointness graphs on 1 to 10 random 2- or 3-subsets of [n], n <= 8."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=r, max_value=8))
+    universe = enumerate_separated(n, r, 0).sets
+    members = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True))
+    return DisjointnessGraph(SetFamily(n, r, 0, tuple(members)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_disjointness_graphs())
+def test_chromatic_matches_brute_force_on_random_graphs(graph):
+    assert chromatic_number(graph) == brute_chromatic(graph.adjacency)
+
+
+def test_chromatic_number_of_the_empty_graph():
+    assert chromatic_number(DisjointnessGraph(SetFamily(5, 2, 0, ()))) == 0
+
+
+def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
+    real = sepekr.graph.solve_max_independent
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sepekr.graph, "solve_max_independent", slow)
+    with pytest.raises(ResourceLimitError, match="before the colouring"):
+        chromatic_number(build_schrijver(7, 2, 1), time_limit=0.2)
 
 
 def test_chromatic_time_limit():
