@@ -62,6 +62,30 @@ def transform_family(family: SetFamily, shift: int = 0, reflected: bool = False)
     return SetFamily(family.n, family.r, family.k, tuple(members))
 
 
+def _canonical_key(family: SetFamily, rotations_only: bool) -> list[int]:
+    """The least image of the family, as member keys sorted in descending order.
+
+    A member's key has bit n-a set for each element a, so for sets of one size
+    a larger key is a lexicographically smaller element tuple, and the least
+    image is the one with the largest descending key list.  Rotating every
+    element by one step moves each key's bits down by one, cyclically.
+    """
+    n = family.n
+    top = n - 1
+    bases = [[sum(1 << (n - a) for a in s.elems) for s in family.sets]]
+    if not rotations_only:
+        # a -> n + 1 - a reverses the bits; the rotations then cover every reflection
+        bases.append([sum(1 << (a - 1) for a in s.elems) for s in family.sets])
+    best: list[int] = []
+    for keys in bases:
+        for _ in range(n):
+            image = sorted(keys, reverse=True)
+            if image > best:
+                best = image
+            keys = [(m >> 1) | (m & 1) << top for m in keys]
+    return best
+
+
 def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily:
     """Lexicographically least image of the family under the circle symmetries.
 
@@ -70,17 +94,10 @@ def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily
     forms is exactly isomorphism under the chosen group.
     """
     n = family.n
-    best: tuple[tuple[int, ...], ...] | None = None
-    flips = (False,) if rotations_only else (False, True)
-    for flipped in flips:
-        base = [reflect(s).elems if flipped else s.elems for s in family.sets]
-        for shift in range(n):
-            key = tuple(
-                sorted(tuple(sorted((x - 1 + shift) % n + 1 for x in e)) for e in base)
-            )
-            if best is None or key < best:
-                best = key
-    members = tuple(CircSet(n, e) for e in (best or ()))
+    members = tuple(
+        CircSet(n, tuple(n - p for p in range(n) if m >> p & 1))
+        for m in _canonical_key(family, rotations_only)
+    )
     return SetFamily(n, family.r, family.k, members)
 
 
@@ -92,10 +109,7 @@ def are_isomorphic(f: SetFamily, g: SetFamily, rotations_only: bool = False) -> 
         )
     if len(f) != len(g):
         return False
-    return (
-        canonical_form(f, rotations_only).member_keys
-        == canonical_form(g, rotations_only).member_keys
-    )
+    return _canonical_key(f, rotations_only) == _canonical_key(g, rotations_only)
 
 
 def exchange_map(a: CircSet, k: int) -> CircSet:

@@ -21,6 +21,8 @@ from .core import (
     CircSet,
     ResourceLimitError,
     SetFamily,
+    reflect,
+    rotate,
     seconds_left,
     separated_universe,
 )
@@ -209,6 +211,32 @@ def max_intersecting_weighted(
     return _solve(n, r, k, weight_fn, max_vertices, time_limit)
 
 
+def _symmetry_permutations(
+    vertices: Sequence[CircSet], n: int, rotations_only: bool
+) -> list[list[int]]:
+    """The circle's rotations (and reflections) as vertex permutations: perm[i] is i's image."""
+    index = {s.mask: i for i, s in enumerate(vertices)}
+    step = [index[rotate(s, 1).mask] for s in vertices]
+    bases = [list(range(len(vertices)))]
+    if not rotations_only:
+        bases.append([index[reflect(s).mask] for s in vertices])
+    perms = []
+    for perm in bases:
+        for _ in range(n):
+            perms.append(perm)
+            perm = [step[i] for i in perm]
+    return perms
+
+
+def _image(mask: int, perm: list[int]) -> int:
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << perm[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def extremal_classes(
     n: int,
     r: int,
@@ -221,8 +249,10 @@ def extremal_classes(
     """All maximum intersecting families, reported as one representative per symmetry class.
 
     Representatives are canonical forms sorted lexicographically; the witness
-    is the least of them.  One time limit covers the whole call: the solve,
-    the enumeration of all optima and their canonicalisation.
+    is the least of them.  Every image of an optimum is an optimum, so each
+    class is canonicalised once and its whole orbit marked as seen.  One time
+    limit covers the whole call: the solve, the enumeration of all optima and
+    their canonicalisation.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
@@ -233,12 +263,16 @@ def extremal_classes(
     masks, nodes_enum = enumerate_max_independent(
         adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima")
     )
-    reps: dict[frozenset, SetFamily] = {}
+    perms = _symmetry_permutations(graph.vertices.sets, n, rotations_only)
+    seen: set[int] = set()
+    reps = []
     for mask in masks:
         seconds_left(deadline, "canonicalising the optima")
-        rep = canonical_form(graph.subfamily(mask), rotations_only)
-        reps.setdefault(rep.member_keys, rep)
-    classes = tuple(sorted(reps.values(), key=lambda f: tuple(s.elems for s in f.sets)))
+        if mask in seen:
+            continue
+        reps.append(canonical_form(graph.subfamily(mask), rotations_only))
+        seen.update(_image(mask, perm) for perm in perms)
+    classes = tuple(sorted(reps, key=lambda f: tuple(s.elems for s in f.sets)))
     return SearchResult(
         n, r, k, optimum, classes[0], classes, nodes_opt + nodes_enum
     )

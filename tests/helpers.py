@@ -27,17 +27,24 @@ def brute_separated(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     ]
 
 
-def dihedral_images(members, n: int) -> list[frozenset]:
-    """All 2n symmetry images of a family, each as a frozenset of sorted tuples."""
+def dihedral_images(members, n: int, rotations_only: bool = False) -> list[frozenset]:
+    """All 2n symmetry images of a family, each as a frozenset of sorted tuples;
+    the n rotations alone with rotations_only."""
     out = []
     for s in range(n):
         out.append(
             frozenset(tuple(sorted((x - 1 + s) % n + 1 for x in m)) for m in members)
         )
-        out.append(
-            frozenset(tuple(sorted((s - (x - 1)) % n + 1 for x in m)) for m in members)
-        )
+        if not rotations_only:
+            out.append(
+                frozenset(tuple(sorted((s - (x - 1)) % n + 1 for x in m)) for m in members)
+            )
     return out
+
+
+def least_image(members, n: int, rotations_only: bool = False) -> tuple:
+    """The lexicographically least image of a family, as a sorted tuple of sorted tuples."""
+    return min(tuple(sorted(img)) for img in dihedral_images(members, n, rotations_only))
 
 
 def intersecting(members) -> bool:

@@ -230,6 +230,19 @@ def test_output_matches_golden_file(capsys, command, fmt):
     assert out_of(capsys) == (DATA / f"{command}.{SUFFIX[fmt]}").read_text()
 
 
+CENSUS = {
+    "classes_16_7_1.txt": ["classes", "--n", "16", "--r", "7", "--k", "1"],
+    "classes_18_8_1_rotations.txt": ["classes", "--n", "18", "--r", "8", "--k", "1", "--rotations-only"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_census_matches_golden_file(capsys, name):
+    """The exceptional-circle censuses (12 and 30 classes) are frozen byte for byte."""
+    assert run(CENSUS[name]) == 0
+    assert out_of(capsys) == (DATA / name).read_text()
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_csv_has_a_header_and_rows_of_its_width(capsys, command):
     assert run(GOLDEN[command] + ["--format", "csv"]) == 0

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepekr import (
@@ -23,7 +23,13 @@ from sepekr import (
     transform_family,
 )
 
-from helpers import dihedral_images, greedy_maximal_intersecting, intersecting
+from helpers import (
+    brute_separated,
+    dihedral_images,
+    greedy_maximal_intersecting,
+    intersecting,
+    least_image,
+)
 
 
 # === stars ===
@@ -168,6 +174,29 @@ def test_canonical_form_is_idempotent_and_in_orbit(fam):
     assert frozenset(s.elems for s in canon) in dihedral_images(
         [s.elems for s in fam], fam.n
     )
+
+
+@st.composite
+def families_up_to_20_points(draw):
+    """Families of k-separated r-sets, r = 1..4 and k = 0..2 on up to 20 points, empty ones included."""
+    k = draw(st.integers(0, 2))
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers((k + 1) * r, 20))
+    universe = brute_separated(n, r, k)
+    idx = draw(st.sets(st.integers(0, len(universe) - 1), max_size=min(8, len(universe))))
+    return n, r, k, [universe[i] for i in sorted(idx)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_up_to_20_points(), st.booleans())
+@example((9, 3, 1, []), False)
+@example((9, 3, 1, []), True)
+def test_canonical_form_is_the_least_image(drawn, rotations_only):
+    n, r, k, members = drawn
+    fam = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
+    canon = canonical_form(fam, rotations_only)
+    assert tuple(s.elems for s in canon) == least_image(members, n, rotations_only)
+    assert (canon.n, canon.r, canon.k) == (n, r, k)
 
 
 # === exchange map ===

@@ -252,7 +252,11 @@ def test_classes_vertex_budget():
 
 @pytest.mark.parametrize(
     "slow_stage, next_stage",
-    [("solve_max_independent", "enumerating"), ("enumerate_max_independent", "canonicalising")],
+    [
+        ("solve_max_independent", "enumerating"),
+        ("enumerate_max_independent", "canonicalising"),
+        ("canonical_form", "canonicalising"),
+    ],
 )
 def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_stage):
     """One deadline: a stage that ends after it stops the call before the next stage runs."""
@@ -266,6 +270,21 @@ def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_
     monkeypatch.setattr(sepekr.search, slow_stage, slow)
     with pytest.raises(ResourceLimitError, match=next_stage):
         extremal_classes(8, 3, 1, time_limit=0.2)
+
+
+@pytest.mark.parametrize("rotations_only", [False, True])
+def test_each_class_is_canonicalised_once(monkeypatch, rotations_only):
+    calls = []
+    real = sepekr.search.canonical_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sepekr.search, "canonical_form", counted)
+    result = extremal_classes(10, 4, 1, rotations_only=rotations_only)
+    assert len({c.member_keys for c in result.classes}) == len(result.classes)
+    assert len(calls) == len(result.classes)
 
 
 # === clique-cover bound and search modes on random graphs ===
