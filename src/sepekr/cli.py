@@ -77,6 +77,15 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write output to this path instead of stdout")
 
 
+def _add_seconds_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--limit-seconds",
+        type=_positive(float),
+        default=None,
+        help="abort searches running longer than this",
+    )
+
+
 def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
     p.add_argument(
         "--limit-vertices",
@@ -84,12 +93,7 @@ def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
         default=default_vertices,
         help="abort instances with more vertices than this",
     )
-    p.add_argument(
-        "--limit-seconds",
-        type=_positive(float),
-        default=None,
-        help="abort searches running longer than this",
-    )
+    _add_seconds_arg(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_positive(int), default=200, help="random maximal families to check"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled families")
+    _add_seconds_arg(p)
     _add_output_args(p)
 
     p = sub.add_parser("weighted", help="verify the weighted bound exactly")
@@ -238,21 +243,27 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    rng = random.Random(f"{args.seed}:{args.n}:{args.r}:{args.k}")
-    families = [star_family(args.n, args.r, args.k, 1)]
-    for _ in range(args.samples):
-        families.append(random_maximal_intersecting(args.n, args.r, args.k, rng))
-    reports = ((family, verify_compression_suite(family)) for family in families)
-    failures = [(family, report) for family, report in reports if not report.passed]
+    n, r, k = args.n, args.r, args.k
+    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
+    rng = random.Random(f"{args.seed}:{n}:{r}:{k}")
+    total = args.samples + 1
+    failures = []
+    for i in range(total):
+        seconds_left(deadline, f"checking family {i + 1} of {total}")
+        if i == 0:
+            family = star_family(n, r, k, 1)
+        else:
+            family = random_maximal_intersecting(n, r, k, rng)
+        report = verify_compression_suite(family)
+        if not report.passed:
+            failures.append((family, report))
     summary = dict(
-        n=args.n, r=args.r, k=args.k, samples=args.samples, seed=args.seed,
-        families_checked=len(families), all_passed=not failures,
+        n=n, r=r, k=k, samples=args.samples, seed=args.seed,
+        families_checked=total, all_passed=not failures,
     )
 
     def text() -> str:
-        lines = [
-            f"checked {len(families)} intersecting families on n={args.n} r={args.r} k={args.k}"
-        ]
+        lines = [f"checked {total} intersecting families on n={n} r={r} k={k}"]
         for fam, rep in failures:
             failed = ",".join(c.clause_id for c in rep.clauses if not c.passed)
             lines.append(f"FAIL [{failed}] {fam.to_line()}")

@@ -6,14 +6,189 @@ k-separated family on [n] toward [n-k]; the partition and derivation steps
 below organise that descent, and the verification suite checks every
 structural claim the size bound rests on, clause by clause, on a concrete
 family.
+
+One private mask engine does the work.  A member is a Python int in which
+bit a-1 stands for element a, and its primitives are:
+
+- compress: ``(m & 1) | (m >> 1)``;
+- j-fold compress: ``(m >> j) | 1`` when one of the bits 0..j is set, else
+  ``m >> j`` (every element x goes to max(1, x - j));
+- k-separation in [n]: ``m & rot(m, j) == 0`` for j = 1..k, with rot cyclic
+  in n bits (``core.mask_k_separated``);
+- size: ``m.bit_count()``;
+- lexicographic member order: the order of the element tuples, the order a
+  ``SetFamily`` keeps (for sets of one size, descending bit-reversed mask).
+
+``verify_compression_suite`` reads each member's mask once and runs the
+partition, the derivation and all nine clauses on masks.  Each member of
+every derived family (overlap, components, reduced, reduced image, images)
+is checked by ``core.check_member_masks``, the rules and messages of
+``SetFamily``; the cells need no check, being parts of a family that is
+already valid.  ``CircSet`` and ``SetFamily`` objects are built only
+at the API boundary (``compress``, ``compress_iter``, ``partition_family``,
+``derive_families``) and for the witnesses of a failed clause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable, NamedTuple
 
-from .core import CircSet, DisjointnessGraph, SetFamily, is_k_separated
+from .core import (
+    CircSet,
+    SetFamily,
+    check_member_masks,
+    disjointness_rows,
+    mask_elems,
+    mask_k_separated,
+    row_edges,
+)
+
+
+# === the mask engine ===
+
+
+def _compress_mask(m: int) -> int:
+    """One compression step on a mask: 1 stays put, every other element drops by one."""
+    return (m & 1) | (m >> 1)
+
+
+def _compress_iter_mask(m: int, j: int) -> int:
+    """j compression steps at once: every element x goes to max(1, x - j)."""
+    return (m >> j) | (1 if m & ((1 << (j + 1)) - 1) else 0)
+
+
+def _lex(masks: Iterable[int]) -> list[int]:
+    return sorted(masks, key=mask_elems)
+
+
+def _circset(n: int, m: int) -> CircSet:
+    return CircSet(n, mask_elems(m))
+
+
+def _partition(
+    masks: Iterable[int], n: int, r: int, k: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Split the members of a k-separated family into (free, anchored, boundary cells).
+
+    Boundary cell 0 pins the pair (1, k+2) and cell i >= 1 the pair
+    (n+1-i, k+2-i).  The cells are exclusive for k-separated sets: two
+    patterns would force two elements at circular distance at most k.  A
+    member belongs to a boundary cell exactly when its image is not a
+    k-separated r-set; a member for which the two tests disagree raises.
+    """
+    if k < 1:
+        raise ValueError(f"compression needs k >= 1, got k={k}")
+    if n < (k + 1) * r + 1:
+        raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
+    patterns = [1 | 1 << (k + 1)] + [1 << (n - i) | 1 << (k + 1 - i) for i in range(1, k + 1)]
+    free: list[int] = []
+    anchored: list[int] = []
+    boundary: list[list[int]] = [[] for _ in patterns]
+    for m in masks:
+        cell = None
+        for i, pattern in enumerate(patterns):
+            if m & pattern == pattern:
+                cell = i
+                break
+        image = _compress_mask(m)
+        image_ok = image.bit_count() == r and mask_k_separated(image, n - 1, k)
+        if cell is None and not image_ok:
+            raise RuntimeError(f"member {_circset(n, m)} fits no cell; partition not exhaustive")
+        if cell is not None and image_ok:
+            raise RuntimeError(f"member {_circset(n, m)} fits two cells; partition not exclusive")
+        if cell is not None:
+            boundary[cell].append(m)
+        elif m & 1:
+            anchored.append(m)
+        else:
+            free.append(m)
+    return free, anchored, boundary
+
+
+def _reduce(masks: Iterable[int], n: int, j: int) -> set[int]:
+    """Compress each member of ambient n by j steps and drop the anchor 1 from the image."""
+    out = set()
+    for m in masks:
+        if j < 0:
+            raise ValueError(f"iteration count must be non-negative, got {j}")
+        if n - j < m.bit_count():
+            raise ValueError(f"cannot fit {m.bit_count()} elements in ambient {n - j}")
+        image = _compress_iter_mask(m, j)
+        if not image & 1:
+            raise ValueError(f"cannot drop 1 from {_circset(n - j, image)}, it is absent")
+        if image == 1:
+            raise ValueError("empty sets are not supported (r >= 1 required)")
+        out.add(image ^ 1)
+    return out
+
+
+class _Derived(NamedTuple):
+    """The derived families as sets of masks; DerivedFamilies documents each."""
+
+    images: set[int]
+    overlap: set[int]
+    reduced: set[int]
+    reduced_image: set[int]
+    components: list[set[int]]
+
+
+def _derive(
+    free: list[int], anchored: list[int], boundary: list[list[int]], n: int, r: int, k: int
+) -> _Derived:
+    """Compress the cells and drop the anchor, checking each derived family's members."""
+    if r < 2:
+        raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
+    free_images = {_compress_mask(m) for m in free}
+    anchored_images = {_compress_mask(m) for m in anchored}
+    overlap = free_images & anchored_images
+    check_member_masks(overlap, n - 1, r, k)
+    components = [_reduce(_lex(overlap), n - 1, k - 1)]
+    components += [_reduce(cell, n, k) for cell in boundary]
+    for component in components:
+        check_member_masks(component, n - k, r - 1, 0)
+    reduced = set().union(*components)
+    check_member_masks(reduced, n - k, r - 1, 0)
+    images = free_images | anchored_images
+    check_member_masks(images, n - 1, r, k)
+    reduced_image = {_compress_mask(m) for m in reduced}
+    check_member_masks(reduced_image, n - k - 1, r - 1, 0)
+    return _Derived(images, overlap, reduced, reduced_image, components)
+
+
+def _clause(clause_id: str, n: int, witnesses: list[int]) -> ClauseResult:
+    """A clause that passes when it has no witnesses; the witness masks live in ambient n."""
+    return ClauseResult(clause_id, not witnesses, tuple(_circset(n, m) for m in witnesses))
+
+
+def _disjoint_pairs(masks: list[int]) -> list[int]:
+    """The first five disjoint pairs (i < j) of masks given in lexicographic order, flattened."""
+    pairs: list[int] = []
+    for u, v in islice(row_edges(disjointness_rows(masks)), 5):
+        pairs += masks[u], masks[v]
+    return pairs
+
+
+def _collision_clause(masks: list[int], n: int, k: int) -> ClauseResult:
+    """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1."""
+    witnesses: list[int] = []
+    images = masks
+    for j in range(1, k + 1):
+        images = [_compress_mask(m) for m in images]  # the j-fold images, carried forward
+        buckets: dict[int, list[int]] = {}
+        for m, image in zip(masks, images):
+            buckets.setdefault(image, []).append(m)
+        for group in buckets.values():
+            for x in range(len(group)):
+                for y in range(x + 1, len(group)):
+                    diff = group[x] ^ group[y]
+                    if diff.bit_count() != 2 or diff >> (j + 1):
+                        witnesses += group[x], group[y]
+    return _clause("collision-structure", n, witnesses)
+
+
+# === the API boundary ===
 
 
 def compress(a: CircSet) -> CircSet:
@@ -23,8 +198,7 @@ def compress(a: CircSet) -> CircSet:
     """
     if a.n < 2:
         raise ValueError("cannot compress below a single position")
-    elems = sorted({1 if x == 1 else x - 1 for x in a.elems})
-    return CircSet(a.n - 1, tuple(elems))
+    return _circset(a.n - 1, _compress_mask(a.mask))
 
 
 def compress_iter(a: CircSet, j: int) -> CircSet:
@@ -33,7 +207,11 @@ def compress_iter(a: CircSet, j: int) -> CircSet:
         raise ValueError(f"iteration count must be non-negative, got {j}")
     if a.n - j < a.r:
         raise ValueError(f"cannot fit {a.r} elements in ambient {a.n - j}")
-    return CircSet(a.n - j, tuple(sorted({max(1, x - j) for x in a.elems})))
+    return _circset(a.n - j, _compress_iter_mask(a.mask, j))
+
+
+def _family(n: int, r: int, k: int, masks: Iterable[int]) -> SetFamily:
+    return SetFamily(n, r, k, tuple(_circset(n, m) for m in masks))
 
 
 @dataclass(frozen=True)
@@ -70,21 +248,6 @@ class PartitionResult:
         return sum(len(c) for c in self.cells)
 
 
-def _boundary_cell(a: CircSet, n: int, k: int) -> int | None:
-    """Index of the boundary pattern a matches, or None.
-
-    Exclusivity for k-separated sets: the patterns pin pairs at circular
-    distance k+1, and two different patterns would force two elements at
-    distance at most k.
-    """
-    if 1 in a and (k + 2) in a:
-        return 0
-    for i in range(1, k + 1):
-        if (n + 1 - i) in a and (k + 2 - i) in a:
-            return i
-    return None
-
-
 def partition_family(family: SetFamily) -> PartitionResult:
     """Split a k-separated family into the compression cells.
 
@@ -93,31 +256,11 @@ def partition_family(family: SetFamily) -> PartitionResult:
     non-separated member slipped in and raises.
     """
     n, r, k = family.n, family.r, family.k
-    if k < 1:
-        raise ValueError(f"compression needs k >= 1, got k={k}")
-    if n < (k + 1) * r + 1:
-        raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
-    free: list[CircSet] = []
-    anchored: list[CircSet] = []
-    boundary: list[list[CircSet]] = [[] for _ in range(k + 1)]
-    for a in family:
-        cell = _boundary_cell(a, n, k)
-        image = compress(a)
-        image_ok = image.r == r and is_k_separated(image, k)
-        if cell is None and not image_ok:
-            raise RuntimeError(f"member {a} fits no cell; partition not exhaustive")
-        if cell is not None and image_ok:
-            raise RuntimeError(f"member {a} fits two cells; partition not exclusive")
-        if cell is not None:
-            boundary[cell].append(a)
-        elif 1 in a:
-            anchored.append(a)
-        else:
-            free.append(a)
+    free, anchored, boundary = _partition([s.mask for s in family], n, r, k)
     return PartitionResult(
-        free=SetFamily(n, r, k, tuple(free)),
-        anchored=SetFamily(n, r, k, tuple(anchored)),
-        boundary=tuple(SetFamily(n, r, k, tuple(b)) for b in boundary),
+        free=_family(n, r, k, free),
+        anchored=_family(n, r, k, anchored),
+        boundary=tuple(_family(n, r, k, cell) for cell in boundary),
     )
 
 
@@ -144,39 +287,26 @@ class DerivedFamilies:
     components: tuple[SetFamily, ...]
 
 
-def _drop_anchor(a: CircSet) -> CircSet:
-    """Remove the element 1; defined only where 1 is present."""
-    if a.elems[0] != 1:
-        raise ValueError(f"cannot drop 1 from {a}, it is absent")
-    return CircSet(a.n, a.elems[1:])
-
-
 def derive_families(partition: PartitionResult) -> DerivedFamilies:
     """Assemble the reduced (r-1)-set family a partition compresses onto.
 
     The overlap is compressed k-1 further steps, each boundary cell k steps,
-    and the anchor 1 is dropped from every image.  Nothing is checked here;
+    and the anchor 1 is dropped from every image.  Nothing is claimed here;
     verify_compression_suite tests every claim about the result.
     """
     n, r, k = partition.n, partition.r, partition.k
-    if r < 2:
-        raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
-    free_images = {compress(a) for a in partition.free}
-    anchored_images = {compress(a) for a in partition.anchored}
-    overlap = SetFamily(n - 1, r, k, tuple(free_images & anchored_images))
-    pieces: list[tuple[CircSet, ...]] = [
-        tuple(_drop_anchor(compress_iter(e, k - 1)) for e in overlap)
-    ]
-    for cell in partition.boundary:
-        pieces.append(tuple(_drop_anchor(compress_iter(a, k)) for a in cell))
-    components = tuple(SetFamily(n - k, r - 1, 0, piece) for piece in pieces)
-    reduced = SetFamily(n - k, r - 1, 0, tuple(m for c in components for m in c))
+    d = _derive(
+        [s.mask for s in partition.free],
+        [s.mask for s in partition.anchored],
+        [[s.mask for s in cell] for cell in partition.boundary],
+        n, r, k,
+    )
     return DerivedFamilies(
-        images=SetFamily(n - 1, r, k, tuple(free_images | anchored_images)),
-        overlap=overlap,
-        reduced=reduced,
-        reduced_image=SetFamily(n - k - 1, r - 1, 0, tuple(compress(m) for m in reduced)),
-        components=components,
+        images=_family(n - 1, r, k, d.images),
+        overlap=_family(n - 1, r, k, d.overlap),
+        reduced=_family(n - k, r - 1, 0, d.reduced),
+        reduced_image=_family(n - k - 1, r - 1, 0, d.reduced_image),
+        components=tuple(_family(n - k, r - 1, 0, c) for c in d.components),
     )
 
 
@@ -227,49 +357,15 @@ class CompressionReport:
         }
 
 
-def _collision_clause(family: SetFamily) -> ClauseResult:
-    """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1."""
-    witnesses: list[CircSet] = []
-    images = family.sets
-    for j in range(1, family.k + 1):
-        images = tuple(compress(a) for a in images)  # the j-fold images, carried forward
-        buckets: dict[tuple[int, ...], list[CircSet]] = {}
-        for a, image in zip(family, images):
-            buckets.setdefault(image.elems, []).append(a)
-        for group in buckets.values():
-            for x in range(len(group)):
-                for y in range(x + 1, len(group)):
-                    diff = set(group[x].elems) ^ set(group[y].elems)
-                    if len(diff) != 2 or max(diff) > j + 1:
-                        witnesses.extend((group[x], group[y]))
-    return ClauseResult("collision-structure", not witnesses, tuple(witnesses))
-
-
-def _disjoint_pairs(family: SetFamily) -> tuple[CircSet, ...]:
-    """The first five disjoint pairs (i < j) in (i, j) order, flattened: a clause's witnesses."""
-    edges = islice(DisjointnessGraph(family).edges(), 5)
-    return tuple(family.sets[v] for edge in edges for v in edge)
-
-
-def _shared_members(components: tuple[SetFamily, ...]) -> tuple[CircSet, ...]:
-    """Members each later component shares with each earlier one, in (i, j, sorted) order."""
-    return tuple(
-        CircSet(c.n, e)
-        for i, c in enumerate(components)
-        for later in components[i + 1 :]
-        for e in sorted(c.member_keys & later.member_keys)
-    )
-
-
 def verify_compression_suite(family: SetFamily) -> CompressionReport:
     """Check every structural clause of the compression argument on one family.
 
     Intended for intersecting families; a non-intersecting input fails the
     first clause and usually some later ones, all reported with witnesses
     rather than raised.  compressed-separated cannot fail: it restates the
-    exhaustiveness check of partition_family, which raises RuntimeError first,
-    and derived.images is a validated SetFamily with the same k.  It is kept so
-    the report lists every claim the size bound rests on.
+    exhaustiveness check of the partition, which raises RuntimeError first,
+    and the images are checked as members of a family with the same k.  It
+    is kept so the report lists every claim the size bound rests on.
     """
     n, r, k = family.n, family.r, family.k
     if k < 1:
@@ -278,51 +374,39 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
         raise ValueError(f"reduction needs r >= 2, got r={r}")
     if n < (k + 1) * r + 1:
         raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
-    clauses: list[ClauseResult] = []
-
-    disjoint_pairs = _disjoint_pairs(family)
-    clauses.append(ClauseResult("input-intersecting", not disjoint_pairs, disjoint_pairs))
-
-    clauses.append(_collision_clause(family))
-
-    derived = derive_families(partition_family(family))
-    images = derived.images
-
-    bad_images = tuple(m for m in images if m.r != r or not is_k_separated(m, k))
-    clauses.append(ClauseResult("compressed-separated", not bad_images, bad_images))
-
-    disjoint_images = _disjoint_pairs(images)
-    clauses.append(
-        ClauseResult("compressed-intersecting", not disjoint_images, disjoint_images)
-    )
-
-    shared = _shared_members(derived.components)
-    clauses.append(ClauseResult("reduced-components-disjoint", not shared, shared))
-
-    disjoint_reduced = _disjoint_pairs(derived.reduced)
-    clauses.append(
-        ClauseResult("reduced-intersecting", not disjoint_reduced, disjoint_reduced)
-    )
-
-    bad_reduced = tuple(m for m in derived.reduced if not is_k_separated(m, k))
-    clauses.append(ClauseResult("reduced-separated", not bad_reduced, bad_reduced))
-
-    bad_reduced_image = tuple(
-        m for m in derived.reduced_image if not is_k_separated(m, k)
-    )
-    clauses.append(
-        ClauseResult("reduced-image-separated", not bad_reduced_image, bad_reduced_image)
-    )
-
-    total = len(family)
-    recovered = len(images) + len(derived.reduced)
-    clauses.append(
+    masks = [s.mask for s in family.sets]
+    d = _derive(*_partition(masks, n, r, k), n, r, k)
+    shared = [
+        m
+        for i, c in enumerate(d.components)
+        for later in d.components[i + 1 :]
+        for m in _lex(c & later)
+    ]
+    total = len(masks)
+    sizes = f"{total} = {len(d.images)} + {len(d.reduced)}"
+    clauses = (
+        _clause("input-intersecting", n, _disjoint_pairs(masks)),
+        _collision_clause(masks, n, k),
+        _clause(
+            "compressed-separated",
+            n - 1,
+            _lex(m for m in d.images if m.bit_count() != r or not mask_k_separated(m, n - 1, k)),
+        ),
+        _clause("compressed-intersecting", n - 1, _disjoint_pairs(_lex(d.images))),
+        _clause("reduced-components-disjoint", n - k, shared),
+        _clause("reduced-intersecting", n - k, _disjoint_pairs(_lex(d.reduced))),
+        _clause(
+            "reduced-separated",
+            n - k,
+            _lex(m for m in d.reduced if not mask_k_separated(m, n - k, k)),
+        ),
+        _clause(
+            "reduced-image-separated",
+            n - k - 1,
+            _lex(m for m in d.reduced_image if not mask_k_separated(m, n - k - 1, k)),
+        ),
         ClauseResult(
-            "size-identity",
-            total == recovered,
-            (),
-            detail=f"{total} = {len(images)} + {len(derived.reduced)}",
-        )
+            "size-identity", total == len(d.images) + len(d.reduced), (), detail=sizes
+        ),
     )
-
-    return CompressionReport(n=n, r=r, k=k, clauses=tuple(clauses))
+    return CompressionReport(n=n, r=r, k=k, clauses=clauses)

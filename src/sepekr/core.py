@@ -105,13 +105,15 @@ class SetFamily:
             raise ValueError(f"separation parameter must be non-negative, got k={self.k}")
         members = tuple(sorted(set(self.sets), key=lambda s: s.elems))
         object.__setattr__(self, "sets", members)
+        masks = []
         for s in members:
             if s.n != self.n:
-                raise ValueError(f"member {s} has ambient {s.n}, family has {self.n}")
-            if s.r != self.r:
-                raise ValueError(f"member {s} has {s.r} elements, family declares r={self.r}")
-            if not is_k_separated(s, self.k):
-                raise ValueError(f"member {s} is not {self.k}-separated in [{self.n}]")
+                break
+            masks.append(s.mask)
+        check_member_masks(masks, self.n, self.r, self.k)
+        if len(masks) < len(members):
+            s = members[len(masks)]
+            raise ValueError(f"member {s} has ambient {s.n}, family has {self.n}")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -152,13 +154,50 @@ def gap_vector(a: CircSet) -> tuple[int, ...]:
     return tuple(e[i + 1] - e[i] for i in range(len(e) - 1)) + (e[0] + a.n - e[-1],)
 
 
+def mask_k_separated(mask: int, n: int, k: int) -> bool:
+    """True when no rotation of the circle [n] by j = 1..k steps meets the mask itself.
+
+    Bit a-1 stands for element a.  Rotating by j meets the mask exactly when
+    two elements lie j steps apart, so this is "every circular gap exceeds
+    k"; j = n rotates a mask onto itself, so k >= n rejects every nonempty
+    mask.  k <= 0 accepts every mask.
+    """
+    doubled = mask | mask << n  # bit p of doubled >> j is bit (p + j) mod n of mask
+    for j in range(1, (k if k < n else n) + 1):
+        if mask & doubled >> j:
+            return False
+    return True
+
+
+def mask_elems(mask: int) -> tuple[int, ...]:
+    """The elements of a mask in increasing order; also its lexicographic sort key."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def check_member_masks(masks: Iterable[int], n: int, r: int, k: int) -> None:
+    """The member rules of SetFamily(n, r, k, ...), on masks.
+
+    Raises ValueError for the lexicographically first mask that does not
+    have r elements or is not k-separated in [n].
+    """
+    bad = [m for m in masks if m.bit_count() != r or not mask_k_separated(m, n, k)]
+    if bad:
+        s = CircSet(n, mask_elems(min(bad, key=mask_elems)))
+        if s.r != r:
+            raise ValueError(f"member {s} has {s.r} elements, family declares r={r}")
+        raise ValueError(f"member {s} is not {k}-separated in [{n}]")
+
+
 def is_k_separated(a: CircSet, k: int) -> bool:
     """True when every circular gap of a exceeds k.  k = 0 accepts every set."""
     if k < 0:
         raise ValueError(f"separation parameter must be non-negative, got k={k}")
-    if k == 0:
-        return True
-    return min(gap_vector(a)) > k
+    return mask_k_separated(a.mask, a.n, k)
 
 
 def from_gaps(start: int, gaps: Iterable[int], n: int) -> CircSet:
@@ -250,24 +289,45 @@ def count_separated(n: int, r: int, k: int) -> int:
     return n * math.comb(n - k * r, r) // (n - k * r)
 
 
-def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
-    """Bitmask adjacency rows: bit j of row i set when sets i and j are disjoint.
+def disjointness_rows(masks: Sequence[int]) -> list[int]:
+    """Bitmask adjacency rows over member masks: bit j of row i set when masks i and j are disjoint.
 
-    Built bit-parallel from element incidence: meets[a] holds the sets that
-    contain a, and row i is every set outside the union of meets[a] over a in set i.
+    Built bit-parallel from element incidence: meets[b] holds the members whose
+    mask has the bit b, and row i is every member outside the union of meets[b]
+    over the bits b of mask i.
     """
     meets: dict[int, int] = {}
-    for j, s in enumerate(sets):
-        for a in s.elems:
-            meets[a] = meets.get(a, 0) | 1 << j
-    full = (1 << len(sets)) - 1
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            meets[low] = meets.get(low, 0) | bit
+            m ^= low
+    full = (1 << len(masks)) - 1
     rows = []
-    for s in sets:
+    for m in masks:
         hit = 0
-        for a in s.elems:
-            hit |= meets[a]
+        while m:
+            low = m & -m
+            hit |= meets[low]
+            m ^= low
         rows.append(full & ~hit)
     return rows
+
+
+def row_edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v set in rows[u], in row order."""
+    for u, row in enumerate(rows):
+        rem = row >> (u + 1) << (u + 1)
+        while rem:
+            b = rem & -rem
+            yield u, b.bit_length() - 1
+            rem ^= b
+
+
+def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
+    """Bitmask adjacency rows: bit j of row i set when sets i and j are disjoint."""
+    return disjointness_rows([s.mask for s in sets])
 
 
 @dataclass(frozen=True)
@@ -290,12 +350,7 @@ class DisjointnessGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex enumeration order."""
-        for u, row in enumerate(self.adjacency):
-            rem = row >> (u + 1) << (u + 1)
-            while rem:
-                b = rem & -rem
-                yield u, b.bit_length() - 1
-                rem ^= b
+        return row_edges(self.adjacency)
 
     def subfamily(self, mask: int) -> SetFamily:
         """The vertices whose bits are set in mask, as a family of the same (n, r, k)."""

@@ -189,8 +189,11 @@ def max_intersecting(
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
     The witness is returned in canonical form; repeated runs are identical.
+    One time limit covers the solve and the canonicalisation of the witness.
     """
-    result = _solve(n, r, k, None, max_vertices, time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    result = _solve(n, r, k, None, max_vertices, seconds_left(deadline, "the solve"))
+    seconds_left(deadline, "canonicalising the witness")
     return replace(result, witness=canonical_form(result.witness))
 
 

@@ -184,3 +184,95 @@ def greedy_maximal_intersecting(n: int, r: int, k: int, rng) -> list[tuple[int, 
         if all(set(universe[i]) & s for s in kept):
             kept.append(set(universe[i]))
     return sorted(tuple(sorted(s)) for s in kept)
+
+
+def _first_disjoint_pairs(members: list[tuple[int, ...]], n: int) -> list:
+    """The first five disjoint pairs (i < j) of the members in lexicographic order, flattened."""
+    ms = sorted(members)
+    pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i + 1 :] if not set(a) & set(b)]
+    return [(n, s) for pair in pairs[:5] for s in pair]
+
+
+def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
+    """The nine compression clauses from their definitions, as (clause_id, passed,
+    witnesses, detail); a witness is (ambient, elems).  members must be k-separated
+    r-sets of [n] with k >= 1, r >= 2 and n >= (k+1)r + 1.
+
+    compress sends x to max(1, x - 1) and j-fold compression x to max(1, x - j).
+    A member holding the pair (1, k+2) is in boundary cell 0, one holding
+    (n+1-i, k+2-i) in boundary cell i; the others are anchored (they hold 1)
+    or free.  The images are the compressed free and anchored members, the
+    overlap the images reached from both.  The reduced family is the union of
+    k+2 components: the overlap compressed k-1 more steps, then each boundary
+    cell compressed k steps, with 1 dropped from every set.
+    """
+
+    def fold(s, j):
+        return tuple(sorted({max(1, x - j) for x in s}))
+
+    def drop_1(s):
+        return tuple(x for x in s if x != 1)
+
+    def separated(s, ground):
+        return min(circ_gaps(s, ground)) > k
+
+    family = sorted(tuple(sorted(m)) for m in members)
+    witnesses: list = []
+    for j in range(1, k + 1):
+        groups: dict[tuple, list] = {}
+        for a in family:
+            groups.setdefault(fold(a, j), []).append(a)
+        for group in groups.values():
+            for x in range(len(group)):
+                for y in range(x + 1, len(group)):
+                    diff = set(group[x]) ^ set(group[y])
+                    if len(diff) != 2 or max(diff) > j + 1:
+                        witnesses += [(n, group[x]), (n, group[y])]
+
+    free, anchored = set(), set()
+    boundary: list[set] = [set() for _ in range(k + 1)]
+    for a in family:
+        cells = [0] if {1, k + 2} <= set(a) else []
+        cells += [i for i in range(1, k + 1) if {n + 1 - i, k + 2 - i} <= set(a)]
+        if cells:
+            boundary[cells[0]].add(a)
+        else:
+            (anchored if 1 in a else free).add(a)
+    free_images = {fold(a, 1) for a in free}
+    anchored_images = {fold(a, 1) for a in anchored}
+    images = free_images | anchored_images
+    overlap = free_images & anchored_images
+    components = [{drop_1(fold(e, k - 1)) for e in overlap}]
+    components += [{drop_1(fold(a, k)) for a in cell} for cell in boundary]
+    reduced = set().union(*components)
+    reduced_image = {fold(m, 1) for m in reduced}
+
+    def bad(sets, ground, size=None):
+        return [
+            (ground, s)
+            for s in sorted(sets)
+            if size is not None and len(s) != size or not separated(s, ground)
+        ]
+
+    shared = [
+        (n - k, s)
+        for i, c in enumerate(components)
+        for later in components[i + 1 :]
+        for s in sorted(c & later)
+    ]
+    out = [
+        ("input-intersecting", _first_disjoint_pairs(family, n)),
+        ("collision-structure", witnesses),
+        ("compressed-separated", bad(images, n - 1, r)),
+        ("compressed-intersecting", _first_disjoint_pairs(list(images), n - 1)),
+        ("reduced-components-disjoint", shared),
+        ("reduced-intersecting", _first_disjoint_pairs(list(reduced), n - k)),
+        ("reduced-separated", bad(reduced, n - k)),
+        ("reduced-image-separated", bad(reduced_image, n - k - 1)),
+    ]
+    clauses = [(clause_id, not w, w, "") for clause_id, w in out]
+    sizes = (len(family), len(images), len(reduced))
+    clauses.append(
+        ("size-identity", sizes[0] == sizes[1] + sizes[2], [], "%d = %d + %d" % sizes)
+    )
+    return clauses

@@ -287,6 +287,35 @@ def test_lemmas_checks_the_vertex_limit_before_enumerating(capsys, monkeypatch):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_lemmas_obeys_the_time_limit(capsys):
+    started = time.monotonic()
+    argv = ["lemmas", "--n", "20", "--r", "4", "--k", "2", "--samples", "1000000"]
+    assert run(argv + ["--limit-seconds", "0.5"]) == 3
+    assert time.monotonic() - started < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "time limit exceeded before checking family" in captured.err
+
+
+def test_max_family_canonicalises_inside_its_time_limit(capsys, monkeypatch):
+    real = sepekr.search.solve_max_independent
+
+    def slow_solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(0.3)
+        return result
+
+    monkeypatch.setattr("sepekr.search.solve_max_independent", slow_solve)
+    argv = ["max-family", "--n", "9", "--r", "3", "--k", "1"]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "time limit exceeded before canonicalising the witness" in captured.err
+    assert run(argv + ["--limit-seconds", "30"]) == 0
+    assert out_of(capsys).startswith("optimum 10\n")
+
+
 def test_enumerate_aborts_above_the_vertex_limit_without_building_rows(capsys, monkeypatch):
     # (31,4,1) has 20150 sets, just above the default limit of 20000.
     assert run(["enumerate", "--n", "31", "--r", "4", "--k", "1"]) == 3
@@ -324,6 +353,7 @@ def test_any_instance_arguments_exit_with_a_documented_code(n, r, k):
         ["max-family", *instance, *_LIMITS],
         ["classes", *instance, *_LIMITS],
         ["lemmas", *instance, "--samples", "1"],
+        ["lemmas", *instance, "--samples", "1", "--limit-seconds", "0.25"],
         ["weighted", *instance, *_LIMITS],
         ["graph", "--kind", "kneser", *instance, *_LIMITS],
         ["graph", "--kind", "schrijver", *instance, *_LIMITS],

@@ -20,6 +20,8 @@ from sepekr import (
     verify_compression_suite,
 )
 
+from helpers import brute_separated, compression_oracle, greedy_maximal_intersecting
+
 CLAUSE_IDS = [
     "input-intersecting",
     "collision-structure",
@@ -127,14 +129,15 @@ def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
     family = star_family(20, 4, 2, 1)
     assert len(family) == 165
     calls = []
-    real = sepekr.compression.compress
+    real = sepekr.compression._compress_mask
 
-    def counted(a):
-        calls.append(a)
-        return real(a)
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr("sepekr.compression.compress", counted)
-    result = sepekr.compression._collision_clause(family)
+    monkeypatch.setattr("sepekr.compression._compress_mask", counted)
+    masks = [s.mask for s in family]
+    result = sepekr.compression._collision_clause(masks, family.n, family.k)
     assert result.passed and result.witnesses == ()
     assert len(calls) == 165 * 2
 
@@ -345,6 +348,33 @@ def test_suite_on_random_maximal_families():
                     assert is_intersecting(fam)
                     report = verify_compression_suite(fam)
                     assert report.passed, fam.to_line()
+
+
+def test_suite_agrees_with_the_independent_oracle():
+    # every clause's verdict, witnesses (with their ambient) and detail, on whole
+    # universes, random maximal families, their random subfamilies and random
+    # (mostly non-intersecting) families
+    rng = random.Random(2024)
+    instances = [(7, 2, 1), (8, 2, 1), (10, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3), (13, 3, 3)]
+    failed = set()
+    for n, r, k in instances:
+        universe = brute_separated(n, r, k)
+        families = [universe]
+        for _ in range(8):
+            maximal = greedy_maximal_intersecting(n, r, k, rng)
+            families.append(maximal)
+            families.append(rng.sample(maximal, rng.randint(1, len(maximal))))
+            families.append(rng.sample(universe, rng.randint(2, min(12, len(universe)))))
+        for members in families:
+            family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
+            report = verify_compression_suite(family)
+            got = [
+                (c.clause_id, c.passed, [(w.n, w.elems) for w in c.witnesses], c.detail)
+                for c in report.clauses
+            ]
+            assert got == compression_oracle(n, r, k, members), family.to_line()
+            failed.update(c.clause_id for c in report.clauses if not c.passed)
+    assert failed == {"input-intersecting", "compressed-intersecting", "reduced-intersecting"}
 
 
 def test_size_identity_components():

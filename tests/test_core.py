@@ -19,7 +19,7 @@ from sepekr import (
     rotate,
     star_size_formula,
 )
-from sepekr.core import ResourceLimitError, count_separated, seconds_left
+from sepekr.core import ResourceLimitError, check_member_masks, count_separated, seconds_left
 
 from helpers import brute_separated, circ_gaps
 
@@ -52,6 +52,24 @@ def test_family_validation():
         SetFamily(6, 2, 1, (CircSet(6, (1, 3, 5)),))  # wrong size
     fam = SetFamily(6, 2, 1, (CircSet(6, (2, 5)), CircSet(6, (1, 3)), CircSet(6, (2, 5))))
     assert [s.elems for s in fam] == [(1, 3), (2, 5)]  # sorted, deduplicated
+
+
+def test_family_reports_its_first_faulty_member_in_member_order():
+    cases = [
+        ((CircSet(7, (4, 6)), CircSet(6, (3, 5)), CircSet(7, (2, 3))),
+         "member {2,3} is not 1-separated in [7]"),
+        ((CircSet(7, (4, 6)), CircSet(6, (1, 3)), CircSet(7, (2, 4, 6))),
+         "member {1,3} has ambient 6, family has 7"),
+        ((CircSet(7, (5, 7)), CircSet(7, (1, 3, 5))),
+         "member {1,3,5} has 3 elements, family declares r=2"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValueError) as info:
+            SetFamily(7, 2, 1, members)
+        assert str(info.value) == message
+    # the mask check reports the lexicographically first faulty mask, not the first given
+    with pytest.raises(ValueError, match=r"member \{1,2\} has 2 elements, family declares r=3"):
+        check_member_masks([0b1010100, 0b1100, 0b11], 7, 3, 1)
 
 
 def test_family_json_round_trip():
@@ -87,6 +105,16 @@ def test_is_k_separated_examples():
     assert not is_k_separated(CircSet(5, (3,)), 5)
     with pytest.raises(ValueError):
         is_k_separated(CircSet(5, (1, 3)), -1)
+
+
+def test_is_k_separated_equals_the_gap_definition_exhaustively():
+    # every nonempty subset of [n] for n <= 10, every k from 0 to 12 (so k >= n too)
+    for n in range(1, 11):
+        for m in range(1, 1 << n):
+            s = CircSet(n, tuple(a for a in range(1, n + 1) if m >> (a - 1) & 1))
+            smallest_gap = min(gap_vector(s))
+            for k in range(13):
+                assert is_k_separated(s, k) == (smallest_gap > k), (s, k)
 
 
 def test_from_gaps_examples():
