@@ -292,9 +292,13 @@ def derive_families(partition: PartitionResult) -> DerivedFamilies:
 
     The overlap is compressed k-1 further steps, each boundary cell k steps,
     and the anchor 1 is dropped from every image.  Nothing is claimed here;
-    verify_compression_suite tests every claim about the result.
+    verify_compression_suite tests every claim about the result.  A partition
+    that partition_family would not give for its members raises ValueError.
     """
     n, r, k = partition.n, partition.r, partition.k
+    members = tuple(s for cell in partition.cells for s in cell)
+    if partition_family(SetFamily(n, r, k, members)) != partition:
+        raise ValueError("partition differs from partition_family of its members")
     d = _derive(
         [s.mask for s in partition.free],
         [s.mask for s in partition.anchored],

@@ -169,6 +169,31 @@ def mask_k_separated(mask: int, n: int, k: int) -> bool:
     return True
 
 
+def rotate_mask(mask: int, n: int, s: int) -> int:
+    """Every element a of a mask moved s steps around the circle [n]: a -> a + s, read mod n."""
+    s %= n
+    return (mask << s | mask >> (n - s)) & ((1 << n) - 1)
+
+
+def mirror_mask(mask: int, n: int) -> int:
+    """The mirror a -> n + 1 - a of the circle [n] on a mask: the reversal of its n bits."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
+
+
+def dihedral_images(
+    masks: Sequence[int], n: int, rotations_only: bool = False
+) -> Iterator[list[int]]:
+    """The member masks moved by each symmetry of the circle [n], in member order.
+
+    Yields the n rotations (s = 0..n-1 steps) and then, unless rotations_only,
+    the n reflections: the mirror followed by each rotation.
+    """
+    bases = [masks] if rotations_only else [masks, [mirror_mask(m, n) for m in masks]]
+    for base in bases:
+        for s in range(n):
+            yield [rotate_mask(m, n, s) for m in base]
+
+
 def mask_elems(mask: int) -> tuple[int, ...]:
     """The elements of a mask in increasing order; also its lexicographic sort key."""
     out = []
@@ -221,14 +246,12 @@ def from_gaps(start: int, gaps: Iterable[int], n: int) -> CircSet:
 
 def rotate(a: CircSet, s: int) -> CircSet:
     """Rotate every element by s steps around the circle."""
-    n = a.n
-    return CircSet(n, tuple((x - 1 + s) % n + 1 for x in a.elems))
+    return CircSet(a.n, mask_elems(rotate_mask(a.mask, a.n, s)))
 
 
 def reflect(a: CircSet) -> CircSet:
-    """Reflect the circle about the axis through position 1."""
-    n = a.n
-    return CircSet(n, tuple((n + 1 - x) % n + 1 for x in a.elems))
+    """Reflect the circle about the axis through position 1: a -> n + 2 - a, read mod n."""
+    return CircSet(a.n, mask_elems(rotate_mask(mirror_mask(a.mask, a.n), a.n, 1)))
 
 
 def enumerate_separated(n: int, r: int, k: int) -> SetFamily:

@@ -9,8 +9,11 @@ from .core import (
     DEFAULT_MAX_VERTICES,
     CircSet,
     SetFamily,
+    dihedral_images,
     disjointness_adjacency,
     is_k_separated,
+    mask_elems,
+    mirror_mask,
     reflect,
     rotate,
     separated_universe,
@@ -55,35 +58,20 @@ def exceptional_family(r: int, i: int) -> SetFamily:
 
 def transform_family(family: SetFamily, shift: int = 0, reflected: bool = False) -> SetFamily:
     """Apply a circle symmetry (optional reflection, then rotation) to every member."""
-    members = []
-    for s in family.sets:
-        t = reflect(s) if reflected else s
-        members.append(rotate(t, shift))
+    members = (rotate(reflect(s) if reflected else s, shift) for s in family.sets)
     return SetFamily(family.n, family.r, family.k, tuple(members))
 
 
 def _canonical_key(family: SetFamily, rotations_only: bool) -> list[int]:
-    """The least image of the family, as member keys sorted in descending order.
+    """The least image of the family, as mirrored member masks sorted in descending order.
 
-    A member's key has bit n-a set for each element a, so for sets of one size
-    a larger key is a lexicographically smaller element tuple, and the least
-    image is the one with the largest descending key list.  Rotating every
-    element by one step moves each key's bits down by one, cyclically.
+    A mirrored mask has bit n-a set for each element a: for sets of one size, a
+    larger key is a lexicographically smaller tuple.  The mirror turns rotation
+    by s into rotation by -s, so the images of the keys are the keys of the images.
     """
-    n = family.n
-    top = n - 1
-    bases = [[sum(1 << (n - a) for a in s.elems) for s in family.sets]]
-    if not rotations_only:
-        # a -> n + 1 - a reverses the bits; the rotations then cover every reflection
-        bases.append([sum(1 << (a - 1) for a in s.elems) for s in family.sets])
-    best: list[int] = []
-    for keys in bases:
-        for _ in range(n):
-            image = sorted(keys, reverse=True)
-            if image > best:
-                best = image
-            keys = [(m >> 1) | (m & 1) << top for m in keys]
-    return best
+    keys = [mirror_mask(s.mask, family.n) for s in family.sets]
+    images = dihedral_images(keys, family.n, rotations_only)
+    return max(sorted(image, reverse=True) for image in images)
 
 
 def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily:
@@ -95,7 +83,7 @@ def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily
     """
     n = family.n
     members = tuple(
-        CircSet(n, tuple(n - p for p in range(n) if m >> p & 1))
+        CircSet(n, mask_elems(mirror_mask(m, n)))
         for m in _canonical_key(family, rotations_only)
     )
     return SetFamily(n, family.r, family.k, members)

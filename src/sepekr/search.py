@@ -21,8 +21,7 @@ from .core import (
     CircSet,
     ResourceLimitError,
     SetFamily,
-    reflect,
-    rotate,
+    dihedral_images,
     seconds_left,
     separated_universe,
 )
@@ -214,23 +213,6 @@ def max_intersecting_weighted(
     return _solve(n, r, k, weight_fn, max_vertices, time_limit)
 
 
-def _symmetry_permutations(
-    vertices: Sequence[CircSet], n: int, rotations_only: bool
-) -> list[list[int]]:
-    """The circle's rotations (and reflections) as vertex permutations: perm[i] is i's image."""
-    index = {s.mask: i for i, s in enumerate(vertices)}
-    step = [index[rotate(s, 1).mask] for s in vertices]
-    bases = [list(range(len(vertices)))]
-    if not rotations_only:
-        bases.append([index[reflect(s).mask] for s in vertices])
-    perms = []
-    for perm in bases:
-        for _ in range(n):
-            perms.append(perm)
-            perm = [step[i] for i in perm]
-    return perms
-
-
 def _image(mask: int, perm: list[int]) -> int:
     out = 0
     while mask:
@@ -266,7 +248,10 @@ def extremal_classes(
     masks, nodes_enum = enumerate_max_independent(
         adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima")
     )
-    perms = _symmetry_permutations(graph.vertices.sets, n, rotations_only)
+    vertex_masks = [s.mask for s in graph.vertices.sets]
+    index = {m: i for i, m in enumerate(vertex_masks)}
+    images = dihedral_images(vertex_masks, n, rotations_only)
+    perms = [[index[m] for m in image] for image in images]
     seen: set[int] = set()
     reps = []
     for mask in masks:

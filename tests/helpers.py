@@ -109,15 +109,15 @@ def all_maximum_intersecting(members) -> list[frozenset]:
     ]
 
 
-def count_classes(families: list[frozenset], n: int) -> int:
-    """Group families by dihedral orbit and count the orbits."""
+def count_classes(families: list[frozenset], n: int, rotations_only: bool = False) -> int:
+    """Group families by dihedral orbit (rotation orbit with rotations_only) and count the orbits."""
     seen: set[frozenset] = set()
     classes = 0
     for fam in families:
         if fam in seen:
             continue
         classes += 1
-        for img in dihedral_images(fam, n):
+        for img in dihedral_images(fam, n, rotations_only):
             seen.add(img)
     return classes
 

@@ -8,6 +8,7 @@ import pytest
 
 from sepekr import (
     CircSet,
+    PartitionResult,
     SetFamily,
     compress,
     compress_iter,
@@ -212,6 +213,36 @@ def test_derive_rejects_r1():
     fam = enumerate_separated(5, 1, 1)
     with pytest.raises(ValueError):
         derive_families(partition_family(fam))
+
+
+def _star_9_3_1_with_anchored_moved_to_free():
+    part = partition_family(star_family(9, 3, 1, 1))
+    free = SetFamily(9, 3, 1, part.free.sets + part.anchored.sets)
+    return PartitionResult(free, SetFamily(9, 3, 1, ()), part.boundary)
+
+
+def _k0_partition():
+    empty = SetFamily(7, 2, 0, ())
+    return PartitionResult(empty, SetFamily(7, 2, 0, (CircSet(7, (1, 4)),)), (empty,))
+
+
+def _star_9_3_1_with_an_anchored_member_also_free():
+    part = partition_family(star_family(9, 3, 1, 1))
+    free = SetFamily(9, 3, 1, part.free.sets + part.anchored.sets[:1])
+    return PartitionResult(free, part.anchored, part.boundary)
+
+
+@pytest.mark.parametrize(
+    "make_partition",
+    [
+        _star_9_3_1_with_anchored_moved_to_free,
+        _k0_partition,
+        _star_9_3_1_with_an_anchored_member_also_free,
+    ],
+)
+def test_derive_rejects_partitions_partition_family_cannot_give(make_partition):
+    with pytest.raises(ValueError):
+        derive_families(make_partition())
 
 
 def test_derive_no_violations_on_intersecting_families():

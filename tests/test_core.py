@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepekr import (
@@ -19,9 +19,17 @@ from sepekr import (
     rotate,
     star_size_formula,
 )
-from sepekr.core import ResourceLimitError, check_member_masks, count_separated, seconds_left
+from sepekr.core import (
+    ResourceLimitError,
+    check_member_masks,
+    count_separated,
+    dihedral_images,
+    mask_elems,
+    seconds_left,
+)
 
 from helpers import brute_separated, circ_gaps
+from helpers import dihedral_images as oracle_images
 
 
 # === construction and validation ===
@@ -136,6 +144,38 @@ def test_rotate_reflect_examples():
     assert rotate(CircSet(4, (1, 3)), -1) == CircSet(4, (2, 4))
     assert reflect(CircSet(5, (1, 3))) == CircSet(5, (1, 4))
     assert reflect(CircSet(12, (2, 5, 9))) == CircSet(12, (5, 9, 12))
+
+
+def test_rotate_reflect_match_the_oracle_exhaustively():
+    # every nonempty subset of [n] for n <= 9, every shift from -n to 2n
+    for n in range(1, 10):
+        for m in range(1, 1 << n):
+            a = CircSet(n, mask_elems(m))
+            rotations = oracle_images([a.elems], n, rotations_only=True)
+            for s in range(-n, 2 * n + 1):
+                assert {rotate(a, s).elems} == rotations[s % n], (a, s)
+            assert {reflect(a).elems} == oracle_images([a.elems], n)[1], a
+
+
+@st.composite
+def mask_families(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+
+
+@settings(max_examples=150)
+@given(mask_families(), st.booleans())
+@example((5, []), False)
+@example((5, []), True)
+def test_dihedral_images_match_the_oracle(case, rotations_only):
+    # image g of the family, member by member, is the oracle's image g of each member
+    n, masks = case
+    per_member = [oracle_images([mask_elems(m)], n, rotations_only) for m in masks]
+    size = n if rotations_only else 2 * n
+    expected = {tuple(next(iter(images[g])) for images in per_member) for g in range(size)}
+    got = [tuple(mask_elems(m) for m in image) for image in dihedral_images(masks, n, rotations_only)]
+    assert len(got) == size
+    assert set(got) == expected
 
 
 # === enumeration ===

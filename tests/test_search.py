@@ -198,14 +198,16 @@ def test_class_representatives_are_canonical_and_distinct():
 
 
 def test_class_count_matches_orbit_oracle():
-    for k, r, n_hi in [(1, 2, 9), (2, 2, 10), (1, 3, 9)]:
+    # (6,3,0) has chiral optima: 104 dihedral classes, 176 rotation classes
+    for k, r, n_hi in [(1, 2, 9), (2, 2, 10), (1, 3, 9), (0, 3, 6)]:
         for n in range((k + 1) * r, n_hi + 1):
             members = [s.elems for s in enumerate_separated(n, r, k)]
             maxima = all_maximum_intersecting(members)
-            expected = count_classes(maxima, n)
-            got = extremal_classes(n, r, k)
-            assert len(got.classes) == expected, (n, r, k)
-            assert len(maxima) > 0 and len(maxima[0]) == got.optimum
+            for rotations_only in (False, True):
+                expected = count_classes(maxima, n, rotations_only)
+                got = extremal_classes(n, r, k, rotations_only=rotations_only)
+                assert len(got.classes) == expected, (n, r, k, rotations_only)
+                assert len(maxima) > 0 and len(maxima[0]) == got.optimum
 
 
 def test_enumeration_finds_each_maximum_once():
