@@ -8,6 +8,7 @@ Kneser/Schrijver graph invariants.
 
 from .core import (
     CircSet,
+    ResourceLimitError,
     SetFamily,
     disjointness_adjacency,
     enumerate_separated,
@@ -40,7 +41,6 @@ from .compression import (
     verify_compression_suite,
 )
 from .search import (
-    ResourceLimitError,
     SearchResult,
     enumerate_max_independent,
     extremal_classes,

@@ -17,7 +17,9 @@ import sys
 import time
 
 from .compression import verify_compression_suite
-from .core import SetFamily, seconds_left, separated_universe, star_size_formula
+from .core import (
+    ResourceLimitError, SetFamily, seconds_left, separated_universe, star_size_formula
+)
 from .families import random_maximal_intersecting, star_family
 from .graph import (
     build_kneser,
@@ -29,7 +31,6 @@ from .graph import (
 from .search import (
     CLASS_MAX_VERTICES,
     DEFAULT_MAX_VERTICES,
-    ResourceLimitError,
     extremal_classes,
     max_intersecting,
 )
@@ -149,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="verify the bound across a parameter grid")
     p.add_argument("--grid", choices=("default", "quick"), default="default")
-    p.add_argument(
-        "--limit-seconds", type=_positive(float), default=None, help="per-row time budget"
-    )
+    _add_seconds_arg(p)
     _add_output_args(p)
 
     return parser
@@ -355,21 +354,21 @@ def quick_grid() -> list[tuple[int, int, int, bool]]:
 def _cmd_report(args) -> int:
     rows = default_grid() if args.grid == "default" else quick_grid()
     started = time.monotonic()
+    deadline = None if args.limit_seconds is None else started + args.limit_seconds
     out_rows = []
     all_ok = True
     for n, r, k, with_classes in rows:
+        left = seconds_left(deadline, f"row n={n} r={r} k={k}")
         formula = star_size_formula(n, r, k)
         if with_classes:
-            result = extremal_classes(
-                n, r, k, max_vertices=DEFAULT_MAX_VERTICES, time_limit=args.limit_seconds
-            )
+            result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, time_limit=left)
             class_count: int | None = len(result.classes or ())
             multi_expected = k == 1 and n == 2 * r + 2
             class_ok: bool | None = (
                 class_count > 1 if multi_expected else class_count == 1
             )
         else:
-            result = max_intersecting(n, r, k, time_limit=args.limit_seconds)
+            result = max_intersecting(n, r, k, time_limit=left)
             class_count = None
             class_ok = None
         match = result.optimum == formula

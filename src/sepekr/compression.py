@@ -107,21 +107,13 @@ def _partition(
     return free, anchored, boundary
 
 
-def _reduce(masks: Iterable[int], n: int, j: int) -> set[int]:
-    """Compress each member of ambient n by j steps and drop the anchor 1 from the image."""
-    out = set()
-    for m in masks:
-        if j < 0:
-            raise ValueError(f"iteration count must be non-negative, got {j}")
-        if n - j < m.bit_count():
-            raise ValueError(f"cannot fit {m.bit_count()} elements in ambient {n - j}")
-        image = _compress_iter_mask(m, j)
-        if not image & 1:
-            raise ValueError(f"cannot drop 1 from {_circset(n - j, image)}, it is absent")
-        if image == 1:
-            raise ValueError("empty sets are not supported (r >= 1 required)")
-        out.add(image ^ 1)
-    return out
+def _reduce(masks: Iterable[int], j: int) -> set[int]:
+    """Compress each member by j steps and drop the anchor 1 from the image.
+
+    Every member _derive passes has an element <= j+1, so its image holds 1,
+    and at most one, so with r >= 2 the image keeps another element.
+    """
+    return {_compress_iter_mask(m, j) ^ 1 for m in masks}
 
 
 class _Derived(NamedTuple):
@@ -144,8 +136,8 @@ def _derive(
     anchored_images = {_compress_mask(m) for m in anchored}
     overlap = free_images & anchored_images
     check_member_masks(overlap, n - 1, r, k)
-    components = [_reduce(_lex(overlap), n - 1, k - 1)]
-    components += [_reduce(cell, n, k) for cell in boundary]
+    components = [_reduce(overlap, k - 1)]
+    components += [_reduce(cell, k) for cell in boundary]
     for component in components:
         check_member_masks(component, n - k, r - 1, 0)
     reduced = set().union(*components)
@@ -369,15 +361,11 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     rather than raised.  compressed-separated cannot fail: it restates the
     exhaustiveness check of the partition, which raises RuntimeError first,
     and the images are checked as members of a family with the same k.  It
-    is kept so the report lists every claim the size bound rests on.
+    is kept so the report lists every claim the size bound rests on.  The
+    partition raises ValueError unless k >= 1 and n >= (k+1)r + 1, and the
+    derivation unless r >= 2.
     """
     n, r, k = family.n, family.r, family.k
-    if k < 1:
-        raise ValueError(f"compression needs k >= 1, got k={k}")
-    if r < 2:
-        raise ValueError(f"reduction needs r >= 2, got r={r}")
-    if n < (k + 1) * r + 1:
-        raise ValueError(f"need n >= (k+1)r + 1 = {(k + 1) * r + 1}, got n={n}")
     masks = [s.mask for s in family.sets]
     d = _derive(*_partition(masks, n, r, k), n, r, k)
     shared = [

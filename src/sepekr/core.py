@@ -260,16 +260,11 @@ def enumerate_separated(n: int, r: int, k: int) -> SetFamily:
     Empty family when the circle is too small (n < (k+1)r).  k = 0 yields all
     r-subsets.
     """
-    if n < 1:
-        raise ValueError(f"ground set size must be positive, got n={n}")
-    if r < 1:
-        raise ValueError(f"member size must be positive, got r={r}")
-    if k < 0:
-        raise ValueError(f"separation parameter must be non-negative, got k={k}")
-    out: list[CircSet] = []
+    empty = SetFamily(n, r, k, ())  # checks n, r and k
     step = k + 1
     if n < step * r:
-        return SetFamily(n, r, k, ())
+        return empty
+    out: list[CircSet] = []
 
     def grow(prefix: tuple[int, ...], first: int) -> None:
         i = len(prefix)

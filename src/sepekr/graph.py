@@ -38,7 +38,7 @@ def _colorable(
 ) -> bool:
     """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
 
-    Raises ResourceLimitError once time.monotonic() passes deadline (None: no deadline).
+    Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
     """
     v_count = len(adj)
     assignment = [-1] * v_count
@@ -59,10 +59,9 @@ def _colorable(
         nonlocal calls
         if remaining == 0:
             return True
-        if deadline is not None:
-            calls += 1
-            if calls & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-                raise ResourceLimitError(f"time limit exceeded after {calls} colouring steps")
+        calls += 1
+        if calls & _TIME_CHECK_MASK == 0:
+            seconds_left(deadline, f"colouring step {calls}")
         v = -1
         v_key = (-1, -1, 0)
         for u in range(v_count):

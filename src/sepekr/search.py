@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 from .core import (
     DEFAULT_MAX_VERTICES,
     CircSet,
-    ResourceLimitError,
     SetFamily,
     dihedral_images,
     seconds_left,
@@ -119,12 +118,8 @@ def _search(
     while stack:
         cand, cur, mask = stack.pop()
         nodes += 1
-        if (
-            deadline is not None
-            and nodes & _TIME_CHECK_MASK == 0
-            and time.monotonic() > deadline
-        ):
-            raise ResourceLimitError(f"time limit exceeded after {nodes} nodes")
+        if nodes & _TIME_CHECK_MASK == 0:
+            seconds_left(deadline, f"node {nodes}")
         if cur > floor:
             if target is None:
                 floor, best_mask = cur, mask

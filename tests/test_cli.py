@@ -392,6 +392,22 @@ def test_graph_chi_and_alpha_share_one_time_limit(capsys, monkeypatch):
     assert out_of(capsys).endswith("alpha 2\nchi 3\n")
 
 
+def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):
+    real = sepekr.cli.extremal_classes
+
+    def slow_row(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(0.1)
+        return result
+
+    monkeypatch.setattr("sepekr.cli.extremal_classes", slow_row)
+    assert run(["report", "--grid", "quick", "--limit-seconds", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "time limit exceeded before row" in captured.err
+
+
 def test_bad_threads_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SEPEKR_THREADS", "zero")
     assert run(["enumerate", "--n", "5", "--r", "2", "--k", "1"]) == 2

@@ -62,6 +62,13 @@ def test_family_validation():
     assert [s.elems for s in fam] == [(1, 3), (2, 5)]  # sorted, deduplicated
 
 
+def test_family_membership_needs_the_same_elements_and_ambient():
+    fam = SetFamily(6, 2, 1, (CircSet(6, (1, 3)), CircSet(6, (2, 5))))
+    assert CircSet(6, (3, 1)) in fam
+    assert CircSet(6, (1, 4)) not in fam
+    assert CircSet(7, (1, 3)) not in fam
+
+
 def test_family_reports_its_first_faulty_member_in_member_order():
     cases = [
         ((CircSet(7, (4, 6)), CircSet(6, (3, 5)), CircSet(7, (2, 3))),

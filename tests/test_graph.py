@@ -259,7 +259,7 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
 def test_chromatic_time_limit():
     # SG(10,3) takes seconds to colour exactly; a tiny budget aborts it
     g = build_schrijver(10, 3, 1)
-    with pytest.raises(ResourceLimitError, match="time limit"):
+    with pytest.raises(ResourceLimitError, match="before colouring step"):
         chromatic_number(g, time_limit=0.05)
     assert chromatic_number(build_schrijver(9, 3, 1), time_limit=60) == 5
 

@@ -108,6 +108,13 @@ def test_time_budget():
         max_intersecting(14, 4, 1, time_limit=0.0)
 
 
+def test_time_budget_aborts_inside_the_search():
+    started = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node [0-9]+$"):
+        max_intersecting(15, 5, 1, time_limit=0.2)
+    assert time.monotonic() - started < 2
+
+
 def test_search_is_deterministic():
     a = max_intersecting(10, 3, 1)
     b = max_intersecting(10, 3, 1)
