@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .core import (
     DEFAULT_MAX_VERTICES,

@@ -38,62 +38,36 @@ def _colorable(
 ) -> bool:
     """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
 
+    A state is (uncoloured vertices, colours next to each vertex, top colour
+    used).  Each step colours the DSATUR vertex (most distinct neighbour
+    colours, then highest degree, then lowest index), lowest colour first.
     Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
     """
-    v_count = len(adj)
-    assignment = [-1] * v_count
-    used_masks = [0] * v_count  # colours taken by coloured neighbours
-    for idx, v in enumerate(clique):
-        assignment[v] = idx
-    for v in clique:
-        rem = adj[v]
-        while rem:
-            b = rem & -rem
-            u = b.bit_length() - 1
-            rem ^= b
-            used_masks[u] |= 1 << assignment[v]
-    degrees = [row.bit_count() for row in adj]
-    calls = 0
-
-    def place(remaining: int, max_used: int) -> bool:
-        nonlocal calls
-        if remaining == 0:
+    nbrs = [[u for u in range(len(adj)) if row >> u & 1] for row in adj]
+    degrees = [len(ns) for ns in nbrs]
+    used = [0] * len(adj)
+    for color, v in enumerate(clique):
+        for u in nbrs[v]:
+            used[u] |= 1 << color
+    steps = 0
+    stack = [([v for v in range(len(adj)) if v not in clique], used, len(clique) - 1)]
+    while stack:
+        left, used, top = stack.pop()
+        if not left:
             return True
-        calls += 1
-        if calls & _TIME_CHECK_MASK == 0:
-            seconds_left(deadline, f"colouring step {calls}")
-        v = -1
-        v_key = (-1, -1, 0)
-        for u in range(v_count):
-            if assignment[u] < 0:
-                key = (used_masks[u].bit_count(), degrees[u], -u)
-                if key > v_key:
-                    v_key = key
-                    v = u
-        limit = min(colors_allowed - 1, max_used + 1)
-        avail = ~used_masks[v] & ((1 << (limit + 1)) - 1)
-        while avail:
-            b = avail & -avail
-            color = b.bit_length() - 1
-            avail ^= b
-            assignment[v] = color
-            touched = []
-            rem = adj[v]
-            while rem:
-                nb = rem & -rem
-                u = nb.bit_length() - 1
-                rem ^= nb
-                if assignment[u] < 0 and not used_masks[u] >> color & 1:
-                    used_masks[u] |= 1 << color
-                    touched.append(u)
-            if place(remaining - 1, max(max_used, color)):
-                return True
-            for u in touched:
-                used_masks[u] &= ~(1 << color)
-            assignment[v] = -1
-        return False
-
-    return place(v_count - len(clique), len(clique) - 1)
+        steps += 1
+        if steps & _TIME_CHECK_MASK == 0:
+            seconds_left(deadline, f"colouring step {steps}")
+        v = max(left, key=lambda u: (used[u].bit_count(), degrees[u], -u))
+        rest = left[:]
+        rest.remove(v)
+        for color in range(min(colors_allowed - 1, top + 1), -1, -1):
+            if not used[v] >> color & 1:
+                child = used[:]
+                for u in nbrs[v]:
+                    child[u] |= 1 << color
+                stack.append((rest, child, max(top, color)))
+    return False
 
 
 def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = None) -> int:

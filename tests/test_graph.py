@@ -264,6 +264,23 @@ def test_chromatic_time_limit():
     assert chromatic_number(build_schrijver(9, 3, 1), time_limit=60) == 5
 
 
+@pytest.mark.parametrize(
+    "n, r, chi, steps", [(8, 3, 4, 102), (9, 2, 7, 808), (9, 3, 5, 968), (10, 2, 8, 7580)]
+)
+def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, chi, steps):
+    # with the clock checked at every step, each colouring step names itself once;
+    # the totals freeze the DSATUR order, the precoloured clique and the fresh-colour rule
+    stages = []
+
+    def record(deadline, stage):
+        stages.append(stage)
+
+    monkeypatch.setattr(sepekr.graph, "_TIME_CHECK_MASK", 0)
+    monkeypatch.setattr(sepekr.graph, "seconds_left", record)
+    assert chromatic_number(build_schrijver(n, r, 1)) == chi
+    assert sum(stage.startswith("colouring step") for stage in stages) == steps
+
+
 # === serialisation ===
 
 
