@@ -3,11 +3,14 @@
 Vertices are the k-separated r-sets of a circle; two vertices clash when the
 sets are disjoint, so intersecting families are exactly the independent sets.
 One depth-first branch-and-bound core serves two modes: optimise (the
-maximum weight) and enumerate (every independent set of a given size).  It
+maximum weight) and enumerate (the independent sets of a given size).  It
 uses Python-int bitsets for adjacency rows and candidate sets, a greedy
 clique-cover upper bound whose clique classes are built bit-parallel, as in
 BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
-return identical answers.
+return identical answers.  The unweighted solves start from the star as a
+checked incumbent, and both unweighted modes start from an orbit chain of the
+circle's symmetry (orbital branching at the root; Ostrowski et al., 2011), so
+the census enumerates at least one optimum per class rather than all of them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable, Sequence
 from .core import (
     DEFAULT_MAX_VERTICES,
     CircSet,
+    DisjointnessGraph,
     SetFamily,
     dihedral_images,
     seconds_left,
@@ -96,25 +100,69 @@ def _pick_branch_vertex(cand: int, adj: Sequence[int]) -> int:
     return best_v
 
 
+def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The roots of the orbit chain: (lowest vertex, vertices of the earlier orbits) per orbit.
+
+    Orbits come in order of their lowest vertex.  perms must hold every
+    element of the group (as `_vertex_permutations` builds it), not just
+    generators: the orbit of v is then {p[v] for p in perms}.
+    """
+    orbits = [0] * size
+    for perm in perms:
+        for v, image in enumerate(perm):
+            orbits[v] |= 1 << image
+    chain, excluded = [], 0
+    for v in range(size):
+        if not excluded >> v & 1:
+            chain.append((v, excluded))
+            excluded |= orbits[v]
+    return chain
+
+
 def _search(
     adj: Sequence[int],
     weights: list[int] | None,
     target: int | None,
     time_limit: float | None,
+    perms: Sequence[Sequence[int]] | None = None,
+    incumbent: int = 0,
 ) -> tuple[int, int, int, list[int]]:
     """The one branch-and-bound DFS behind both search modes.
 
-    With target None it optimises: floor is the best weight found so far.
-    Otherwise it enumerates: floor stays at target - 1 and every set of
-    exactly target vertices is collected.  Returns (floor, best mask, nodes
-    explored, collected masks).
+    With target None it optimises: floor is the best weight found so far,
+    starting at the weight of the incumbent, which must be an independent
+    set.  Otherwise it enumerates: floor stays at target - 1 and every set
+    of exactly target vertices is collected.  Returns (floor, best mask,
+    nodes explored, collected masks).
+
+    With perms, a group of automorphisms of the graph (and of the weights),
+    the search starts from the orbit chain instead of the single full root:
+    the i-th root includes the lowest vertex of orbit i and excludes every
+    vertex of the earlier orbits.  Every nonempty set has an image in some
+    root: if orbit i is the first one it meets, a symmetry moves its member
+    in orbit i onto that lowest vertex, and orbits are invariant, so the
+    image still avoids the earlier orbits.  The optimum is unchanged, and
+    every orbit of sets of size target has at least one member collected.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
-    floor = 0 if target is None else target - 1
-    best_mask = 0
+    members = [v for v in range(len(adj)) if incumbent >> v & 1]
+    if incumbent >> len(adj) or any(adj[v] & incumbent for v in members):
+        raise ValueError("incumbent is not an independent set of the graph")
+    if target is None:
+        floor = len(members) if weights is None else sum(weights[v] for v in members)
+    else:
+        floor = target - 1
+    best_mask = incumbent
     found: list[int] = []
-    stack = [((1 << len(adj)) - 1, 0, 0)]
+    full = (1 << len(adj)) - 1
+    if perms is None:
+        stack = [(full, 0, 0)]
+    else:
+        stack = [
+            (full & ~excluded & ~adj[v] & ~(1 << v), 1 if weights is None else weights[v], 1 << v)
+            for v, excluded in reversed(_orbit_chain(len(adj), perms))
+        ]
     while stack:
         cand, cur, mask = stack.pop()
         nodes += 1
@@ -141,9 +189,18 @@ def solve_max_independent(
     weights: list[int] | None = None,
     *,
     time_limit: float | None = None,
+    perms: Sequence[Sequence[int]] | None = None,
+    incumbent: int = 0,
 ) -> tuple[int, int, int]:
-    """Maximum(-weight) independent set; returns (optimum, vertex bitmask, nodes explored)."""
-    return _search(adj, weights, None, time_limit)[:3]
+    """Maximum(-weight) independent set; returns (optimum, vertex bitmask, nodes explored).
+
+    perms, every element of a group of automorphisms that also preserves the
+    weights, lets the search start from an orbit chain (see `_search`).  An
+    incumbent mask, checked to be independent (ValueError otherwise), is the
+    starting best: the search only looks for something heavier, and returns
+    the incumbent when nothing is.
+    """
+    return _search(adj, weights, None, time_limit, perms, incumbent)[:3]
 
 
 def enumerate_max_independent(
@@ -151,24 +208,52 @@ def enumerate_max_independent(
     target: int,
     *,
     time_limit: float | None = None,
+    perms: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], int]:
-    """All independent sets of exactly target vertices, where target is the independence number.
+    """Independent sets of exactly target vertices, where target is the independence number.
 
-    Each qualifying set is emitted exactly once as a bitmask; the include or
-    exclude branching visits every subset along a unique path.
+    Without perms, every qualifying set is emitted exactly once as a
+    bitmask; the include or exclude branching visits every subset along a
+    unique path.  With perms (every element of an automorphism group), the
+    search starts from an orbit chain and returns at least one set per orbit
+    of the group, not all of them; each set still at most once.
     """
-    _, _, nodes, found = _search(adj, None, target, time_limit)
+    _, _, nodes, found = _search(adj, None, target, time_limit, perms)
     return found, nodes
 
 
+def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False) -> list[list[int]]:
+    """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i."""
+    vertex_masks = [s.mask for s in graph.vertices.sets]
+    index = {m: i for i, m in enumerate(vertex_masks)}
+    images = dihedral_images(vertex_masks, graph.vertices.n, rotations_only)
+    return [[index[m] for m in image] for image in images]
+
+
+def _star_mask(graph: DisjointnessGraph) -> int:
+    """The vertices holding element 1: the star, intersecting and of the star bound's size."""
+    return sum(1 << i for i, s in enumerate(graph.vertices.sets) if s.mask & 1)
+
+
 def _solve(n, r, k, weight_fn, max_vertices, time_limit) -> SearchResult:
-    """The path from universe to solve behind both max_intersecting functions."""
+    """The path from universe to solve behind both max_intersecting functions.
+
+    Unweighted, the solve starts from the star (every vertex holding 1) as
+    incumbent and from the orbit chain of the dihedral group.  An arbitrary
+    weight need not respect the symmetry, so the weighted solve stays the
+    plain search.
+    """
     graph = separated_universe(n, r, k, max_vertices)
     weights = None if weight_fn is None else [weight_fn(s) for s in graph.vertices]
     for s, w in zip(graph.vertices, weights or ()):
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
-    optimum, mask, nodes = solve_max_independent(graph.adjacency, weights, time_limit=time_limit)
+    symmetry = {} if weights is not None else {
+        "perms": _vertex_permutations(graph), "incumbent": _star_mask(graph)
+    }
+    optimum, mask, nodes = solve_max_independent(
+        graph.adjacency, weights, time_limit=time_limit, **symmetry
+    )
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
@@ -229,24 +314,27 @@ def extremal_classes(
     """All maximum intersecting families, reported as one representative per symmetry class.
 
     Representatives are canonical forms sorted lexicographically; the witness
-    is the least of them.  Every image of an optimum is an optimum, so each
-    class is canonicalised once and its whole orbit marked as seen.  One time
-    limit covers the whole call: the solve, the enumeration of all optima and
+    is the least of them.  The solve starts from the star as incumbent.  The
+    solve and the enumeration both start from the orbit chain of the chosen
+    group, so the enumeration yields at least one optimum per class, not all
+    of them.  Every image of an optimum is an optimum, so each class is
+    canonicalised once and its whole orbit marked as seen.  One time limit
+    covers the whole call: the solve, the enumeration of the optima and
     their canonicalisation.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
     adj = graph.adjacency
+    perms = _vertex_permutations(graph, rotations_only)
     optimum, _, nodes_opt = solve_max_independent(
-        adj, time_limit=seconds_left(deadline, "the solve")
+        adj,
+        time_limit=seconds_left(deadline, "the solve"),
+        perms=perms,
+        incumbent=_star_mask(graph),
     )
     masks, nodes_enum = enumerate_max_independent(
-        adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima")
+        adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima"), perms=perms
     )
-    vertex_masks = [s.mask for s in graph.vertices.sets]
-    index = {m: i for i, m in enumerate(vertex_masks)}
-    images = dihedral_images(vertex_masks, n, rotations_only)
-    perms = [[index[m] for m in image] for image in images]
     seen: set[int] = set()
     reps = []
     for mask in masks:

@@ -52,23 +52,41 @@ def intersecting(members) -> bool:
     return all(ms[i] & ms[j] for i in range(len(ms)) for j in range(i + 1, len(ms)))
 
 
-def max_intersecting_size(members) -> int:
-    """Walk every intersecting subfamily; feasible because such subfamilies are few."""
+def maximal_intersecting(members) -> list[tuple[int, ...]]:
+    """Every maximal intersecting subfamily, as a tuple of member indices.
+
+    Bron-Kerbosch with a pivot on the graph joining intersecting members.
+    A maximal family holds the pivot or a member disjoint from it (else it
+    could add the pivot), so only those start new branches.  The walk visits
+    each maximal family once; there are few, even where the intersecting
+    subfamilies are too many to walk one by one.
+    """
     sets = [set(m) for m in members]
-    best = 0
+    meets = [
+        sum(1 << j for j, t in enumerate(sets) if j != i and s & t) for i, s in enumerate(sets)
+    ]
+    found: list[tuple[int, ...]] = []
 
-    def grow(start: int, chosen: list[set]) -> None:
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        for j in range(start, len(sets)):
-            if all(sets[j] & c for c in chosen):
-                chosen.append(sets[j])
-                grow(j + 1, chosen)
-                chosen.pop()
+    def bits(mask: int) -> list[int]:
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
-    grow(0, [])
-    return best
+    def grow(chosen: tuple[int, ...], cand: int, done: int) -> None:
+        if not cand | done:
+            found.append(chosen)
+            return
+        pivot = max(bits(cand | done), key=lambda u: (meets[u] & cand).bit_count())
+        for v in bits(cand & ~meets[pivot]):
+            grow(chosen + (v,), cand & meets[v], done & meets[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    grow((), (1 << len(sets)) - 1, 0)
+    return found
+
+
+def max_intersecting_size(members) -> int:
+    """The size of the largest maximal intersecting subfamily."""
+    return max(len(c) for c in maximal_intersecting(members))
 
 
 def max_weight_intersecting(members, weights) -> int:
@@ -91,22 +109,23 @@ def max_weight_intersecting(members, weights) -> int:
 
 def all_maximum_intersecting(members) -> list[frozenset]:
     """Every maximum intersecting subfamily, as frozensets of member tuples."""
-    sets = [set(m) for m in members]
-    found: list[tuple[int, ...]] = []
-
-    def grow(start: int, chosen: list[int]) -> None:
-        found.append(tuple(chosen))
-        for j in range(start, len(sets)):
-            if all(sets[j] & sets[c] for c in chosen):
-                chosen.append(j)
-                grow(j + 1, chosen)
-                chosen.pop()
-
-    grow(0, [])
+    found = maximal_intersecting(members)
     top = max(len(c) for c in found)
     return [
         frozenset(tuple(sorted(members[i])) for i in c) for c in found if len(c) == top
     ]
+
+
+def vertex_permutations(members, n: int, rotations_only: bool = False) -> list[list[int]]:
+    """Each of the 2n circle symmetries (the n rotations with rotations_only) as a
+    permutation of member indices: perm[i] is the index of the image of member i."""
+    index = {tuple(sorted(m)): i for i, m in enumerate(members)}
+    flips = (False,) if rotations_only else (False, True)
+
+    def image(m, s, flip):
+        return tuple(sorted(((s - (x - 1)) if flip else (x - 1 + s)) % n + 1 for x in m))
+
+    return [[index[image(m, s, flip)] for m in members] for s in range(n) for flip in flips]
 
 
 def count_classes(families: list[frozenset], n: int, rotations_only: bool = False) -> int:

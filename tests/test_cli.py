@@ -198,6 +198,16 @@ def test_report_is_byte_identical_across_runs_and_threads(capsys, monkeypatch):
     assert json.loads(first)["all_verified"] is True
 
 
+def test_report_measures_the_optimum_instead_of_reading_the_formula(capsys, monkeypatch):
+    """The solve starts from the star; its floor is the star's size, never the formula."""
+    formula = sepekr.star_size_formula
+    monkeypatch.setattr("sepekr.cli.star_size_formula", lambda n, r, k: formula(n, r, k) + 1)
+    assert run(["report", "--grid", "quick"]) != 0
+    lines = out_of(capsys).splitlines()
+    assert all(line.split()[5] == "FAIL" for line in lines[1:-1])
+    assert lines[-1] == "verified false"
+
+
 # === golden output: every subcommand in every format ===
 
 DATA = Path(__file__).resolve().parent / "data" / "cli"

@@ -26,6 +26,7 @@ from sepekr import (
     star_size_formula,
 )
 import sepekr.search
+from sepekr.core import count_separated
 from sepekr.search import _cover_bound
 
 from helpers import (
@@ -36,6 +37,7 @@ from helpers import (
     max_intersecting_size,
     max_weight_intersecting,
     nx_max_intersecting,
+    vertex_permutations,
 )
 
 
@@ -111,7 +113,7 @@ def test_time_budget():
 def test_time_budget_aborts_inside_the_search():
     started = time.monotonic()
     with pytest.raises(ResourceLimitError, match="^time limit exceeded before node [0-9]+$"):
-        max_intersecting(15, 5, 1, time_limit=0.2)
+        max_intersecting(17, 5, 1, time_limit=0.2)
     assert time.monotonic() - started < 2
 
 
@@ -296,6 +298,124 @@ def test_each_class_is_canonicalised_once(monkeypatch, rotations_only):
     assert len(calls) == len(result.classes)
 
 
+# === orbit chain and incumbent ===
+
+# Every (n, r, k) with k <= 3, n <= 18 and at most 60 vertices: 161 instances.
+SMALL_INSTANCES = [
+    (n, r, k)
+    for k in range(4)
+    for r in range(1, 9)
+    for n in range((k + 1) * r, 19)
+    if count_separated(n, r, k) <= 60
+]
+
+
+def _orbit_closure(masks, perms):
+    out = set()
+    for mask in masks:
+        for perm in perms:
+            out.add(sum(1 << perm[v] for v in _members(mask)))
+    return out
+
+
+def _chain_problems(n, r, k, rotations_only):
+    """How the orbit chain disagrees with the oracles on one instance, if it does."""
+    universe = enumerate_separated(n, r, k)
+    members = [s.elems for s in universe]
+    adj = disjointness_adjacency(universe.sets)
+    perms = vertex_permutations(members, n, rotations_only)
+    maxima = all_maximum_intersecting(members)
+    optimum = max_intersecting_size(members)
+    problems = []
+    got, mask, _ = solve_max_independent(adj, perms=perms)
+    if got != optimum or mask.bit_count() != optimum:
+        problems.append(f"solve found {got}, oracle {optimum}")
+    try:
+        result = extremal_classes(n, r, k, rotations_only=rotations_only)
+    except IndexError:  # it found no optimum at all
+        problems.append("extremal_classes found no class")
+    else:
+        if result.optimum != optimum:
+            problems.append(f"extremal_classes found {result.optimum}, oracle {optimum}")
+        if len(result.classes) != count_classes(maxima, n, rotations_only):
+            problems.append(f"{len(result.classes)} classes")
+    chain, _ = enumerate_max_independent(adj, optimum, perms=perms)
+    full, _ = enumerate_max_independent(adj, optimum)
+    oracle = {sum(1 << members.index(m) for m in fam) for fam in maxima}
+    if len(chain) != len(set(chain)) or not _orbit_closure(chain, perms) == set(full) == oracle:
+        problems.append("the orbits of the chain's optima are not all the optima")
+    return problems
+
+
+@pytest.mark.parametrize("rotations_only", [False, True])
+def test_orbit_chain_matches_the_oracles(rotations_only):
+    assert len(SMALL_INSTANCES) == 161
+    failures = {
+        inst: found
+        for inst in SMALL_INSTANCES
+        if (found := _chain_problems(*inst, rotations_only))
+    }
+    assert failures == {}
+
+
+def test_max_intersecting_on_the_chain_matches_the_oracle():
+    for n, r, k in SMALL_INSTANCES:
+        members = [s.elems for s in enumerate_separated(n, r, k)]
+        assert max_intersecting(n, r, k).optimum == max_intersecting_size(members), (n, r, k)
+
+
+def _drop_last_root(chain):
+    return chain[:-1]
+
+
+def _exclude_one_orbit_too_many(chain):
+    """Each root also excludes the rest of its own orbit: what the next root excludes."""
+    return [(v, after) for (v, _), (_, after) in zip(chain, chain[1:])] + chain[-1:]
+
+
+@pytest.mark.parametrize("fault", [_drop_last_root, _exclude_one_orbit_too_many])
+def test_a_broken_orbit_chain_is_caught(monkeypatch, fault):
+    real = sepekr.search._orbit_chain
+    monkeypatch.setattr(sepekr.search, "_orbit_chain", lambda size, perms: fault(real(size, perms)))
+    assert any(_chain_problems(*inst, False) for inst in SMALL_INSTANCES)
+
+
+def test_chain_with_the_trivial_group_loses_nothing():
+    for n, r, k in [(7, 2, 1), (9, 3, 1), (10, 2, 2)]:
+        adj = disjointness_adjacency(enumerate_separated(n, r, k).sets)
+        identity = [list(range(len(adj)))]
+        optimum, _, _ = solve_max_independent(adj)
+        assert solve_max_independent(adj, perms=identity)[0] == optimum
+        chain, _ = enumerate_max_independent(adj, optimum, perms=identity)
+        assert sorted(chain) == sorted(enumerate_max_independent(adj, optimum)[0])
+
+
+def test_incumbent_must_be_independent(monkeypatch):
+    universe = enumerate_separated(7, 2, 1)
+    adj = disjointness_adjacency(universe.sets)
+    u, v = next((u, v) for u in range(len(adj)) for v in range(len(adj)) if adj[u] >> v & 1)
+    with pytest.raises(ValueError, match="not an independent set"):
+        solve_max_independent(adj, incumbent=1 << u | 1 << v)
+    with pytest.raises(ValueError, match="not an independent set"):
+        solve_max_independent(adj, incumbent=1 << len(adj))
+    # the star reaches the same check as any other incumbent
+    monkeypatch.setattr(sepekr.search, "_star_mask", lambda graph: 1 << u | 1 << v)
+    with pytest.raises(ValueError, match="not an independent set"):
+        max_intersecting(7, 2, 1)
+
+
+def test_incumbent_is_kept_or_beaten():
+    universe = enumerate_separated(9, 3, 1)
+    adj = disjointness_adjacency(universe.sets)
+    star = sum(1 << i for i, s in enumerate(universe.sets) if 1 in s)
+    assert solve_max_independent(adj, incumbent=star)[:2] == (10, star)
+    optimum, mask, _ = solve_max_independent(adj, incumbent=1)
+    assert optimum == mask.bit_count() == 10
+    weights = list(range(len(adj)))
+    best, _, _ = solve_max_independent(adj, weights)
+    assert solve_max_independent(adj, weights, incumbent=star)[0] == best
+
+
 # === clique-cover bound and search modes on random graphs ===
 
 
@@ -356,6 +476,11 @@ def test_search_modes_agree_with_brute_force(graph):
     assert optimum == mask.bit_count()
     best, _, _ = solve_max_independent(adj, weights)
     assert best == max_weight_independent(everything, edges, weights)
+    greedy = 0
+    for v in everything:
+        if not adj[v] & greedy:
+            greedy |= 1 << v
+    assert solve_max_independent(adj, incumbent=greedy)[0] == optimum
     found, _ = enumerate_max_independent(adj, optimum)
     assert found and all(m.bit_count() == optimum for m in found)
     assert all(adj[v] & m == 0 for m in found for v in _members(m))
