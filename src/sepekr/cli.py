@@ -298,6 +298,7 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     if args.kind == "kneser":
         graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
         k = 0
@@ -305,8 +306,7 @@ def _cmd_graph(args) -> int:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
         k = args.k
     # chi first, so that its vertex limit fires before any alpha search is spent;
-    # --limit-seconds covers the two together.
-    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
+    # --limit-seconds covers the build and the two together.
     chi = alpha = None
     if args.chi:
         chi = chromatic_number(graph, time_limit=seconds_left(deadline, "chi"))

@@ -7,7 +7,7 @@ import time
 from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, seconds_left, separated_universe
 )
-from .search import _TIME_CHECK_MASK, solve_max_independent
+from .search import solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -56,8 +56,7 @@ def _colorable(
         if not left:
             return True
         steps += 1
-        if steps & _TIME_CHECK_MASK == 0:
-            seconds_left(deadline, f"colouring step {steps}")
+        seconds_left(deadline, f"colouring step {steps}")
         v = max(left, key=lambda u: (used[u].bit_count(), degrees[u], -u))
         rest = left[:]
         rest.remove(v)

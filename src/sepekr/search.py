@@ -16,7 +16,7 @@ the census enumerates at least one optimum per class rather than all of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -31,8 +31,6 @@ from .core import (
 from .families import canonical_form
 
 CLASS_MAX_VERTICES = 2000
-
-_TIME_CHECK_MASK = 0x3FF
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ def _search(
     while stack:
         cand, cur, mask = stack.pop()
         nodes += 1
-        if nodes & _TIME_CHECK_MASK == 0:
-            seconds_left(deadline, f"node {nodes}")
+        seconds_left(deadline, f"node {nodes}")
         if cur > floor:
             if target is None:
                 floor, best_mask = cur, mask
@@ -235,28 +232,6 @@ def _star_mask(graph: DisjointnessGraph) -> int:
     return sum(1 << i for i, s in enumerate(graph.vertices.sets) if s.mask & 1)
 
 
-def _solve(n, r, k, weight_fn, max_vertices, time_limit) -> SearchResult:
-    """The path from universe to solve behind both max_intersecting functions.
-
-    Unweighted, the solve starts from the star (every vertex holding 1) as
-    incumbent and from the orbit chain of the dihedral group.  An arbitrary
-    weight need not respect the symmetry, so the weighted solve stays the
-    plain search.
-    """
-    graph = separated_universe(n, r, k, max_vertices)
-    weights = None if weight_fn is None else [weight_fn(s) for s in graph.vertices]
-    for s, w in zip(graph.vertices, weights or ()):
-        if not isinstance(w, int) or w < 0:
-            raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
-    symmetry = {} if weights is not None else {
-        "perms": _vertex_permutations(graph), "incumbent": _star_mask(graph)
-    }
-    optimum, mask, nodes = solve_max_independent(
-        graph.adjacency, weights, time_limit=time_limit, **symmetry
-    )
-    return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
-
-
 def max_intersecting(
     n: int,
     r: int,
@@ -267,13 +242,23 @@ def max_intersecting(
 ) -> SearchResult:
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
-    The witness is returned in canonical form; repeated runs are identical.
-    One time limit covers the solve and the canonicalisation of the witness.
+    The solve starts from the star (every vertex holding 1) as incumbent and
+    from the orbit chain of the dihedral group.  The witness is returned in
+    canonical form; repeated runs are identical.  One time limit covers the
+    whole call: the universe, the symmetries, the solve and the
+    canonicalisation of the witness.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    result = _solve(n, r, k, None, max_vertices, seconds_left(deadline, "the solve"))
+    graph = separated_universe(n, r, k, max_vertices)
+    perms = _vertex_permutations(graph)
+    optimum, mask, nodes = solve_max_independent(
+        graph.adjacency,
+        time_limit=seconds_left(deadline, "the solve"),
+        perms=perms,
+        incumbent=_star_mask(graph),
+    )
     seconds_left(deadline, "canonicalising the witness")
-    return replace(result, witness=canonical_form(result.witness))
+    return SearchResult(n, r, k, optimum, canonical_form(graph.subfamily(mask)), None, nodes)
 
 
 def max_intersecting_weighted(
@@ -287,10 +272,21 @@ def max_intersecting_weighted(
 ) -> SearchResult:
     """Exact maximum total weight of an intersecting family under a non-negative integer weight.
 
-    The witness is one optimal family as found; it is not canonicalised because
-    an arbitrary weight function need not respect the circle symmetries.
+    An arbitrary weight need not respect the circle symmetries, so the solve
+    is the plain search and the witness is one optimal family as found, not
+    canonicalised.  One time limit covers the universe, the weights and the
+    solve.
     """
-    return _solve(n, r, k, weight_fn, max_vertices, time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    graph = separated_universe(n, r, k, max_vertices)
+    weights = [weight_fn(s) for s in graph.vertices]
+    for s, w in zip(graph.vertices, weights):
+        if not isinstance(w, int) or w < 0:
+            raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
+    optimum, mask, nodes = solve_max_independent(
+        graph.adjacency, weights, time_limit=seconds_left(deadline, "the solve")
+    )
+    return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
 def _image(mask: int, perm: list[int]) -> int:
@@ -343,7 +339,7 @@ def extremal_classes(
             continue
         reps.append(canonical_form(graph.subfamily(mask), rotations_only))
         seen.update(_image(mask, perm) for perm in perms)
+    if not reps:
+        raise RuntimeError(f"enumeration returned no optimum of size {optimum}")
     classes = tuple(sorted(reps, key=lambda f: tuple(s.elems for s in f.sets)))
-    return SearchResult(
-        n, r, k, optimum, classes[0], classes, nodes_opt + nodes_enum
-    )
+    return SearchResult(n, r, k, optimum, classes[0], classes, nodes_opt + nodes_enum)

@@ -402,6 +402,19 @@ def test_graph_chi_and_alpha_share_one_time_limit(capsys, monkeypatch):
     assert out_of(capsys).endswith("alpha 2\nchi 3\n")
 
 
+def test_graph_time_limit_covers_the_build(capsys, monkeypatch):
+    real = sepekr.cli.build_schrijver
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sepekr.cli.build_schrijver", slow_build)
+    argv = ["graph", "--kind", "schrijver", "--n", "7", "--r", "2", "--alpha"]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    assert "time limit exceeded before alpha" in capsys.readouterr().err
+
+
 def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):
     real = sepekr.cli.extremal_classes
 

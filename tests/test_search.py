@@ -117,6 +117,47 @@ def test_time_budget_aborts_inside_the_search():
     assert time.monotonic() - started < 2
 
 
+def test_time_budget_is_read_at_every_node(monkeypatch):
+    # at 5 ms a node, a clock read only every 1024 nodes would overshoot by seconds
+    real = sepekr.search._cover_bound
+
+    def slow(*args):
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(sepekr.search, "_cover_bound", slow)
+    adj = disjointness_adjacency(enumerate_separated(12, 4, 1).sets)
+    started = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="before node"):
+        solve_max_independent(adj, time_limit=0.05)
+    assert time.monotonic() - started < 1
+
+
+def test_max_intersecting_time_limit_covers_the_symmetries(monkeypatch):
+    real = sepekr.search._vertex_permutations
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sepekr.search, "_vertex_permutations", slow)
+    with pytest.raises(ResourceLimitError, match="before the solve"):
+        max_intersecting(9, 3, 1, time_limit=0.2)
+
+
+def test_weighted_time_limit_covers_the_weights():
+    calls = []
+
+    def slow_weight(s):
+        if not calls:
+            time.sleep(0.3)
+        calls.append(s)
+        return 1
+
+    with pytest.raises(ResourceLimitError, match="before the solve"):
+        max_intersecting_weighted(9, 3, 1, slow_weight, time_limit=0.2)
+
+
 def test_search_is_deterministic():
     a = max_intersecting(10, 3, 1)
     b = max_intersecting(10, 3, 1)
@@ -332,7 +373,7 @@ def _chain_problems(n, r, k, rotations_only):
         problems.append(f"solve found {got}, oracle {optimum}")
     try:
         result = extremal_classes(n, r, k, rotations_only=rotations_only)
-    except IndexError:  # it found no optimum at all
+    except RuntimeError:  # it found no optimum at all
         problems.append("extremal_classes found no class")
     else:
         if result.optimum != optimum:
@@ -378,6 +419,15 @@ def test_a_broken_orbit_chain_is_caught(monkeypatch, fault):
     real = sepekr.search._orbit_chain
     monkeypatch.setattr(sepekr.search, "_orbit_chain", lambda size, perms: fault(real(size, perms)))
     assert any(_chain_problems(*inst, False) for inst in SMALL_INSTANCES)
+
+
+def test_an_enumeration_without_an_optimum_is_an_internal_fault(monkeypatch):
+    real = sepekr.search._orbit_chain
+    monkeypatch.setattr(
+        sepekr.search, "_orbit_chain", lambda size, perms: _drop_last_root(real(size, perms))
+    )
+    with pytest.raises(RuntimeError, match="^enumeration returned no optimum"):
+        extremal_classes(1, 1, 0)
 
 
 def test_chain_with_the_trivial_group_loses_nothing():
