@@ -20,13 +20,15 @@ bit a-1 stands for element a, and its primitives are:
   ``SetFamily`` keeps (for sets of one size, descending bit-reversed mask).
 
 ``verify_compression_suite`` reads each member's mask once and runs the
-partition, the derivation and all nine clauses on masks.  Each member of
-every derived family (overlap, components, reduced, reduced image, images)
-is checked by ``core.check_member_masks``, the rules and messages of
-``SetFamily``; the cells need no check, being parts of a family that is
-already valid.  ``CircSet`` and ``SetFamily`` objects are built only
-at the API boundary (``compress``, ``compress_iter``, ``partition_family``,
-``derive_families``) and for the witnesses of a failed clause.
+partition, the derivation and all nine clauses on masks; ``derive_families``
+runs the same partition and derivation.  Each fact about a member is checked
+once: the partition tests every image for size and k-separation, and the
+derivation checks each reduced component with ``core.check_member_masks``
+(the rules and messages of ``SetFamily``); every other derived family is
+made of members already checked, as ``_derive`` explains.  ``CircSet`` and
+``SetFamily`` objects are built only at the API boundary (``compress``,
+``compress_iter``, ``partition_family``, ``derive_families``) and for the
+witnesses of a failed clause.
 """
 
 from __future__ import annotations
@@ -129,23 +131,28 @@ class _Derived(NamedTuple):
 def _derive(
     free: list[int], anchored: list[int], boundary: list[list[int]], n: int, r: int, k: int
 ) -> _Derived:
-    """Compress the cells and drop the anchor, checking each derived family's members."""
+    """Compress the cells and drop the anchor; each component's members are checked.
+
+    The component check is the only member check here, because every other
+    derived family's members are already checked.  The images (so also the
+    overlap, a subset of them) are the images _partition has tested for size
+    and k-separation, raising on a failure first.  reduced is the union of
+    the checked components.  A component member has r-1 elements only if its
+    image held the anchor and lost it, so bit 0 is clear and compressing it
+    once more is ``m >> 1``, which keeps its size.
+    """
     if r < 2:
         raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
     free_images = {_compress_mask(m) for m in free}
     anchored_images = {_compress_mask(m) for m in anchored}
     overlap = free_images & anchored_images
-    check_member_masks(overlap, n - 1, r, k)
     components = [_reduce(overlap, k - 1)]
     components += [_reduce(cell, k) for cell in boundary]
     for component in components:
         check_member_masks(component, n - k, r - 1, 0)
     reduced = set().union(*components)
-    check_member_masks(reduced, n - k, r - 1, 0)
     images = free_images | anchored_images
-    check_member_masks(images, n - 1, r, k)
     reduced_image = {_compress_mask(m) for m in reduced}
-    check_member_masks(reduced_image, n - k - 1, r - 1, 0)
     return _Derived(images, overlap, reduced, reduced_image, components)
 
 
@@ -221,18 +228,6 @@ class PartitionResult:
     boundary: tuple[SetFamily, ...]
 
     @property
-    def n(self) -> int:
-        return self.free.n
-
-    @property
-    def r(self) -> int:
-        return self.free.r
-
-    @property
-    def k(self) -> int:
-        return self.free.k
-
-    @property
     def cells(self) -> tuple[SetFamily, ...]:
         return (self.free, self.anchored) + self.boundary
 
@@ -279,24 +274,16 @@ class DerivedFamilies:
     components: tuple[SetFamily, ...]
 
 
-def derive_families(partition: PartitionResult) -> DerivedFamilies:
-    """Assemble the reduced (r-1)-set family a partition compresses onto.
+def derive_families(family: SetFamily) -> DerivedFamilies:
+    """Assemble the reduced (r-1)-set family that a k-separated family compresses onto.
 
-    The overlap is compressed k-1 further steps, each boundary cell k steps,
-    and the anchor 1 is dropped from every image.  Nothing is claimed here;
-    verify_compression_suite tests every claim about the result.  A partition
-    that partition_family would not give for its members raises ValueError.
+    The family is partitioned as partition_family does, raising where it
+    raises; the overlap is compressed k-1 further steps, each boundary cell k
+    steps, and the anchor 1 is dropped from every image.  Nothing is claimed
+    here; verify_compression_suite tests every claim about the result.
     """
-    n, r, k = partition.n, partition.r, partition.k
-    members = tuple(s for cell in partition.cells for s in cell)
-    if partition_family(SetFamily(n, r, k, members)) != partition:
-        raise ValueError("partition differs from partition_family of its members")
-    d = _derive(
-        [s.mask for s in partition.free],
-        [s.mask for s in partition.anchored],
-        [[s.mask for s in cell] for cell in partition.boundary],
-        n, r, k,
-    )
+    n, r, k = family.n, family.r, family.k
+    d = _derive(*_partition([s.mask for s in family], n, r, k), n, r, k)
     return DerivedFamilies(
         images=_family(n - 1, r, k, d.images),
         overlap=_family(n - 1, r, k, d.overlap),
@@ -359,9 +346,9 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     Intended for intersecting families; a non-intersecting input fails the
     first clause and usually some later ones, all reported with witnesses
     rather than raised.  compressed-separated cannot fail: it restates the
-    exhaustiveness check of the partition, which raises RuntimeError first,
-    and the images are checked as members of a family with the same k.  It
-    is kept so the report lists every claim the size bound rests on.  The
+    exhaustiveness check of the partition, which raises RuntimeError first.
+    It is kept so the report lists every claim the size bound rests on.  The
+    partition and the derivation are the ones derive_families runs: the
     partition raises ValueError unless k >= 1 and n >= (k+1)r + 1, and the
     derivation unless r >= 2.
     """

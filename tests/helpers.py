@@ -212,10 +212,15 @@ def _first_disjoint_pairs(members: list[tuple[int, ...]], n: int) -> list:
     return [(n, s) for pair in pairs[:5] for s in pair]
 
 
-def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
-    """The nine compression clauses from their definitions, as (clause_id, passed,
-    witnesses, detail); a witness is (ambient, elems).  members must be k-separated
-    r-sets of [n] with k >= 1, r >= 2 and n >= (k+1)r + 1.
+def _fold(s, j: int) -> tuple[int, ...]:
+    """j-fold compression: every element x goes to max(1, x - j)."""
+    return tuple(sorted({max(1, x - j) for x in s}))
+
+
+def derived_oracle(n: int, r: int, k: int, members) -> tuple:
+    """The derived families of a compression, from their definitions, as
+    (images, overlap, reduced, reduced_image, components), each a set of
+    element tuples; members as for compression_oracle.
 
     compress sends x to max(1, x - 1) and j-fold compression x to max(1, x - j).
     A member holding the pair (1, k+2) is in boundary cell 0, one holding
@@ -226,11 +231,36 @@ def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
     cell compressed k steps, with 1 dropped from every set.
     """
 
-    def fold(s, j):
-        return tuple(sorted({max(1, x - j) for x in s}))
-
     def drop_1(s):
         return tuple(x for x in s if x != 1)
+
+    free, anchored = set(), set()
+    boundary: list[set] = [set() for _ in range(k + 1)]
+    for a in (tuple(sorted(m)) for m in members):
+        cells = [0] if {1, k + 2} <= set(a) else []
+        cells += [i for i in range(1, k + 1) if {n + 1 - i, k + 2 - i} <= set(a)]
+        if cells:
+            boundary[cells[0]].add(a)
+        else:
+            (anchored if 1 in a else free).add(a)
+    free_images = {_fold(a, 1) for a in free}
+    anchored_images = {_fold(a, 1) for a in anchored}
+    images = free_images | anchored_images
+    overlap = free_images & anchored_images
+    components = [{drop_1(_fold(e, k - 1)) for e in overlap}]
+    components += [{drop_1(_fold(a, k)) for a in cell} for cell in boundary]
+    reduced = set().union(*components)
+    reduced_image = {_fold(m, 1) for m in reduced}
+    return images, overlap, reduced, reduced_image, components
+
+
+def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
+    """The nine compression clauses from their definitions, as (clause_id, passed,
+    witnesses, detail); a witness is (ambient, elems).  members must be k-separated
+    r-sets of [n] with k >= 1, r >= 2 and n >= (k+1)r + 1.
+
+    The derived families are derived_oracle's.
+    """
 
     def separated(s, ground):
         return min(circ_gaps(s, ground)) > k
@@ -240,7 +270,7 @@ def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
     for j in range(1, k + 1):
         groups: dict[tuple, list] = {}
         for a in family:
-            groups.setdefault(fold(a, j), []).append(a)
+            groups.setdefault(_fold(a, j), []).append(a)
         for group in groups.values():
             for x in range(len(group)):
                 for y in range(x + 1, len(group)):
@@ -248,23 +278,7 @@ def compression_oracle(n: int, r: int, k: int, members) -> list[tuple]:
                     if len(diff) != 2 or max(diff) > j + 1:
                         witnesses += [(n, group[x]), (n, group[y])]
 
-    free, anchored = set(), set()
-    boundary: list[set] = [set() for _ in range(k + 1)]
-    for a in family:
-        cells = [0] if {1, k + 2} <= set(a) else []
-        cells += [i for i in range(1, k + 1) if {n + 1 - i, k + 2 - i} <= set(a)]
-        if cells:
-            boundary[cells[0]].add(a)
-        else:
-            (anchored if 1 in a else free).add(a)
-    free_images = {fold(a, 1) for a in free}
-    anchored_images = {fold(a, 1) for a in anchored}
-    images = free_images | anchored_images
-    overlap = free_images & anchored_images
-    components = [{drop_1(fold(e, k - 1)) for e in overlap}]
-    components += [{drop_1(fold(a, k)) for a in cell} for cell in boundary]
-    reduced = set().union(*components)
-    reduced_image = {fold(m, 1) for m in reduced}
+    images, _, reduced, reduced_image, components = derived_oracle(n, r, k, family)
 
     def bad(sets, ground, size=None):
         return [

@@ -8,10 +8,10 @@ import pytest
 
 from sepekr import (
     CircSet,
-    PartitionResult,
     SetFamily,
     compress,
     compress_iter,
+    compression,
     derive_families,
     enumerate_separated,
     is_intersecting,
@@ -21,7 +21,12 @@ from sepekr import (
     verify_compression_suite,
 )
 
-from helpers import brute_separated, compression_oracle, greedy_maximal_intersecting
+from helpers import (
+    brute_separated,
+    compression_oracle,
+    derived_oracle,
+    greedy_maximal_intersecting,
+)
 
 CLAUSE_IDS = [
     "input-intersecting",
@@ -190,7 +195,7 @@ def test_partition_covers_every_member_exactly_once():
 
 
 def test_derive_star_6_2_1():
-    derived = derive_families(partition_family(star_family(6, 2, 1, 1)))
+    derived = derive_families(star_family(6, 2, 1, 1))
     assert len(derived.overlap) == 0
     assert derived.reduced.n == 5 and derived.reduced.r == 1
     assert [s.elems for s in derived.reduced] == [(2,)]
@@ -202,7 +207,7 @@ def test_derive_star_6_2_1():
 def test_derive_overlap_example():
     # {2,5} from the free cell and {1,5} from the anchored cell share the image {1,4}
     fam = SetFamily(7, 2, 1, (CircSet(7, (2, 5)), CircSet(7, (1, 5))))
-    derived = derive_families(partition_family(fam))
+    derived = derive_families(fam)
     assert [s.elems for s in derived.overlap] == [(1, 4)]
     assert [s.elems for s in derived.reduced] == [(4,)]
     assert derived.reduced.n == 6
@@ -210,39 +215,34 @@ def test_derive_overlap_example():
 
 
 def test_derive_rejects_r1():
-    fam = enumerate_separated(5, 1, 1)
-    with pytest.raises(ValueError):
-        derive_families(partition_family(fam))
-
-
-def _star_9_3_1_with_anchored_moved_to_free():
-    part = partition_family(star_family(9, 3, 1, 1))
-    free = SetFamily(9, 3, 1, part.free.sets + part.anchored.sets)
-    return PartitionResult(free, SetFamily(9, 3, 1, ()), part.boundary)
-
-
-def _k0_partition():
-    empty = SetFamily(7, 2, 0, ())
-    return PartitionResult(empty, SetFamily(7, 2, 0, (CircSet(7, (1, 4)),)), (empty,))
-
-
-def _star_9_3_1_with_an_anchored_member_also_free():
-    part = partition_family(star_family(9, 3, 1, 1))
-    free = SetFamily(9, 3, 1, part.free.sets + part.anchored.sets[:1])
-    return PartitionResult(free, part.anchored, part.boundary)
+    # and every family the partition rejects: k = 0, and n = (k+1)r, too small
+    for n, r, k in [(5, 1, 1), (7, 2, 0), (4, 2, 1)]:
+        with pytest.raises(ValueError):
+            derive_families(enumerate_separated(n, r, k))
 
 
 @pytest.mark.parametrize(
-    "make_partition",
+    "target, fault, error, message",
     [
-        _star_9_3_1_with_anchored_moved_to_free,
-        _k0_partition,
-        _star_9_3_1_with_an_anchored_member_also_free,
+        # the anchor stays in every reduced member: the component check fires
+        (
+            "_reduce",
+            lambda masks, j: {compression._compress_iter_mask(m, j) for m in masks},
+            ValueError,
+            "has 3 elements",
+        ),
+        # compression forgets the anchor: the partition's image check fires
+        ("_compress_mask", lambda m: m >> 1, RuntimeError, "fits no cell"),
     ],
+    ids=["anchor-kept", "anchor-lost"],
 )
-def test_derive_rejects_partitions_partition_family_cannot_give(make_partition):
-    with pytest.raises(ValueError):
-        derive_families(make_partition())
+@pytest.mark.parametrize("entry", [derive_families, verify_compression_suite])
+def test_each_derived_fact_has_a_check_that_fires(
+    monkeypatch, target, fault, error, message, entry
+):
+    monkeypatch.setattr(compression, target, fault)
+    with pytest.raises(error, match=message):
+        entry(star_family(9, 3, 1, 1))
 
 
 def test_derive_no_violations_on_intersecting_families():
@@ -253,7 +253,7 @@ def test_derive_no_violations_on_intersecting_families():
             for n in range((k + 1) * r + 1, (k + 1) * r + 5):
                 for _ in range(6):
                     fam = random_maximal_intersecting(n, r, k, rng)
-                    derived = derive_families(partition_family(fam))
+                    derived = derive_families(fam)
                     report = verify_compression_suite(fam)
                     for clause_id in (
                         "reduced-components-disjoint",
@@ -381,13 +381,11 @@ def test_suite_on_random_maximal_families():
                     assert report.passed, fam.to_line()
 
 
-def test_suite_agrees_with_the_independent_oracle():
-    # every clause's verdict, witnesses (with their ambient) and detail, on whole
-    # universes, random maximal families, their random subfamilies and random
-    # (mostly non-intersecting) families
+def oracle_cases():
+    """(n, r, k, members) for whole universes, random maximal families, their
+    random subfamilies and random (mostly non-intersecting) families."""
     rng = random.Random(2024)
     instances = [(7, 2, 1), (8, 2, 1), (10, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3), (13, 3, 3)]
-    failed = set()
     for n, r, k in instances:
         universe = brute_separated(n, r, k)
         families = [universe]
@@ -397,15 +395,34 @@ def test_suite_agrees_with_the_independent_oracle():
             families.append(rng.sample(maximal, rng.randint(1, len(maximal))))
             families.append(rng.sample(universe, rng.randint(2, min(12, len(universe)))))
         for members in families:
-            family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
-            report = verify_compression_suite(family)
-            got = [
-                (c.clause_id, c.passed, [(w.n, w.elems) for w in c.witnesses], c.detail)
-                for c in report.clauses
-            ]
-            assert got == compression_oracle(n, r, k, members), family.to_line()
-            failed.update(c.clause_id for c in report.clauses if not c.passed)
+            yield n, r, k, members
+
+
+def test_suite_agrees_with_the_independent_oracle():
+    # every clause's verdict, witnesses (with their ambient) and detail
+    failed = set()
+    for n, r, k, members in oracle_cases():
+        family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
+        report = verify_compression_suite(family)
+        got = [
+            (c.clause_id, c.passed, [(w.n, w.elems) for w in c.witnesses], c.detail)
+            for c in report.clauses
+        ]
+        assert got == compression_oracle(n, r, k, members), family.to_line()
+        failed.update(c.clause_id for c in report.clauses if not c.passed)
     assert failed == {"input-intersecting", "compressed-intersecting", "reduced-intersecting"}
+
+
+def test_derive_agrees_with_the_independent_oracle():
+    # every derived family's members, components in order, on the same families
+    for n, r, k, members in oracle_cases():
+        family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
+        d = derive_families(family)
+        got = [
+            f.member_keys for f in (d.images, d.overlap, d.reduced, d.reduced_image, *d.components)
+        ]
+        images, overlap, reduced, reduced_image, components = derived_oracle(n, r, k, members)
+        assert got == [images, overlap, reduced, reduced_image, *components], family.to_line()
 
 
 def test_size_identity_components():
@@ -414,7 +431,7 @@ def test_size_identity_components():
     for _ in range(20):
         fam = random_maximal_intersecting(9, 3, 1, rng)
         part = partition_family(fam)
-        derived = derive_families(part)
+        derived = derive_families(fam)
         images = {compress(a).elems for a in part.free} | {
             compress(a).elems for a in part.anchored
         }
