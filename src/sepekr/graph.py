@@ -38,34 +38,56 @@ def _colorable(
 ) -> bool:
     """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
 
-    A state is (uncoloured vertices, colours next to each vertex, top colour
-    used).  Each step colours the DSATUR vertex (most distinct neighbour
-    colours, then highest degree, then lowest index), lowest colour first.
+    Each step colours the DSATUR vertex (Brélaz, "New methods to color the
+    vertices of a graph", 1979): most distinct neighbour colours, then highest
+    degree, then lowest index, trying the lowest colour first.  A state is
+    (uncoloured vertices, levels, near, top colour used) in int bitsets:
+    levels[s] holds the uncoloured vertices with exactly s distinct neighbour
+    colours, and near[c] the vertices next to colour c.  No vertex sees more
+    colours than top + 1.  The DSATUR vertex is the lowest bit where the
+    highest non-empty level meets the first degree class that meets it.
     Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
     """
-    nbrs = [[u for u in range(len(adj)) if row >> u & 1] for row in adj]
-    degrees = [len(ns) for ns in nbrs]
-    used = [0] * len(adj)
+    degrees = [row.bit_count() for row in adj]
+    by_degree = [
+        sum(1 << v for v, d in enumerate(degrees) if d == degree)
+        for degree in sorted(set(degrees), reverse=True)
+    ]
+    left = (1 << len(adj)) - 1
+    for v in clique:
+        left &= ~(1 << v)
+    levels = [left] + [0] * colors_allowed
+    near = [0] * colors_allowed
     for color, v in enumerate(clique):
-        for u in nbrs[v]:
-            used[u] |= 1 << color
+        near[color] = moved = adj[v] & left
+        levels = [hi & ~moved | lo & moved for lo, hi in zip([0, *levels], levels)]
     steps = 0
-    stack = [([v for v in range(len(adj)) if v not in clique], used, len(clique) - 1)]
+    stack = [(left, levels, near, len(clique) - 1)]
     while stack:
-        left, used, top = stack.pop()
+        left, levels, near, top = stack.pop()
         if not left:
             return True
         steps += 1
         seconds_left(deadline, f"colouring step {steps}")
-        v = max(left, key=lambda u: (used[u].bit_count(), degrees[u], -u))
-        rest = left[:]
-        rest.remove(v)
+        saturation = top + 1
+        while not levels[saturation]:
+            saturation -= 1
+        tied = levels[saturation]
+        for group in by_degree:
+            first = tied & group
+            if first:
+                break
+        bit = first & -first
+        rest = left ^ bit
+        row = adj[bit.bit_length() - 1] & rest
         for color in range(min(colors_allowed - 1, top + 1), -1, -1):
-            if not used[v] >> color & 1:
-                child = used[:]
-                for u in nbrs[v]:
-                    child[u] |= 1 << color
-                stack.append((rest, child, max(top, color)))
+            if not near[color] & bit:
+                moved = row & ~near[color]
+                kept = ~(moved | bit)
+                child_near = near[:]
+                child_near[color] |= row
+                child_levels = [hi & kept | lo & moved for lo, hi in zip([0, *levels], levels)]
+                stack.append((rest, child_levels, child_near, max(top, color)))
     return False
 
 

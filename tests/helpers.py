@@ -191,6 +191,41 @@ def max_weight_independent(vertices, edges, weights=None) -> int:
     return best_from(sorted(vertices))
 
 
+def dsatur_steps(adj, colors: int, clique) -> tuple[bool, int]:
+    """Whether the graph has a proper colouring with `colors` colours, by DSATUR
+    backtracking (Brélaz, 1979), and how many steps that takes.
+
+    The clique's vertices get colours 0, 1, ... in clique order.  A step is a
+    partial colouring that leaves a vertex uncoloured.  It colours the uncoloured
+    vertex with the most distinct neighbour colours, then the highest degree,
+    then the lowest index.  It tries each colour it may take, lowest first, up to
+    one above the highest colour used so far.
+    """
+    nbrs = [[u for u in range(len(adj)) if adj[v] >> u & 1] for v in range(len(adj))]
+    colour = {v: c for c, v in enumerate(clique)}
+    steps = 0
+
+    def seen(v: int) -> set:
+        return {colour[u] for u in nbrs[v] if u in colour}
+
+    def extend(top: int) -> bool:
+        nonlocal steps
+        left = [v for v in range(len(adj)) if v not in colour]
+        if not left:
+            return True
+        steps += 1
+        v = max(left, key=lambda u: (len(seen(u)), len(nbrs[u]), -u))
+        for c in range(min(colors - 1, top + 1) + 1):
+            if c not in seen(v):
+                colour[v] = c
+                if extend(max(top, c)):
+                    return True
+                del colour[v]
+        return False
+
+    return extend(len(clique) - 1), steps
+
+
 def greedy_maximal_intersecting(n: int, r: int, k: int, rng) -> list[tuple[int, ...]]:
     """The random maximal family from its definition: shuffle the indices of the
     separated sets, then keep each set, in that order, that meets every set kept

@@ -383,7 +383,7 @@ def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
 
 def test_graph_chi_obeys_the_time_limit(capsys):
     started = time.monotonic()
-    argv = ["graph", "--kind", "schrijver", "--n", "10", "--r", "3", "--k", "1", "--chi"]
+    argv = ["graph", "--kind", "schrijver", "--n", "12", "--r", "2", "--k", "1", "--chi"]
     assert run(argv + ["--limit-seconds", "1"]) == 3
     assert time.monotonic() - started < 10
     assert "time limit" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from sepekr import (
 )
 from sepekr.cli import run
 
-from helpers import max_intersecting_size
+from helpers import dsatur_steps, max_intersecting_size
 
 PETERSEN = build_kneser(5, 2)
 
@@ -240,6 +241,27 @@ def test_chromatic_matches_brute_force_on_random_graphs(graph):
     assert chromatic_number(graph) == brute_chromatic(graph.adjacency)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_disjointness_graphs())
+def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
+    # the random graphs are not regular, so the degree tie-break decides some steps
+    adj = graph.adjacency
+    cliques = [
+        list(c)
+        for size in range(len(adj) + 1)
+        for c in combinations(range(len(adj)), size)
+        if all(adj[u] >> w & 1 for u, w in combinations(c, 2))
+    ]
+    clique = max(cliques, key=len)
+    stages = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
+        for c in range(len(clique), brute_chromatic(adj) + 1):
+            stages.clear()
+            colourable = sepekr.graph._colorable(adj, c, clique, None)
+            assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), c
+
+
 def test_chromatic_number_of_the_empty_graph():
     assert chromatic_number(DisjointnessGraph(SetFamily(5, 2, 0, ()))) == 0
 
@@ -265,9 +287,18 @@ def test_chromatic_time_limit():
 
 
 @pytest.mark.parametrize(
-    "n, r, chi, steps", [(8, 3, 4, 102), (9, 2, 7, 808), (9, 3, 5, 968), (10, 2, 8, 7580)]
+    "n, r, k, chi, steps",
+    [
+        pytest.param(8, 3, 1, 4, 102, id="8-3-4-102"),
+        pytest.param(9, 2, 1, 7, 808, id="9-2-7-808"),
+        pytest.param(9, 3, 1, 5, 968, id="9-3-5-968"),
+        pytest.param(10, 2, 1, 8, 7580, id="10-2-8-7580"),
+        pytest.param(11, 2, 1, 9, 61625, id="11-2-9-61625"),
+        # k = 0 is the Kneser graph, which is regular, so only the index breaks ties
+        pytest.param(9, 2, 0, 7, 1434, id="kneser-9-2-7-1434"),
+    ],
 )
-def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, chi, steps):
+def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, k, chi, steps):
     # with the clock checked at every step, each colouring step names itself once;
     # the totals freeze the DSATUR order, the precoloured clique and the fresh-colour rule
     stages = []
@@ -276,7 +307,7 @@ def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, chi, steps
         stages.append(stage)
 
     monkeypatch.setattr(sepekr.graph, "seconds_left", record)
-    assert chromatic_number(build_schrijver(n, r, 1)) == chi
+    assert chromatic_number(build_schrijver(n, r, k)) == chi
     assert sum(stage.startswith("colouring step") for stage in stages) == steps
 
 
