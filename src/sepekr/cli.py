@@ -42,15 +42,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _read_thread_env() -> int:
+def _read_thread_env() -> None:
     raw = os.environ.get("SEPEKR_THREADS", "1")
     try:
         threads = int(raw)
     except ValueError:
-        raise ValueError(f"SEPEKR_THREADS must be a positive integer, got {raw!r}")
+        threads = 0
     if threads < 1:
         raise ValueError(f"SEPEKR_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def _positive(convert):
@@ -83,7 +82,7 @@ def _add_seconds_arg(p: argparse.ArgumentParser) -> None:
         "--limit-seconds",
         type=_positive(float),
         default=None,
-        help="abort searches running longer than this",
+        help="seconds for all of the command's work; exit 3 when they run out",
     )
 
 
@@ -301,10 +300,9 @@ def _cmd_graph(args) -> int:
     deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     if args.kind == "kneser":
         graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
-        k = 0
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
-        k = args.k
+    k = graph.vertices.k
     # chi first, so that its vertex limit fires before any alpha search is spent;
     # --limit-seconds covers the build and the two together.
     chi = alpha = None

@@ -7,10 +7,11 @@ maximum weight) and enumerate (the independent sets of a given size).  It
 uses Python-int bitsets for adjacency rows and candidate sets, a greedy
 clique-cover upper bound whose clique classes are built bit-parallel, as in
 BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
-return identical answers.  The unweighted solves start from the star as a
-checked incumbent, and both unweighted modes start from an orbit chain of the
-circle's symmetry (orbital branching at the root; Ostrowski et al., 2011), so
-the census enumerates at least one optimum per class rather than all of them.
+return identical answers.  `max_intersecting` and `extremal_classes` start
+their solves from the star as a checked incumbent and from an orbit chain of
+the circle's symmetry (orbital branching at the root; Ostrowski et al., 2011),
+and so does the enumeration in `extremal_classes`, so the census enumerates at
+least one optimum per class rather than all of them.
 """
 
 from __future__ import annotations
@@ -101,19 +102,17 @@ def _pick_branch_vertex(cand: int, adj: Sequence[int]) -> int:
 def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The roots of the orbit chain: (lowest vertex, vertices of the earlier orbits) per orbit.
 
-    Orbits come in order of their lowest vertex.  perms must hold every
-    element of the group (as `_vertex_permutations` builds it), not just
-    generators: the orbit of v is then {p[v] for p in perms}.
+    Orbits come in order of their lowest vertex, and each orbit is built when
+    its root is reached.  perms must hold every element of the group (as
+    `_vertex_permutations` builds it), not just generators: the orbit of v is
+    then {p[v] for p in perms}.
     """
-    orbits = [0] * size
-    for perm in perms:
-        for v, image in enumerate(perm):
-            orbits[v] |= 1 << image
     chain, excluded = [], 0
     for v in range(size):
         if not excluded >> v & 1:
             chain.append((v, excluded))
-            excluded |= orbits[v]
+            for perm in perms:
+                excluded |= 1 << perm[v]
     return chain
 
 
@@ -144,13 +143,11 @@ def _search(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
+    value = [1] * len(adj) if weights is None else weights
     members = [v for v in range(len(adj)) if incumbent >> v & 1]
     if incumbent >> len(adj) or any(adj[v] & incumbent for v in members):
         raise ValueError("incumbent is not an independent set of the graph")
-    if target is None:
-        floor = len(members) if weights is None else sum(weights[v] for v in members)
-    else:
-        floor = target - 1
+    floor = sum(value[v] for v in members) if target is None else target - 1
     best_mask = incumbent
     found: list[int] = []
     full = (1 << len(adj)) - 1
@@ -158,7 +155,7 @@ def _search(
         stack = [(full, 0, 0)]
     else:
         stack = [
-            (full & ~excluded & ~adj[v] & ~(1 << v), 1 if weights is None else weights[v], 1 << v)
+            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v)
             for v, excluded in reversed(_orbit_chain(len(adj), perms))
         ]
     while stack:
@@ -171,13 +168,13 @@ def _search(
             elif cur == target:
                 found.append(mask)
                 continue
+        # The cover gets weights, not value: its weights=None path counts classes faster.
         if not cand or cur + _cover_bound(cand, adj, weights) <= floor:
             continue
         v = _pick_branch_vertex(cand, adj)
         b = 1 << v
         stack.append((cand & ~b, cur, mask))
-        w = 1 if weights is None else weights[v]
-        stack.append((cand & ~adj[v] & ~b, cur + w, mask | b))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b))
     return floor, best_mask, nodes, found
 
 

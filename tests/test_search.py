@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepekr import (
+    DisjointnessGraph,
     ResourceLimitError,
     are_isomorphic,
     build_kneser,
@@ -430,10 +431,38 @@ def test_an_enumeration_without_an_optimum_is_an_internal_fault(monkeypatch):
         extremal_classes(1, 1, 0)
 
 
+def _expected_chain(members, n, rotations_only):
+    """The orbit chain from the definition: the lowest vertex of each orbit, in index order,
+    with the union of the earlier orbits as its exclusion mask."""
+    perms = vertex_permutations(members, n, rotations_only)
+    orbits = {frozenset(perm[v] for perm in perms) for v in range(len(members))}
+    chain, excluded = [], 0
+    for orbit in sorted(orbits, key=min):
+        chain.append((min(orbit), excluded))
+        excluded |= sum(1 << v for v in orbit)
+    return chain
+
+
+@pytest.mark.parametrize("rotations_only", [False, True])
+def test_orbit_chain_is_exactly_the_chain_of_the_definition(rotations_only):
+    wrong = []
+    for n, r, k in SMALL_INSTANCES:
+        graph = DisjointnessGraph(enumerate_separated(n, r, k))
+        members = [s.elems for s in graph.vertices]
+        perms = sepekr.search._vertex_permutations(graph, rotations_only)
+        if sepekr.search._orbit_chain(len(members), perms) != _expected_chain(
+            members, n, rotations_only
+        ):
+            wrong.append((n, r, k))
+    assert wrong == []
+
+
 def test_chain_with_the_trivial_group_loses_nothing():
     for n, r, k in [(7, 2, 1), (9, 3, 1), (10, 2, 2)]:
         adj = disjointness_adjacency(enumerate_separated(n, r, k).sets)
         identity = [list(range(len(adj)))]
+        one_root_per_vertex = [(v, (1 << v) - 1) for v in range(len(adj))]
+        assert sepekr.search._orbit_chain(len(adj), identity) == one_root_per_vertex
         optimum, _, _ = solve_max_independent(adj)
         assert solve_max_independent(adj, perms=identity)[0] == optimum
         chain, _ = enumerate_max_independent(adj, optimum, perms=identity)
@@ -494,6 +523,15 @@ def _members(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+def _greedy_independent(adj) -> int:
+    """First-fit independent set in index order."""
+    greedy = 0
+    for v in range(len(adj)):
+        if not adj[v] & greedy:
+            greedy |= 1 << v
+    return greedy
+
+
 @settings(max_examples=200)
 @given(random_graphs(40))
 def test_cover_bound_is_first_fit_partition(graph):
@@ -526,12 +564,33 @@ def test_search_modes_agree_with_brute_force(graph):
     assert optimum == mask.bit_count()
     best, _, _ = solve_max_independent(adj, weights)
     assert best == max_weight_independent(everything, edges, weights)
-    greedy = 0
-    for v in everything:
-        if not adj[v] & greedy:
-            greedy |= 1 << v
-    assert solve_max_independent(adj, incumbent=greedy)[0] == optimum
+    assert solve_max_independent(adj, incumbent=_greedy_independent(adj))[0] == optimum
     found, _ = enumerate_max_independent(adj, optimum)
     assert found and all(m.bit_count() == optimum for m in found)
     assert all(adj[v] & m == 0 for m in found for v in _members(m))
     assert enumerate_max_independent(adj, optimum + 1)[0] == []
+
+
+@settings(max_examples=100)
+@given(random_graphs(24))
+def test_unit_weights_walk_the_same_tree_as_no_weights(graph):
+    adj = graph[0]
+    unit = [1] * len(adj)
+    assert solve_max_independent(adj, unit) == solve_max_independent(adj)
+    greedy = _greedy_independent(adj)
+    assert solve_max_independent(adj, unit, incumbent=greedy) == solve_max_independent(
+        adj, incumbent=greedy
+    )
+
+
+@pytest.mark.parametrize("n, r, k", [(12, 3, 1), (14, 4, 1), (15, 3, 2)])
+def test_unit_weights_walk_the_same_tree_on_the_symmetry_core(n, r, k):
+    graph = DisjointnessGraph(enumerate_separated(n, r, k))
+    adj = graph.adjacency
+    setup = dict(
+        perms=sepekr.search._vertex_permutations(graph),
+        incumbent=sepekr.search._star_mask(graph),
+    )
+    assert solve_max_independent(adj, [1] * len(adj), **setup) == solve_max_independent(
+        adj, **setup
+    )
