@@ -3,15 +3,19 @@
 Vertices are the k-separated r-sets of a circle; two vertices clash when the
 sets are disjoint, so intersecting families are exactly the independent sets.
 One depth-first branch-and-bound core serves two modes: optimise (the
-maximum weight) and enumerate (the independent sets of a given size).  It
+maximum weight) and enumerate (the independent sets of the largest size, from
+a lower bound on it).  It
 uses Python-int bitsets for adjacency rows and candidate sets, a greedy
 clique-cover upper bound whose clique classes are built bit-parallel, as in
 BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
-return identical answers.  `max_intersecting` and `extremal_classes` start
-their solves from the star as a checked incumbent and from an orbit chain of
-the circle's symmetry (orbital branching at the root; Ostrowski et al., 2011),
-and so does the enumeration in `extremal_classes`, so the census enumerates at
-least one optimum per class rather than all of them.
+return identical answers.  `max_intersecting` starts its solve from the star
+as a checked incumbent and from an orbit chain of the circle's symmetry
+(orbital branching at the root; Ostrowski et al., 2011).  `extremal_classes`
+is one enumeration from the star's size on the same chain, so it meets at
+least one optimum per class rather than all of them.  Each class, and each
+witness, is represented by the least image of its vertex mask under the
+group, which is the lexicographically least image of the family because
+vertex indices follow the lexicographic member order.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from .core import (
     DisjointnessGraph,
     SetFamily,
     dihedral_images,
+    mask_elems,
     seconds_left,
     separated_universe,
 )
-from .families import canonical_form
 
 CLASS_MAX_VERTICES = 2000
 
@@ -128,8 +132,10 @@ def _search(
 
     With target None it optimises: floor is the best weight found so far,
     starting at the weight of the incumbent, which must be an independent
-    set.  Otherwise it enumerates: floor stays at target - 1 and every set
-    of exactly target vertices is collected.  Returns (floor, best mask,
+    set.  Otherwise it enumerates: floor starts at target - 1 and rises to
+    one less than the largest set met, and the sets of exactly floor + 1
+    vertices are collected.  A maximum set has no candidates left, so with
+    target the optimum its node ends as a leaf.  Returns (floor, best mask,
     nodes explored, collected masks).
 
     With perms, a group of automorphisms of the graph (and of the weights),
@@ -139,7 +145,7 @@ def _search(
     root: if orbit i is the first one it meets, a symmetry moves its member
     in orbit i onto that lowest vertex, and orbits are invariant, so the
     image still avoids the earlier orbits.  The optimum is unchanged, and
-    every orbit of sets of size target has at least one member collected.
+    every orbit of maximum sets has at least one member collected.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
@@ -165,9 +171,10 @@ def _search(
         if cur > floor:
             if target is None:
                 floor, best_mask = cur, mask
-            elif cur == target:
+            else:
+                if cur > floor + 1:
+                    floor, found = cur - 1, []
                 found.append(mask)
-                continue
         # The cover gets weights, not value: its weights=None path counts classes faster.
         if not cand or cur + _cover_bound(cand, adj, weights) <= floor:
             continue
@@ -204,13 +211,15 @@ def enumerate_max_independent(
     time_limit: float | None = None,
     perms: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], int]:
-    """Independent sets of exactly target vertices, where target is the independence number.
+    """The maximum independent sets, where target is a lower bound on the independence number.
 
-    Without perms, every qualifying set is emitted exactly once as a
-    bitmask; the include or exclude branching visits every subset along a
-    unique path.  With perms (every element of an automorphism group), the
-    search starts from an orbit chain and returns at least one set per orbit
-    of the group, not all of them; each set still at most once.
+    The search raises its floor past target as it meets larger sets, so any
+    target from 0 to the independence number gives the same sets, and a
+    target above it gives none.  Without perms, every maximum set is emitted
+    exactly once as a bitmask; the include or exclude branching visits every
+    subset along a unique path.  With perms (every element of an automorphism
+    group), the search starts from an orbit chain and returns at least one
+    set per orbit of the group, not all of them; each set still at most once.
     """
     _, _, nodes, found = _search(adj, None, target, time_limit, perms)
     return found, nodes
@@ -222,6 +231,15 @@ def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False)
     index = {m: i for i, m in enumerate(vertex_masks)}
     images = dihedral_images(vertex_masks, graph.vertices.n, rotations_only)
     return [[index[m] for m in image] for image in images]
+
+
+def _image(mask: int, perm: list[int]) -> int:
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << perm[b.bit_length() - 1]
+        mask ^= b
+    return out
 
 
 def _star_mask(graph: DisjointnessGraph) -> int:
@@ -240,10 +258,11 @@ def max_intersecting(
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
     The solve starts from the star (every vertex holding 1) as incumbent and
-    from the orbit chain of the dihedral group.  The witness is returned in
-    canonical form; repeated runs are identical.  One time limit covers the
-    whole call: the universe, the symmetries, the solve and the
-    canonicalisation of the witness.
+    from the orbit chain of the dihedral group.  The witness is the least
+    image of the optimum's vertex mask under the group, its canonical form;
+    repeated runs are identical.  One time limit covers the whole call: the
+    universe, the symmetries, the solve and the canonicalisation of the
+    witness.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
@@ -255,7 +274,8 @@ def max_intersecting(
         incumbent=_star_mask(graph),
     )
     seconds_left(deadline, "canonicalising the witness")
-    return SearchResult(n, r, k, optimum, canonical_form(graph.subfamily(mask)), None, nodes)
+    least = min((_image(mask, perm) for perm in perms), key=mask_elems)
+    return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)
 
 
 def max_intersecting_weighted(
@@ -286,15 +306,6 @@ def max_intersecting_weighted(
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
-def _image(mask: int, perm: list[int]) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << perm[b.bit_length() - 1]
-        mask ^= b
-    return out
-
-
 def extremal_classes(
     n: int,
     r: int,
@@ -306,37 +317,32 @@ def extremal_classes(
 ) -> SearchResult:
     """All maximum intersecting families, reported as one representative per symmetry class.
 
-    Representatives are canonical forms sorted lexicographically; the witness
-    is the least of them.  The solve starts from the star as incumbent.  The
-    solve and the enumeration both start from the orbit chain of the chosen
-    group, so the enumeration yields at least one optimum per class, not all
-    of them.  Every image of an optimum is an optimum, so each class is
-    canonicalised once and its whole orbit marked as seen.  One time limit
-    covers the whole call: the solve, the enumeration of the optima and
-    their canonicalisation.
+    One enumeration, from the star's size as a lower bound on the optimum and
+    from the orbit chain of the chosen group, yields at least one optimum per
+    class, not all of them; the optimum is the size of the sets it returns.
+    Every image of an optimum is an optimum, so each new optimum's orbit is
+    walked once and marked as seen, and its least image (the canonical form)
+    is the class's representative.  Representatives are sorted
+    lexicographically; the witness is the least of them.  One time limit
+    covers the whole call: the symmetries, the enumeration and the orbit
+    walks.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
-    adj = graph.adjacency
     perms = _vertex_permutations(graph, rotations_only)
-    optimum, _, nodes_opt = solve_max_independent(
-        adj,
-        time_limit=seconds_left(deadline, "the solve"),
-        perms=perms,
-        incumbent=_star_mask(graph),
-    )
-    masks, nodes_enum = enumerate_max_independent(
-        adj, optimum, time_limit=seconds_left(deadline, "enumerating the optima"), perms=perms
-    )
+    star = _star_mask(graph).bit_count()
+    left = seconds_left(deadline, "enumerating the optima")
+    masks, nodes = enumerate_max_independent(graph.adjacency, star, time_limit=left, perms=perms)
+    if not masks:
+        raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()
     reps = []
     for mask in masks:
         seconds_left(deadline, "canonicalising the optima")
         if mask in seen:
             continue
-        reps.append(canonical_form(graph.subfamily(mask), rotations_only))
-        seen.update(_image(mask, perm) for perm in perms)
-    if not reps:
-        raise RuntimeError(f"enumeration returned no optimum of size {optimum}")
-    classes = tuple(sorted(reps, key=lambda f: tuple(s.elems for s in f.sets)))
-    return SearchResult(n, r, k, optimum, classes[0], classes, nodes_opt + nodes_enum)
+        orbit = {_image(mask, perm) for perm in perms}
+        seen |= orbit
+        reps.append(min(orbit, key=mask_elems))
+    classes = tuple(graph.subfamily(m) for m in sorted(reps, key=mask_elems))
+    return SearchResult(n, r, k, masks[0].bit_count(), classes[0], classes, nodes)

@@ -34,6 +34,7 @@ from helpers import (
     all_maximum_intersecting,
     count_classes,
     first_fit_clique_bound,
+    least_image,
     max_weight_independent,
     max_intersecting_size,
     max_weight_intersecting,
@@ -306,18 +307,25 @@ def test_classes_vertex_budget():
 @pytest.mark.parametrize(
     "slow_stage, next_stage",
     [
-        ("solve_max_independent", "enumerating"),
+        ("_vertex_permutations", "enumerating"),
         ("enumerate_max_independent", "canonicalising"),
-        ("canonical_form", "canonicalising"),
+        ("_image", "canonicalising"),
     ],
 )
 def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_stage):
-    """One deadline: a stage that ends after it stops the call before the next stage runs."""
+    """One deadline: a stage that ends after it stops the call before the next stage runs.
+
+    Only the first call is slow: `_image` runs once per symmetry in the first
+    orbit walk, and the deadline is read before the next optimum's walk.
+    """
     real = getattr(sepekr.search, slow_stage)
+    calls = []
 
     def slow(*args, **kwargs):
         result = real(*args, **kwargs)
-        time.sleep(0.3)
+        if not calls:
+            time.sleep(0.3)
+        calls.append(args)
         return result
 
     monkeypatch.setattr(sepekr.search, slow_stage, slow)
@@ -327,17 +335,20 @@ def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_
 
 @pytest.mark.parametrize("rotations_only", [False, True])
 def test_each_class_is_canonicalised_once(monkeypatch, rotations_only):
+    """One orbit walk per class: every optimum the chain meets again is already seen."""
     calls = []
-    real = sepekr.search.canonical_form
+    real = sepekr.search._image
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sepekr.search, "canonical_form", counted)
+    monkeypatch.setattr(sepekr.search, "_image", counted)
     result = extremal_classes(10, 4, 1, rotations_only=rotations_only)
+    graph = DisjointnessGraph(enumerate_separated(10, 4, 1))
+    perms = sepekr.search._vertex_permutations(graph, rotations_only)
     assert len({c.member_keys for c in result.classes}) == len(result.classes)
-    assert len(calls) == len(result.classes)
+    assert len(calls) == len(result.classes) * len(perms)
 
 
 # === orbit chain and incumbent ===
@@ -381,6 +392,12 @@ def _chain_problems(n, r, k, rotations_only):
             problems.append(f"extremal_classes found {result.optimum}, oracle {optimum}")
         if len(result.classes) != count_classes(maxima, n, rotations_only):
             problems.append(f"{len(result.classes)} classes")
+        for rep in result.classes:
+            if tuple(sorted(rep.member_keys)) != least_image(rep.member_keys, n, rotations_only):
+                problems.append(f"representative {rep.to_line()} is not its least image")
+    witness = max_intersecting(n, r, k).witness
+    if tuple(sorted(witness.member_keys)) != least_image(witness.member_keys, n):
+        problems.append(f"witness {witness.to_line()} is not its least image")
     chain, _ = enumerate_max_independent(adj, optimum, perms=perms)
     full, _ = enumerate_max_independent(adj, optimum)
     oracle = {sum(1 << members.index(m) for m in fam) for fam in maxima}
@@ -483,6 +500,20 @@ def test_incumbent_must_be_independent(monkeypatch):
         max_intersecting(7, 2, 1)
 
 
+@pytest.mark.parametrize("n, r, k", [(8, 3, 1), (10, 3, 2)])
+def test_the_census_needs_a_floor_at_most_the_optimum(monkeypatch, n, r, k):
+    """The star's size is only a floor: one above the optimum finds nothing and is an
+    internal fault, and floor 0 raises itself to the same census."""
+    expected = extremal_classes(n, r, k)
+    monkeypatch.setattr(sepekr.search, "_star_mask", lambda graph: (1 << graph.num_vertices) - 1)
+    with pytest.raises(RuntimeError, match="^enumeration returned no optimum"):
+        extremal_classes(n, r, k)
+    monkeypatch.setattr(sepekr.search, "_star_mask", lambda graph: 0)
+    got = extremal_classes(n, r, k)
+    assert got.optimum == expected.optimum
+    assert (got.witness, got.classes) == (expected.witness, expected.classes)
+
+
 def test_incumbent_is_kept_or_beaten():
     universe = enumerate_separated(9, 3, 1)
     adj = disjointness_adjacency(universe.sets)
@@ -568,6 +599,17 @@ def test_search_modes_agree_with_brute_force(graph):
     found, _ = enumerate_max_independent(adj, optimum)
     assert found and all(m.bit_count() == optimum for m in found)
     assert all(adj[v] & m == 0 for m in found for v in _members(m))
+    assert enumerate_max_independent(adj, optimum + 1)[0] == []
+
+
+@settings(max_examples=100)
+@given(random_graphs(14))
+def test_enumeration_raises_any_floor_up_to_the_optimum(graph):
+    adj = graph[0]
+    optimum = max_weight_independent(range(len(adj)), graph[1])
+    maxima = set(enumerate_max_independent(adj, optimum)[0])
+    for target in range(optimum + 1):
+        assert set(enumerate_max_independent(adj, target)[0]) == maxima, target
     assert enumerate_max_independent(adj, optimum + 1)[0] == []
 
 
