@@ -18,7 +18,8 @@ import time
 
 from .compression import verify_compression_suite
 from .core import (
-    ResourceLimitError, SetFamily, seconds_left, separated_universe, star_size_formula
+    DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, seconds_left, separated_universe,
+    star_size_formula,
 )
 from .families import random_maximal_intersecting, star_family
 from .graph import (
@@ -28,12 +29,7 @@ from .graph import (
     export_dimacs,
     independence_number,
 )
-from .search import (
-    CLASS_MAX_VERTICES,
-    DEFAULT_MAX_VERTICES,
-    extremal_classes,
-    max_intersecting,
-)
+from .search import CLASS_MAX_VERTICES, extremal_classes, max_intersecting
 from .weighted import verify_weighted_ekr
 
 EXIT_OK = 0
@@ -345,12 +341,8 @@ def default_grid() -> list[tuple[int, int, int, bool]]:
     return rows
 
 
-def quick_grid() -> list[tuple[int, int, int, bool]]:
-    return [(n, 2, 1, True) for n in range(4, 9)]
-
-
 def _cmd_report(args) -> int:
-    rows = default_grid() if args.grid == "default" else quick_grid()
+    rows = default_grid() if args.grid == "default" else default_grid()[:5]
     started = time.monotonic()
     deadline = None if args.limit_seconds is None else started + args.limit_seconds
     out_rows = []
@@ -360,7 +352,7 @@ def _cmd_report(args) -> int:
         formula = star_size_formula(n, r, k)
         if with_classes:
             result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, time_limit=left)
-            class_count: int | None = len(result.classes or ())
+            class_count: int | None = len(result.classes)
             multi_expected = k == 1 and n == 2 * r + 2
             class_ok: bool | None = (
                 class_count > 1 if multi_expected else class_count == 1

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -195,7 +196,11 @@ def dihedral_images(
 
 
 def mask_elems(mask: int) -> tuple[int, ...]:
-    """The elements of a mask in increasing order; also its lexicographic sort key."""
+    """The elements of a mask in increasing order; also its lexicographic sort key.
+
+    The one bit lister: only the per-member and per-node loops of
+    disjointness_rows and the search keep the lowest-bit loop inline.
+    """
     out = []
     while mask:
         low = mask & -mask
@@ -257,40 +262,33 @@ def reflect(a: CircSet) -> CircSet:
 def enumerate_separated(n: int, r: int, k: int) -> SetFamily:
     """All k-separated r-subsets of the circular ground set {1..n}, in lexicographic order.
 
-    Empty family when the circle is too small (n < (k+1)r).  k = 0 yields all
-    r-subsets.
+    For each first element f, the other r - 1 elements lie in lo..hi with
+    lo = f + k + 1 and hi = min(n, f + n - k - 1) (the wrap gap back to f
+    exceeds k), pairwise more than k apart: they are lo + c_i + k i for an
+    increasing choice c of r - 1 values from range(hi - lo + 1 - k (r - 2)),
+    taken from itertools.combinations in lexicographic order.  Empty family
+    when the circle is too small (n < (k+1)r).  k = 0 yields all r-subsets.
     """
     empty = SetFamily(n, r, k, ())  # checks n, r and k
-    step = k + 1
-    if n < step * r:
+    # needed at r = 1 too, where combinations(..., 0) yields one empty tuple for any span
+    if n < (k + 1) * r:
         return empty
     out: list[CircSet] = []
-
-    def grow(prefix: tuple[int, ...], first: int) -> None:
-        i = len(prefix)
-        if i == r:
-            out.append(CircSet(n, prefix))
-            return
-        # wrap gap forces the last element to stay at most first + n - step
-        hi = min(n, first + n - step - step * (r - 1 - i))
-        for a in range(prefix[-1] + step, hi + 1):
-            grow(prefix + (a,), first)
-
-    for first in range(1, n + 1):
-        grow((first,), first)
+    for f in range(1, n + 1):
+        lo = f + k + 1
+        span = min(n, f + n - k - 1) - lo + 1 - k * (r - 2)
+        for c in combinations(range(span), r - 1):
+            out.append(CircSet(n, (f, *(lo + x + k * i for i, x in enumerate(c)))))
     return SetFamily(n, r, k, tuple(out))
 
 
 def star_size_formula(n: int, r: int, k: int) -> int:
     """Closed form for the number of k-separated r-sets through a fixed element.
 
-    Equals C(n - k r - 1, r - 1); defined for n >= (k+1) r.
+    Equals C(n - k r - 1, r - 1); defined for n >= (k+1) r.  count_separated
+    checks r and k.
     """
-    if r < 1:
-        raise ValueError(f"member size must be positive, got r={r}")
-    if k < 0:
-        raise ValueError(f"separation parameter must be non-negative, got k={k}")
-    if n < (k + 1) * r:
+    if not count_separated(n, r, k):
         raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
     return math.comb(n - k * r - 1, r - 1)
 
@@ -314,6 +312,7 @@ def disjointness_rows(masks: Sequence[int]) -> list[int]:
     mask has the bit b, and row i is every member outside the union of meets[b]
     over the bits b of mask i.
     """
+    # The lowest-bit loops stay inline, not mask_elems: they run once per member.
     meets: dict[int, int] = {}
     for j, m in enumerate(masks):
         bit = 1 << j
@@ -334,13 +333,14 @@ def disjointness_rows(masks: Sequence[int]) -> list[int]:
 
 
 def row_edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The pairs (u, v), u < v, with bit v set in rows[u], in row order."""
+    """The pairs (u, v), u < v, with bit v set in rows[u], in row order.
+
+    Bit e - 1 of row >> (u + 1) is bit u + e of the row, so the elements e
+    that mask_elems lists are the offsets of the vertices past u.
+    """
     for u, row in enumerate(rows):
-        rem = row >> (u + 1) << (u + 1)
-        while rem:
-            b = rem & -rem
-            yield u, b.bit_length() - 1
-            rem ^= b
+        for e in mask_elems(row >> (u + 1)):
+            yield u, u + e
 
 
 def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
@@ -371,14 +371,10 @@ class DisjointnessGraph:
         return row_edges(self.adjacency)
 
     def subfamily(self, mask: int) -> SetFamily:
-        """The vertices whose bits are set in mask, as a family of the same (n, r, k)."""
+        """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k)."""
         family = self.vertices
-        members = []
-        while mask:
-            b = mask & -mask
-            members.append(family.sets[b.bit_length() - 1])
-            mask ^= b
-        return SetFamily(family.n, family.r, family.k, tuple(members))
+        members = tuple(family.sets[e - 1] for e in mask_elems(mask))
+        return SetFamily(family.n, family.r, family.k, members)
 
     def to_json_dict(self) -> dict:
         return {

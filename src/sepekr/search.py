@@ -73,6 +73,7 @@ def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> in
     sum of per-clique maxima.
     """
     bound = 0
+    # The lowest-bit loop stays inline, not mask_elems: it runs at every node.
     while cand:
         q = cand
         top = 0 if weights is not None else 1
@@ -92,6 +93,7 @@ def _pick_branch_vertex(cand: int, adj: Sequence[int]) -> int:
     best_v = -1
     best_deg = -1
     rem = cand
+    # The lowest-bit loop stays inline, not mask_elems: it runs at every node.
     while rem:
         b = rem & -rem
         v = b.bit_length() - 1
@@ -233,13 +235,10 @@ def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False)
     return [[index[m] for m in image] for image in images]
 
 
-def _image(mask: int, perm: list[int]) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << perm[b.bit_length() - 1]
-        mask ^= b
-    return out
+def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The images of a vertex mask under every permutation in perms; its vertices are decoded once."""
+    vertices = [e - 1 for e in mask_elems(mask)]
+    return {sum(1 << perm[v] for v in vertices) for perm in perms}
 
 
 def _star_mask(graph: DisjointnessGraph) -> int:
@@ -274,7 +273,7 @@ def max_intersecting(
         incumbent=_star_mask(graph),
     )
     seconds_left(deadline, "canonicalising the witness")
-    least = min((_image(mask, perm) for perm in perms), key=mask_elems)
+    least = min(_orbit(mask, perms), key=mask_elems)
     return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)
 
 
@@ -341,7 +340,7 @@ def extremal_classes(
         seconds_left(deadline, "canonicalising the optima")
         if mask in seen:
             continue
-        orbit = {_image(mask, perm) for perm in perms}
+        orbit = _orbit(mask, perms)
         seen |= orbit
         reps.append(min(orbit, key=mask_elems))
     classes = tuple(graph.subfamily(m) for m in sorted(reps, key=mask_elems))

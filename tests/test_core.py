@@ -200,14 +200,19 @@ def test_enumerate_trivial_examples():
     ]
     assert len(enumerate_separated(5, 3, 1)) == 0  # n < (k+1)r
     assert len(enumerate_separated(3, 4, 0)) == 0  # r > n
+    # gaps of 21 on a circle of 210: only the 21 rotations of {1, 22, ..., 190}, where
+    # building linear sets and then dropping those with a short wrap gap walks C(30, 10)
+    base = tuple(range(1, 191, 21))
+    rotations = sorted(tuple(sorted((a + s - 1) % 210 + 1 for a in base)) for s in range(21))
+    assert [s.elems for s in enumerate_separated(210, 10, 20)] == rotations
 
 
 def test_enumerate_matches_brute_force():
-    for n in range(1, 12):
-        for r in range(1, 5):
-            for k in range(0, 4):
-                got = [s.elems for s in enumerate_separated(n, r, k)]
-                assert got == brute_separated(n, r, k), (n, r, k)
+    cases = [(n, r, k) for n in range(1, 12) for r in range(1, 5) for k in range(0, 4)]
+    cases += [(n, r, k) for n in range(1, 17) for r in range(1, 5) for k in range(4, 7)]
+    for n, r, k in cases:
+        got = [s.elems for s in enumerate_separated(n, r, k)]
+        assert got == brute_separated(n, r, k), (n, r, k)
 
 
 def test_enumerate_lex_order_and_k0():
