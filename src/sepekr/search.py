@@ -29,8 +29,9 @@ from .core import (
     CircSet,
     DisjointnessGraph,
     SetFamily,
-    dihedral_images,
     mask_elems,
+    mirror_mask,
+    rotate_mask,
     seconds_left,
     separated_universe,
 )
@@ -228,11 +229,25 @@ def enumerate_max_independent(
 
 
 def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False) -> list[list[int]]:
-    """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i."""
+    """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i.
+
+    Only the two generators move masks: one step (a -> a + 1) and the mirror.
+    Rotation s is step composed with rotation s - 1, and reflection s is the
+    mirror followed by rotation s, so the list is the n rotations (s = 0..n-1)
+    and then, unless rotations_only, the n reflections: the order of
+    `core.dihedral_images`.
+    """
+    n = graph.vertices.n
     vertex_masks = [s.mask for s in graph.vertices.sets]
     index = {m: i for i, m in enumerate(vertex_masks)}
-    images = dihedral_images(vertex_masks, graph.vertices.n, rotations_only)
-    return [[index[m] for m in image] for image in images]
+    step = [index[rotate_mask(m, n, 1)] for m in vertex_masks]
+    rotations = [list(range(len(vertex_masks)))]
+    for _ in range(n - 1):
+        rotations.append([step[v] for v in rotations[-1]])
+    if rotations_only:
+        return rotations
+    mirror = [index[mirror_mask(m, n)] for m in vertex_masks]
+    return rotations + [[rotation[v] for v in mirror] for rotation in rotations]
 
 
 def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> set[int]:

@@ -9,10 +9,18 @@ exploits; everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import DEFAULT_MAX_VERTICES, CircSet, SetFamily, gap_vector, is_k_separated
+from .core import (
+    DEFAULT_MAX_VERTICES,
+    CircSet,
+    SetFamily,
+    gap_vector,
+    is_k_separated,
+    seconds_left,
+)
 from .families import star_family
 from .search import SearchResult, max_intersecting_weighted
 
@@ -92,15 +100,23 @@ def verify_weighted_ekr(
     """Solve the weighted problem exactly and compare with the star family.
 
     Defined on the regime n >= 2(k+1)r where the star is heaviest; its weight
-    has the closed form C(n-1, (k+1)r - 1).
+    has the closed form C(n-1, (k+1)r - 1).  One time limit covers the whole
+    call: the solve and the star's weight.
     """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     if k < 1:
         raise ValueError(f"weighted bound needs k >= 1, got k={k}")
     if n < 2 * (k + 1) * r:
         raise ValueError(f"need n >= 2(k+1)r = {2 * (k + 1) * r}, got n={n}")
     result: SearchResult = max_intersecting_weighted(
-        n, r, k, lambda s: weight(s, k), max_vertices=max_vertices, time_limit=time_limit
+        n,
+        r,
+        k,
+        lambda s: weight(s, k),
+        max_vertices=max_vertices,
+        time_limit=seconds_left(deadline, "the solve"),
     )
+    seconds_left(deadline, "the star's weight")
     return WeightedBoundReport(
         n=n,
         r=r,

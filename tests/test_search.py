@@ -27,7 +27,8 @@ from sepekr import (
     star_size_formula,
 )
 import sepekr.search
-from sepekr.core import count_separated
+from sepekr.cli import default_grid
+from sepekr.core import count_separated, dihedral_images
 from sepekr.search import _cover_bound
 
 from helpers import (
@@ -470,6 +471,47 @@ def test_orbit_chain_is_exactly_the_chain_of_the_definition(rotations_only):
         ):
             wrong.append((n, r, k))
     assert wrong == []
+
+
+# The small instances, every row of the default grid, and the one-point circle.
+GROUP_INSTANCES = list(
+    dict.fromkeys(SMALL_INSTANCES + [(n, r, k) for n, r, k, _ in default_grid()] + [(1, 1, 0)])
+)
+
+
+def _group_problems(n, r, k, rotations_only):
+    """How _vertex_permutations disagrees with the circle group on one instance, if it does."""
+    graph = DisjointnessGraph(enumerate_separated(n, r, k))
+    masks = [s.mask for s in graph.vertices.sets]
+    index = {m: i for i, m in enumerate(masks)}
+    perms = sepekr.search._vertex_permutations(graph, rotations_only)
+    problems = []
+    images = dihedral_images(masks, n, rotations_only)
+    if perms != [[index[m] for m in image] for image in images]:
+        problems.append("not the dihedral_images permutations in their order")
+    members = [s.elems for s in graph.vertices]
+    if {tuple(p) for p in perms} != {tuple(p) for p in vertex_permutations(members, n, rotations_only)}:
+        problems.append("not the group of the oracle")
+    adj = graph.adjacency
+    for perm in perms:
+        if any(sum(1 << perm[w] for w in _members(adj[v])) != adj[perm[v]] for v in range(len(adj))):
+            problems.append(f"{perm} is not an automorphism")
+    return problems
+
+
+@pytest.mark.parametrize("rotations_only", [False, True])
+def test_vertex_permutations_are_exactly_the_circle_group(rotations_only):
+    assert len(GROUP_INSTANCES) == 176
+    failures = {
+        inst: found for inst in GROUP_INSTANCES if (found := _group_problems(*inst, rotations_only))
+    }
+    assert failures == {}
+
+
+def test_a_wrong_step_generator_is_caught(monkeypatch):
+    real = sepekr.search.rotate_mask
+    monkeypatch.setattr(sepekr.search, "rotate_mask", lambda mask, n, s: real(mask, n, 2 * s))
+    assert any(_group_problems(*inst, False) for inst in GROUP_INSTANCES)
 
 
 def test_chain_with_the_trivial_group_loses_nothing():

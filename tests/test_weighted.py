@@ -2,12 +2,14 @@
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from sepekr import (
     CircSet,
+    ResourceLimitError,
     enumerate_separated,
     expand,
     family_weight,
@@ -17,6 +19,7 @@ from sepekr import (
     verify_weighted_ekr,
     weight,
 )
+import sepekr.weighted
 
 
 # === weight ===
@@ -173,3 +176,16 @@ def test_weighted_report_json_shape():
 def test_weighted_enumerates_its_universe_once(enumerations):
     assert verify_weighted_ekr(15, 3, 1).passed
     assert enumerations == [(15, 3, 1)]
+
+
+def test_weighted_time_limit_covers_the_star_weight(monkeypatch):
+    real = sepekr.weighted.max_intersecting_weighted
+
+    def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(0.3)
+        return result
+
+    monkeypatch.setattr(sepekr.weighted, "max_intersecting_weighted", slow)
+    with pytest.raises(ResourceLimitError, match="star"):
+        verify_weighted_ekr(9, 2, 1, time_limit=0.2)
