@@ -299,19 +299,21 @@ def _cmd_graph(args) -> int:
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
     k = graph.vertices.k
-    # chi first, so that its vertex limit fires before any alpha search is spent;
-    # --limit-seconds covers the build and the two together.
+    # The summary's edge count builds the adjacency rows.  chi comes first, so that
+    # its vertex limit fires before any alpha search is spent.  --limit-seconds
+    # covers the build, the two invariants and the start of the output.
+    summary = dict(
+        kind=args.kind, n=args.n, r=args.r, k=k,
+        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
+    )
     chi = alpha = None
     if args.chi:
         chi = chromatic_number(graph, time_limit=seconds_left(deadline, "chi"))
     if args.alpha:
         alpha = independence_number(graph, time_limit=seconds_left(deadline, "alpha"))
+    seconds_left(deadline, "the output")
     if args.dimacs:
         export_dimacs(graph, args.dimacs)
-    summary = dict(
-        kind=args.kind, n=args.n, r=args.r, k=k,
-        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
-    )
     invariants = {"alpha": alpha, "chi": chi}
     computed = {name: value for name, value in invariants.items() if value is not None}
     heading = (

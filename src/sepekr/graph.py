@@ -5,7 +5,8 @@ from __future__ import annotations
 import time
 
 from .core import (
-    DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, seconds_left, separated_universe
+    DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
+    separated_universe,
 )
 from .search import solve_max_independent
 
@@ -110,7 +111,7 @@ def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = Non
     _, mask, _ = solve_max_independent(
         complement, time_limit=seconds_left(deadline, "the clique search")
     )
-    clique = [v for v in range(v_count) if mask >> v & 1]
+    clique = [e - 1 for e in mask_elems(mask)]
     seconds_left(deadline, "the colouring")
     for c in range(len(clique), v_count + 1):
         if _colorable(adj, c, clique, deadline):

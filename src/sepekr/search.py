@@ -65,45 +65,37 @@ class SearchResult:
         }
 
 
-def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> int:
-    """Greedy partition of cand into cliques; an independent set takes at most one per clique.
+def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> tuple[int, int]:
+    """Greedy partition of cand into cliques, and the branch vertex, from one walk of cand.
 
     Each class is built bit-parallel from the lowest remaining vertex, keeping
     the vertices adjacent to every member so far: the first-fit partition in
-    index order.  Returns the clique count, or with (non-negative) weights the
-    sum of per-clique maxima.
+    index order.  An independent set takes at most one vertex per clique, so
+    the bound is the clique count, or with (non-negative) weights the sum of
+    per-clique maxima.  Returns (bound, v), where v is the candidate with the
+    most conflicts inside cand, ties to the lowest index (the walk is not in
+    index order), or -1 when cand is empty.
     """
     bound = 0
+    best_v = best_deg = -1
+    rem = cand
     # The lowest-bit loop stays inline, not mask_elems: it runs at every node.
-    while cand:
-        q = cand
+    while rem:
+        q = rem
         top = 0 if weights is not None else 1
         while q:
             b = q & -q
             v = b.bit_length() - 1
-            cand ^= b
-            q &= adj[v]
+            rem ^= b
+            row = adj[v]
+            q &= row
+            deg = (row & cand).bit_count()
+            if deg > best_deg or deg == best_deg and v < best_v:
+                best_deg, best_v = deg, v
             if weights is not None and weights[v] > top:
                 top = weights[v]
         bound += top
-    return bound
-
-
-def _pick_branch_vertex(cand: int, adj: Sequence[int]) -> int:
-    """Candidate with the most conflicts inside cand; ties go to the lowest index."""
-    best_v = -1
-    best_deg = -1
-    rem = cand
-    # The lowest-bit loop stays inline, not mask_elems: it runs at every node.
-    while rem:
-        b = rem & -rem
-        v = b.bit_length() - 1
-        rem ^= b
-        deg = (adj[v] & cand).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best_v = v
-    return best_v
+    return bound, best_v
 
 
 def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -153,7 +145,7 @@ def _search(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
     value = [1] * len(adj) if weights is None else weights
-    members = [v for v in range(len(adj)) if incumbent >> v & 1]
+    members = [e - 1 for e in mask_elems(incumbent)]
     if incumbent >> len(adj) or any(adj[v] & incumbent for v in members):
         raise ValueError("incumbent is not an independent set of the graph")
     floor = sum(value[v] for v in members) if target is None else target - 1
@@ -178,10 +170,12 @@ def _search(
                 if cur > floor + 1:
                     floor, found = cur - 1, []
                 found.append(mask)
-        # The cover gets weights, not value: its weights=None path counts classes faster.
-        if not cand or cur + _cover_bound(cand, adj, weights) <= floor:
+        if not cand:
             continue
-        v = _pick_branch_vertex(cand, adj)
+        # The cover gets weights, not value: its weights=None path counts classes faster.
+        bound, v = _cover_bound(cand, adj, weights)
+        if cur + bound <= floor:
+            continue
         b = 1 << v
         stack.append((cand & ~b, cur, mask))
         stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b))

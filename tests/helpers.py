@@ -176,6 +176,15 @@ def first_fit_clique_bound(vertices, edges, weights=None) -> int:
     return sum(max(weights[v] for v in members) for members in classes)
 
 
+def branch_vertex(cand: int, adj) -> int:
+    """The vertex of the mask cand with the most neighbours inside cand, the
+    lowest index on ties; -1 when cand is empty.  adj holds bitmask rows, read
+    one bit at a time."""
+    members = [v for v in range(len(adj)) if cand >> v & 1]
+    degree = {v: sum(adj[v] >> u & 1 for u in members) for v in members}
+    return min(members, key=lambda v: (-degree[v], v), default=-1)
+
+
 def max_weight_independent(vertices, edges, weights=None) -> int:
     """Largest total weight of a set of pairwise non-adjacent vertices, by
     walking every independent set."""

@@ -415,6 +415,21 @@ def test_graph_time_limit_covers_the_build(capsys, monkeypatch):
     assert "time limit exceeded before alpha" in capsys.readouterr().err
 
 
+def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatch):
+    real = sepekr.cli.build_kneser
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)
+    argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", "--format", "json"]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded before the output" in captured.err
+    assert captured.out == ""
+
+
 def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):
     real = sepekr.cli.extremal_classes
 

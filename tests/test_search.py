@@ -33,6 +33,7 @@ from sepekr.search import _cover_bound
 
 from helpers import (
     all_maximum_intersecting,
+    branch_vertex,
     count_classes,
     first_fit_clique_bound,
     least_image,
@@ -608,8 +609,8 @@ def _greedy_independent(adj) -> int:
 def test_cover_bound_is_first_fit_partition(graph):
     adj, edges, cand, weights = graph
     members = _members(cand)
-    assert _cover_bound(cand, adj, None) == first_fit_clique_bound(members, edges)
-    assert _cover_bound(cand, adj, weights) == first_fit_clique_bound(
+    assert _cover_bound(cand, adj, None)[0] == first_fit_clique_bound(members, edges)
+    assert _cover_bound(cand, adj, weights)[0] == first_fit_clique_bound(
         members, edges, weights
     )
 
@@ -619,10 +620,19 @@ def test_cover_bound_is_first_fit_partition(graph):
 def test_cover_bound_is_an_upper_bound(graph):
     adj, edges, cand, weights = graph
     members = _members(cand)
-    assert _cover_bound(cand, adj, None) >= max_weight_independent(members, edges)
-    assert _cover_bound(cand, adj, weights) >= max_weight_independent(
+    assert _cover_bound(cand, adj, None)[0] >= max_weight_independent(members, edges)
+    assert _cover_bound(cand, adj, weights)[0] >= max_weight_independent(
         members, edges, weights
     )
+
+
+@settings(max_examples=200)
+@given(random_graphs(40))
+def test_cover_bound_picks_the_branch_vertex(graph):
+    # the class walk is not in index order, so ties must still go to the lowest index
+    adj, _, cand, weights = graph
+    assert _cover_bound(cand, adj, None)[1] == branch_vertex(cand, adj)
+    assert _cover_bound(cand, adj, weights)[1] == branch_vertex(cand, adj)
 
 
 @settings(max_examples=100)
