@@ -17,6 +17,7 @@ from .core import (
     is_k_separated,
     reflect,
     rotate,
+    separated_masks,
     star_size_formula,
 )
 from .families import (
@@ -70,6 +71,7 @@ __all__ = [
     "CircSet",
     "SetFamily",
     "enumerate_separated",
+    "separated_masks",
     "from_gaps",
     "gap_vector",
     "is_k_separated",

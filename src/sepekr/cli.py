@@ -298,10 +298,10 @@ def _cmd_graph(args) -> int:
         graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
-    k = graph.vertices.k
+    k = graph.k
     # The summary's edge count builds the adjacency rows.  chi comes first, so that
     # its vertex limit fires before any alpha search is spent.  --limit-seconds
-    # covers the build, the two invariants and the start of the output.
+    # covers the build, the two invariants and the listing of the edges.
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,
         num_vertices=graph.num_vertices, num_edges=graph.num_edges,
@@ -313,7 +313,7 @@ def _cmd_graph(args) -> int:
         alpha = independence_number(graph, time_limit=seconds_left(deadline, "alpha"))
     seconds_left(deadline, "the output")
     if args.dimacs:
-        export_dimacs(graph, args.dimacs)
+        export_dimacs(graph, args.dimacs, deadline=deadline)
     invariants = {"alpha": alpha, "chi": chi}
     computed = {name: value for name, value in invariants.items() if value is not None}
     heading = (
@@ -322,7 +322,7 @@ def _cmd_graph(args) -> int:
     )
     _emit(
         args,
-        lambda: {**summary, **computed, **graph.to_json_dict()},
+        lambda: {**summary, **computed, **graph.to_json_dict(deadline)},
         lambda: [{**summary, **invariants}],
         lambda: "\n".join([heading] + [f"{name} {value}" for name, value in computed.items()]),
     )

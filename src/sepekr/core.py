@@ -259,27 +259,39 @@ def reflect(a: CircSet) -> CircSet:
     return CircSet(a.n, mask_elems(rotate_mask(mirror_mask(a.mask, a.n), a.n, 1)))
 
 
-def enumerate_separated(n: int, r: int, k: int) -> SetFamily:
-    """All k-separated r-subsets of the circular ground set {1..n}, in lexicographic order.
+def separated_masks(n: int, r: int, k: int) -> list[int]:
+    """The masks of the k-separated r-subsets of the circle [n], in lexicographic order.
 
     For each first element f, the other r - 1 elements lie in lo..hi with
     lo = f + k + 1 and hi = min(n, f + n - k - 1) (the wrap gap back to f
     exceeds k), pairwise more than k apart: they are lo + c_i + k i for an
     increasing choice c of r - 1 values from range(hi - lo + 1 - k (r - 2)),
-    taken from itertools.combinations in lexicographic order.  Empty family
-    when the circle is too small (n < (k+1)r).  k = 0 yields all r-subsets.
+    taken from itertools.combinations in lexicographic order.  Empty when
+    the circle is too small (n < (k+1)r).  k = 0 gives all r-subsets.
     """
-    empty = SetFamily(n, r, k, ())  # checks n, r and k
+    SetFamily(n, r, k, ())  # checks n, r and k
     # needed at r = 1 too, where combinations(..., 0) yields one empty tuple for any span
     if n < (k + 1) * r:
-        return empty
-    out: list[CircSet] = []
+        return []
+    out = []
     for f in range(1, n + 1):
-        lo = f + k + 1
-        span = min(n, f + n - k - 1) - lo + 1 - k * (r - 2)
-        for c in combinations(range(span), r - 1):
-            out.append(CircSet(n, (f, *(lo + x + k * i for i, x in enumerate(c)))))
-    return SetFamily(n, r, k, tuple(out))
+        head = 1 << (f - 1)
+        span = min(n, f + n - k - 1) - f - k - k * (r - 2)
+        for c in combinations(range(f + k, f + k + span), r - 1):
+            mask = head
+            for i, x in enumerate(c):
+                mask |= 1 << (x + k * i)
+            out.append(mask)
+    return out
+
+
+def enumerate_separated(n: int, r: int, k: int) -> SetFamily:
+    """All k-separated r-subsets of the circular ground set {1..n}, in lexicographic order.
+
+    The members of `separated_masks(n, r, k)`; empty when n < (k+1)r.
+    """
+    members = tuple(CircSet(n, mask_elems(m)) for m in separated_masks(n, r, k))
+    return SetFamily(n, r, k, members)
 
 
 def star_size_formula(n: int, r: int, k: int) -> int:
@@ -332,13 +344,16 @@ def disjointness_rows(masks: Sequence[int]) -> list[int]:
     return rows
 
 
-def row_edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+def row_edges(rows: Sequence[int], deadline: float | None = None) -> Iterator[tuple[int, int]]:
     """The pairs (u, v), u < v, with bit v set in rows[u], in row order.
 
     Bit e - 1 of row >> (u + 1) is bit u + e of the row, so the elements e
-    that mask_elems lists are the offsets of the vertices past u.
+    that mask_elems lists are the offsets of the vertices past u.  With a
+    time.monotonic() deadline, it is read once per row.
     """
     for u, row in enumerate(rows):
+        if deadline is not None:
+            seconds_left(deadline, f"the edges of vertex {u + 1}")
         for e in mask_elems(row >> (u + 1)):
             yield u, u + e
 
@@ -350,49 +365,78 @@ def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
 
 @dataclass(frozen=True)
 class DisjointnessGraph:
-    """Graph on a set family where edges join disjoint members; rows are built on first use."""
+    """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
-    vertices: SetFamily
+    Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
+    members when the graph is made.  Rows are built on first use, and so is
+    each member's CircSet, at most once per vertex.
+    """
+
+    n: int
+    r: int
+    k: int
+    masks: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        check_member_masks(self.masks, self.n, self.r, self.k)
+
+    @classmethod
+    def from_family(cls, family: SetFamily) -> "DisjointnessGraph":
+        """The graph on the members of family, in their (lexicographic) order."""
+        return cls(family.n, family.r, family.k, tuple(s.mask for s in family.sets))
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
-        return tuple(disjointness_adjacency(self.vertices.sets))
+        return tuple(disjointness_rows(self.masks))
+
+    @cached_property
+    def _members(self) -> list[CircSet | None]:
+        return [None] * len(self.masks)
+
+    @cached_property
+    def vertices(self) -> SetFamily:
+        return self.subfamily((1 << len(self.masks)) - 1)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.masks)
 
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as index pairs (u, v) with u < v, in vertex enumeration order."""
-        return row_edges(self.adjacency)
+    def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
+        """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges."""
+        return row_edges(self.adjacency, deadline)
 
     def subfamily(self, mask: int) -> SetFamily:
         """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k)."""
-        family = self.vertices
-        members = tuple(family.sets[e - 1] for e in mask_elems(mask))
-        return SetFamily(family.n, family.r, family.k, members)
+        members, chosen = self._members, []
+        for e in mask_elems(mask):
+            s = members[e - 1]
+            if s is None:
+                s = members[e - 1] = CircSet(self.n, mask_elems(self.masks[e - 1]))
+            chosen.append(s)
+        return SetFamily(self.n, self.r, self.k, tuple(chosen))
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, deadline: float | None = None) -> dict:
+        """Vertices as element lists and edges as index pairs; deadline as in row_edges."""
         return {
-            "vertices": [list(s.elems) for s in self.vertices.sets],
-            "edges": [[u, v] for u, v in self.edges()],
+            "vertices": [list(mask_elems(m)) for m in self.masks],
+            "edges": [[u, v] for u, v in self.edges(deadline)],
         }
 
 
 @lru_cache(maxsize=1)
 def _universe(n: int, r: int, k: int) -> DisjointnessGraph:
-    return DisjointnessGraph(enumerate_separated(n, r, k))
+    return DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
 
 
 def separated_universe(n: int, r: int, k: int, max_vertices: int) -> DisjointnessGraph:
-    """The disjointness graph on the k-separated r-sets of [n]; its rows are built on first use.
+    """The disjointness graph on the k-separated r-sets of [n]; rows and CircSets are built on first use.
 
     Raises ValueError when n < (k+1)r; checks the count against max_vertices before
-    enumerating.  The last instance is cached and shared, rows included.
+    enumerating.  The last instance is cached and shared, rows and CircSets included.
     """
     count = count_separated(n, r, k)
     if n < (k + 1) * r:

@@ -30,9 +30,9 @@ def star_family(
     """All k-separated r-sets through the fixed element i."""
     if not (1 <= i <= n):
         raise ValueError(f"centre {i} outside 1..{n}")
-    universe = separated_universe(n, r, k, max_vertices).vertices
+    graph = separated_universe(n, r, k, max_vertices)
     bit = 1 << (i - 1)
-    return SetFamily(n, r, k, tuple(s for s in universe if s.mask & bit))
+    return graph.subfamily(sum(1 << v for v, m in enumerate(graph.masks) if m & bit))
 
 
 def exceptional_family(r: int, i: int) -> SetFamily:
@@ -50,9 +50,10 @@ def exceptional_family(r: int, i: int) -> SetFamily:
     window = 0
     for a in range(1, 4 * i + 2, 2):
         window |= 1 << (a - 1)
-    universe = separated_universe(n, r, 1, DEFAULT_MAX_VERTICES).vertices
-    members = tuple(s for s in universe if (s.mask & window).bit_count() >= i + 1)
-    return SetFamily(n, r, 1, members)
+    graph = separated_universe(n, r, 1, DEFAULT_MAX_VERTICES)
+    return graph.subfamily(
+        sum(1 << v for v, m in enumerate(graph.masks) if (m & window).bit_count() >= i + 1)
+    )
 
 
 def transform_family(family: SetFamily, shift: int = 0, reflected: bool = False) -> SetFamily:

@@ -69,7 +69,8 @@ def _colorable(
         if not left:
             return True
         steps += 1
-        seconds_left(deadline, f"colouring step {steps}")
+        if deadline is not None:
+            seconds_left(deadline, f"colouring step {steps}")
         saturation = top + 1
         while not levels[saturation]:
             saturation -= 1
@@ -119,10 +120,14 @@ def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = Non
     raise AssertionError("a graph is always colourable with one colour per vertex")
 
 
-def export_dimacs(graph: DisjointnessGraph, destination) -> None:
-    """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v."""
+def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | None = None) -> None:
+    """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v.
+
+    With a time.monotonic() deadline, it is read once per adjacency row while
+    the edges are listed, and nothing is written when it passes.
+    """
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges(deadline))
     text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         with open(destination, "w", encoding="ascii") as fh:

@@ -9,8 +9,8 @@ uses Python-int bitsets for adjacency rows and candidate sets, a greedy
 clique-cover upper bound whose clique classes are built bit-parallel, as in
 BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
 return identical answers.  `max_intersecting` starts its solve from the star
-as a checked incumbent and from an orbit chain of the circle's symmetry
-(orbital branching at the root; Ostrowski et al., 2011).  `extremal_classes`
+as a checked incumbent and from an orbit chain of the circle's symmetry,
+and branches orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
 is one enumeration from the star's size on the same chain, so it meets at
 least one optimum per class rather than all of them.  Each class, and each
 witness, is represented by the least image of its vertex mask under the
@@ -115,6 +115,12 @@ def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, i
     return chain
 
 
+def _stabiliser(group: Sequence[Sequence[int]], v: int) -> list[Sequence[int]] | None:
+    """The permutations of group that fix vertex v, or None when only the identity is left."""
+    kept = [perm for perm in group if perm[v] == v]
+    return kept if len(kept) > 1 else None
+
+
 def _search(
     adj: Sequence[int],
     weights: list[int] | None,
@@ -139,8 +145,19 @@ def _search(
     vertex of the earlier orbits.  Every nonempty set has an image in some
     root: if orbit i is the first one it meets, a symmetry moves its member
     in orbit i onto that lowest vertex, and orbits are invariant, so the
-    image still avoids the earlier orbits.  The optimum is unchanged, and
-    every orbit of maximum sets has at least one member collected.
+    image still avoids the earlier orbits.
+
+    Below the roots the search branches orbitally (Ostrowski et al., 2011).
+    Each node carries H, the permutations of perms that fix every vertex it
+    includes (None once only the identity is left), and its candidates are a
+    union of H-orbits.  Branching on v, the include child gets H's
+    stabiliser of v, and the exclude child drops the whole H-orbit of v and
+    keeps H.  This loses no class of sets: a set in the node's subtree that
+    meets the orbit at p[v], p in H, has the image under p's inverse, which
+    fixes the included vertices, keeps the candidates, contains v and so lies
+    in the include child.  So the optimum is unchanged, and every orbit of
+    maximum sets has at least one member collected; the include and exclude
+    children still split their parent, so no set is collected twice.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
@@ -153,16 +170,17 @@ def _search(
     found: list[int] = []
     full = (1 << len(adj)) - 1
     if perms is None:
-        stack = [(full, 0, 0)]
+        stack = [(full, 0, 0, None)]
     else:
         stack = [
-            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v)
+            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v, _stabiliser(perms, v))
             for v, excluded in reversed(_orbit_chain(len(adj), perms))
         ]
     while stack:
-        cand, cur, mask = stack.pop()
+        cand, cur, mask, group = stack.pop()
         nodes += 1
-        seconds_left(deadline, f"node {nodes}")
+        if deadline is not None:
+            seconds_left(deadline, f"node {nodes}")
         if cur > floor:
             if target is None:
                 floor, best_mask = cur, mask
@@ -176,9 +194,14 @@ def _search(
         bound, v = _cover_bound(cand, adj, weights)
         if cur + bound <= floor:
             continue
-        b = 1 << v
-        stack.append((cand & ~b, cur, mask))
-        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b))
+        b = orbit = 1 << v
+        stabiliser = None
+        if group is not None:
+            for perm in group:
+                orbit |= 1 << perm[v]
+            stabiliser = _stabiliser(group, v)
+        stack.append((cand & ~orbit, cur, mask, group))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser))
     return floor, best_mask, nodes, found
 
 
@@ -193,7 +216,8 @@ def solve_max_independent(
     """Maximum(-weight) independent set; returns (optimum, vertex bitmask, nodes explored).
 
     perms, every element of a group of automorphisms that also preserves the
-    weights, lets the search start from an orbit chain (see `_search`).  An
+    weights, lets the search start from an orbit chain and branch orbitally
+    below it (see `_search`).  An
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
     the incumbent when nothing is.
@@ -231,8 +255,7 @@ def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False)
     and then, unless rotations_only, the n reflections: the order of
     `core.dihedral_images`.
     """
-    n = graph.vertices.n
-    vertex_masks = [s.mask for s in graph.vertices.sets]
+    n, vertex_masks = graph.n, graph.masks
     index = {m: i for i, m in enumerate(vertex_masks)}
     step = [index[rotate_mask(m, n, 1)] for m in vertex_masks]
     rotations = [list(range(len(vertex_masks)))]
@@ -252,7 +275,7 @@ def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> set[int]:
 
 def _star_mask(graph: DisjointnessGraph) -> int:
     """The vertices holding element 1: the star, intersecting and of the star bound's size."""
-    return sum(1 << i for i, s in enumerate(graph.vertices.sets) if s.mask & 1)
+    return sum(1 << i for i, m in enumerate(graph.masks) if m & 1)
 
 
 def max_intersecting(

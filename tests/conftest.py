@@ -7,14 +7,14 @@ import sepekr.core
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Record every call of sepekr.core.enumerate_separated, from an empty universe cache."""
+    """Record every call of the mask enumerator sepekr.core.separated_masks, from an empty universe cache."""
     calls = []
-    real = sepekr.core.enumerate_separated
+    real = sepekr.core.separated_masks
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     sepekr.core._universe.cache_clear()
-    monkeypatch.setattr("sepekr.core.enumerate_separated", counted)
+    monkeypatch.setattr("sepekr.core.separated_masks", counted)
     return calls

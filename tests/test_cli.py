@@ -292,7 +292,7 @@ def test_lemmas_checks_the_vertex_limit_before_enumerating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a universe over the vertex limit")
 
-    monkeypatch.setattr("sepekr.core.enumerate_separated", refuse)
+    monkeypatch.setattr("sepekr.core.separated_masks", refuse)
     assert run(["lemmas", "--n", "60", "--r", "8", "--k", "1", "--samples", "1"]) == 3
     assert "resource limit" in capsys.readouterr().err
 
@@ -336,7 +336,7 @@ def test_enumerate_aborts_above_the_vertex_limit_without_building_rows(capsys, m
     def refuse(*args):
         raise AssertionError("built disjointness rows for enumerate")
 
-    monkeypatch.setattr("sepekr.core.disjointness_adjacency", refuse)
+    monkeypatch.setattr("sepekr.core.disjointness_rows", refuse)
     assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0
     assert out_of(capsys).startswith("13 3 1 : {1,3,5} ")
 
@@ -428,6 +428,37 @@ def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatc
     captured = capsys.readouterr()
     assert "time limit exceeded before the output" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("output", [["--format", "json"], ["--dimacs", "graph.dimacs"]])
+def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path, output):
+    # only the per-row check of the listing is left to fire, after a build that ends past it
+    real = sepekr.cli.build_kneser
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)
+    monkeypatch.setattr("sepekr.cli.seconds_left", lambda deadline, stage: None)
+    monkeypatch.chdir(tmp_path)
+    argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", *output]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded before the edges of vertex 1" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", [["--format", "json"], ["--dimacs", "graph.dimacs"]])
+def test_graph_time_limit_bounds_a_large_edge_listing(capsys, monkeypatch, tmp_path, output):
+    # 1.46 million edges: the listing alone took seconds when only its start was checked
+    monkeypatch.chdir(tmp_path)
+    started = time.monotonic()
+    argv = ["graph", "--kind", "kneser", "--n", "60", "--r", "2", *output]
+    assert run(argv + ["--limit-seconds", "0.05"]) == 3
+    assert time.monotonic() - started < 2
+    assert capsys.readouterr().out == ""
 
 
 def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):

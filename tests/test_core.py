@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sepekr import (
     CircSet,
+    DisjointnessGraph,
     SetFamily,
     disjointness_adjacency,
     enumerate_separated,
@@ -17,6 +18,7 @@ from sepekr import (
     is_k_separated,
     reflect,
     rotate,
+    separated_masks,
     star_size_formula,
 )
 from sepekr.core import (
@@ -213,6 +215,25 @@ def test_enumerate_matches_brute_force():
     for n, r, k in cases:
         got = [s.elems for s in enumerate_separated(n, r, k)]
         assert got == brute_separated(n, r, k), (n, r, k)
+
+
+def test_mask_enumerator_is_lexicographic_and_checked():
+    for n, r, k in [(9, 3, 1), (12, 4, 1), (15, 3, 2), (7, 3, 0), (5, 3, 1), (1, 1, 0)]:
+        masks = separated_masks(n, r, k)
+        assert [mask_elems(m) for m in masks] == brute_separated(n, r, k), (n, r, k)
+    for bad in [(0, 1, 0), (5, 0, 1), (5, 2, -1)]:
+        with pytest.raises(ValueError):
+            separated_masks(*bad)
+
+
+def test_graph_checks_its_masks():
+    graph = DisjointnessGraph(7, 2, 1, tuple(separated_masks(7, 2, 1)))
+    assert graph == DisjointnessGraph.from_family(enumerate_separated(7, 2, 1))
+    assert graph.vertices == enumerate_separated(7, 2, 1)
+    with pytest.raises(ValueError, match="is not 1-separated"):
+        DisjointnessGraph(7, 2, 1, (0b101, 0b11))
+    with pytest.raises(ValueError, match="has 3 elements"):
+        DisjointnessGraph(7, 2, 1, (0b10101,))
 
 
 def test_enumerate_lex_order_and_k0():

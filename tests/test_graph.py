@@ -141,21 +141,21 @@ def test_one_graph_type_per_instance():
     assert sepekr.graph.DisjointnessGraph is sepekr.core.DisjointnessGraph is DisjointnessGraph
     g = build_schrijver(7, 2, 1)
     assert g is sepekr.core.separated_universe(7, 2, 1, 100)
-    assert DisjointnessGraph(g.vertices) == g
-    assert DisjointnessGraph(g.vertices).adjacency == g.adjacency
+    assert DisjointnessGraph.from_family(g.vertices) == g
+    assert DisjointnessGraph.from_family(g.vertices).adjacency == g.adjacency
     assert g.subfamily(0b1011).sets == tuple(g.vertices.sets[i] for i in (0, 1, 3))
     assert g.subfamily(0) == SetFamily(7, 2, 1, ())
 
 
 def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, capsys):
     builds = []
-    real = sepekr.core.disjointness_adjacency
+    real = sepekr.core.disjointness_rows
 
-    def counted(sets):
-        builds.append(len(sets))
-        return real(sets)
+    def counted(masks):
+        builds.append(len(masks))
+        return real(masks)
 
-    monkeypatch.setattr("sepekr.core.disjointness_adjacency", counted)
+    monkeypatch.setattr("sepekr.core.disjointness_rows", counted)
     assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.startswith("13 3 1 : {1,3,5} ")
     assert len(star_family(13, 3, 1, 1)) == 36
@@ -232,7 +232,7 @@ def small_disjointness_graphs(draw):
     n = draw(st.integers(min_value=r, max_value=8))
     universe = enumerate_separated(n, r, 0).sets
     members = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True))
-    return DisjointnessGraph(SetFamily(n, r, 0, tuple(members)))
+    return DisjointnessGraph.from_family(SetFamily(n, r, 0, tuple(members)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,12 +258,13 @@ def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
         patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
         for c in range(len(clique), brute_chromatic(adj) + 1):
             stages.clear()
-            colourable = sepekr.graph._colorable(adj, c, clique, None)
+            # a deadline that never passes: the clock is read at every step, and only with one
+            colourable = sepekr.graph._colorable(adj, c, clique, math.inf)
             assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), c
 
 
 def test_chromatic_number_of_the_empty_graph():
-    assert chromatic_number(DisjointnessGraph(SetFamily(5, 2, 0, ()))) == 0
+    assert chromatic_number(DisjointnessGraph.from_family(SetFamily(5, 2, 0, ()))) == 0
 
 
 def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
@@ -299,15 +300,16 @@ def test_chromatic_time_limit():
     ],
 )
 def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, k, chi, steps):
-    # with the clock checked at every step, each colouring step names itself once;
-    # the totals freeze the DSATUR order, the precoloured clique and the fresh-colour rule
+    # with a deadline the clock is checked at every step, and each colouring step names
+    # itself once; the totals freeze the DSATUR order, the precoloured clique and the
+    # fresh-colour rule
     stages = []
 
     def record(deadline, stage):
         stages.append(stage)
 
     monkeypatch.setattr(sepekr.graph, "seconds_left", record)
-    assert chromatic_number(build_schrijver(n, r, k)) == chi
+    assert chromatic_number(build_schrijver(n, r, k), time_limit=math.inf) == chi
     assert sum(stage.startswith("colouring step") for stage in stages) == steps
 
 

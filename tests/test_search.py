@@ -26,6 +26,7 @@ from sepekr import (
     star_family,
     star_size_formula,
 )
+import sepekr.core
 import sepekr.search
 from sepekr.cli import default_grid
 from sepekr.core import count_separated, dihedral_images
@@ -100,7 +101,7 @@ def test_vertex_limit_is_checked_before_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a universe over the vertex limit")
 
-    monkeypatch.setattr("sepekr.core.enumerate_separated", refuse)
+    monkeypatch.setattr("sepekr.core.separated_masks", refuse)
     with pytest.raises(ResourceLimitError):
         max_intersecting(60, 8, 1)
     with pytest.raises(ResourceLimitError):
@@ -439,6 +440,49 @@ def test_a_broken_orbit_chain_is_caught(monkeypatch, fault):
     assert any(_chain_problems(*inst, False) for inst in SMALL_INSTANCES)
 
 
+def test_an_include_child_that_keeps_its_group_is_caught(monkeypatch):
+    # without the stabiliser step, an exclude child below it drops an orbit of a group
+    # that moves the included vertices, which loses optima and classes
+    monkeypatch.setattr(sepekr.search, "_stabiliser", lambda group, v: group)
+    caught = [inst for inst in SMALL_INSTANCES if _chain_problems(*inst, False)]
+    assert (4, 2, 0) in caught and (11, 2, 0) in caught
+
+
+def _answers(n, r, k, rotations_only):
+    classes = extremal_classes(n, r, k, rotations_only=rotations_only).classes
+    return max_intersecting(n, r, k).witness, [c.to_line() for c in classes]
+
+
+def test_orbital_branching_below_the_root_keeps_every_answer(monkeypatch):
+    instances = SMALL_INSTANCES + [(10, 4, 1), (12, 4, 1), (13, 3, 2)]
+    expected = {
+        (inst, rotations_only): _answers(*inst, rotations_only)
+        for inst in instances
+        for rotations_only in (False, True)
+    }
+    # the group None below the root: the chain's roots, then the plain search
+    monkeypatch.setattr(sepekr.search, "_stabiliser", lambda group, v: None)
+    plain = {key: _answers(*key[0], key[1]) for key in expected}
+    assert plain == expected
+    assert extremal_classes(8, 3, 1).nodes_explored == 72  # the count before orbital branching
+
+
+def test_the_solve_builds_circsets_for_the_witness_only(monkeypatch):
+    built = []
+    real = sepekr.core.CircSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    sepekr.core._universe.cache_clear()
+    monkeypatch.setattr(sepekr.core.CircSet, "__post_init__", counted)
+    result = max_intersecting(14, 4, 1)
+    assert len(built) == result.optimum == 84 < count_separated(14, 4, 1) == 294
+    max_intersecting(14, 4, 1)
+    assert len(built) == 84  # at most once per vertex of the cached universe
+
+
 def test_an_enumeration_without_an_optimum_is_an_internal_fault(monkeypatch):
     real = sepekr.search._orbit_chain
     monkeypatch.setattr(
@@ -464,7 +508,7 @@ def _expected_chain(members, n, rotations_only):
 def test_orbit_chain_is_exactly_the_chain_of_the_definition(rotations_only):
     wrong = []
     for n, r, k in SMALL_INSTANCES:
-        graph = DisjointnessGraph(enumerate_separated(n, r, k))
+        graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
         members = [s.elems for s in graph.vertices]
         perms = sepekr.search._vertex_permutations(graph, rotations_only)
         if sepekr.search._orbit_chain(len(members), perms) != _expected_chain(
@@ -482,7 +526,7 @@ GROUP_INSTANCES = list(
 
 def _group_problems(n, r, k, rotations_only):
     """How _vertex_permutations disagrees with the circle group on one instance, if it does."""
-    graph = DisjointnessGraph(enumerate_separated(n, r, k))
+    graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
     masks = [s.mask for s in graph.vertices.sets]
     index = {m: i for i, m in enumerate(masks)}
     perms = sepekr.search._vertex_permutations(graph, rotations_only)
@@ -677,7 +721,7 @@ def test_unit_weights_walk_the_same_tree_as_no_weights(graph):
 
 @pytest.mark.parametrize("n, r, k", [(12, 3, 1), (14, 4, 1), (15, 3, 2)])
 def test_unit_weights_walk_the_same_tree_on_the_symmetry_core(n, r, k):
-    graph = DisjointnessGraph(enumerate_separated(n, r, k))
+    graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
     adj = graph.adjacency
     setup = dict(
         perms=sepekr.search._vertex_permutations(graph),
