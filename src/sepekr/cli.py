@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from itertools import islice
 
 from .compression import verify_compression_suite
 from .core import (
@@ -158,15 +159,22 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(args, record, rows, text, *, columns=()) -> None:
+def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
     """Write the result in args.format, calling only the builder for that format.
 
     record() gives the JSON value, rows() the flat CSV rows (dicts; the header
     is the first row's keys, or columns when there are no rows) and text()
-    the plain text.
+    the plain text.  The deadline, when given, is read between blocks of the
+    JSON text and once before the write.
     """
     if args.format == "json":
-        payload = json.dumps(record(), indent=2)
+        # the bytes of json.dumps(record(), indent=2), built in blocks of chunks
+        chunks = json.JSONEncoder(indent=2).iterencode(record())
+        blocks = []
+        while block := "".join(islice(chunks, 1 << 16)):
+            blocks.append(block)
+            seconds_left(deadline, "writing the output")
+        payload = "".join(blocks)
     elif args.format == "csv":
         table = rows()
         lines = [",".join(table[0] if table else columns)]
@@ -176,6 +184,7 @@ def _emit(args, record, rows, text, *, columns=()) -> None:
         payload = text()
     if not payload.endswith("\n"):
         payload += "\n"
+    seconds_left(deadline, "writing the output")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -274,6 +283,7 @@ def _cmd_lemmas(args) -> int:
         },
         lambda: [{**summary, "failures": len(failures)}],
         text,
+        deadline=deadline,
     )
     return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
 
@@ -301,7 +311,8 @@ def _cmd_graph(args) -> int:
     k = graph.k
     # The summary's edge count builds the adjacency rows.  chi comes first, so that
     # its vertex limit fires before any alpha search is spent.  --limit-seconds
-    # covers the build, the two invariants and the listing of the edges.
+    # covers the build, the two invariants, the listing of the edges, the JSON
+    # serialisation and the write.
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,
         num_vertices=graph.num_vertices, num_edges=graph.num_edges,
@@ -325,6 +336,7 @@ def _cmd_graph(args) -> int:
         lambda: {**summary, **computed, **graph.to_json_dict(deadline)},
         lambda: [{**summary, **invariants}],
         lambda: "\n".join([heading] + [f"{name} {value}" for name, value in computed.items()]),
+        deadline=deadline,
     )
     return EXIT_OK
 
@@ -399,6 +411,7 @@ def _cmd_report(args) -> int:
         lambda: {"grid": args.grid, "rows": out_rows, "all_verified": all_ok},
         lambda: out_rows,
         text,
+        deadline=deadline,
     )
     print(f"grid completed in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED

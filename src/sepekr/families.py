@@ -12,7 +12,6 @@ from .core import (
     disjointness_adjacency,
     is_k_separated,
     mask_elems,
-    mirror_mask,
     reflect,
     rotate,
     separated_universe,
@@ -62,18 +61,6 @@ def transform_family(family: SetFamily, shift: int = 0, reflected: bool = False)
     return SetFamily(family.n, family.r, family.k, tuple(members))
 
 
-def _canonical_key(family: SetFamily, rotations_only: bool) -> list[int]:
-    """The least image of the family, as mirrored member masks sorted in descending order.
-
-    A mirrored mask has bit n-a set for each element a: for sets of one size, a
-    larger key is a lexicographically smaller tuple.  The mirror turns rotation
-    by s into rotation by -s, so the images of the keys are the keys of the images.
-    """
-    keys = [mirror_mask(s.mask, family.n) for s in family.sets]
-    images = dihedral_images(keys, family.n, rotations_only)
-    return max(sorted(image, reverse=True) for image in images)
-
-
 def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily:
     """Lexicographically least image of the family under the circle symmetries.
 
@@ -82,11 +69,9 @@ def canonical_form(family: SetFamily, rotations_only: bool = False) -> SetFamily
     forms is exactly isomorphism under the chosen group.
     """
     n = family.n
-    members = tuple(
-        CircSet(n, mask_elems(mirror_mask(m, n)))
-        for m in _canonical_key(family, rotations_only)
-    )
-    return SetFamily(n, family.r, family.k, members)
+    images = dihedral_images([s.mask for s in family.sets], n, rotations_only)
+    least = min(sorted(map(mask_elems, image)) for image in images)
+    return SetFamily(n, family.r, family.k, tuple(CircSet(n, elems) for elems in least))
 
 
 def are_isomorphic(f: SetFamily, g: SetFamily, rotations_only: bool = False) -> bool:
@@ -95,9 +80,7 @@ def are_isomorphic(f: SetFamily, g: SetFamily, rotations_only: bool = False) -> 
         raise ValueError(
             f"parameter mismatch: ({f.n},{f.r},{f.k}) vs ({g.n},{g.r},{g.k})"
         )
-    if len(f) != len(g):
-        return False
-    return _canonical_key(f, rotations_only) == _canonical_key(g, rotations_only)
+    return canonical_form(f, rotations_only) == canonical_form(g, rotations_only)
 
 
 def exchange_map(a: CircSet, k: int) -> CircSet:

@@ -461,6 +461,24 @@ def test_graph_time_limit_bounds_a_large_edge_listing(capsys, monkeypatch, tmp_p
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("output", [[], ["--output", "graph.json"]])
+def test_graph_time_limit_covers_the_serialisation(capsys, monkeypatch, tmp_path, output):
+    # the edges are listed in time; the JSON text then runs past the limit
+    class SlowEncoder(json.JSONEncoder):
+        def iterencode(self, o, _one_shot=False):
+            time.sleep(0.4)
+            return super().iterencode(o, _one_shot)
+
+    monkeypatch.setattr(json, "JSONEncoder", SlowEncoder)
+    monkeypatch.chdir(tmp_path)
+    argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", "--format", "json", *output]
+    assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded before writing the output" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):
     real = sepekr.cli.extremal_classes
 
