@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list the k-separated r-sets of a circle")
     _add_instance_args(p)
+    _add_seconds_arg(p)
     _add_output_args(p)
 
     p = sub.add_parser("max-family", help="exact maximum intersecting family size")
@@ -193,9 +194,12 @@ def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    # --limit-seconds covers the universe, the JSON serialisation and the write
+    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     if args.n < (args.k + 1) * args.r:  # no separated set fits: the universe is empty
         family = SetFamily(args.n, args.r, args.k, ())
     else:
+        seconds_left(deadline, "the universe")
         family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES).vertices
     _emit(
         args,
@@ -203,6 +207,7 @@ def _cmd_enumerate(args) -> int:
         lambda: [{"elems": " ".join(str(a) for a in s.elems)} for s in family],
         family.to_line,
         columns=("elems",),
+        deadline=deadline,
     )
     return EXIT_OK
 

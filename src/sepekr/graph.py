@@ -41,55 +41,64 @@ def _colorable(
 
     Each step colours the DSATUR vertex (Brélaz, "New methods to color the
     vertices of a graph", 1979): most distinct neighbour colours, then highest
-    degree, then lowest index, trying the lowest colour first.  A state is
-    (uncoloured vertices, levels, near, top colour used) in int bitsets:
-    levels[s] holds the uncoloured vertices with exactly s distinct neighbour
-    colours, and near[c] the vertices next to colour c.  No vertex sees more
-    colours than top + 1.  The DSATUR vertex is the lowest bit where the
-    highest non-empty level meets the first degree class that meets it.
+    degree, then lowest index, trying the lowest colour first.  The vertices
+    are relabelled once into the tie-break order (degree descending, index
+    ascending), so the DSATUR vertex is the lowest bit of the uncoloured
+    vertices with the most neighbour colours.  A state is (uncoloured vertices,
+    planes, near, top colour used) in int bitsets: near[c] holds the vertices
+    next to colour c, and the planes bit-slice each vertex's count of distinct
+    neighbour colours, top bit first (planes[-1 - i] holds bit i).  A child adds
+    one to the count of each vertex that meets its colour for the first time,
+    by ripple carry.  A vertex sees at most c colours and c < 2**c.bit_length(),
+    so c.bit_length() planes hold every count and no carry leaves the top plane.
     Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
     """
-    degrees = [row.bit_count() for row in adj]
-    by_degree = [
-        sum(1 << v for v, d in enumerate(degrees) if d == degree)
-        for degree in sorted(set(degrees), reverse=True)
-    ]
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    label = {v: new for new, v in enumerate(order)}
+    rows = [sum(1 << label[e - 1] for e in mask_elems(adj[v])) for v in order]
     left = (1 << len(adj)) - 1
     for v in clique:
-        left &= ~(1 << v)
-    levels = [left] + [0] * colors_allowed
+        left &= ~(1 << label[v])
+    planes = [0] * colors_allowed.bit_length()
     near = [0] * colors_allowed
     for color, v in enumerate(clique):
-        near[color] = moved = adj[v] & left
-        levels = [hi & ~moved | lo & moved for lo, hi in zip([0, *levels], levels)]
+        near[color] = moved = rows[label[v]] & left
+        i = -1
+        while moved:
+            planes[i], moved = planes[i] ^ moved, planes[i] & moved
+            i -= 1
+    # the colours a vertex may take after top, highest first, so that the lowest is popped first
+    tries = [range(min(colors_allowed - 1, top + 1), -1, -1) for top in range(-1, colors_allowed)]
     steps = 0
-    stack = [(left, levels, near, len(clique) - 1)]
+    stack = [(left, planes, near, len(clique) - 1)]
+    push = stack.append
     while stack:
-        left, levels, near, top = stack.pop()
+        left, planes, near, top = stack.pop()
         if not left:
             return True
         steps += 1
         if deadline is not None:
             seconds_left(deadline, f"colouring step {steps}")
-        saturation = top + 1
-        while not levels[saturation]:
-            saturation -= 1
-        tied = levels[saturation]
-        for group in by_degree:
-            first = tied & group
-            if first:
-                break
-        bit = first & -first
+        tied = left
+        for plane in planes:
+            if tied & plane:
+                tied &= plane
+        bit = tied & -tied
         rest = left ^ bit
-        row = adj[bit.bit_length() - 1] & rest
-        for color in range(min(colors_allowed - 1, top + 1), -1, -1):
-            if not near[color] & bit:
-                moved = row & ~near[color]
-                kept = ~(moved | bit)
+        row = rows[bit.bit_length() - 1] & rest
+        for color in tries[top + 1]:
+            seen = near[color]
+            if not seen & bit:
                 child_near = near[:]
-                child_near[color] |= row
-                child_levels = [hi & kept | lo & moved for lo, hi in zip([0, *levels], levels)]
-                stack.append((rest, child_levels, child_near, max(top, color)))
+                child_near[color] = seen | row
+                # the pre-colouring's ripple carry, inline: a helper call per child cost 5-10 %
+                moved = row & ~seen
+                child = planes[:]
+                i = -1
+                while moved:
+                    child[i], moved = child[i] ^ moved, child[i] & moved
+                    i -= 1
+                push((rest, child, child_near, top if top > color else color))
     return False
 
 

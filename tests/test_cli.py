@@ -341,6 +341,19 @@ def test_enumerate_aborts_above_the_vertex_limit_without_building_rows(capsys, m
     assert out_of(capsys).startswith("13 3 1 : {1,3,5} ")
 
 
+def test_enumerate_obeys_the_time_limit(capsys, tmp_path):
+    # (30,4,1) has 17250 sets, under the vertex limit; listing them as JSON takes tenths of a second
+    target = tmp_path / "sets.json"
+    argv = ["enumerate", "--n", "30", "--r", "4", "--k", "1", "--format", "json"]
+    assert run(argv + ["--output", str(target), "--limit-seconds", "0.01"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded" in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+    assert run(["enumerate", "--n", "5", "--r", "2", "--k", "1", "--limit-seconds", "30"]) == 0
+    assert out_of(capsys) == "5 2 1 : {1,3} {1,4} {2,4} {2,5} {3,5}\n"
+
+
 def test_weighted_star_keeps_a_vertex_limit_above_the_default(capsys, monkeypatch):
     over = sepekr.core.DEFAULT_MAX_VERTICES + 1
     monkeypatch.setattr("sepekr.core.count_separated", lambda n, r, k: over)

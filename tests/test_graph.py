@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sepekr.core
 import sepekr.graph
 from sepekr import (
+    CircSet,
     DisjointnessGraph,
     ResourceLimitError,
     SetFamily,
@@ -263,6 +264,32 @@ def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
             assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), c
 
 
+def _matching_and_a_chord(pairs: int) -> DisjointnessGraph:
+    """A complete graph on `pairs` disjoint pairs, plus {1, 3}, which meets two of them."""
+    members = [CircSet(2 * pairs, (2 * i + 1, 2 * i + 2)) for i in range(pairs)]
+    return DisjointnessGraph.from_family(
+        SetFamily(2 * pairs, 2, 0, (*members, CircSet(2 * pairs, (1, 3))))
+    )
+
+
+@pytest.mark.parametrize("c", [7, 8, 9, 15, 16, 17])
+def test_colouring_carries_saturation_across_plane_boundaries(c):
+    # a vertex that sees c - 1 or c colours sets the top bit-plane of its count; on the
+    # complete graphs the counts rise by one per step, and with the chord (vertex 1) a
+    # vertex of lower saturation competes with the pair whose count reaches the top plane
+    cases = [(build_kneser(m, 1).adjacency, clique) for m in (c, c + 1) for clique in ([], [0, 1])]
+    cases += [
+        (_matching_and_a_chord(m).adjacency, clique) for m in (c, c + 1) for clique in ([], [0, 2])
+    ]
+    stages = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
+        for adj, clique in cases:
+            stages.clear()
+            colourable = sepekr.graph._colorable(adj, c, clique, math.inf)
+            assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), (len(adj), clique)
+
+
 def test_chromatic_number_of_the_empty_graph():
     assert chromatic_number(DisjointnessGraph.from_family(SetFamily(5, 2, 0, ()))) == 0
 
@@ -280,7 +307,8 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
 
 
 def test_chromatic_time_limit():
-    # SG(10,3) takes seconds to colour exactly; a tiny budget aborts it
+    # SG(10,3,1) takes 0.5-0.6 raw s to colour exactly (250661 steps, on a shared 2-core
+    # machine); a budget of 0.05 s aborts it
     g = build_schrijver(10, 3, 1)
     with pytest.raises(ResourceLimitError, match="before colouring step"):
         chromatic_number(g, time_limit=0.05)
@@ -295,6 +323,8 @@ def test_chromatic_time_limit():
         pytest.param(9, 3, 1, 5, 968, id="9-3-5-968"),
         pytest.param(10, 2, 1, 8, 7580, id="10-2-8-7580"),
         pytest.param(11, 2, 1, 9, 61625, id="11-2-9-61625"),
+        # not regular, and its tries run deep
+        pytest.param(10, 3, 1, 6, 250661, id="10-3-6-250661"),
         # k = 0 is the Kneser graph, which is regular, so only the index breaks ties
         pytest.param(9, 2, 0, 7, 1434, id="kneser-9-2-7-1434"),
     ],
