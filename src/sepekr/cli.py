@@ -67,22 +67,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="separation parameter")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", help="output format"
-    )
-    p.add_argument("--output", help="write output to this path instead of stdout")
-
-
-def _add_seconds_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--limit-seconds",
-        type=_positive(float),
-        default=None,
-        help="seconds for all of the command's work; exit 3 when they run out",
-    )
-
-
 def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
     p.add_argument(
         "--limit-vertices",
@@ -90,7 +74,20 @@ def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
         default=default_vertices,
         help="abort instances with more vertices than this",
     )
-    _add_seconds_arg(p)
+
+
+def _add_shared_args(p: argparse.ArgumentParser) -> None:
+    """The options every subcommand takes; each calls this last, so its usage ends with them."""
+    p.add_argument(
+        "--limit-seconds",
+        type=_positive(float),
+        default=None,
+        help="seconds for all of the command's work; exit 3 when they run out",
+    )
+    p.add_argument(
+        "--format", choices=("json", "csv", "text"), default="text", help="output format"
+    )
+    p.add_argument("--output", help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,13 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list the k-separated r-sets of a circle")
     _add_instance_args(p)
-    _add_seconds_arg(p)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("max-family", help="exact maximum intersecting family size")
     _add_instance_args(p)
     _add_limit_args(p, DEFAULT_MAX_VERTICES)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("classes", help="maximum families up to circle symmetry")
     _add_instance_args(p)
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="identify families under rotations only, not reflections",
     )
     _add_limit_args(p, CLASS_MAX_VERTICES)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("lemmas", help="run the compression verification suite")
     _add_instance_args(p)
@@ -126,13 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_positive(int), default=200, help="random maximal families to check"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled families")
-    _add_seconds_arg(p)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("weighted", help="verify the weighted bound exactly")
     _add_instance_args(p)
     _add_limit_args(p, DEFAULT_MAX_VERTICES)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("graph", help="build a disjointness graph and compute invariants")
     p.add_argument("--kind", choices=("kneser", "schrijver"), required=True)
@@ -143,12 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", action="store_true", help="compute the chromatic number")
     p.add_argument("--dimacs", help="also write the graph to this path in DIMACS format")
     _add_limit_args(p, DEFAULT_MAX_VERTICES)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     p = sub.add_parser("report", help="verify the bound across a parameter grid")
     p.add_argument("--grid", choices=("default", "quick"), default="default")
-    _add_seconds_arg(p)
-    _add_output_args(p)
+    _add_shared_args(p)
 
     return parser
 
@@ -160,13 +154,13 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
+def _emit(args, record, rows, text, *, columns=()) -> None:
     """Write the result in args.format, calling only the builder for that format.
 
     record() gives the JSON value, rows() the flat CSV rows (dicts; the header
     is the first row's keys, or columns when there are no rows) and text()
-    the plain text.  The deadline, when given, is read between blocks of the
-    JSON text and once before the write.
+    the plain text.  args.deadline is read between blocks of the JSON text
+    and once before the write.
     """
     if args.format == "json":
         # the bytes of json.dumps(record(), indent=2), built in blocks of chunks
@@ -174,7 +168,7 @@ def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
         blocks = []
         while block := "".join(islice(chunks, 1 << 16)):
             blocks.append(block)
-            seconds_left(deadline, "writing the output")
+            seconds_left(args.deadline, "writing the output")
         payload = "".join(blocks)
     elif args.format == "csv":
         table = rows()
@@ -185,7 +179,7 @@ def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
         payload = text()
     if not payload.endswith("\n"):
         payload += "\n"
-    seconds_left(deadline, "writing the output")
+    seconds_left(args.deadline, "writing the output")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -194,12 +188,10 @@ def _emit(args, record, rows, text, *, columns=(), deadline=None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    # --limit-seconds covers the universe, the JSON serialisation and the write
-    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     if args.n < (args.k + 1) * args.r:  # no separated set fits: the universe is empty
         family = SetFamily(args.n, args.r, args.k, ())
     else:
-        seconds_left(deadline, "the universe")
+        seconds_left(args.deadline, "the universe")
         family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES).vertices
     _emit(
         args,
@@ -207,14 +199,14 @@ def _cmd_enumerate(args) -> int:
         lambda: [{"elems": " ".join(str(a) for a in s.elems)} for s in family],
         family.to_line,
         columns=("elems",),
-        deadline=deadline,
     )
     return EXIT_OK
 
 
 def _cmd_max_family(args) -> int:
+    left = seconds_left(args.deadline, "the universe")
     result = max_intersecting(
-        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=args.limit_seconds
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=left
     )
     row = dict(n=args.n, r=args.r, k=args.k, optimum=result.optimum, nodes=result.nodes_explored)
     _emit(
@@ -233,7 +225,7 @@ def _cmd_classes(args) -> int:
         args.k,
         rotations_only=args.rotations_only,
         max_vertices=args.limit_vertices,
-        time_limit=args.limit_seconds,
+        time_limit=seconds_left(args.deadline, "the universe"),
     )
     classes = result.classes
     row = dict(
@@ -252,12 +244,11 @@ def _cmd_classes(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     n, r, k = args.n, args.r, args.k
-    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     rng = random.Random(f"{args.seed}:{n}:{r}:{k}")
     total = args.samples + 1
     failures = []
     for i in range(total):
-        seconds_left(deadline, f"checking family {i + 1} of {total}")
+        seconds_left(args.deadline, f"checking family {i + 1} of {total}")
         if i == 0:
             family = star_family(n, r, k, 1)
         else:
@@ -288,14 +279,14 @@ def _cmd_lemmas(args) -> int:
         },
         lambda: [{**summary, "failures": len(failures)}],
         text,
-        deadline=deadline,
     )
     return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_weighted(args) -> int:
+    left = seconds_left(args.deadline, "the universe")
     report = verify_weighted_ekr(
-        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=args.limit_seconds
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=left
     )
     _emit(
         args,
@@ -308,28 +299,24 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     if args.kind == "kneser":
         graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
     k = graph.k
-    # The summary's edge count builds the adjacency rows.  chi comes first, so that
-    # its vertex limit fires before any alpha search is spent.  --limit-seconds
-    # covers the build, the two invariants, the listing of the edges, the JSON
-    # serialisation and the write.
+    # chi comes first, so that its vertex limit fires before any alpha search is spent
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,
         num_vertices=graph.num_vertices, num_edges=graph.num_edges,
     )
     chi = alpha = None
     if args.chi:
-        chi = chromatic_number(graph, time_limit=seconds_left(deadline, "chi"))
+        chi = chromatic_number(graph, time_limit=seconds_left(args.deadline, "chi"))
     if args.alpha:
-        alpha = independence_number(graph, time_limit=seconds_left(deadline, "alpha"))
-    seconds_left(deadline, "the output")
+        alpha = independence_number(graph, time_limit=seconds_left(args.deadline, "alpha"))
+    seconds_left(args.deadline, "the output")
     if args.dimacs:
-        export_dimacs(graph, args.dimacs, deadline=deadline)
+        export_dimacs(graph, args.dimacs, deadline=args.deadline)
     invariants = {"alpha": alpha, "chi": chi}
     computed = {name: value for name, value in invariants.items() if value is not None}
     heading = (
@@ -338,10 +325,9 @@ def _cmd_graph(args) -> int:
     )
     _emit(
         args,
-        lambda: {**summary, **computed, **graph.to_json_dict(deadline)},
+        lambda: {**summary, **computed, **graph.to_json_dict(args.deadline)},
         lambda: [{**summary, **invariants}],
         lambda: "\n".join([heading] + [f"{name} {value}" for name, value in computed.items()]),
-        deadline=deadline,
     )
     return EXIT_OK
 
@@ -363,11 +349,10 @@ def default_grid() -> list[tuple[int, int, int, bool]]:
 def _cmd_report(args) -> int:
     rows = default_grid() if args.grid == "default" else default_grid()[:5]
     started = time.monotonic()
-    deadline = None if args.limit_seconds is None else started + args.limit_seconds
     out_rows = []
     all_ok = True
     for n, r, k, with_classes in rows:
-        left = seconds_left(deadline, f"row n={n} r={r} k={k}")
+        left = seconds_left(args.deadline, f"row n={n} r={r} k={k}")
         formula = star_size_formula(n, r, k)
         if with_classes:
             result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, time_limit=left)
@@ -416,7 +401,6 @@ def _cmd_report(args) -> int:
         lambda: {"grid": args.grid, "rows": out_rows, "all_verified": all_ok},
         lambda: out_rows,
         text,
-        deadline=deadline,
     )
     print(f"grid completed in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
@@ -436,6 +420,7 @@ _HANDLERS = {
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.deadline = None if args.limit_seconds is None else time.monotonic() + args.limit_seconds
     try:
         _read_thread_env()
         return _HANDLERS[args.command](args)

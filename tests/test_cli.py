@@ -114,6 +114,38 @@ def test_lemmas_seed_changes_nothing_about_verdict(capsys):
     capsys.readouterr()
 
 
+def test_lemmas_reports_every_failing_family(capsys, monkeypatch):
+    def fail(masks, n, k):
+        witness = sepekr.core.CircSet(n, sepekr.core.mask_elems(masks[0]))
+        return sepekr.compression.ClauseResult("collision-structure", False, (witness,))
+
+    monkeypatch.setattr("sepekr.compression._collision_clause", fail)
+    argv = ["lemmas", "--n", "9", "--r", "3", "--k", "1", "--samples", "2"]
+    assert run(argv) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0] == "checked 3 intersecting families on n=9 r=3 k=1"
+    assert len(lines) == 4
+    assert all(line.startswith("FAIL [collision-structure] 9 3 1 : {") for line in lines[1:])
+
+    assert run(argv + ["--format", "json"]) == 1
+    data = json.loads(out_of(capsys))
+    assert data["all_passed"] is False
+    assert len(data["failures"]) == 3
+    for failure in data["failures"]:
+        family, report = failure["family"], failure["report"]
+        assert (family["n"], family["r"], family["k"]) == (9, 3, 1)
+        assert report["passed"] is False
+        failed = [c for c in report["clauses"] if not c["passed"]]
+        assert [c["clause_id"] for c in failed] == ["collision-structure"]
+        assert failed[0]["witnesses"] == [{"n": 9, "elems": family["sets"][0]}]
+
+    assert run(argv + ["--format", "csv"]) == 1
+    header, row = out_of(capsys).splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record["all_passed"] == "false"
+    assert record["failures"] == "3"
+
+
 # === weighted ===
 
 
@@ -508,6 +540,34 @@ def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch):
     assert "time limit exceeded before row" in captured.err
 
 
+_SMALL_RUNS = {
+    "enumerate": ["enumerate", "--n", "7", "--r", "2", "--k", "1"],
+    "max-family": ["max-family", "--n", "7", "--r", "2", "--k", "1"],
+    "classes": ["classes", "--n", "7", "--r", "2", "--k", "1"],
+    "lemmas": ["lemmas", "--n", "7", "--r", "2", "--k", "1"],
+    "weighted": ["weighted", "--n", "8", "--r", "2", "--k", "1"],
+    "graph": ["graph", "--kind", "schrijver", "--n", "7", "--r", "2"],
+    "report": ["report", "--grid", "quick"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_every_command_reads_its_deadline_before_writing(capsys, monkeypatch, command):
+    # only the check before the write fires, and only when the command passes a deadline
+    real = sepekr.cli.seconds_left
+
+    def expire_at_the_write(deadline, stage):
+        if stage == "writing the output" and deadline is not None:
+            raise sepekr.ResourceLimitError(f"time limit exceeded before {stage}")
+        return real(deadline, stage)
+
+    monkeypatch.setattr("sepekr.cli.seconds_left", expire_at_the_write)
+    assert run(_SMALL_RUNS[command] + ["--format", "json", "--limit-seconds", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "before writing the output" in captured.err
+
+
 def test_bad_threads_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("SEPEKR_THREADS", "zero")
     assert run(["enumerate", "--n", "5", "--r", "2", "--k", "1"]) == 2
@@ -550,6 +610,18 @@ def test_missing_argument_hits_argparse(capsys):
         run(["enumerate", "--n", "5", "--r", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(sepekr.cli._HANDLERS))
+def test_every_subcommand_takes_the_shared_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    usage, _, options = capsys.readouterr().out.partition("\n\n")
+    shared = "[--limit-seconds LIMIT_SECONDS] [--format {json,csv,text}] [--output OUTPUT]"
+    assert " ".join(usage.split()).endswith(shared)
+    for option in ("--limit-seconds", "--format", "--output"):
+        assert option in options
 
 
 # === installed entry points ===
