@@ -41,10 +41,9 @@ from .core import (
     CircSet,
     SetFamily,
     check_member_masks,
-    disjointness_rows,
+    disjoint_pairs,
     mask_elems,
     mask_k_separated,
-    row_edges,
 )
 
 
@@ -161,10 +160,18 @@ def _clause(clause_id: str, n: int, witnesses: list[int]) -> ClauseResult:
     return ClauseResult(clause_id, not witnesses, tuple(_circset(n, m) for m in witnesses))
 
 
-def _disjoint_pairs(masks: list[int]) -> list[int]:
-    """The first five disjoint pairs (i < j) of masks given in lexicographic order, flattened."""
+def _disjoint_pairs(masks: Iterable[int]) -> list[int]:
+    """The first five disjoint pairs (i < j) of the masks in lexicographic order, flattened.
+
+    Any order answers whether a pair exists, so only masks that have one are
+    sorted and walked again for the first five.
+    """
+    masks = list(masks)
+    if next(disjoint_pairs(masks), None) is None:
+        return []
+    masks = _lex(masks)
     pairs: list[int] = []
-    for u, v in islice(row_edges(disjointness_rows(masks)), 5):
+    for u, v in islice(disjoint_pairs(masks), 5):
         pairs += masks[u], masks[v]
     return pairs
 
@@ -371,9 +378,9 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
             n - 1,
             _lex(m for m in d.images if m.bit_count() != r or not mask_k_separated(m, n - 1, k)),
         ),
-        _clause("compressed-intersecting", n - 1, _disjoint_pairs(_lex(d.images))),
+        _clause("compressed-intersecting", n - 1, _disjoint_pairs(d.images)),
         _clause("reduced-components-disjoint", n - k, shared),
-        _clause("reduced-intersecting", n - k, _disjoint_pairs(_lex(d.reduced))),
+        _clause("reduced-intersecting", n - k, _disjoint_pairs(d.reduced)),
         _clause(
             "reduced-separated",
             n - k,

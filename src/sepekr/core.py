@@ -198,8 +198,9 @@ def dihedral_images(
 def mask_elems(mask: int) -> tuple[int, ...]:
     """The elements of a mask in increasing order; also its lexicographic sort key.
 
-    The one bit lister: only the per-member and per-node loops of
-    disjointness_rows and the search keep the lowest-bit loop inline.
+    The one bit lister: only the per-member loop of _row_hits, the lazy row
+    walk of disjoint_pairs and the per-node loops of the search keep the
+    lowest-bit loop inline.
     """
     out = []
     while mask:
@@ -317,31 +318,56 @@ def count_separated(n: int, r: int, k: int) -> int:
     return n * math.comb(n - k * r, r) // (n - k * r)
 
 
-def disjointness_rows(masks: Sequence[int]) -> list[int]:
-    """Bitmask adjacency rows over member masks: bit j of row i set when masks i and j are disjoint.
+def _row_hits(masks: Sequence[int]) -> Iterator[int]:
+    """For each mask in turn, the members that meet it, as a bitmask over member indices.
 
-    Built bit-parallel from element incidence: meets[b] holds the members whose
-    mask has the bit b, and row i is every member outside the union of meets[b]
-    over the bits b of mask i.
+    The element incidence is built once: meets[1 << b] holds the members
+    whose mask has the bit b.  It is sliced, one column per bit, out of the
+    masks' fixed-width bit strings joined last member first, so that member
+    j lands on bit j.  The hit of mask i is the union of meets[b] over the
+    bits b of mask i.
     """
-    # The lowest-bit loops stay inline, not mask_elems: they run once per member.
-    meets: dict[int, int] = {}
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            meets[low] = meets.get(low, 0) | bit
-            m ^= low
-    full = (1 << len(masks)) - 1
-    rows = []
+    width = max(masks, default=0).bit_length()
+    bits = "".join(format(m, f"0{width}b") for m in reversed(masks))
+    meets = {1 << b: int(bits[width - 1 - b :: width], 2) for b in range(width)}
+    # The lowest-bit loop stays inline, not mask_elems: it runs once per member.
     for m in masks:
         hit = 0
         while m:
             low = m & -m
             hit |= meets[low]
             m ^= low
-        rows.append(full & ~hit)
-    return rows
+        yield hit
+
+
+def disjointness_rows(masks: Sequence[int]) -> list[int]:
+    """Bitmask adjacency rows over member masks: bit j of row i set when masks i and j are disjoint.
+
+    Built bit-parallel from element incidence (_row_hits): row i is every
+    member outside the union of the members that share a bit with mask i.
+    """
+    full = (1 << len(masks)) - 1
+    return [full ^ hit for hit in _row_hits(masks)]
+
+
+def disjoint_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, of disjoint masks, lazily: row_edges(disjointness_rows(masks)).
+
+    Rows are built one at a time from the same incidence as disjointness_rows,
+    and a row that meets every member is skipped with one compare, so a
+    pairwise intersecting list costs the incidence and one union per member.
+    Bit e - 1 of row >> (u + 1) is vertex u + e, as in row_edges; the bits
+    are listed one at a time, so a walk stopped early lists no more of a
+    long row than it takes.
+    """
+    full = (1 << len(masks)) - 1
+    for u, hit in enumerate(_row_hits(masks)):
+        if hit != full:
+            row = (full ^ hit) >> (u + 1)
+            while row:
+                low = row & -row
+                yield u, u + low.bit_length()
+                row ^= low
 
 
 def row_edges(rows: Sequence[int], deadline: float | None = None) -> Iterator[tuple[int, int]]:
@@ -410,14 +436,27 @@ class DisjointnessGraph:
         return row_edges(self.adjacency, deadline)
 
     def subfamily(self, mask: int) -> SetFamily:
-        """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k)."""
+        """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k).
+
+        Every mask was checked when the graph was made, so when the chosen
+        members' elements strictly increase (as on a universe, which is in
+        lexicographic order) they are already SetFamily's sorted, distinct
+        and checked members, and the family is built without its checks.
+        Otherwise SetFamily sorts and checks them as usual.
+        """
         members, chosen = self._members, []
         for e in mask_elems(mask):
             s = members[e - 1]
             if s is None:
                 s = members[e - 1] = CircSet(self.n, mask_elems(self.masks[e - 1]))
             chosen.append(s)
-        return SetFamily(self.n, self.r, self.k, tuple(chosen))
+        chosen = tuple(chosen)
+        if not all(a.elems < b.elems for a, b in zip(chosen, chosen[1:])):
+            return SetFamily(self.n, self.r, self.k, chosen)
+        family = object.__new__(SetFamily)
+        for name, value in (("n", self.n), ("r", self.r), ("k", self.k), ("sets", chosen)):
+            object.__setattr__(family, name, value)
+        return family
 
     def to_json_dict(self, deadline: float | None = None) -> dict:
         """Vertices as element lists and edges as index pairs; deadline as in row_edges."""

@@ -9,7 +9,7 @@ from .core import (
     CircSet,
     SetFamily,
     dihedral_images,
-    disjointness_adjacency,
+    disjoint_pairs,
     is_k_separated,
     mask_elems,
     reflect,
@@ -20,7 +20,7 @@ from .core import (
 
 def is_intersecting(family: SetFamily) -> bool:
     """True when every two members share an element.  Empty and singleton families qualify."""
-    return not any(disjointness_adjacency(family.sets))
+    return next(disjoint_pairs([s.mask for s in family.sets]), None) is None
 
 
 def star_family(
@@ -106,8 +106,8 @@ def random_maximal_intersecting(
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
     order = list(range(graph.num_vertices))
     rng.shuffle(order)
-    chosen = 0
+    adjacency, chosen = graph.adjacency, 0
     for idx in order:
-        if not graph.adjacency[idx] & chosen:
+        if not adjacency[idx] & chosen:
             chosen |= 1 << idx
     return graph.subfamily(chosen)

@@ -323,6 +323,24 @@ def test_suite_flags_disjoint_reduced_members():
     assert failing == ["input-intersecting", "reduced-intersecting"]
 
 
+def test_disjoint_pair_witnesses_stay_lexicographic_when_the_set_order_is_not():
+    # {1,3,8} and {2,6,9} reduce to {2,7} and {5,8} on [8], and the reduced
+    # mask set iterates them the other way round; pairs are sorted on failure
+    members = [(1, 3, 8), (2, 6, 9)]
+    family = SetFamily(9, 3, 1, tuple(CircSet(9, m) for m in members))
+    masks = [s.mask for s in family]
+    reduced = compression._derive(*compression._partition(masks, 9, 3, 1), 9, 3, 1).reduced
+    assert list(reduced) != compression._lex(reduced)
+    report = verify_compression_suite(family)
+    witnesses = report.clause("reduced-intersecting").witnesses
+    assert [(w.n, w.elems) for w in witnesses] == [(8, (2, 7)), (8, (5, 8))]
+    got = [
+        (c.clause_id, c.passed, [(w.n, w.elems) for w in c.witnesses], c.detail)
+        for c in report.clauses
+    ]
+    assert got == compression_oracle(9, 3, 1, members)
+
+
 def test_suite_failure_reports_match_golden_file():
     """Each family in tests/data/compression_failures.json still gets its recorded report.
 

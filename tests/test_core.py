@@ -1,6 +1,7 @@
 """Core circular-set arithmetic: construction, gaps, enumeration, symmetries."""
 
 import math
+import random
 import time
 
 import pytest
@@ -26,7 +27,10 @@ from sepekr.core import (
     check_member_masks,
     count_separated,
     dihedral_images,
+    disjoint_pairs,
+    disjointness_rows,
     mask_elems,
+    row_edges,
     seconds_left,
 )
 
@@ -348,6 +352,48 @@ def test_disjointness_adjacency_matches_definition(sets):
         for s in sets
     ]
     assert disjointness_adjacency(sets) == expected
+
+
+@st.composite
+def mask_lists(draw):
+    """Random member masks of mixed sizes on up to 90 bits, duplicates allowed."""
+    width = draw(st.integers(1, 90))
+    elems = st.sets(st.integers(0, width - 1), min_size=1, max_size=6)
+    return [sum(1 << b for b in e) for e in draw(st.lists(elems, max_size=30))]
+
+
+@settings(max_examples=200)
+@given(mask_lists())
+@example([])
+@example([0b1011])
+@example([1 << 70 | 1, 1 << 61, 1 << 70 | 0b1000, 0b110, 1 << 89])
+def test_disjoint_pairs_walk_the_full_rows(masks):
+    rows = disjointness_rows(masks)
+    assert rows == [sum(1 << j for j, b in enumerate(masks) if not a & b) for a in masks]
+    assert list(disjoint_pairs(masks)) == list(row_edges(rows))
+
+
+@pytest.mark.parametrize("n, r, k", [(9, 3, 1), (14, 4, 1), (20, 4, 2)])
+def test_subfamily_equals_the_checked_constructor(n, r, k):
+    # on the universe's lexicographic order the checks are skipped; on the
+    # reversed order the members must still come out sorted
+    masks = separated_masks(n, r, k)
+    rng = random.Random(n)
+    for order in (masks, masks[::-1]):
+        graph = DisjointnessGraph(n, r, k, tuple(order))
+        picks = [0, (1 << len(order)) - 1]
+        for _ in range(40):
+            picks.append(sum(1 << v for v in rng.sample(range(len(order)), rng.randint(1, len(order)))))
+        for pick in picks:
+            family = graph.subfamily(pick)
+            chosen = [CircSet(n, mask_elems(m)) for v, m in enumerate(order) if pick >> v & 1]
+            expected = SetFamily(n, r, k, tuple(chosen))
+            assert family == expected
+            assert family.sets == expected.sets
+            assert hash(family) == hash(expected)
+            assert [s.elems for s in family.sets] == sorted(s.elems for s in chosen)
+    twice = DisjointnessGraph(n, r, k, (masks[1], masks[1], masks[0]))
+    assert twice.subfamily(0b111).sets == tuple(CircSet(n, mask_elems(m)) for m in masks[:2])
 
 
 def test_seconds_left_splits_one_deadline_between_stages():

@@ -285,6 +285,23 @@ def test_random_maximal_matches_the_greedy_reference_on_interleaved_instances():
                 assert [s.elems for s in got] == greedy_maximal_intersecting(*inst, ref)
 
 
+def test_the_seeded_sample_stream_is_pinned():
+    # 200 draws at seed 0 on (20,4,2): the lemmas benchmark's members_total
+    rng = random.Random(0)
+    assert sum(len(random_maximal_intersecting(20, 4, 2, rng)) for _ in range(200)) == 21274
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_is_intersecting_matches_the_pairwise_oracle(data):
+    n = data.draw(st.integers(2, 12))
+    r = data.draw(st.integers(1, n))
+    elems = st.sets(st.integers(1, n), min_size=r, max_size=r)
+    members = data.draw(st.lists(elems, max_size=12))
+    fam = SetFamily(n, r, 0, tuple(CircSet(n, tuple(e)) for e in members))
+    assert is_intersecting(fam) == intersecting([s.elems for s in fam])
+
+
 def test_star_and_samples_enumerate_the_universe_once(enumerations):
     rng = random.Random(0)
     star_family(20, 4, 2, 1)
