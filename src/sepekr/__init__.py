@@ -10,7 +10,7 @@ from .core import (
     CircSet,
     ResourceLimitError,
     SetFamily,
-    disjointness_adjacency,
+    disjointness_rows,
     enumerate_separated,
     from_gaps,
     gap_vector,
@@ -72,6 +72,7 @@ __all__ = [
     "SetFamily",
     "enumerate_separated",
     "separated_masks",
+    "disjointness_rows",
     "from_gaps",
     "gap_vector",
     "is_k_separated",
@@ -97,7 +98,6 @@ __all__ = [
     "verify_compression_suite",
     "ResourceLimitError",
     "SearchResult",
-    "disjointness_adjacency",
     "enumerate_max_independent",
     "extremal_classes",
     "max_intersecting",

@@ -41,9 +41,10 @@ from .core import (
     CircSet,
     SetFamily,
     check_member_masks,
-    disjoint_pairs,
+    disjointness_rows,
     mask_elems,
     mask_k_separated,
+    row_edges,
 )
 
 
@@ -167,11 +168,11 @@ def _disjoint_pairs(masks: Iterable[int]) -> list[int]:
     sorted and walked again for the first five.
     """
     masks = list(masks)
-    if next(disjoint_pairs(masks), None) is None:
+    if next(row_edges(disjointness_rows(masks)), None) is None:
         return []
     masks = _lex(masks)
     pairs: list[int] = []
-    for u, v in islice(disjoint_pairs(masks), 5):
+    for u, v in islice(row_edges(disjointness_rows(masks)), 5):
         pairs += masks[u], masks[v]
     return pairs
 

@@ -98,12 +98,6 @@ class SetFamily:
     sets: tuple[CircSet, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ground set size must be positive, got n={self.n}")
-        if self.r < 1:
-            raise ValueError(f"member size must be positive, got r={self.r}")
-        if self.k < 0:
-            raise ValueError(f"separation parameter must be non-negative, got k={self.k}")
         members = tuple(sorted(set(self.sets), key=lambda s: s.elems))
         object.__setattr__(self, "sets", members)
         masks = []
@@ -198,8 +192,8 @@ def dihedral_images(
 def mask_elems(mask: int) -> tuple[int, ...]:
     """The elements of a mask in increasing order; also its lexicographic sort key.
 
-    The one bit lister: only the per-member loop of _row_hits, the lazy row
-    walk of disjoint_pairs and the per-node loops of the search keep the
+    The one bit lister: only the per-member loop of disjointness_rows, the
+    lazy row walk of row_edges and the per-node loops of the search keep the
     lowest-bit loop inline.
     """
     out = []
@@ -213,10 +207,17 @@ def mask_elems(mask: int) -> tuple[int, ...]:
 def check_member_masks(masks: Iterable[int], n: int, r: int, k: int) -> None:
     """The member rules of SetFamily(n, r, k, ...), on masks.
 
-    Raises ValueError for the lexicographically first mask that does not
-    have r elements or is not k-separated in [n].
+    Raises ValueError unless n >= 1, r >= 1 and k >= 0, and then for the
+    lexicographically first mask that lies outside [n], does not have r
+    elements or is not k-separated in [n].
     """
-    bad = [m for m in masks if m.bit_count() != r or not mask_k_separated(m, n, k)]
+    if n < 1:
+        raise ValueError(f"ground set size must be positive, got n={n}")
+    if r < 1:
+        raise ValueError(f"member size must be positive, got r={r}")
+    if k < 0:
+        raise ValueError(f"separation parameter must be non-negative, got k={k}")
+    bad = [m for m in masks if m >> n or m.bit_count() != r or not mask_k_separated(m, n, k)]
     if bad:
         s = CircSet(n, mask_elems(min(bad, key=mask_elems)))
         if s.r != r:
@@ -270,7 +271,7 @@ def separated_masks(n: int, r: int, k: int) -> list[int]:
     taken from itertools.combinations in lexicographic order.  Empty when
     the circle is too small (n < (k+1)r).  k = 0 gives all r-subsets.
     """
-    SetFamily(n, r, k, ())  # checks n, r and k
+    check_member_masks((), n, r, k)
     # needed at r = 1 too, where combinations(..., 0) yields one empty tuple for any span
     if n < (k + 1) * r:
         return []
@@ -318,15 +319,16 @@ def count_separated(n: int, r: int, k: int) -> int:
     return n * math.comb(n - k * r, r) // (n - k * r)
 
 
-def _row_hits(masks: Sequence[int]) -> Iterator[int]:
-    """For each mask in turn, the members that meet it, as a bitmask over member indices.
+def disjointness_rows(masks: Sequence[int]) -> Iterator[int]:
+    """Bitmask adjacency rows over member masks, one at a time: bit j of row i set when masks i and j are disjoint.
 
-    The element incidence is built once: meets[1 << b] holds the members
-    whose mask has the bit b.  It is sliced, one column per bit, out of the
-    masks' fixed-width bit strings joined last member first, so that member
-    j lands on bit j.  The hit of mask i is the union of meets[b] over the
-    bits b of mask i.
+    The element incidence is built once, when the first row is asked for:
+    meets[1 << b] holds the members whose mask has the bit b.  It is sliced,
+    one column per bit, out of the masks' fixed-width bit strings joined last
+    member first, so that member j lands on bit j.  Row i is every member
+    outside the union of meets[b] over the bits b of mask i.
     """
+    full = (1 << len(masks)) - 1
     width = max(masks, default=0).bit_length()
     bits = "".join(format(m, f"0{width}b") for m in reversed(masks))
     meets = {1 << b: int(bits[width - 1 - b :: width], 2) for b in range(width)}
@@ -337,56 +339,25 @@ def _row_hits(masks: Sequence[int]) -> Iterator[int]:
             low = m & -m
             hit |= meets[low]
             m ^= low
-        yield hit
+        yield full ^ hit
 
 
-def disjointness_rows(masks: Sequence[int]) -> list[int]:
-    """Bitmask adjacency rows over member masks: bit j of row i set when masks i and j are disjoint.
+def row_edges(rows: Iterable[int], deadline: float | None = None) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v set in row u, in row order.
 
-    Built bit-parallel from element incidence (_row_hits): row i is every
-    member outside the union of the members that share a bit with mask i.
-    """
-    full = (1 << len(masks)) - 1
-    return [full ^ hit for hit in _row_hits(masks)]
-
-
-def disjoint_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The pairs (u, v), u < v, of disjoint masks, lazily: row_edges(disjointness_rows(masks)).
-
-    Rows are built one at a time from the same incidence as disjointness_rows,
-    and a row that meets every member is skipped with one compare, so a
-    pairwise intersecting list costs the incidence and one union per member.
-    Bit e - 1 of row >> (u + 1) is vertex u + e, as in row_edges; the bits
-    are listed one at a time, so a walk stopped early lists no more of a
-    long row than it takes.
-    """
-    full = (1 << len(masks)) - 1
-    for u, hit in enumerate(_row_hits(masks)):
-        if hit != full:
-            row = (full ^ hit) >> (u + 1)
-            while row:
-                low = row & -row
-                yield u, u + low.bit_length()
-                row ^= low
-
-
-def row_edges(rows: Sequence[int], deadline: float | None = None) -> Iterator[tuple[int, int]]:
-    """The pairs (u, v), u < v, with bit v set in rows[u], in row order.
-
-    Bit e - 1 of row >> (u + 1) is bit u + e of the row, so the elements e
-    that mask_elems lists are the offsets of the vertices past u.  With a
-    time.monotonic() deadline, it is read once per row.
+    Each row is read when the walk reaches it, and its bits are listed one at
+    a time (bit e - 1 of row >> (u + 1) is vertex u + e), so a walk stopped
+    early reads no more rows, and no more of a long row, than it takes.  With
+    a time.monotonic() deadline, it is read once per row.
     """
     for u, row in enumerate(rows):
         if deadline is not None:
             seconds_left(deadline, f"the edges of vertex {u + 1}")
-        for e in mask_elems(row >> (u + 1)):
-            yield u, u + e
-
-
-def disjointness_adjacency(sets: Sequence[CircSet]) -> list[int]:
-    """Bitmask adjacency rows: bit j of row i set when sets i and j are disjoint."""
-    return disjointness_rows([s.mask for s in sets])
+        row >>= u + 1
+        while row:
+            low = row & -row
+            yield u, u + low.bit_length()
+            row ^= low
 
 
 @dataclass(frozen=True)

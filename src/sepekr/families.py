@@ -9,18 +9,19 @@ from .core import (
     CircSet,
     SetFamily,
     dihedral_images,
-    disjoint_pairs,
+    disjointness_rows,
     is_k_separated,
     mask_elems,
     reflect,
     rotate,
+    row_edges,
     separated_universe,
 )
 
 
 def is_intersecting(family: SetFamily) -> bool:
     """True when every two members share an element.  Empty and singleton families qualify."""
-    return next(disjoint_pairs([s.mask for s in family.sets]), None) is None
+    return next(row_edges(disjointness_rows([s.mask for s in family.sets])), None) is None
 
 
 def star_family(

@@ -12,7 +12,7 @@ from sepekr import (
     CircSet,
     DisjointnessGraph,
     SetFamily,
-    disjointness_adjacency,
+    disjointness_rows,
     enumerate_separated,
     from_gaps,
     gap_vector,
@@ -27,8 +27,6 @@ from sepekr.core import (
     check_member_masks,
     count_separated,
     dihedral_images,
-    disjoint_pairs,
-    disjointness_rows,
     mask_elems,
     row_edges,
     seconds_left,
@@ -91,6 +89,20 @@ def test_family_reports_its_first_faulty_member_in_member_order():
     # the mask check reports the lexicographically first faulty mask, not the first given
     with pytest.raises(ValueError, match=r"member \{1,2\} has 2 elements, family declares r=3"):
         check_member_masks([0b1010100, 0b1100, 0b11], 7, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "n, r, k, masks, message",
+    [
+        (5, 1, 0, (1 << 7,), r"^elements \(8,\) outside 1\.\.5$"),
+        (0, 1, 0, (), "^ground set size must be positive, got n=0$"),
+        (5, 0, 0, (), "^member size must be positive, got r=0$"),
+        (5, 1, -1, (), "^separation parameter must be non-negative, got k=-1$"),
+    ],
+)
+def test_disjointness_graph_checks_its_masks_when_made(n, r, k, masks, message):
+    with pytest.raises(ValueError, match=message):
+        DisjointnessGraph(n, r, k, masks)
 
 
 def test_family_json_round_trip():
@@ -351,7 +363,7 @@ def test_disjointness_adjacency_matches_definition(sets):
         sum(1 << j for j, t in enumerate(sets) if not set(s.elems) & set(t.elems))
         for s in sets
     ]
-    assert disjointness_adjacency(sets) == expected
+    assert list(disjointness_rows([s.mask for s in sets])) == expected
 
 
 @st.composite
@@ -368,9 +380,18 @@ def mask_lists(draw):
 @example([0b1011])
 @example([1 << 70 | 1, 1 << 61, 1 << 70 | 0b1000, 0b110, 1 << 89])
 def test_disjoint_pairs_walk_the_full_rows(masks):
-    rows = disjointness_rows(masks)
-    assert rows == [sum(1 << j for j, b in enumerate(masks) if not a & b) for a in masks]
-    assert list(disjoint_pairs(masks)) == list(row_edges(rows))
+    rows = [sum(1 << j for j, b in enumerate(masks) if not a & b) for a in masks]
+    assert list(disjointness_rows(masks)) == rows
+    pairs = [(u, v) for u, a in enumerate(masks) for v, b in enumerate(masks) if u < v and not a & b]
+    assert list(row_edges(disjointness_rows(masks))) == pairs
+
+
+def test_row_edges_reads_no_row_past_the_first_pair():
+    def rows():
+        yield 0b10110  # row 0: vertices 1, 2 and 4
+        raise AssertionError("read the second row")
+
+    assert next(row_edges(rows())) == (0, 1)
 
 
 @pytest.mark.parametrize("n, r, k", [(9, 3, 1), (14, 4, 1), (20, 4, 2)])

@@ -14,7 +14,7 @@ from sepekr import (
     build_kneser,
     build_schrijver,
     canonical_form,
-    disjointness_adjacency,
+    disjointness_rows,
     enumerate_max_independent,
     enumerate_separated,
     exceptional_family,
@@ -131,7 +131,7 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sepekr.search, "_cover_bound", slow)
-    adj = disjointness_adjacency(enumerate_separated(12, 4, 1).sets)
+    adj = list(disjointness_rows([s.mask for s in enumerate_separated(12, 4, 1).sets]))
     started = time.monotonic()
     with pytest.raises(ResourceLimitError, match="before node"):
         solve_max_independent(adj, time_limit=0.05)
@@ -268,7 +268,7 @@ def test_class_count_matches_orbit_oracle():
 def test_enumeration_finds_each_maximum_once():
     for n, r, k in [(6, 2, 1), (7, 2, 1), (9, 3, 1)]:
         universe = enumerate_separated(n, r, k)
-        adj = disjointness_adjacency(universe.sets)
+        adj = list(disjointness_rows([s.mask for s in universe.sets]))
         optimum, _, _ = solve_max_independent(adj)
         masks, _ = enumerate_max_independent(adj, optimum)
         assert len(masks) == len(set(masks))
@@ -376,7 +376,7 @@ def _chain_problems(n, r, k, rotations_only):
     """How the orbit chain disagrees with the oracles on one instance, if it does."""
     universe = enumerate_separated(n, r, k)
     members = [s.elems for s in universe]
-    adj = disjointness_adjacency(universe.sets)
+    adj = list(disjointness_rows([s.mask for s in universe.sets]))
     perms = vertex_permutations(members, n, rotations_only)
     maxima = all_maximum_intersecting(members)
     optimum = max_intersecting_size(members)
@@ -561,7 +561,7 @@ def test_a_wrong_step_generator_is_caught(monkeypatch):
 
 def test_chain_with_the_trivial_group_loses_nothing():
     for n, r, k in [(7, 2, 1), (9, 3, 1), (10, 2, 2)]:
-        adj = disjointness_adjacency(enumerate_separated(n, r, k).sets)
+        adj = list(disjointness_rows([s.mask for s in enumerate_separated(n, r, k).sets]))
         identity = [list(range(len(adj)))]
         one_root_per_vertex = [(v, (1 << v) - 1) for v in range(len(adj))]
         assert sepekr.search._orbit_chain(len(adj), identity) == one_root_per_vertex
@@ -573,7 +573,7 @@ def test_chain_with_the_trivial_group_loses_nothing():
 
 def test_incumbent_must_be_independent(monkeypatch):
     universe = enumerate_separated(7, 2, 1)
-    adj = disjointness_adjacency(universe.sets)
+    adj = list(disjointness_rows([s.mask for s in universe.sets]))
     u, v = next((u, v) for u in range(len(adj)) for v in range(len(adj)) if adj[u] >> v & 1)
     with pytest.raises(ValueError, match="not an independent set"):
         solve_max_independent(adj, incumbent=1 << u | 1 << v)
@@ -601,7 +601,7 @@ def test_the_census_needs_a_floor_at_most_the_optimum(monkeypatch, n, r, k):
 
 def test_incumbent_is_kept_or_beaten():
     universe = enumerate_separated(9, 3, 1)
-    adj = disjointness_adjacency(universe.sets)
+    adj = list(disjointness_rows([s.mask for s in universe.sets]))
     star = sum(1 << i for i, s in enumerate(universe.sets) if 1 in s)
     assert solve_max_independent(adj, incumbent=star)[:2] == (10, star)
     optimum, mask, _ = solve_max_independent(adj, incumbent=1)
