@@ -193,6 +193,7 @@ def _cmd_enumerate(args) -> int:
     else:
         seconds_left(args.deadline, "the universe")
         family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES).vertices
+        seconds_left(args.deadline, "the members")
     _emit(
         args,
         family.to_json_dict,
@@ -204,9 +205,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_max_family(args) -> int:
-    left = seconds_left(args.deadline, "the universe")
+    seconds_left(args.deadline, "the universe")
     result = max_intersecting(
-        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=left
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, deadline=args.deadline
     )
     row = dict(n=args.n, r=args.r, k=args.k, optimum=result.optimum, nodes=result.nodes_explored)
     _emit(
@@ -219,13 +220,14 @@ def _cmd_max_family(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    seconds_left(args.deadline, "the universe")
     result = extremal_classes(
         args.n,
         args.r,
         args.k,
         rotations_only=args.rotations_only,
         max_vertices=args.limit_vertices,
-        time_limit=seconds_left(args.deadline, "the universe"),
+        deadline=args.deadline,
     )
     classes = result.classes
     row = dict(
@@ -284,9 +286,9 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
-    left = seconds_left(args.deadline, "the universe")
+    seconds_left(args.deadline, "the universe")
     report = verify_weighted_ekr(
-        args.n, args.r, args.k, max_vertices=args.limit_vertices, time_limit=left
+        args.n, args.r, args.k, max_vertices=args.limit_vertices, deadline=args.deadline
     )
     _emit(
         args,
@@ -311,9 +313,11 @@ def _cmd_graph(args) -> int:
     )
     chi = alpha = None
     if args.chi:
-        chi = chromatic_number(graph, time_limit=seconds_left(args.deadline, "chi"))
+        seconds_left(args.deadline, "chi")
+        chi = chromatic_number(graph, deadline=args.deadline)
     if args.alpha:
-        alpha = independence_number(graph, time_limit=seconds_left(args.deadline, "alpha"))
+        seconds_left(args.deadline, "alpha")
+        alpha = independence_number(graph, deadline=args.deadline)
     seconds_left(args.deadline, "the output")
     if args.dimacs:
         export_dimacs(graph, args.dimacs, deadline=args.deadline)
@@ -352,17 +356,19 @@ def _cmd_report(args) -> int:
     out_rows = []
     all_ok = True
     for n, r, k, with_classes in rows:
-        left = seconds_left(args.deadline, f"row n={n} r={r} k={k}")
+        seconds_left(args.deadline, f"row n={n} r={r} k={k}")
         formula = star_size_formula(n, r, k)
         if with_classes:
-            result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, time_limit=left)
+            result = extremal_classes(
+                n, r, k, max_vertices=DEFAULT_MAX_VERTICES, deadline=args.deadline
+            )
             class_count: int | None = len(result.classes)
             multi_expected = k == 1 and n == 2 * r + 2
             class_ok: bool | None = (
                 class_count > 1 if multi_expected else class_count == 1
             )
         else:
-            result = max_intersecting(n, r, k, time_limit=left)
+            result = max_intersecting(n, r, k, deadline=args.deadline)
             class_count = None
             class_ok = None
         match = result.optimum == formula

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
     separated_universe,
@@ -28,10 +26,10 @@ def build_schrijver(
 def independence_number(
     graph: DisjointnessGraph,
     *,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> int:
     """Exact independence number via the branch-and-bound solver."""
-    return solve_max_independent(graph.adjacency, time_limit=time_limit)[0]
+    return solve_max_independent(graph.adjacency, deadline=deadline)[0]
 
 
 def _colorable(
@@ -102,14 +100,13 @@ def _colorable(
     return False
 
 
-def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = None) -> int:
+def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None) -> int:
     """Exact chromatic number by iterative deepening from a maximum clique.
 
     The clique is a maximum independent set of the complement, found by the
     search core.  Raises ResourceLimitError above COLORING_MAX_VERTICES, or
-    once time_limit seconds have passed.
+    once the time.monotonic() deadline passes.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     v_count = graph.num_vertices
     if v_count > COLORING_MAX_VERTICES:
         raise ResourceLimitError(
@@ -118,9 +115,8 @@ def chromatic_number(graph: DisjointnessGraph, *, time_limit: float | None = Non
     adj = graph.adjacency
     full = (1 << v_count) - 1
     complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
-    _, mask, _ = solve_max_independent(
-        complement, time_limit=seconds_left(deadline, "the clique search")
-    )
+    seconds_left(deadline, "the clique search")
+    _, mask, _ = solve_max_independent(complement, deadline=deadline)
     clique = [e - 1 for e in mask_elems(mask)]
     seconds_left(deadline, "the colouring")
     for c in range(len(clique), v_count + 1):

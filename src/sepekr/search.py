@@ -20,7 +20,6 @@ vertex indices follow the lexicographic member order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,7 +124,7 @@ def _search(
     adj: Sequence[int],
     weights: list[int] | None,
     target: int | None,
-    time_limit: float | None,
+    deadline: float | None,
     perms: Sequence[Sequence[int]] | None = None,
     incumbent: int = 0,
 ) -> tuple[int, int, int, list[int]]:
@@ -159,7 +158,6 @@ def _search(
     maximum sets has at least one member collected; the include and exclude
     children still split their parent, so no set is collected twice.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     nodes = 0
     value = [1] * len(adj) if weights is None else weights
     members = [e - 1 for e in mask_elems(incumbent)]
@@ -209,7 +207,7 @@ def solve_max_independent(
     adj: Sequence[int],
     weights: list[int] | None = None,
     *,
-    time_limit: float | None = None,
+    deadline: float | None = None,
     perms: Sequence[Sequence[int]] | None = None,
     incumbent: int = 0,
 ) -> tuple[int, int, int]:
@@ -220,16 +218,17 @@ def solve_max_independent(
     below it (see `_search`).  An
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
-    the incumbent when nothing is.
+    the incumbent when nothing is.  A deadline, a time.monotonic() value, is
+    read at every node; ResourceLimitError once it passes.
     """
-    return _search(adj, weights, None, time_limit, perms, incumbent)[:3]
+    return _search(adj, weights, None, deadline, perms, incumbent)[:3]
 
 
 def enumerate_max_independent(
     adj: Sequence[int],
     target: int,
     *,
-    time_limit: float | None = None,
+    deadline: float | None = None,
     perms: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], int]:
     """The maximum independent sets, where target is a lower bound on the independence number.
@@ -242,7 +241,7 @@ def enumerate_max_independent(
     group), the search starts from an orbit chain and returns at least one
     set per orbit of the group, not all of them; each set still at most once.
     """
-    _, _, nodes, found = _search(adj, None, target, time_limit, perms)
+    _, _, nodes, found = _search(adj, None, target, deadline, perms)
     return found, nodes
 
 
@@ -284,25 +283,22 @@ def max_intersecting(
     k: int,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
     The solve starts from the star (every vertex holding 1) as incumbent and
     from the orbit chain of the dihedral group.  The witness is the least
     image of the optimum's vertex mask under the group, its canonical form;
-    repeated runs are identical.  One time limit covers the whole call: the
-    universe, the symmetries, the solve and the canonicalisation of the
-    witness.
+    repeated runs are identical.  One deadline (time.monotonic()) covers the
+    whole call: the universe, the symmetries, the solve and the
+    canonicalisation of the witness.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
     perms = _vertex_permutations(graph)
+    seconds_left(deadline, "the solve")
     optimum, mask, nodes = solve_max_independent(
-        graph.adjacency,
-        time_limit=seconds_left(deadline, "the solve"),
-        perms=perms,
-        incumbent=_star_mask(graph),
+        graph.adjacency, deadline=deadline, perms=perms, incumbent=_star_mask(graph)
     )
     seconds_left(deadline, "canonicalising the witness")
     least = min(_orbit(mask, perms), key=mask_elems)
@@ -316,24 +312,22 @@ def max_intersecting_weighted(
     weight_fn: Callable[[CircSet], int],
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
     """Exact maximum total weight of an intersecting family under a non-negative integer weight.
 
     An arbitrary weight need not respect the circle symmetries, so the solve
     is the plain search and the witness is one optimal family as found, not
-    canonicalised.  One time limit covers the universe, the weights and the
+    canonicalised.  One deadline covers the universe, the weights and the
     solve.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
     weights = [weight_fn(s) for s in graph.vertices]
     for s, w in zip(graph.vertices, weights):
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
-    optimum, mask, nodes = solve_max_independent(
-        graph.adjacency, weights, time_limit=seconds_left(deadline, "the solve")
-    )
+    seconds_left(deadline, "the solve")
+    optimum, mask, nodes = solve_max_independent(graph.adjacency, weights, deadline=deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
@@ -344,7 +338,7 @@ def extremal_classes(
     *,
     rotations_only: bool = False,
     max_vertices: int = CLASS_MAX_VERTICES,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
     """All maximum intersecting families, reported as one representative per symmetry class.
 
@@ -354,16 +348,15 @@ def extremal_classes(
     Every image of an optimum is an optimum, so each new optimum's orbit is
     walked once and marked as seen, and its least image (the canonical form)
     is the class's representative.  Representatives are sorted
-    lexicographically; the witness is the least of them.  One time limit
+    lexicographically; the witness is the least of them.  One deadline
     covers the whole call: the symmetries, the enumeration and the orbit
     walks.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     graph = separated_universe(n, r, k, max_vertices)
     perms = _vertex_permutations(graph, rotations_only)
     star = _star_mask(graph).bit_count()
-    left = seconds_left(deadline, "enumerating the optima")
-    masks, nodes = enumerate_max_independent(graph.adjacency, star, time_limit=left, perms=perms)
+    seconds_left(deadline, "enumerating the optima")
+    masks, nodes = enumerate_max_independent(graph.adjacency, star, deadline=deadline, perms=perms)
     if not masks:
         raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()

@@ -9,7 +9,6 @@ exploits; everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -95,26 +94,21 @@ def verify_weighted_ekr(
     k: int,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> WeightedBoundReport:
     """Solve the weighted problem exactly and compare with the star family.
 
     Defined on the regime n >= 2(k+1)r where the star is heaviest; its weight
-    has the closed form C(n-1, (k+1)r - 1).  One time limit covers the whole
-    call: the solve and the star's weight.
+    has the closed form C(n-1, (k+1)r - 1).  One time.monotonic() deadline
+    covers the whole call: the solve and the star's weight.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     if k < 1:
         raise ValueError(f"weighted bound needs k >= 1, got k={k}")
     if n < 2 * (k + 1) * r:
         raise ValueError(f"need n >= 2(k+1)r = {2 * (k + 1) * r}, got n={n}")
+    seconds_left(deadline, "the solve")
     result: SearchResult = max_intersecting_weighted(
-        n,
-        r,
-        k,
-        lambda s: weight(s, k),
-        max_vertices=max_vertices,
-        time_limit=seconds_left(deadline, "the solve"),
+        n, r, k, lambda s: weight(s, k), max_vertices=max_vertices, deadline=deadline
     )
     seconds_left(deadline, "the star's weight")
     return WeightedBoundReport(

@@ -373,13 +373,28 @@ def test_enumerate_aborts_above_the_vertex_limit_without_building_rows(capsys, m
     assert out_of(capsys).startswith("13 3 1 : {1,3,5} ")
 
 
-def test_enumerate_obeys_the_time_limit(capsys, tmp_path):
-    # (30,4,1) has 17250 sets, under the vertex limit; listing them as JSON takes tenths of a second
+def test_enumerate_obeys_the_time_limit(capsys, monkeypatch, tmp_path):
+    # (30,4,1) has 17250 sets, under the vertex limit; building their CircSets alone takes
+    # tens of milliseconds, so the deadline is read again once they are built
     target = tmp_path / "sets.json"
     argv = ["enumerate", "--n", "30", "--r", "4", "--k", "1", "--format", "json"]
     assert run(argv + ["--output", str(target), "--limit-seconds", "0.01"]) == 3
     captured = capsys.readouterr()
     assert "time limit exceeded" in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+    real = sepekr.core.DisjointnessGraph.subfamily
+
+    def slow_members(graph, mask):
+        time.sleep(0.3)
+        return real(graph, mask)
+
+    sepekr.core._universe.cache_clear()  # so that the members are built again
+    with monkeypatch.context() as patch:
+        patch.setattr(sepekr.core.DisjointnessGraph, "subfamily", slow_members)
+        assert run(argv + ["--output", str(target), "--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded before the members" in captured.err
     assert captured.out == ""
     assert not target.exists()
     assert run(["enumerate", "--n", "5", "--r", "2", "--k", "1", "--limit-seconds", "30"]) == 0

@@ -1,5 +1,6 @@
 """Core circular-set arithmetic: construction, gaps, enumeration, symmetries."""
 
+import inspect
 import math
 import random
 import time
@@ -422,6 +423,30 @@ def test_seconds_left_splits_one_deadline_between_stages():
     assert 0 < seconds_left(time.monotonic() + 10, "the solve") <= 10
     with pytest.raises(ResourceLimitError, match="^time limit exceeded before the solve$"):
         seconds_left(time.monotonic() - 1, "the solve")
+
+
+def test_every_bounded_call_takes_one_absolute_deadline():
+    """One time budget in the library: a time.monotonic() deadline, never a count of seconds."""
+    import sepekr
+
+    calls = {"row_edges": row_edges}
+    for name in sepekr.__all__:
+        obj = getattr(sepekr, name)
+        if inspect.isclass(obj):
+            for attr, method in inspect.getmembers(obj, inspect.isfunction):
+                if not attr.startswith("_"):
+                    calls[f"{name}.{attr}"] = method
+        elif callable(obj):
+            calls[name] = obj
+    params = {name: inspect.signature(call).parameters for name, call in calls.items()}
+    assert [name for name, p in params.items() if "time_limit" in p] == []
+    bounded = [
+        "solve_max_independent", "enumerate_max_independent", "max_intersecting",
+        "max_intersecting_weighted", "extremal_classes", "independence_number",
+        "chromatic_number", "verify_weighted_ekr", "row_edges", "DisjointnessGraph.edges",
+        "DisjointnessGraph.to_json_dict", "export_dimacs",
+    ]
+    assert [name for name in bounded if "deadline" not in params[name]] == []
 
 
 # === package exports ===

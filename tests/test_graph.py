@@ -297,13 +297,24 @@ def test_chromatic_number_of_the_empty_graph():
 def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
     real = sepekr.graph.solve_max_independent
 
-    def slow(*args, **kwargs):
+    def sleep_after(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(0.3)
+        return result
+
+    def sleep_before(*args, **kwargs):
         time.sleep(0.3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sepekr.graph, "solve_max_independent", slow)
+    # the clique search ends past the deadline, so the colouring never starts
+    monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_after)
     with pytest.raises(ResourceLimitError, match="before the colouring"):
-        chromatic_number(build_schrijver(7, 2, 1), time_limit=0.2)
+        chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
+    # the deadline passes before the clique search starts; the search shares it instead of
+    # starting a budget of its own, so it stops at its first node
+    monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_before)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node 1$"):
+        chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
 
 
 def test_chromatic_time_limit():
@@ -311,8 +322,8 @@ def test_chromatic_time_limit():
     # machine); a budget of 0.05 s aborts it
     g = build_schrijver(10, 3, 1)
     with pytest.raises(ResourceLimitError, match="before colouring step"):
-        chromatic_number(g, time_limit=0.05)
-    assert chromatic_number(build_schrijver(9, 3, 1), time_limit=60) == 5
+        chromatic_number(g, deadline=time.monotonic() + 0.05)
+    assert chromatic_number(build_schrijver(9, 3, 1), deadline=time.monotonic() + 60) == 5
 
 
 @pytest.mark.parametrize(
@@ -339,7 +350,7 @@ def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, k, chi, st
         stages.append(stage)
 
     monkeypatch.setattr(sepekr.graph, "seconds_left", record)
-    assert chromatic_number(build_schrijver(n, r, k), time_limit=math.inf) == chi
+    assert chromatic_number(build_schrijver(n, r, k), deadline=math.inf) == chi
     assert sum(stage.startswith("colouring step") for stage in stages) == steps
 
 

@@ -188,4 +188,4 @@ def test_weighted_time_limit_covers_the_star_weight(monkeypatch):
 
     monkeypatch.setattr(sepekr.weighted, "max_intersecting_weighted", slow)
     with pytest.raises(ResourceLimitError, match="star"):
-        verify_weighted_ekr(9, 2, 1, time_limit=0.2)
+        verify_weighted_ekr(9, 2, 1, deadline=time.monotonic() + 0.2)
