@@ -72,7 +72,7 @@ def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
         "--limit-vertices",
         type=_positive(int),
         default=default_vertices,
-        help="abort instances with more vertices than this",
+        help="abort instances with more vertices than this; the V adjacency rows take V*V/8 bytes",
     )
 
 
@@ -306,19 +306,20 @@ def _cmd_graph(args) -> int:
     else:
         graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
     k = graph.k
-    # chi comes first, so that its vertex limit fires before any alpha search is spent
-    summary = dict(
-        kind=args.kind, n=args.n, r=args.r, k=k,
-        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
-    )
     chi = alpha = None
+    # chi comes first, so that its vertex limit fires before any alpha search is spent
     if args.chi:
         seconds_left(args.deadline, "chi")
         chi = chromatic_number(graph, deadline=args.deadline)
     if args.alpha:
         seconds_left(args.deadline, "alpha")
         alpha = independence_number(graph, deadline=args.deadline)
+    graph.build_adjacency(args.deadline)  # for num_edges, unless chi or alpha built the rows
     seconds_left(args.deadline, "the output")
+    summary = dict(
+        kind=args.kind, n=args.n, r=args.r, k=k,
+        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
+    )
     if args.dimacs:
         export_dimacs(graph, args.dimacs, deadline=args.deadline)
     invariants = {"alpha": alpha, "chi": chi}

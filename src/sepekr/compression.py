@@ -33,7 +33,6 @@ witnesses of a failed clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, NamedTuple
 
@@ -71,14 +70,16 @@ def _circset(n: int, m: int) -> CircSet:
 
 def _partition(
     masks: Iterable[int], n: int, r: int, k: int
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """Split the members of a k-separated family into (free, anchored, boundary cells).
+) -> tuple[list[int], list[int], list[list[int]], dict[int, int]]:
+    """Split the distinct members of a k-separated family into (free, anchored, boundary cells, images).
 
     Boundary cell 0 pins the pair (1, k+2) and cell i >= 1 the pair
     (n+1-i, k+2-i).  The cells are exclusive for k-separated sets: two
     patterns would force two elements at circular distance at most k.  A
     member belongs to a boundary cell exactly when its image is not a
     k-separated r-set; a member for which the two tests disagree raises.
+    images maps every member, in the given order, to its image under one
+    compression step, so that no later step compresses a member again.
     """
     if k < 1:
         raise ValueError(f"compression needs k >= 1, got k={k}")
@@ -88,13 +89,14 @@ def _partition(
     free: list[int] = []
     anchored: list[int] = []
     boundary: list[list[int]] = [[] for _ in patterns]
+    images: dict[int, int] = {}
     for m in masks:
         cell = None
         for i, pattern in enumerate(patterns):
             if m & pattern == pattern:
                 cell = i
                 break
-        image = _compress_mask(m)
+        image = images[m] = _compress_mask(m)
         image_ok = image.bit_count() == r and mask_k_separated(image, n - 1, k)
         if cell is None and not image_ok:
             raise RuntimeError(f"member {_circset(n, m)} fits no cell; partition not exhaustive")
@@ -106,7 +108,7 @@ def _partition(
             anchored.append(m)
         else:
             free.append(m)
-    return free, anchored, boundary
+    return free, anchored, boundary, images
 
 
 def _reduce(masks: Iterable[int], j: int) -> set[int]:
@@ -129,7 +131,13 @@ class _Derived(NamedTuple):
 
 
 def _derive(
-    free: list[int], anchored: list[int], boundary: list[list[int]], n: int, r: int, k: int
+    free: list[int],
+    anchored: list[int],
+    boundary: list[list[int]],
+    images: dict[int, int],
+    n: int,
+    r: int,
+    k: int,
 ) -> _Derived:
     """Compress the cells and drop the anchor; each component's members are checked.
 
@@ -143,17 +151,16 @@ def _derive(
     """
     if r < 2:
         raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
-    free_images = {_compress_mask(m) for m in free}
-    anchored_images = {_compress_mask(m) for m in anchored}
+    free_images = {images[m] for m in free}
+    anchored_images = {images[m] for m in anchored}
     overlap = free_images & anchored_images
     components = [_reduce(overlap, k - 1)]
     components += [_reduce(cell, k) for cell in boundary]
     for component in components:
         check_member_masks(component, n - k, r - 1, 0)
     reduced = set().union(*components)
-    images = free_images | anchored_images
     reduced_image = {_compress_mask(m) for m in reduced}
-    return _Derived(images, overlap, reduced, reduced_image, components)
+    return _Derived(free_images | anchored_images, overlap, reduced, reduced_image, components)
 
 
 def _clause(clause_id: str, n: int, witnesses: list[int]) -> ClauseResult:
@@ -161,8 +168,16 @@ def _clause(clause_id: str, n: int, witnesses: list[int]) -> ClauseResult:
     return ClauseResult(clause_id, not witnesses, tuple(_circset(n, m) for m in witnesses))
 
 
+def _first_pairs(masks: list[int]) -> list[int]:
+    """The first five disjoint pairs (i < j) of masks in lexicographic order, flattened; one walk."""
+    pairs: list[int] = []
+    for u, v in islice(row_edges(disjointness_rows(masks)), 5):
+        pairs += masks[u], masks[v]
+    return pairs
+
+
 def _disjoint_pairs(masks: Iterable[int]) -> list[int]:
-    """The first five disjoint pairs (i < j) of the masks in lexicographic order, flattened.
+    """_first_pairs of the masks in any order.
 
     Any order answers whether a pair exists, so only masks that have one are
     sorted and walked again for the first five.
@@ -170,21 +185,22 @@ def _disjoint_pairs(masks: Iterable[int]) -> list[int]:
     masks = list(masks)
     if next(row_edges(disjointness_rows(masks)), None) is None:
         return []
-    masks = _lex(masks)
-    pairs: list[int] = []
-    for u, v in islice(row_edges(disjointness_rows(masks)), 5):
-        pairs += masks[u], masks[v]
-    return pairs
+    return _first_pairs(_lex(masks))
 
 
-def _collision_clause(masks: list[int], n: int, k: int) -> ClauseResult:
-    """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1."""
+def _collision_clause(images: dict[int, int], n: int, k: int) -> ClauseResult:
+    """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1.
+
+    images maps each member to its one-step image, as _partition returns it.
+    """
     witnesses: list[int] = []
-    images = masks
+    masks = list(images)
+    folded = list(images.values())
     for j in range(1, k + 1):
-        images = [_compress_mask(m) for m in images]  # the j-fold images, carried forward
+        if j > 1:
+            folded = [_compress_mask(m) for m in folded]  # the j-fold images, carried forward
         buckets: dict[int, list[int]] = {}
-        for m, image in zip(masks, images):
+        for m, image in zip(masks, folded):
             buckets.setdefault(image, []).append(m)
         for group in buckets.values():
             for x in range(len(group)):
@@ -221,8 +237,7 @@ def _family(n: int, r: int, k: int, masks: Iterable[int]) -> SetFamily:
     return SetFamily(n, r, k, tuple(_circset(n, m) for m in masks))
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Cells of a separated family, split by how compression treats each member.
 
     free: members without 1 whose image stays k-separated.
@@ -251,7 +266,7 @@ def partition_family(family: SetFamily) -> PartitionResult:
     non-separated member slipped in and raises.
     """
     n, r, k = family.n, family.r, family.k
-    free, anchored, boundary = _partition([s.mask for s in family], n, r, k)
+    free, anchored, boundary, _ = _partition([s.mask for s in family], n, r, k)
     return PartitionResult(
         free=_family(n, r, k, free),
         anchored=_family(n, r, k, anchored),
@@ -259,8 +274,7 @@ def partition_family(family: SetFamily) -> PartitionResult:
     )
 
 
-@dataclass(frozen=True)
-class DerivedFamilies:
+class DerivedFamilies(NamedTuple):
     """Families produced from a partition by compressing and dropping the anchor.
 
     images: the compressed free and anchored members (ambient n-1).
@@ -301,8 +315,7 @@ def derive_families(family: SetFamily) -> DerivedFamilies:
     )
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     """Outcome of one verification clause, with the witnessing sets on failure."""
 
     clause_id: str
@@ -319,8 +332,7 @@ class ClauseResult:
         }
 
 
-@dataclass(frozen=True)
-class CompressionReport:
+class CompressionReport(NamedTuple):
     """Clause-by-clause verification of the compression argument on one family."""
 
     n: int
@@ -361,8 +373,9 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     derivation unless r >= 2.
     """
     n, r, k = family.n, family.r, family.k
-    masks = [s.mask for s in family.sets]
-    d = _derive(*_partition(masks, n, r, k), n, r, k)
+    masks = [s.mask for s in family.sets]  # in lexicographic order, as a SetFamily keeps them
+    free, anchored, boundary, images = _partition(masks, n, r, k)
+    d = _derive(free, anchored, boundary, images, n, r, k)
     shared = [
         m
         for i, c in enumerate(d.components)
@@ -372,8 +385,8 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     total = len(masks)
     sizes = f"{total} = {len(d.images)} + {len(d.reduced)}"
     clauses = (
-        _clause("input-intersecting", n, _disjoint_pairs(masks)),
-        _collision_clause(masks, n, k),
+        _clause("input-intersecting", n, _first_pairs(masks)),
+        _collision_clause(images, n, k),
         _clause(
             "compressed-separated",
             n - 1,

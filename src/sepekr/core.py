@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -30,8 +30,56 @@ def seconds_left(deadline: float | None, stage: str) -> float | None:
     return left
 
 
-@dataclass(frozen=True, order=True)
-class CircSet:
+_set = object.__setattr__  # how a _Value's __init__ sets its fields
+
+
+def _compare(op):
+    """An order method: op on the field tuples of two instances of one class."""
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._values(self), self._values(other))
+        return NotImplemented
+
+    return method
+
+
+class _Value:
+    """Base of the immutable value classes: equality, hashing and repr by their fields.
+
+    A subclass names its fields in its class statement, as in
+    ``class CircSet(_Value, fields=("n", "elems"), order=True)``, and its
+    __init__ sets them with _set.  Instances compare and hash as the
+    tuple of their fields (within one class), order=True adds <, <=, > and >=
+    on that tuple, and assigning or deleting any attribute raises
+    AttributeError.  A cached_property writes to __dict__ directly, so it is
+    computed once per instance.
+    """
+
+    def __init_subclass__(cls, fields: tuple[str, ...], order: bool = False) -> None:
+        cls._fields, cls._values = fields, attrgetter(*fields)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CircSet(_Value, fields=("n", "elems"), order=True):
     """An r-subset of {1..n} with positions read circularly.
 
     The ambient size n travels with the set because several operations move
@@ -39,20 +87,18 @@ class CircSet:
     strictly increasing tuple; empty sets are rejected.
     """
 
-    n: int
-    elems: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(self.elems))
-        object.__setattr__(self, "elems", elems)
-        if self.n < 1:
-            raise ValueError(f"ground set size must be positive, got n={self.n}")
+    def __init__(self, n: int, elems: Iterable[int]) -> None:
+        elems = tuple(sorted(elems))
+        _set(self, "n", n)
+        _set(self, "elems", elems)
+        if n < 1:
+            raise ValueError(f"ground set size must be positive, got n={n}")
         if not elems:
             raise ValueError("empty sets are not supported (r >= 1 required)")
         if len(set(elems)) != len(elems):
             raise ValueError(f"duplicate elements in {elems}")
-        if elems[0] < 1 or elems[-1] > self.n:
-            raise ValueError(f"elements {elems} outside 1..{self.n}")
+        if elems[0] < 1 or elems[-1] > n:
+            raise ValueError(f"elements {elems} outside 1..{n}")
 
     @property
     def r(self) -> int:
@@ -83,8 +129,7 @@ class CircSet:
         return cls(int(data["n"]), tuple(int(a) for a in data["elems"]))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value, fields=("n", "r", "k", "sets")):
     """A duplicate-free collection of k-separated r-sets over the same ground set.
 
     Members are stored sorted so equality of families is equality of member
@@ -92,23 +137,26 @@ class SetFamily:
     arbitrary r-sets are carried.
     """
 
-    n: int
-    r: int
-    k: int
-    sets: tuple[CircSet, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(sorted(set(self.sets), key=lambda s: s.elems))
-        object.__setattr__(self, "sets", members)
+    def __init__(self, n: int, r: int, k: int, sets: Iterable[CircSet]) -> None:
+        members = tuple(sorted(set(sets), key=lambda s: s.elems))
+        self._fill(n, r, k, members)
         masks = []
         for s in members:
-            if s.n != self.n:
+            if s.n != n:
                 break
             masks.append(s.mask)
-        check_member_masks(masks, self.n, self.r, self.k)
+        check_member_masks(masks, n, r, k)
         if len(masks) < len(members):
             s = members[len(masks)]
-            raise ValueError(f"member {s} has ambient {s.n}, family has {self.n}")
+            raise ValueError(f"member {s} has ambient {s.n}, family has {n}")
+
+    def _fill(self, n: int, r: int, k: int, members: tuple[CircSet, ...]) -> SetFamily:
+        """Set the fields, without checks: members must be sorted, distinct and checked already."""
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "k", k)
+        _set(self, "sets", members)
+        return self
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -319,21 +367,27 @@ def count_separated(n: int, r: int, k: int) -> int:
     return n * math.comb(n - k * r, r) // (n - k * r)
 
 
-def disjointness_rows(masks: Sequence[int]) -> Iterator[int]:
+def disjointness_rows(masks: Sequence[int], deadline: float | None = None) -> Iterator[int]:
     """Bitmask adjacency rows over member masks, one at a time: bit j of row i set when masks i and j are disjoint.
 
     The element incidence is built once, when the first row is asked for:
     meets[1 << b] holds the members whose mask has the bit b.  It is sliced,
     one column per bit, out of the masks' fixed-width bit strings joined last
     member first, so that member j lands on bit j.  Row i is every member
-    outside the union of meets[b] over the bits b of mask i.
+    outside the union of meets[b] over the bits b of mask i.  A
+    time.monotonic() deadline is read before the incidence is built and then
+    once per row.
     """
+    if deadline is not None:
+        seconds_left(deadline, "the rows")
     full = (1 << len(masks)) - 1
     width = max(masks, default=0).bit_length()
     bits = "".join(format(m, f"0{width}b") for m in reversed(masks))
     meets = {1 << b: int(bits[width - 1 - b :: width], 2) for b in range(width)}
     # The lowest-bit loop stays inline, not mask_elems: it runs once per member.
-    for m in masks:
+    for u, m in enumerate(masks):
+        if deadline is not None:
+            seconds_left(deadline, f"the row of vertex {u + 1}")
         hit = 0
         while m:
             low = m & -m
@@ -360,8 +414,7 @@ def row_edges(rows: Iterable[int], deadline: float | None = None) -> Iterator[tu
             row ^= low
 
 
-@dataclass(frozen=True)
-class DisjointnessGraph:
+class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
@@ -369,13 +422,12 @@ class DisjointnessGraph:
     each member's CircSet, at most once per vertex.
     """
 
-    n: int
-    r: int
-    k: int
-    masks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_member_masks(self.masks, self.n, self.r, self.k)
+    def __init__(self, n: int, r: int, k: int, masks: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "k", k)
+        _set(self, "masks", masks)
+        check_member_masks(masks, n, r, k)
 
     @classmethod
     def from_family(cls, family: SetFamily) -> "DisjointnessGraph":
@@ -385,6 +437,14 @@ class DisjointnessGraph:
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
         return tuple(disjointness_rows(self.masks))
+
+    def build_adjacency(self, deadline: float | None = None) -> None:
+        """Build adjacency now, unless it is built, with a deadline as in disjointness_rows.
+
+        The rows take about V*V/8 bytes for V vertices.
+        """
+        if "adjacency" not in vars(self):
+            vars(self)["adjacency"] = tuple(disjointness_rows(self.masks, deadline))
 
     @cached_property
     def _members(self) -> list[CircSet | None]:
@@ -424,10 +484,7 @@ class DisjointnessGraph:
         chosen = tuple(chosen)
         if not all(a.elems < b.elems for a, b in zip(chosen, chosen[1:])):
             return SetFamily(self.n, self.r, self.k, chosen)
-        family = object.__new__(SetFamily)
-        for name, value in (("n", self.n), ("r", self.r), ("k", self.k), ("sets", chosen)):
-            object.__setattr__(family, name, value)
-        return family
+        return SetFamily.__new__(SetFamily)._fill(self.n, self.r, self.k, chosen)
 
     def to_json_dict(self, deadline: float | None = None) -> dict:
         """Vertices as element lists and edges as index pairs; deadline as in row_edges."""

@@ -28,7 +28,11 @@ def independence_number(
     *,
     deadline: float | None = None,
 ) -> int:
-    """Exact independence number via the branch-and-bound solver."""
+    """Exact independence number via the branch-and-bound solver.
+
+    The deadline bounds building the adjacency rows too, when they are not built yet.
+    """
+    graph.build_adjacency(deadline)
     return solve_max_independent(graph.adjacency, deadline=deadline)[0]
 
 

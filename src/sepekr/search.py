@@ -20,8 +20,7 @@ vertex indices follow the lexicographic member order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_MAX_VERTICES,
@@ -38,8 +37,7 @@ from .core import (
 CLASS_MAX_VERTICES = 2000
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of an exact search: the optimum, one witness, and optional class census."""
 
     n: int

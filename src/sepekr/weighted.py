@@ -9,8 +9,8 @@ exploits; everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_MAX_VERTICES,
@@ -59,8 +59,7 @@ def family_weight(family: SetFamily) -> int:
     return sum(weight(s, family.k) for s in family)
 
 
-@dataclass(frozen=True)
-class WeightedBoundReport:
+class WeightedBoundReport(NamedTuple):
     """Exact weighted optimum against the star family and its closed form."""
 
     n: int

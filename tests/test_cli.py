@@ -115,8 +115,8 @@ def test_lemmas_seed_changes_nothing_about_verdict(capsys):
 
 
 def test_lemmas_reports_every_failing_family(capsys, monkeypatch):
-    def fail(masks, n, k):
-        witness = sepekr.core.CircSet(n, sepekr.core.mask_elems(masks[0]))
+    def fail(images, n, k):
+        witness = sepekr.core.CircSet(n, sepekr.core.mask_elems(next(iter(images))))
         return sepekr.compression.ClauseResult("collision-structure", False, (witness,))
 
     monkeypatch.setattr("sepekr.compression._collision_clause", fail)
@@ -486,8 +486,32 @@ def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatc
     argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", "--format", "json"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     captured = capsys.readouterr()
-    assert "time limit exceeded before the output" in captured.err
+    assert "time limit exceeded before the rows" in captured.err
     assert captured.out == ""
+
+
+def test_graph_time_limit_covers_building_the_rows(capsys, monkeypatch):
+    # the deadline passes between rows, so the command stops before it has built them all
+    real = sepekr.core.disjointness_rows
+    built = []
+
+    def slow_rows(masks, deadline=None):
+        for row in real(masks, deadline):
+            built.append(row)
+            time.sleep(0.02)
+            yield row
+
+    argv = ["graph", "--kind", "kneser", "--n", "10", "--r", "2"]  # 45 rows, 0.9 s with the sleeps
+    sepekr.core._universe.cache_clear()  # so that the rows are built again
+    with monkeypatch.context() as patch:
+        patch.setattr("sepekr.core.disjointness_rows", slow_rows)
+        assert run(argv + ["--limit-seconds", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert "time limit exceeded before the row of vertex" in captured.err
+    assert 1 < len(built) < 45
+    assert captured.out == ""
+    assert run(argv + ["--limit-seconds", "30"]) == 0
+    assert out_of(capsys) == "kneser n=10 r=2 k=0: 45 vertices, 630 edges\n"
 
 
 @pytest.mark.parametrize("output", [["--format", "json"], ["--dimacs", "graph.dimacs"]])
@@ -497,7 +521,9 @@ def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path,
 
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
-        return real(*args, **kwargs)
+        graph = real(*args, **kwargs)
+        graph.build_adjacency()  # without a deadline, so that the rows' own checks do not fire
+        return graph
 
     monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)
     monkeypatch.setattr("sepekr.cli.seconds_left", lambda deadline, stage: None)
@@ -687,6 +713,19 @@ def test_console_script_and_module_agree(tmp_path):
         assert via_script.returncode == 0, via_script.stderr
         assert via_script.stdout == via_module.stdout
         assert _run(script, USAGE_ERROR).returncode == 2
+
+
+def test_importing_sepekr_loads_no_dataclasses_or_inspect():
+    # the modules the import adds, not all of sys.modules: site hooks may preload modules
+    code = (
+        "import sys; before = set(sys.modules); import sepekr, sepekr.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "sepekr.core" in loaded
+    assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
 
 
 def test_module_exit_code_propagates():

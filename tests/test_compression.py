@@ -129,11 +129,34 @@ def test_collision_structure_over_whole_universes():
 
 
 def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
-    # the j-fold image is the (j-1)-fold image compressed once more: k calls per member
+    # the j-fold image is the (j-1)-fold image compressed once more, from the one-step
+    # images the partition made: k - 1 calls per member
     import sepekr.compression
 
     family = star_family(20, 4, 2, 1)
     assert len(family) == 165
+    calls = []
+    real = sepekr.compression._compress_mask
+    images = {s.mask: real(s.mask) for s in family}
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr("sepekr.compression._compress_mask", counted)
+    result = sepekr.compression._collision_clause(images, family.n, family.k)
+    assert result.passed and result.witnesses == ()
+    assert len(calls) == 165 * (2 - 1)
+
+
+@pytest.mark.parametrize("n, r, k", [(9, 3, 1), (13, 3, 2)])
+def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
+    # once in the partition, k - 1 more times in the collision clause, and once per
+    # member of the reduced family for its image
+    import sepekr.compression
+
+    family = random_maximal_intersecting(n, r, k, random.Random(f"{n}:{r}:{k}"))
+    reduced = derive_families(family).reduced
     calls = []
     real = sepekr.compression._compress_mask
 
@@ -142,10 +165,30 @@ def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
         return real(m)
 
     monkeypatch.setattr("sepekr.compression._compress_mask", counted)
+    assert verify_compression_suite(family).passed
+    assert len(calls) == len(family) * k + len(reduced)
+
+
+def test_the_suite_walks_the_input_once(monkeypatch):
+    # a SetFamily keeps its members in lexicographic order, so the first pairs of the
+    # input come from its one walk, without a sort and a second walk
+    import sepekr.compression
+
+    family = enumerate_separated(9, 2, 1)
     masks = [s.mask for s in family]
-    result = sepekr.compression._collision_clause(masks, family.n, family.k)
-    assert result.passed and result.witnesses == ()
-    assert len(calls) == 165 * 2
+    walked = []
+    real = sepekr.compression.disjointness_rows
+
+    def counted(rows_of):
+        walked.append(list(rows_of))
+        return real(rows_of)
+
+    monkeypatch.setattr("sepekr.compression.disjointness_rows", counted)
+    report = verify_compression_suite(family)
+    assert walked.count(masks) == 1
+    clause = report.clause("input-intersecting")
+    assert not clause.passed
+    assert clause.witnesses[:2] == (CircSet(9, (1, 3)), CircSet(9, (2, 4)))
 
 
 # === partition ===

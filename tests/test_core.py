@@ -418,6 +418,19 @@ def test_subfamily_equals_the_checked_constructor(n, r, k):
     assert twice.subfamily(0b111).sets == tuple(CircSet(n, mask_elems(m)) for m in masks[:2])
 
 
+def test_disjointness_rows_read_the_deadline_before_the_incidence_and_per_row():
+    masks = separated_masks(9, 3, 1)
+    assert list(disjointness_rows(masks, time.monotonic() + 30)) == list(disjointness_rows(masks))
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the rows$"):
+        next(disjointness_rows(masks, time.monotonic() - 1))
+    deadline = time.monotonic() + 0.2
+    rows = disjointness_rows(masks, deadline)
+    next(rows)
+    time.sleep(0.3)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the row of vertex 2$"):
+        next(rows)
+
+
 def test_seconds_left_splits_one_deadline_between_stages():
     assert seconds_left(None, "the solve") is None
     assert 0 < seconds_left(time.monotonic() + 10, "the solve") <= 10
@@ -447,6 +460,103 @@ def test_every_bounded_call_takes_one_absolute_deadline():
         "DisjointnessGraph.to_json_dict", "export_dimacs",
     ]
     assert [name for name in bounded if "deadline" not in params[name]] == []
+
+
+# === value semantics ===
+
+
+def test_values_are_equal_and_hash_alike_exactly_when_their_fields_are():
+    a, b, c = CircSet(9, (1, 3)), CircSet(9, (3, 1)), CircSet(9, (1, 4))
+    assert a == b and hash(a) == hash(b) and a != c
+    assert a != CircSet(10, (1, 3)) and a != (9, (1, 3))
+    members = [a, c, CircSet(9, (1, 5)), CircSet(9, (1, 6))]
+    family = SetFamily(9, 2, 1, members)
+    for order in (members[::-1], members[1:] + members[:1], members + [b]):
+        other = SetFamily(9, 2, 1, order)
+        assert other == family and hash(other) == hash(family)
+        assert other.sets == tuple(members)
+    assert SetFamily(9, 2, 0, members) != family
+    assert SetFamily(9, 2, 1, members[:3]) != family
+    assert len({family, SetFamily(9, 2, 1, members[::-1]), SetFamily(9, 2, 0, members)}) == 2
+    masks = tuple(s.mask for s in members)
+    graph = DisjointnessGraph(9, 2, 1, masks)
+    assert graph == DisjointnessGraph(9, 2, 1, masks) != DisjointnessGraph(9, 2, 1, masks[::-1])
+    assert hash(graph) == hash(DisjointnessGraph(9, 2, 1, masks))
+
+
+def test_circsets_order_on_the_ambient_then_the_elements():
+    sets = [CircSet(9, (2, 4)), CircSet(8, (3, 5)), CircSet(9, (1, 5)), CircSet(9, (1, 3))]
+    assert sorted(sets) == [CircSet(8, (3, 5)), CircSet(9, (1, 3)), CircSet(9, (1, 5)), CircSet(9, (2, 4))]
+    low, high = CircSet(9, (1, 3)), CircSet(9, (1, 4))
+    assert low < high and low <= high and high > low and high >= low
+    assert low <= CircSet(9, (3, 1)) >= low and not low < CircSet(9, (3, 1))
+    with pytest.raises(TypeError):
+        low < (9, (1, 4))
+    family = SetFamily(9, 2, 1, [low])
+    with pytest.raises(TypeError):
+        family < SetFamily(9, 2, 1, [high])
+
+
+def test_values_repr_as_their_class_and_fields():
+    s = CircSet(5, (3, 1))
+    assert repr(s) == "CircSet(n=5, elems=(1, 3))"
+    assert repr(SetFamily(5, 2, 1, [s])) == "SetFamily(n=5, r=2, k=1, sets=(CircSet(n=5, elems=(1, 3)),))"
+    assert repr(DisjointnessGraph(5, 2, 1, (5, 10))) == "DisjointnessGraph(n=5, r=2, k=1, masks=(5, 10))"
+    assert str(s) == "{1,3}"
+
+
+def test_values_refuse_assignment_and_deletion():
+    s = CircSet(5, (1, 3))
+    family = SetFamily(5, 2, 1, [s])
+    graph = DisjointnessGraph(5, 2, 1, (5,))
+    for value, name in [(s, "n"), (s, "elems"), (family, "sets"), (graph, "masks"), (s, "other")]:
+        with pytest.raises(AttributeError, match=f"field '{name}'"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match=f"field '{name}'"):
+            delattr(value, name)
+    assert (s.n, s.elems, family.sets, graph.masks) == (5, (1, 3), (s,), (5,))
+
+
+def test_cached_properties_are_computed_once_per_instance():
+    s = CircSet(90, (1, 80))  # a mask above the small-int cache, so a recomputation is a new object
+    assert s.mask is s.mask == 1 << 79 | 1
+    family = enumerate_separated(7, 2, 1)
+    assert family.member_keys is family.member_keys
+    graph = DisjointnessGraph.from_family(family)
+    assert graph.adjacency is graph.adjacency
+    assert graph.vertices is graph.vertices == family
+    graph.build_adjacency(time.monotonic() - 1)  # built already: the deadline is not read
+    assert graph.adjacency is graph.adjacency
+
+
+def test_results_are_named_tuples():
+    from sepekr import ClauseResult, CompressionReport, max_intersecting, verify_weighted_ekr
+
+    result = max_intersecting(6, 2, 1)
+    n, r, k, optimum, witness, classes, nodes = result
+    assert (n, r, k, optimum, classes) == (6, 2, 1, 3, None) == result[:4] + (result.classes,)
+    assert result == (6, 2, 1, 3, witness, None, nodes)
+    assert result._fields == ("n", "r", "k", "optimum", "witness", "classes", "nodes_explored")
+    report = verify_weighted_ekr(8, 2, 1)
+    assert report.passed and report[3:6] == (35, 35, 35)
+    clause = ClauseResult("size-identity", True, ())
+    assert clause.detail == "" and clause == ("size-identity", True, (), "")
+    assert clause.to_json_dict() == {
+        "clause_id": "size-identity", "passed": True, "witnesses": [], "detail": "",
+    }
+    failed = ClauseResult("input-intersecting", False, (CircSet(5, (1, 3)),), detail="x")
+    compression = CompressionReport(5, 2, 1, (clause, failed))
+    assert not compression.passed and compression.clause("input-intersecting") is failed
+    assert compression.to_json_dict() == {
+        "n": 5, "r": 2, "k": 1, "passed": False,
+        "clauses": [
+            clause.to_json_dict(),
+            {"clause_id": "input-intersecting", "passed": False,
+             "witnesses": [{"n": 5, "elems": [1, 3]}], "detail": "x"},
+        ],
+    }
+    with pytest.raises(AttributeError):
+        clause.passed = False
 
 
 # === package exports ===

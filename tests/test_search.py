@@ -469,14 +469,14 @@ def test_orbital_branching_below_the_root_keeps_every_answer(monkeypatch):
 
 def test_the_solve_builds_circsets_for_the_witness_only(monkeypatch):
     built = []
-    real = sepekr.core.CircSet.__post_init__
+    real = sepekr.core.CircSet.__init__
 
-    def counted(self):
+    def counted(self, n, elems):
         built.append(self)
-        real(self)
+        real(self, n, elems)
 
     sepekr.core._universe.cache_clear()
-    monkeypatch.setattr(sepekr.core.CircSet, "__post_init__", counted)
+    monkeypatch.setattr(sepekr.core.CircSet, "__init__", counted)
     result = max_intersecting(14, 4, 1)
     assert len(built) == result.optimum == 84 < count_separated(14, 4, 1) == 294
     max_intersecting(14, 4, 1)
