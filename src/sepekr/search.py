@@ -243,14 +243,14 @@ def enumerate_max_independent(
     return found, nodes
 
 
-def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False) -> list[list[int]]:
+def _vertex_permutations(graph: DisjointnessGraph) -> list[list[int]]:
     """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i.
 
     Only the two generators move masks: one step (a -> a + 1) and the mirror.
     Rotation s is step composed with rotation s - 1, and reflection s is the
     mirror followed by rotation s, so the list is the n rotations (s = 0..n-1)
-    and then, unless rotations_only, the n reflections: the order of
-    `core.dihedral_images`.
+    and then the n reflections, the order of `core.dihedral_images`; the
+    rotation group is its first n.
     """
     n, vertex_masks = graph.n, graph.masks
     index = {m: i for i, m in enumerate(vertex_masks)}
@@ -258,16 +258,14 @@ def _vertex_permutations(graph: DisjointnessGraph, rotations_only: bool = False)
     rotations = [list(range(len(vertex_masks)))]
     for _ in range(n - 1):
         rotations.append([step[v] for v in rotations[-1]])
-    if rotations_only:
-        return rotations
     mirror = [index[mirror_mask(m, n)] for m in vertex_masks]
     return rotations + [[rotation[v] for v in mirror] for rotation in rotations]
 
 
-def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> set[int]:
-    """The images of a vertex mask under every permutation in perms; its vertices are decoded once."""
+def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """The images of a vertex mask under perms, in their order; its vertices are decoded once."""
     vertices = [e - 1 for e in mask_elems(mask)]
-    return {sum(1 << perm[v] for v in vertices) for perm in perms}
+    return [sum(1 << perm[v] for v in vertices) for perm in perms]
 
 
 def _star_mask(graph: DisjointnessGraph) -> int:
@@ -295,11 +293,12 @@ def max_intersecting(
     graph = separated_universe(n, r, k, max_vertices)
     perms = _vertex_permutations(graph)
     seconds_left(deadline, "the solve")
+    graph.build_adjacency(deadline)
     optimum, mask, nodes = solve_max_independent(
         graph.adjacency, deadline=deadline, perms=perms, incumbent=_star_mask(graph)
     )
     seconds_left(deadline, "canonicalising the witness")
-    least = min(_orbit(mask, perms), key=mask_elems)
+    least = min(set(_orbit(mask, perms)), key=mask_elems)
     return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)
 
 
@@ -325,6 +324,7 @@ def max_intersecting_weighted(
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
     seconds_left(deadline, "the solve")
+    graph.build_adjacency(deadline)
     optimum, mask, nodes = solve_max_independent(graph.adjacency, weights, deadline=deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
@@ -341,30 +341,47 @@ def extremal_classes(
     """All maximum intersecting families, reported as one representative per symmetry class.
 
     One enumeration, from the star's size as a lower bound on the optimum and
-    from the orbit chain of the chosen group, yields at least one optimum per
-    class, not all of them; the optimum is the size of the sets it returns.
-    Every image of an optimum is an optimum, so each new optimum's orbit is
-    walked once and marked as seen, and its least image (the canonical form)
-    is the class's representative.  Representatives are sorted
-    lexicographically; the witness is the least of them.  One deadline
-    covers the whole call: the symmetries, the enumeration and the orbit
-    walks.
+    from the orbit chain of the dihedral group, yields at least one optimum per
+    dihedral class, not all of them; the optimum is the size of the sets it
+    returns.  Its optima and node count are kept on the cached universe, keyed
+    by that floor, so a later call on the same universe, under either group,
+    searches nothing; an enumeration stopped by the deadline keeps nothing.
+    Every image of an optimum is an optimum, so each new optimum's dihedral
+    orbit is walked once, its images in the order of `_vertex_permutations`,
+    and marked as seen.  The class's representative is its least image (the
+    canonical form).  With rotations_only, the first n images and the last n
+    are the two rotation orbits of the dihedral class, equal or disjoint, so
+    the walk gives one or two representatives, each the least of its orbit.
+    Representatives are sorted lexicographically; the witness is the least
+    of them.  nodes_explored is the dihedral enumeration's count under
+    either group.  One deadline covers the whole call: the symmetries, the
+    rows, the enumeration and the orbit walks.
     """
     graph = separated_universe(n, r, k, max_vertices)
-    perms = _vertex_permutations(graph, rotations_only)
+    perms = _vertex_permutations(graph)
     star = _star_mask(graph).bit_count()
     seconds_left(deadline, "enumerating the optima")
-    masks, nodes = enumerate_max_independent(graph.adjacency, star, deadline=deadline, perms=perms)
+    optima = vars(graph).setdefault("_optima", {})
+    if star not in optima:
+        graph.build_adjacency(deadline)
+        optima[star] = enumerate_max_independent(
+            graph.adjacency, star, deadline=deadline, perms=perms
+        )
+    masks, nodes = optima[star]
     if not masks:
         raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()
-    reps = []
+    reps: set[int] = set()
     for mask in masks:
         seconds_left(deadline, "canonicalising the optima")
         if mask in seen:
             continue
-        orbit = _orbit(mask, perms)
+        images = _orbit(mask, perms)
+        orbit = set(images)
         seen |= orbit
-        reps.append(min(orbit, key=mask_elems))
+        if rotations_only:
+            reps.update(min(set(half), key=mask_elems) for half in (images[:n], images[n:]))
+        else:
+            reps.add(min(orbit, key=mask_elems))
     classes = tuple(graph.subfamily(m) for m in sorted(reps, key=mask_elems))
     return SearchResult(n, r, k, masks[0].bit_count(), classes[0], classes, nodes)

@@ -152,9 +152,9 @@ def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, ca
     builds = []
     real = sepekr.core.disjointness_rows
 
-    def counted(masks):
+    def counted(masks, deadline=None):
         builds.append(len(masks))
-        return real(masks)
+        return real(masks, deadline)
 
     monkeypatch.setattr("sepekr.core.disjointness_rows", counted)
     assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0

@@ -46,6 +46,12 @@ from helpers import (
 )
 
 
+@pytest.fixture(autouse=True)
+def cold_universe():
+    """Each test starts from an empty universe cache: no census kept by an earlier test answers it."""
+    sepekr.core._universe.cache_clear()
+
+
 # === frozen optima ===
 
 
@@ -136,6 +142,29 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
     with pytest.raises(ResourceLimitError, match="before node"):
         solve_max_independent(adj, deadline=time.monotonic() + 0.05)
     assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        max_intersecting,
+        extremal_classes,
+        lambda n, r, k, **limits: max_intersecting_weighted(n, r, k, lambda s: 1, **limits),
+    ],
+    ids=["max_intersecting", "extremal_classes", "max_intersecting_weighted"],
+)
+def test_the_time_limit_covers_the_rows(monkeypatch, call):
+    real = sepekr.core.disjointness_rows
+
+    def slow(masks, deadline=None):
+        rows = real(masks, deadline)
+        yield next(rows)
+        time.sleep(0.3)
+        yield from rows
+
+    monkeypatch.setattr(sepekr.core, "disjointness_rows", slow)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the row of vertex 2$"):
+        call(9, 3, 1, deadline=time.monotonic() + 0.2)
 
 
 def test_max_intersecting_time_limit_covers_the_symmetries(monkeypatch):
@@ -338,7 +367,8 @@ def test_classes_time_limit_covers_the_whole_call(monkeypatch, slow_stage, next_
 
 @pytest.mark.parametrize("rotations_only", [False, True])
 def test_each_class_is_canonicalised_once(monkeypatch, rotations_only):
-    """One orbit walk per class: every optimum the chain meets again is already seen."""
+    """One orbit walk per dihedral class: every optimum the chain meets again is already
+    seen, and under rotations a walk gives the class's one or two rotation classes."""
     calls = []
     real = sepekr.search._orbit
 
@@ -347,9 +377,61 @@ def test_each_class_is_canonicalised_once(monkeypatch, rotations_only):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sepekr.search, "_orbit", counted)
-    result = extremal_classes(10, 4, 1, rotations_only=rotations_only)
-    assert len({c.member_keys for c in result.classes}) == len(result.classes)
-    assert len(calls) == len(result.classes)
+    # (n, r, k), dihedral classes, rotation classes
+    for (n, r, k), dihedral, rotation in [((10, 4, 1), 4, 4), ((12, 5, 1), 5, 6)]:
+        calls.clear()
+        result = extremal_classes(n, r, k, rotations_only=rotations_only)
+        assert len({c.member_keys for c in result.classes}) == len(result.classes)
+        assert len(result.classes) == (rotation if rotations_only else dihedral)
+        assert len(calls) == dihedral
+
+
+def _census(n, r, k, rotations_only):
+    result = extremal_classes(n, r, k, rotations_only=rotations_only)
+    return result, [c.to_line() for c in result.classes]
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["dihedral_first", "rotations_first"])
+def test_the_census_is_enumerated_once_per_universe(monkeypatch, first):
+    """Either group, in either order, reads the one dihedral enumeration kept on the universe."""
+    cold = {}
+    for rotations_only in (False, True):
+        sepekr.core._universe.cache_clear()
+        cold[rotations_only] = _census(12, 5, 1, rotations_only)
+    calls = []
+    real = sepekr.search.enumerate_max_independent
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    sepekr.core._universe.cache_clear()
+    monkeypatch.setattr(sepekr.search, "enumerate_max_independent", counted)
+    warm = {group: _census(12, 5, 1, group) for group in (first, not first)}
+    assert len(calls) == 1
+    assert warm == cold
+    assert len(cold[False][1]) == 5 and len(cold[True][1]) == 6
+    assert cold[False][0].nodes_explored == cold[True][0].nodes_explored == 557
+
+
+def test_a_timed_out_enumeration_keeps_nothing(monkeypatch):
+    """The next call on the universe enumerates again and gets the cold census."""
+    calls = []
+    real = sepekr.search.enumerate_max_independent
+
+    def expired_once(adj, target, *, deadline=None, perms=None):
+        calls.append(target)
+        if len(calls) == 1:
+            deadline = time.monotonic()
+        return real(adj, target, deadline=deadline, perms=perms)
+
+    expected = _census(12, 5, 1, True)
+    sepekr.core._universe.cache_clear()
+    monkeypatch.setattr(sepekr.search, "enumerate_max_independent", expired_once)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node 1$"):
+        extremal_classes(12, 5, 1)
+    assert _census(12, 5, 1, True) == expected
+    assert len(calls) == 2
 
 
 # === orbit chain and incumbent ===
@@ -462,6 +544,7 @@ def test_orbital_branching_below_the_root_keeps_every_answer(monkeypatch):
     }
     # the group None below the root: the chain's roots, then the plain search
     monkeypatch.setattr(sepekr.search, "_stabiliser", lambda group, v: None)
+    sepekr.core._universe.cache_clear()  # so that the last universe's optima are enumerated again
     plain = {key: _answers(*key[0], key[1]) for key in expected}
     assert plain == expected
     assert extremal_classes(8, 3, 1).nodes_explored == 72  # the count before orbital branching
@@ -510,7 +593,7 @@ def test_orbit_chain_is_exactly_the_chain_of_the_definition(rotations_only):
     for n, r, k in SMALL_INSTANCES:
         graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
         members = [s.elems for s in graph.vertices]
-        perms = sepekr.search._vertex_permutations(graph, rotations_only)
+        perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
         if sepekr.search._orbit_chain(len(members), perms) != _expected_chain(
             members, n, rotations_only
         ):
@@ -529,7 +612,7 @@ def _group_problems(n, r, k, rotations_only):
     graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
     masks = [s.mask for s in graph.vertices.sets]
     index = {m: i for i, m in enumerate(masks)}
-    perms = sepekr.search._vertex_permutations(graph, rotations_only)
+    perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
     problems = []
     images = dihedral_images(masks, n, rotations_only)
     if perms != [[index[m] for m in image] for image in images]:
