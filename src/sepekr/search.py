@@ -71,7 +71,10 @@ def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> tu
     the bound is the clique count, or with (non-negative) weights the sum of
     per-clique maxima.  Returns (bound, v), where v is the candidate with the
     most conflicts inside cand, ties to the lowest index (the walk is not in
-    index order), or -1 when cand is empty.
+    index order), or -1 when cand is empty.  On an independent cand every
+    class is one vertex and every degree 0, so the walk returns the vertex
+    count (the weight sum) and the lowest vertex; `_search` takes that answer
+    without the walk once it knows its candidates are independent.
     """
     bound = 0
     best_v = best_deg = -1
@@ -155,6 +158,15 @@ def _search(
     in the include child.  So the optimum is unchanged, and every orbit of
     maximum sets has at least one member collected; the include and exclude
     children still split their parent, so no set is collected twice.
+
+    Each stack entry also carries free: its candidates are known to be
+    independent.  A node learns it from its own walk when the branch vertex,
+    the candidate with the most conflicts, has none, and both children
+    inherit it, since their candidates are a subset.  A free node skips the
+    walk and takes the walk's answer on an independent set: the candidate
+    count (or weight sum) as its bound and its lowest candidate as its branch
+    vertex.  So it still visits every node of the same tree, and node counts
+    and answers stay those of the walk.
     """
     nodes = 0
     value = [1] * len(adj) if weights is None else weights
@@ -166,14 +178,20 @@ def _search(
     found: list[int] = []
     full = (1 << len(adj)) - 1
     if perms is None:
-        stack = [(full, 0, 0, None)]
+        stack = [(full, 0, 0, None, False)]
     else:
         stack = [
-            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v, _stabiliser(perms, v))
+            (
+                full & ~excluded & ~adj[v] & ~(1 << v),
+                value[v],
+                1 << v,
+                _stabiliser(perms, v),
+                False,
+            )
             for v, excluded in reversed(_orbit_chain(len(adj), perms))
         ]
     while stack:
-        cand, cur, mask, group = stack.pop()
+        cand, cur, mask, group, free = stack.pop()
         nodes += 1
         if deadline is not None:
             seconds_left(deadline, f"node {nodes}")
@@ -186,8 +204,17 @@ def _search(
                 found.append(mask)
         if not cand:
             continue
-        # The cover gets weights, not value: its weights=None path counts classes faster.
-        bound, v = _cover_bound(cand, adj, weights)
+        if free:
+            # The walk's answer on an independent cand: one class per vertex, v the lowest.
+            v = (cand & -cand).bit_length() - 1
+            if weights is None:
+                bound = cand.bit_count()
+            else:
+                bound = sum(weights[e - 1] for e in mask_elems(cand))
+        else:
+            # The cover gets weights, not value: its weights=None path counts classes faster.
+            bound, v = _cover_bound(cand, adj, weights)
+            free = not adj[v] & cand
         if cur + bound <= floor:
             continue
         b = orbit = 1 << v
@@ -196,8 +223,8 @@ def _search(
             for perm in group:
                 orbit |= 1 << perm[v]
             stabiliser = _stabiliser(group, v)
-        stack.append((cand & ~orbit, cur, mask, group))
-        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser))
+        stack.append((cand & ~orbit, cur, mask, group, free))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser, free))
     return floor, best_mask, nodes, found
 
 

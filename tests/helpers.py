@@ -141,6 +141,24 @@ def count_classes(families: list[frozenset], n: int, rotations_only: bool = Fals
     return classes
 
 
+def antipodal_transversal_classes(r: int, rotations_only: bool = False) -> int:
+    """Orbits of the antipodal transversals of the (2r+2)-circle under the dihedral group
+    (the rotations with rotations_only), counted over all 2^(r+1) transversals.
+
+    A transversal takes one point from each antipodal pair {p, p+r+1}.  Every
+    symmetry maps antipodal pairs to antipodal pairs, so it permutes the
+    transversals, and each orbit is counted once by its least image."""
+    m, n = r + 1, 2 * r + 2
+    least = set()
+    for bits in range(2**m):
+        t = [p + m * (bits >> (p - 1) & 1) for p in range(1, m + 1)]
+        images = [sorted((x - 1 + s) % n + 1 for x in t) for s in range(n)]
+        if not rotations_only:
+            images += [sorted((s - (x - 1)) % n + 1 for x in t) for s in range(n)]
+        least.add(tuple(min(images)))
+    return len(least)
+
+
 def nx_max_intersecting(members, weights=None) -> int:
     """Third route: maximum clique of the intersection graph via networkx."""
     import networkx as nx

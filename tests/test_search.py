@@ -28,12 +28,14 @@ from sepekr import (
 )
 import sepekr.core
 import sepekr.search
+import sepekr.weighted
 from sepekr.cli import default_grid
 from sepekr.core import count_separated, dihedral_images
 from sepekr.search import _cover_bound
 
 from helpers import (
     all_maximum_intersecting,
+    antipodal_transversal_classes,
     branch_vertex,
     count_classes,
     first_fit_clique_bound,
@@ -329,6 +331,19 @@ def test_exceptional_families_appear_in_census():
         for i in range(1, r // 2 + 1):
             fam = exceptional_family(r, i)
             assert any(are_isomorphic(fam, rep) for rep in classes), (r, i)
+
+
+@pytest.mark.parametrize(
+    "r, dihedral, rotations",
+    [(2, 2, 2), (3, 2, 2), (4, 4, 4), (5, 5, 6), (6, 9, 10), (7, 12, 16), (8, 23, 30), (9, 34, 52)],
+)
+def test_exceptional_class_counts_are_antipodal_transversal_orbits(r, dihedral, rotations):
+    # a computed observation on the circles r = 2..9, not a theorem: no map from the
+    # transversals to the maximum families is known
+    assert antipodal_transversal_classes(r) == dihedral
+    assert antipodal_transversal_classes(r, rotations_only=True) == rotations
+    assert len(extremal_classes(2 * r + 2, r, 1).classes) == dihedral
+    assert len(extremal_classes(2 * r + 2, r, 1, rotations_only=True).classes) == rotations
 
 
 def test_classes_vertex_budget():
@@ -722,11 +737,11 @@ def _members(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _greedy_independent(adj) -> int:
-    """First-fit independent set in index order."""
+def _greedy_independent(adj, within: int = -1) -> int:
+    """First-fit independent set in index order, among the vertices of within (all by default)."""
     greedy = 0
     for v in range(len(adj)):
-        if not adj[v] & greedy:
+        if within >> v & 1 and not adj[v] & greedy:
             greedy |= 1 << v
     return greedy
 
@@ -760,6 +775,65 @@ def test_cover_bound_picks_the_branch_vertex(graph):
     adj, _, cand, weights = graph
     assert _cover_bound(cand, adj, None)[1] == branch_vertex(cand, adj)
     assert _cover_bound(cand, adj, weights)[1] == branch_vertex(cand, adj)
+
+
+@settings(max_examples=200)
+@given(random_graphs(40))
+def test_cover_bound_on_an_independent_set(graph):
+    # the answer a search node takes without the walk once its candidates are known independent
+    adj, _, cand, weights = graph
+    cand = _greedy_independent(adj, cand)
+    lowest = (cand & -cand).bit_length() - 1
+    assert _cover_bound(cand, adj, None) == (cand.bit_count(), lowest)
+    assert _cover_bound(cand, adj, weights) == (sum(weights[v] for v in _members(cand)), lowest)
+
+
+def _walk_every_node(adj, weights):
+    """solve_max_independent(adj, weights) as a plain DFS that walks the cover at every node."""
+    value = [1] * len(adj) if weights is None else weights
+    floor = best = nodes = 0
+    stack = [((1 << len(adj)) - 1, 0, 0)]
+    while stack:
+        cand, cur, mask = stack.pop()
+        nodes += 1
+        if cur > floor:
+            floor, best = cur, mask
+        if not cand:
+            continue
+        bound, v = _cover_bound(cand, adj, weights)
+        if cur + bound <= floor:
+            continue
+        b = 1 << v
+        stack.append((cand & ~b, cur, mask))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b))
+    return floor, best, nodes
+
+
+@settings(max_examples=150)
+@given(random_graphs(24))
+def test_skipping_the_walk_keeps_the_search_tree(graph):
+    adj, _, _, weights = graph
+    assert solve_max_independent(adj) == _walk_every_node(adj, None)
+    assert solve_max_independent(adj, weights) == _walk_every_node(adj, weights)
+    few = [w % 3 for w in weights]  # ties and zero weights, where the branch order shows
+    assert solve_max_independent(adj, few) == _walk_every_node(adj, few)
+
+
+def test_independent_nodes_skip_the_cover_walk(monkeypatch):
+    real = sepekr.search._cover_bound
+    walks = []
+
+    def counted(cand, adj, weights):
+        walks.append(cand)
+        return real(cand, adj, weights)
+
+    monkeypatch.setattr(sepekr.search, "_cover_bound", counted)
+    # a walk at every node with candidates would be 13963 walks and 6905 walks
+    assert extremal_classes(18, 8, 1).nodes_explored == 14411
+    assert len(walks) == 1263
+    walks.clear()
+    assert sepekr.weighted.verify_weighted_ekr(15, 3, 1).nodes_explored == 6913
+    assert len(walks) == 6669
 
 
 @settings(max_examples=100)
