@@ -1,8 +1,8 @@
 """Exact toolkit for intersecting families of k-separated sets on a circle.
 
-Enumeration and symmetry of separated sets, compression machinery with a
-per-instance verification suite, exact maximum and weighted-maximum
-intersecting families, extremal classification up to circle symmetry, and
+Enumeration of separated sets, a per-instance verification suite for the
+compression argument, exact maximum and weighted-maximum intersecting
+families, extremal classification up to circle symmetry, and
 Kneser/Schrijver graph invariants.
 """
 
@@ -12,33 +12,19 @@ from .core import (
     SetFamily,
     disjointness_rows,
     enumerate_separated,
-    from_gaps,
     gap_vector,
     is_k_separated,
-    reflect,
-    rotate,
     separated_masks,
     star_size_formula,
 )
 from .families import (
-    are_isomorphic,
-    canonical_form,
-    exceptional_family,
-    exchange_map,
     is_intersecting,
     random_maximal_intersecting,
     star_family,
-    transform_family,
 )
 from .compression import (
     ClauseResult,
     CompressionReport,
-    DerivedFamilies,
-    PartitionResult,
-    compress,
-    compress_iter,
-    derive_families,
-    partition_family,
     verify_compression_suite,
 )
 from .search import (
@@ -73,28 +59,14 @@ __all__ = [
     "enumerate_separated",
     "separated_masks",
     "disjointness_rows",
-    "from_gaps",
     "gap_vector",
     "is_k_separated",
-    "reflect",
-    "rotate",
     "star_size_formula",
-    "are_isomorphic",
-    "canonical_form",
-    "exceptional_family",
-    "exchange_map",
     "is_intersecting",
     "random_maximal_intersecting",
     "star_family",
-    "transform_family",
     "ClauseResult",
     "CompressionReport",
-    "DerivedFamilies",
-    "PartitionResult",
-    "compress",
-    "compress_iter",
-    "derive_families",
-    "partition_family",
     "verify_compression_suite",
     "ResourceLimitError",
     "SearchResult",

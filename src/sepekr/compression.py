@@ -20,15 +20,14 @@ bit a-1 stands for element a, and its primitives are:
   ``SetFamily`` keeps (for sets of one size, descending bit-reversed mask).
 
 ``verify_compression_suite`` reads each member's mask once and runs the
-partition, the derivation and all nine clauses on masks; ``derive_families``
-runs the same partition and derivation.  Each fact about a member is checked
-once: the partition tests every image for size and k-separation, and the
-derivation checks each reduced component with ``core.check_member_masks``
-(the rules and messages of ``SetFamily``); every other derived family is
-made of members already checked, as ``_derive`` explains.  ``CircSet`` and
-``SetFamily`` objects are built only at the API boundary (``compress``,
-``compress_iter``, ``partition_family``, ``derive_families``) and for the
-witnesses of a failed clause.
+partition (``_partition``), the derivation (``_derive``) and all nine
+clauses on masks.  Each fact about a member is checked once: the partition
+tests every image for size and k-separation, and the derivation checks each
+reduced component with ``core.check_member_masks`` (the rules and messages
+of ``SetFamily``); every other derived family is made of members already
+checked, as ``_derive`` explains.  ``CircSet`` objects are built only for
+the witnesses of a failed clause and for the member a partition error
+names.
 """
 
 from __future__ import annotations
@@ -121,7 +120,18 @@ def _reduce(masks: Iterable[int], j: int) -> set[int]:
 
 
 class _Derived(NamedTuple):
-    """The derived families as sets of masks; DerivedFamilies documents each."""
+    """Families produced from a partition by compressing and dropping the anchor, as sets of masks.
+
+    images: the compressed free and anchored members (ambient n-1).
+    overlap: sets reachable by compression from both a free and an anchored
+    member (ambient n-1).
+    reduced: the (r-1)-set family on [n-k] assembled from the overlap and the
+    boundary cells; claimed k-separated and intersecting when the source
+    family is intersecting, and the suite checks the claims.
+    reduced_image: one further compression of reduced, ambient n-k-1.
+    components: the k+2 pieces of reduced before deduplication, overlap piece
+    first.
+    """
 
     images: set[int]
     overlap: set[int]
@@ -211,110 +221,6 @@ def _collision_clause(images: dict[int, int], n: int, k: int) -> ClauseResult:
     return _clause("collision-structure", n, witnesses)
 
 
-# === the API boundary ===
-
-
-def compress(a: CircSet) -> CircSet:
-    """Map the circle [n] onto [n-1]: 1 stays put, every other element drops by one.
-
-    When both 1 and 2 are present they merge, so the image can lose an element.
-    """
-    if a.n < 2:
-        raise ValueError("cannot compress below a single position")
-    return _circset(a.n - 1, _compress_mask(a.mask))
-
-
-def compress_iter(a: CircSet, j: int) -> CircSet:
-    """Apply compress j times, landing in ambient n - j: every element x goes to max(1, x - j)."""
-    if j < 0:
-        raise ValueError(f"iteration count must be non-negative, got {j}")
-    if a.n - j < a.r:
-        raise ValueError(f"cannot fit {a.r} elements in ambient {a.n - j}")
-    return _circset(a.n - j, _compress_iter_mask(a.mask, j))
-
-
-def _family(n: int, r: int, k: int, masks: Iterable[int]) -> SetFamily:
-    return SetFamily(n, r, k, tuple(_circset(n, m) for m in masks))
-
-
-class PartitionResult(NamedTuple):
-    """Cells of a separated family, split by how compression treats each member.
-
-    free: members without 1 whose image stays k-separated.
-    anchored: members containing 1 whose image stays k-separated.
-    boundary: k+1 cells of members whose image degenerates; cell i pins the
-    pair (n+1-i, k+2-i), with cell 0 pinning (1, k+2).
-    """
-
-    free: SetFamily
-    anchored: SetFamily
-    boundary: tuple[SetFamily, ...]
-
-    @property
-    def cells(self) -> tuple[SetFamily, ...]:
-        return (self.free, self.anchored) + self.boundary
-
-    def size(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-
-def partition_family(family: SetFamily) -> PartitionResult:
-    """Split a k-separated family into the compression cells.
-
-    Requires k >= 1 and n >= (k+1)r + 1.  The classification is verified to be
-    exhaustive and exclusive on the given members; a failure would mean a
-    non-separated member slipped in and raises.
-    """
-    n, r, k = family.n, family.r, family.k
-    free, anchored, boundary, _ = _partition([s.mask for s in family], n, r, k)
-    return PartitionResult(
-        free=_family(n, r, k, free),
-        anchored=_family(n, r, k, anchored),
-        boundary=tuple(_family(n, r, k, cell) for cell in boundary),
-    )
-
-
-class DerivedFamilies(NamedTuple):
-    """Families produced from a partition by compressing and dropping the anchor.
-
-    images: the compressed free and anchored members (ambient n-1).
-    overlap: sets reachable by compression from both a free and an anchored
-    member (ambient n-1).
-    reduced: the (r-1)-set family on [n-k] assembled from the overlap and the
-    boundary cells; claimed k-separated and intersecting when the source
-    family is intersecting, so it is carried with k = 0 and the claims are
-    checked by the suite.
-    reduced_image: one further compression of reduced, ambient n-k-1.
-    components: the k+2 pieces of reduced before deduplication, overlap piece
-    first.
-    """
-
-    images: SetFamily
-    overlap: SetFamily
-    reduced: SetFamily
-    reduced_image: SetFamily
-    components: tuple[SetFamily, ...]
-
-
-def derive_families(family: SetFamily) -> DerivedFamilies:
-    """Assemble the reduced (r-1)-set family that a k-separated family compresses onto.
-
-    The family is partitioned as partition_family does, raising where it
-    raises; the overlap is compressed k-1 further steps, each boundary cell k
-    steps, and the anchor 1 is dropped from every image.  Nothing is claimed
-    here; verify_compression_suite tests every claim about the result.
-    """
-    n, r, k = family.n, family.r, family.k
-    d = _derive(*_partition([s.mask for s in family], n, r, k), n, r, k)
-    return DerivedFamilies(
-        images=_family(n - 1, r, k, d.images),
-        overlap=_family(n - 1, r, k, d.overlap),
-        reduced=_family(n - k, r - 1, 0, d.reduced),
-        reduced_image=_family(n - k - 1, r - 1, 0, d.reduced_image),
-        components=tuple(_family(n - k, r - 1, 0, c) for c in d.components),
-    )
-
-
 class ClauseResult(NamedTuple):
     """Outcome of one verification clause, with the witnessing sets on failure."""
 
@@ -368,7 +274,6 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     rather than raised.  compressed-separated cannot fail: it restates the
     exhaustiveness check of the partition, which raises RuntimeError first.
     It is kept so the report lists every claim the size bound rests on.  The
-    partition and the derivation are the ones derive_families runs: the
     partition raises ValueError unless k >= 1 and n >= (k+1)r + 1, and the
     derivation unless r >= 2.
     """

@@ -115,18 +115,11 @@ class CircSet(_Value, fields=("n", "elems"), order=True):
     def __contains__(self, a: int) -> bool:
         return 1 <= a <= self.n and bool(self.mask >> (a - 1) & 1)
 
-    def intersects(self, other: "CircSet") -> bool:
-        return bool(self.mask & other.mask)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(a) for a in self.elems) + "}"
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "elems": list(self.elems)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CircSet":
-        return cls(int(data["n"]), tuple(int(a) for a in data["elems"]))
 
 
 class SetFamily(_Value, fields=("n", "r", "k", "sets")):
@@ -179,12 +172,6 @@ class SetFamily(_Value, fields=("n", "r", "k", "sets")):
             "sets": [list(s.elems) for s in self.sets],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SetFamily":
-        n = int(data["n"])
-        sets = tuple(CircSet(n, tuple(int(a) for a in e)) for e in data["sets"])
-        return cls(n, int(data["r"]), int(data["k"]), sets)
-
     def to_line(self) -> str:
         """One-line text form: 'n r k : {a,b} {c,d} ...'."""
         body = " ".join(str(s) for s in self.sets)
@@ -221,20 +208,6 @@ def rotate_mask(mask: int, n: int, s: int) -> int:
 def mirror_mask(mask: int, n: int) -> int:
     """The mirror a -> n + 1 - a of the circle [n] on a mask: the reversal of its n bits."""
     return int(format(mask, f"0{n}b")[::-1], 2)
-
-
-def dihedral_images(
-    masks: Sequence[int], n: int, rotations_only: bool = False
-) -> Iterator[list[int]]:
-    """The member masks moved by each symmetry of the circle [n], in member order.
-
-    Yields the n rotations (s = 0..n-1 steps) and then, unless rotations_only,
-    the n reflections: the mirror followed by each rotation.
-    """
-    bases = [masks] if rotations_only else [masks, [mirror_mask(m, n) for m in masks]]
-    for base in bases:
-        for s in range(n):
-            yield [rotate_mask(m, n, s) for m in base]
 
 
 def mask_elems(mask: int) -> tuple[int, ...]:
@@ -278,35 +251,6 @@ def is_k_separated(a: CircSet, k: int) -> bool:
     if k < 0:
         raise ValueError(f"separation parameter must be non-negative, got k={k}")
     return mask_k_separated(a.mask, a.n, k)
-
-
-def from_gaps(start: int, gaps: Iterable[int], n: int) -> CircSet:
-    """Rebuild a CircSet from a start element and its circular gap sequence.
-
-    Inverse of gap_vector when start is the minimum element.  The gap sequence
-    must sum to n; positions past n wrap around the circle.
-    """
-    gaps = tuple(gaps)
-    if not (1 <= start <= n):
-        raise ValueError(f"start {start} outside 1..{n}")
-    if any(g < 1 for g in gaps):
-        raise ValueError(f"gaps must be positive, got {gaps}")
-    if sum(gaps) != n:
-        raise ValueError(f"gaps {gaps} sum to {sum(gaps)}, expected n={n}")
-    elems = [start]
-    for g in gaps[:-1]:
-        elems.append((elems[-1] + g - 1) % n + 1)
-    return CircSet(n, tuple(elems))
-
-
-def rotate(a: CircSet, s: int) -> CircSet:
-    """Rotate every element by s steps around the circle."""
-    return CircSet(a.n, mask_elems(rotate_mask(a.mask, a.n, s)))
-
-
-def reflect(a: CircSet) -> CircSet:
-    """Reflect the circle about the axis through position 1: a -> n + 2 - a, read mod n."""
-    return CircSet(a.n, mask_elems(rotate_mask(mirror_mask(a.mask, a.n), a.n, 1)))
 
 
 def separated_masks(n: int, r: int, k: int) -> list[int]:
@@ -463,7 +407,11 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         return sum(row.bit_count() for row in self.adjacency) // 2
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
-        """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges."""
+        """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
+
+        The deadline bounds building the rows too, when they are not built yet.
+        """
+        self.build_adjacency(deadline)
         return row_edges(self.adjacency, deadline)
 
     def subfamily(self, mask: int) -> SetFamily:
@@ -487,7 +435,7 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         return SetFamily.__new__(SetFamily)._fill(self.n, self.r, self.k, chosen)
 
     def to_json_dict(self, deadline: float | None = None) -> dict:
-        """Vertices as element lists and edges as index pairs; deadline as in row_edges."""
+        """Vertices as element lists and edges as index pairs; deadline as in edges."""
         return {
             "vertices": [list(mask_elems(m)) for m in self.masks],
             "edges": [[u, v] for u, v in self.edges(deadline)],

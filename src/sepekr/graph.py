@@ -133,8 +133,10 @@ def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | No
     """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v.
 
     With a time.monotonic() deadline, it is read once per adjacency row while
-    the edges are listed, and nothing is written when it passes.
+    the rows are built, when they are not built yet, and while the edges are
+    listed; nothing is written when it passes.
     """
+    graph.build_adjacency(deadline)
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges(deadline))
     text = "\n".join(lines) + "\n"

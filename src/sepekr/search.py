@@ -276,8 +276,8 @@ def _vertex_permutations(graph: DisjointnessGraph) -> list[list[int]]:
     Only the two generators move masks: one step (a -> a + 1) and the mirror.
     Rotation s is step composed with rotation s - 1, and reflection s is the
     mirror followed by rotation s, so the list is the n rotations (s = 0..n-1)
-    and then the n reflections, the order of `core.dihedral_images`; the
-    rotation group is its first n.
+    and then the n reflections; the rotation group is its first n.  This is
+    the package's one list of the circle group.
     """
     n, vertex_masks = graph.n, graph.masks
     index = {m: i for i, m in enumerate(vertex_masks)}

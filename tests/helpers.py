@@ -27,19 +27,20 @@ def brute_separated(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     ]
 
 
+def circle_image(m, n: int, flip: bool, s: int) -> tuple[int, ...]:
+    """A set moved by rotation s (x -> x + s), after the mirror x -> n + 1 - x when
+    flip, as a sorted tuple."""
+    return tuple(sorted(((n - x if flip else x - 1) + s) % n + 1 for x in m))
+
+
 def dihedral_images(members, n: int, rotations_only: bool = False) -> list[frozenset]:
     """All 2n symmetry images of a family, each as a frozenset of sorted tuples;
-    the n rotations alone with rotations_only."""
-    out = []
-    for s in range(n):
-        out.append(
-            frozenset(tuple(sorted((x - 1 + s) % n + 1 for x in m)) for m in members)
-        )
-        if not rotations_only:
-            out.append(
-                frozenset(tuple(sorted((s - (x - 1)) % n + 1 for x in m)) for m in members)
-            )
-    return out
+    the n rotations alone with rotations_only.
+
+    The rotations come first, s = 0..n-1, and then the reflections: the mirror
+    followed by rotation s, s = 0..n-1."""
+    flips = (False,) if rotations_only else (False, True)
+    return [frozenset(circle_image(m, n, flip, s) for m in members) for flip in flips for s in range(n)]
 
 
 def least_image(members, n: int, rotations_only: bool = False) -> tuple:
@@ -118,14 +119,19 @@ def all_maximum_intersecting(members) -> list[frozenset]:
 
 def vertex_permutations(members, n: int, rotations_only: bool = False) -> list[list[int]]:
     """Each of the 2n circle symmetries (the n rotations with rotations_only) as a
-    permutation of member indices: perm[i] is the index of the image of member i."""
+    permutation of member indices, in the order of dihedral_images: perm[i] is the
+    index of the image of member i."""
     index = {tuple(sorted(m)): i for i, m in enumerate(members)}
     flips = (False,) if rotations_only else (False, True)
+    return [[index[circle_image(m, n, flip, s)] for m in members] for flip in flips for s in range(n)]
 
-    def image(m, s, flip):
-        return tuple(sorted(((s - (x - 1)) if flip else (x - 1 + s)) % n + 1 for x in m))
 
-    return [[index[image(m, s, flip)] for m in members] for s in range(n) for flip in flips]
+def exceptional_members(r: int, i: int) -> list[tuple[int, ...]]:
+    """The i-th exceptional family of the circle of 2r+2 points (k = 1), 1 <= i <= r // 2:
+    the 1-separated r-sets that meet the window {1, 3, ..., 4i+1} in at least i+1
+    points, in lexicographic order."""
+    window = set(range(1, 4 * i + 2, 2))
+    return [s for s in brute_separated(2 * r + 2, r, 1) if len(window & set(s)) >= i + 1]
 
 
 def count_classes(families: list[frozenset], n: int, rotations_only: bool = False) -> int:

@@ -12,12 +12,10 @@ import time
 from pathlib import Path
 
 from sepekr import (
-    are_isomorphic,
     build_kneser,
     build_schrijver,
     chromatic_number,
     enumerate_separated,
-    exceptional_family,
     expand,
     extremal_classes,
     independence_number,
@@ -28,6 +26,8 @@ from sepekr import (
     verify_weighted_ekr,
     weight,
 )
+
+from helpers import exceptional_members, least_image
 
 
 def grid_main() -> list[tuple[int, int, int]]:
@@ -72,8 +72,9 @@ def test_02_extremal_class_census():
         if len(classes) <= 1:
             bad.append((n, r, 1, len(classes)))
         for i in range(1, r // 2 + 1):
-            fam = exceptional_family(r, i)
-            if not any(are_isomorphic(fam, rep) for rep in classes):
+            # each representative is its class's least image, so the family's is one of them
+            least = least_image(exceptional_members(r, i), n)
+            if not any(tuple(s.elems for s in rep) == least for rep in classes):
                 bad.append((n, r, 1, f"missing exceptional family {i}"))
     for r in (2, 3):
         for n in range(3 * r, 15):

@@ -1,4 +1,4 @@
-"""Compression map, partition cells, derived families, and the clause suite."""
+"""Compression map, partition cells, derived families, and the clause suite, on the mask engine."""
 
 import json
 import random
@@ -9,22 +9,21 @@ import pytest
 from sepekr import (
     CircSet,
     SetFamily,
-    compress,
-    compress_iter,
     compression,
-    derive_families,
     enumerate_separated,
     is_intersecting,
-    partition_family,
     random_maximal_intersecting,
     star_family,
     verify_compression_suite,
 )
+from sepekr.compression import _compress_iter_mask, _compress_mask
+from sepekr.core import mask_elems
 
 from helpers import (
     brute_separated,
     compression_oracle,
     derived_oracle,
+    exceptional_members,
     greedy_maximal_intersecting,
 )
 
@@ -58,72 +57,88 @@ def intersecting_subfamilies(n, r, k):
     return out
 
 
+def mask(elems):
+    """The bitmask of a set: bit a-1 for each element a."""
+    return sum(1 << (a - 1) for a in elems)
+
+
+def partition(family):
+    """The compression cells of a family's masks, as the suite's partition splits them."""
+    return compression._partition([s.mask for s in family], family.n, family.r, family.k)
+
+
+def derive_families(family):
+    """The derived families of a family's masks, as the suite's partition and derivation make them."""
+    return compression._derive(*partition(family), family.n, family.r, family.k)
+
+
+def keys(masks):
+    """Masks as the sorted list of their element tuples."""
+    return sorted(map(mask_elems, masks))
+
+
 # === the map itself ===
 
 
 def test_compress_examples():
-    assert compress(CircSet(10, (2, 5, 9))) == CircSet(9, (1, 4, 8))
-    assert compress(CircSet(6, (1, 4))) == CircSet(5, (1, 3))
-    assert compress(CircSet(6, (1, 2, 5))) == CircSet(5, (1, 4))  # 1 and 2 merge
-    with pytest.raises(ValueError):
-        compress(CircSet(1, (1,)))
+    assert _compress_mask(mask((2, 5, 9))) == mask((1, 4, 8))
+    assert _compress_mask(mask((1, 4))) == mask((1, 3))
+    assert _compress_mask(mask((1, 2, 5))) == mask((1, 4))  # 1 and 2 merge
 
 
 def test_compress_iter_examples():
-    assert compress_iter(CircSet(9, (1, 4, 7)), 2) == CircSet(7, (1, 2, 5))
-    a = CircSet(9, (2, 5, 8))
-    assert compress_iter(a, 0) == a
-    assert compress_iter(a, 1) == compress(a)
-    with pytest.raises(ValueError):
-        compress_iter(a, -1)
-    with pytest.raises(ValueError):
-        compress_iter(a, 7)  # ambient would drop below the set size
+    assert _compress_iter_mask(mask((1, 4, 7)), 2) == mask((1, 2, 5))
+    a = mask((2, 5, 8))
+    assert _compress_iter_mask(a, 0) == a
+    assert _compress_iter_mask(a, 1) == _compress_mask(a)
+    assert _compress_iter_mask(a, 7) == mask((1,))  # every element folds onto 1
 
 
 def test_compress_iter_equals_the_j_fold_compress():
-    # every r-set of [n], n <= 12, r <= 4, for every j the ambient allows
+    # every r-set of [n], n <= 12, r <= 4, for every j from 0 to n, against x -> max(1, x - j)
     for n in range(1, 13):
         for r in range(1, min(n, 4) + 1):
-            for a in enumerate_separated(n, r, 0):
-                images = [a]
-                for _ in range(n - r):
-                    images.append(compress(images[-1]))
-                assert [compress_iter(a, j) for j in range(n - r + 1)] == images, a
+            for a in brute_separated(n, r, 0):
+                images = [mask(a)]
+                for _ in range(n):
+                    images.append(_compress_mask(images[-1]))
+                assert [_compress_iter_mask(mask(a), j) for j in range(n + 1)] == images, a
+                assert images == [mask({max(1, x - j) for x in a}) for j in range(n + 1)], a
 
 
 def test_compress_merges_exactly_when_1_and_2_present():
     for n in (5, 6, 7):
         for r in (2, 3):
-            for s in enumerate_separated(n, r, 0):
-                image = compress(s)
-                assert image.n == n - 1
+            for s in brute_separated(n, r, 0):
+                image = _compress_mask(mask(s))
+                assert image >> (n - 1) == 0  # the image lies in [n-1]
                 if 1 in s and 2 in s:
-                    assert image.r == r - 1
+                    assert image.bit_count() == r - 1
                 else:
-                    assert image.r == r
+                    assert image.bit_count() == r
 
 
 def test_compress_preserves_intersection():
     # if A and B share x, the images share the image of x
-    universe = enumerate_separated(7, 3, 0).sets
+    universe = [mask(a) for a in brute_separated(7, 3, 0)]
     for a in universe:
         for b in universe:
-            if a.mask & b.mask:
-                assert compress(a).mask & compress(b).mask
+            if a & b:
+                assert _compress_mask(a) & _compress_mask(b)
 
 
 def test_collision_structure_over_whole_universes():
     # sets identified by j-fold compression differ in exactly two of 1..j+1
     for n, r, k in [(7, 2, 1), (8, 2, 1), (9, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3)]:
-        universe = enumerate_separated(n, r, k).sets
+        universe = brute_separated(n, r, k)
         for j in range(1, k + 1):
             buckets = {}
             for a in universe:
-                buckets.setdefault(compress_iter(a, j).elems, []).append(a)
+                buckets.setdefault(_compress_iter_mask(mask(a), j), []).append(a)
             for group in buckets.values():
                 for x in range(len(group)):
                     for y in range(x + 1, len(group)):
-                        diff = set(group[x].elems) ^ set(group[y].elems)
+                        diff = set(group[x]) ^ set(group[y])
                         assert len(diff) == 2, (group[x], group[y])
                         assert max(diff) <= j + 1, (group[x], group[y])
 
@@ -195,27 +210,30 @@ def test_the_suite_walks_the_input_once(monkeypatch):
 
 
 def test_partition_star_6_2_1():
-    part = partition_family(star_family(6, 2, 1, 1))
-    assert [s.elems for s in part.free] == []
-    assert [s.elems for s in part.anchored] == [(1, 4), (1, 5)]
-    assert [s.elems for s in part.boundary[0]] == [(1, 3)]
-    assert [s.elems for s in part.boundary[1]] == []
-    assert part.size() == 3
-    assert len(part.cells) == 4  # free, anchored, k+1 boundary cells
+    free, anchored, boundary, images = partition(star_family(6, 2, 1, 1))
+    assert keys(free) == []
+    assert keys(anchored) == [(1, 4), (1, 5)]
+    assert keys(boundary[0]) == [(1, 3)]
+    assert keys(boundary[1]) == []
+    assert len(boundary) == 2  # k+1 boundary cells
+    assert {mask_elems(m): mask_elems(i) for m, i in images.items()} == {
+        (1, 3): (1, 2), (1, 4): (1, 3), (1, 5): (1, 4),
+    }
 
 
 def test_partition_cell_placement_examples():
     fam = SetFamily(6, 2, 1, (CircSet(6, (2, 4)), CircSet(6, (2, 6))))
-    part = partition_family(fam)
-    assert [s.elems for s in part.free] == [(2, 4)]
-    assert [s.elems for s in part.boundary[1]] == [(2, 6)]
+    free, anchored, boundary, _ = partition(fam)
+    assert keys(free) == [(2, 4)]
+    assert keys(anchored) == keys(boundary[0]) == []
+    assert keys(boundary[1]) == [(2, 6)]
 
 
 def test_partition_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        partition_family(enumerate_separated(6, 2, 0))  # k = 0
+        partition(enumerate_separated(6, 2, 0))  # k = 0
     with pytest.raises(ValueError):
-        partition_family(enumerate_separated(4, 2, 1))  # n = (k+1)r, too small
+        partition(enumerate_separated(4, 2, 1))  # n = (k+1)r, too small
 
 
 def test_partition_covers_every_member_exactly_once():
@@ -227,11 +245,12 @@ def test_partition_covers_every_member_exactly_once():
                 for _ in range(5):
                     size = rng.randint(1, min(8, len(universe)))
                     fam = SetFamily(n, r, k, tuple(rng.sample(universe, size)))
-                    part = partition_family(fam)
-                    keys = [m for cell in part.cells for m in cell.member_keys]
-                    assert sorted(keys) == sorted(fam.member_keys)
-                    assert len(keys) == len(set(keys))
-                    assert len(part.boundary) == k + 1
+                    free, anchored, boundary, images = partition(fam)
+                    cells = [m for cell in [free, anchored, *boundary] for m in cell]
+                    assert sorted(cells) == sorted(s.mask for s in fam)
+                    assert len(cells) == len(set(cells))
+                    assert len(boundary) == k + 1
+                    assert images == {s.mask: _compress_mask(s.mask) for s in fam}
 
 
 # === derived families ===
@@ -240,10 +259,9 @@ def test_partition_covers_every_member_exactly_once():
 def test_derive_star_6_2_1():
     derived = derive_families(star_family(6, 2, 1, 1))
     assert len(derived.overlap) == 0
-    assert derived.reduced.n == 5 and derived.reduced.r == 1
-    assert [s.elems for s in derived.reduced] == [(2,)]
-    assert derived.reduced_image.n == 4
-    assert [s.elems for s in derived.images] == [(1, 3), (1, 4)]
+    assert keys(derived.reduced) == [(2,)]  # on [5]
+    assert keys(derived.reduced_image) == [(1,)]  # on [4]
+    assert keys(derived.images) == [(1, 3), (1, 4)]
     assert len(derived.components) == 3  # overlap piece plus k+1 boundary pieces
 
 
@@ -251,10 +269,9 @@ def test_derive_overlap_example():
     # {2,5} from the free cell and {1,5} from the anchored cell share the image {1,4}
     fam = SetFamily(7, 2, 1, (CircSet(7, (2, 5)), CircSet(7, (1, 5))))
     derived = derive_families(fam)
-    assert [s.elems for s in derived.overlap] == [(1, 4)]
-    assert [s.elems for s in derived.reduced] == [(4,)]
-    assert derived.reduced.n == 6
-    assert [s.elems for s in derived.images] == [(1, 4)]
+    assert keys(derived.overlap) == [(1, 4)]
+    assert keys(derived.reduced) == [(4,)]  # on [6]
+    assert keys(derived.images) == [(1, 4)]
 
 
 def test_derive_rejects_r1():
@@ -305,8 +322,8 @@ def test_derive_no_violations_on_intersecting_families():
                     ):
                         clause = report.clause(clause_id)
                         assert clause.passed and clause.witnesses == (), (n, r, k, clause_id)
-                    assert derived.reduced.n == n - k
-                    assert derived.reduced.r == r - 1
+                    # (r-1)-sets of [n-k]
+                    assert all(m.bit_count() == r - 1 and not m >> (n - k) for m in derived.reduced)
 
 
 # === the clause suite ===
@@ -331,11 +348,11 @@ def test_suite_passes_on_stars_with_size_identity():
 
 
 def test_suite_passes_on_exceptional_families():
-    from sepekr import exceptional_family
-
     for r in (2, 3, 4):
+        n = 2 * r + 2
         for i in range(1, r // 2 + 1):
-            report = verify_compression_suite(exceptional_family(r, i))
+            members = exceptional_members(r, i)
+            report = verify_compression_suite(SetFamily(n, r, 1, tuple(CircSet(n, m) for m in members)))
             assert report.passed, (r, i)
 
 
@@ -395,7 +412,9 @@ def test_suite_failure_reports_match_golden_file():
     cases = json.loads(path.read_text())
     failing = set()
     for case in cases:
-        fam = SetFamily.from_json_dict(case["family"])
+        data = case["family"]
+        n = data["n"]
+        fam = SetFamily(n, data["r"], data["k"], tuple(CircSet(n, e) for e in data["sets"]))
         report = verify_compression_suite(fam).to_json_dict()
         assert report == case["report"], fam.to_line()
         failing.update(c["clause_id"] for c in report["clauses"] if not c["passed"])
@@ -480,7 +499,8 @@ def test_derive_agrees_with_the_independent_oracle():
         family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
         d = derive_families(family)
         got = [
-            f.member_keys for f in (d.images, d.overlap, d.reduced, d.reduced_image, *d.components)
+            set(map(mask_elems, f))
+            for f in (d.images, d.overlap, d.reduced, d.reduced_image, *d.components)
         ]
         images, overlap, reduced, reduced_image, components = derived_oracle(n, r, k, members)
         assert got == [images, overlap, reduced, reduced_image, *components], family.to_line()
@@ -491,10 +511,8 @@ def test_size_identity_components():
     rng = random.Random(9)
     for _ in range(20):
         fam = random_maximal_intersecting(9, 3, 1, rng)
-        part = partition_family(fam)
+        free, anchored, _, _ = partition(fam)
         derived = derive_families(fam)
-        images = {compress(a).elems for a in part.free} | {
-            compress(a).elems for a in part.anchored
-        }
-        assert derived.images.member_keys == images
+        images = {_compress_mask(m) for m in free + anchored}
+        assert derived.images == images
         assert len(fam) == len(images) + len(derived.reduced)

@@ -1,6 +1,5 @@
-"""Named families, dihedral isomorphism, and the pivot exchange map."""
+"""Named families, intersection checks, random maximal families, and the search's canonical forms."""
 
-import math
 import random
 
 import pytest
@@ -9,27 +8,38 @@ from hypothesis import strategies as st
 
 from sepekr import (
     CircSet,
+    DisjointnessGraph,
     SetFamily,
-    are_isomorphic,
-    canonical_form,
     enumerate_separated,
-    exceptional_family,
-    exchange_map,
+    extremal_classes,
     is_intersecting,
-    is_k_separated,
     random_maximal_intersecting,
     star_family,
     star_size_formula,
-    transform_family,
 )
+from sepekr.core import mask_elems, separated_masks
+from sepekr.search import _orbit, _vertex_permutations
 
 from helpers import (
     brute_separated,
     dihedral_images,
+    exceptional_members,
     greedy_maximal_intersecting,
     intersecting,
     least_image,
 )
+
+
+def canonical(n, r, k, members, rotations_only=False):
+    """The search's canonical form of a family: the least image of its vertex mask on
+    the universe graph under the group of the search (the rotations, its first n,
+    with rotations_only), as a sorted list of element tuples."""
+    graph = DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
+    index = {mask_elems(m): v for v, m in enumerate(graph.masks)}
+    perms = _vertex_permutations(graph)[: n if rotations_only else None]
+    mask = sum(1 << index[tuple(sorted(m))] for m in members)
+    least = min(_orbit(mask, perms), key=mask_elems)
+    return [mask_elems(graph.masks[e - 1]) for e in mask_elems(least)]
 
 
 # === stars ===
@@ -62,89 +72,60 @@ def test_star_rejects_bad_center():
 
 
 def test_stars_through_different_points_are_isomorphic():
-    a = star_family(9, 3, 1, 1)
-    b = star_family(9, 3, 1, 5)
-    assert are_isomorphic(a, b)
-    assert canonical_form(a) == canonical_form(b)
+    a = [s.elems for s in star_family(9, 3, 1, 1)]
+    b = [s.elems for s in star_family(9, 3, 1, 5)]
+    assert canonical(9, 3, 1, a) == canonical(9, 3, 1, b) == list(least_image(a, 9))
+    assert least_image(b, 9) == least_image(a, 9)
 
 
 # === exceptional families at n = 2r + 2, k = 1 ===
 
 
 def test_exceptional_example_r2():
-    fam = exceptional_family(2, 1)
-    assert fam.n == 6 and fam.r == 2 and fam.k == 1
-    assert [s.elems for s in fam] == [(1, 3), (1, 5), (3, 5)]
+    # the oracle's family, and the non-star class of the (6,2,1) census
+    assert exceptional_members(2, 1) == [(1, 3), (1, 5), (3, 5)]
+    assert extremal_classes(6, 2, 1).classes[1].to_line() == "6 2 1 : {1,3} {1,5} {3,5}"
 
 
 def test_exceptional_families_are_extremal_sized_and_intersecting():
     for r in (2, 3, 4, 5):
         n = 2 * r + 2
         for i in range(1, r // 2 + 1):
-            fam = exceptional_family(r, i)
-            assert fam.n == n and fam.r == r and fam.k == 1
-            assert is_intersecting(fam)
+            members = exceptional_members(r, i)
+            fam = SetFamily(n, r, 1, tuple(CircSet(n, m) for m in members))
+            assert is_intersecting(fam) and intersecting(members)
             assert len(fam) == star_size_formula(n, r, 1)
 
 
 def test_exceptional_families_are_not_stars():
     for r in (2, 3, 4, 5):
+        n = 2 * r + 2
+        star = [s.elems for s in star_family(n, r, 1, 1)]
         for i in range(1, r // 2 + 1):
-            fam = exceptional_family(r, i)
-            star = star_family(2 * r + 2, r, 1, 1)
-            assert not are_isomorphic(fam, star), (r, i)
+            members = exceptional_members(r, i)
+            assert canonical(n, r, 1, members) != canonical(n, r, 1, star), (r, i)
+            assert least_image(members, n) != least_image(star, n), (r, i)
 
 
-def test_exceptional_rejects_bad_index():
-    with pytest.raises(ValueError):
-        exceptional_family(2, 0)
-    with pytest.raises(ValueError):
-        exceptional_family(2, 2)
-    with pytest.raises(ValueError):
-        exceptional_family(1, 1)
-
-
-# === transforms and isomorphism ===
-
-
-def test_transform_family_matches_elementwise_maps():
-    fam = star_family(7, 2, 1, 1)
-    shifted = transform_family(fam, shift=2)
-    assert all(3 in s for s in shifted)
-    reflected = transform_family(fam, reflected=True)
-    assert all(1 in s for s in reflected)  # the reflection fixes 1
-    assert transform_family(fam) == fam
-
-
-def test_isomorphism_requires_matching_parameters():
-    a = star_family(7, 2, 1, 1)
-    b = star_family(8, 2, 1, 1)
-    with pytest.raises(ValueError):
-        are_isomorphic(a, b)
-    c = enumerate_separated(7, 2, 0)
-    with pytest.raises(ValueError):
-        are_isomorphic(a, SetFamily(7, 2, 0, c.sets[:4]))
+# === canonical forms: the least image under the search's group ===
 
 
 def test_rotations_only_flag():
-    fam = SetFamily(7, 2, 1, (CircSet(7, (1, 3)), CircSet(7, (1, 4))))
-    mirrored = transform_family(fam, reflected=True)
-    assert are_isomorphic(fam, mirrored)
-    assert not are_isomorphic(fam, mirrored, rotations_only=True)
+    members = [(1, 3), (1, 4)]
+    mirrored = [(4, 7), (5, 7)]  # x -> 8 - x
+    assert canonical(7, 2, 1, members) == canonical(7, 2, 1, mirrored)
+    assert canonical(7, 2, 1, members, True) != canonical(7, 2, 1, mirrored, True)
 
 
 def test_isomorphism_matches_orbit_oracle():
-    universe = enumerate_separated(7, 2, 1).sets
+    universe = brute_separated(7, 2, 1)
     rng = random.Random(7)
-    samples = []
-    for _ in range(12):
-        size = rng.randint(1, 4)
-        samples.append(SetFamily(7, 2, 1, tuple(rng.sample(universe, size))))
+    samples = [rng.sample(universe, rng.randint(1, 4)) for _ in range(12)]
     for a in samples:
-        orbit = dihedral_images([s.elems for s in a], 7)
+        orbit = dihedral_images(a, 7)
         for b in samples:
-            expected = frozenset(s.elems for s in b) in orbit
-            assert are_isomorphic(a, b) == expected, (a, b)
+            expected = frozenset(b) in orbit
+            assert (canonical(7, 2, 1, a) == canonical(7, 2, 1, b)) == expected, (a, b)
 
 
 @st.composite
@@ -152,28 +133,29 @@ def small_families(draw):
     k = draw(st.integers(0, 2))
     r = draw(st.integers(2, 3))
     n = draw(st.integers((k + 1) * r + 1, (k + 1) * r + 5))
-    universe = enumerate_separated(n, r, k).sets
+    universe = brute_separated(n, r, k)
     size = draw(st.integers(1, min(5, len(universe))))
     idx = draw(st.sets(st.integers(0, len(universe) - 1), min_size=size, max_size=size))
-    return SetFamily(n, r, k, tuple(universe[i] for i in idx))
+    return n, r, k, [universe[i] for i in sorted(idx)]
 
 
-@settings(max_examples=100)
-@given(small_families(), st.integers(-10, 10), st.booleans())
-def test_canonical_form_is_orbit_invariant(fam, shift, reflected):
-    moved = transform_family(fam, shift=shift, reflected=reflected)
-    assert canonical_form(moved) == canonical_form(fam)
-    assert are_isomorphic(fam, moved)
+@settings(max_examples=100, deadline=None)
+@given(small_families(), st.integers(0, 40), st.booleans())
+def test_canonical_form_is_orbit_invariant(drawn, g, rotations_only):
+    # image g of the family, by the oracle, has the family's canonical form
+    n, r, k, members = drawn
+    images = dihedral_images(members, n, rotations_only)
+    moved = images[g % len(images)]
+    assert canonical(n, r, k, moved, rotations_only) == canonical(n, r, k, members, rotations_only)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(small_families())
-def test_canonical_form_is_idempotent_and_in_orbit(fam):
-    canon = canonical_form(fam)
-    assert canonical_form(canon) == canon
-    assert frozenset(s.elems for s in canon) in dihedral_images(
-        [s.elems for s in fam], fam.n
-    )
+def test_canonical_form_is_idempotent_and_in_orbit(drawn):
+    n, r, k, members = drawn
+    canon = canonical(n, r, k, members)
+    assert canonical(n, r, k, canon) == canon
+    assert frozenset(canon) in dihedral_images(members, n)
 
 
 @st.composite
@@ -192,61 +174,9 @@ def families_up_to_20_points(draw):
 @example((9, 3, 1, []), False)
 @example((9, 3, 1, []), True)
 def test_canonical_form_is_the_least_image(drawn, rotations_only):
+    # the least vertex mask is the least family, because vertices are in lexicographic order
     n, r, k, members = drawn
-    fam = SetFamily(n, r, k, tuple(CircSet(n, m) for m in members))
-    canon = canonical_form(fam, rotations_only)
-    assert tuple(s.elems for s in canon) == least_image(members, n, rotations_only)
-    assert (canon.n, canon.r, canon.k) == (n, r, k)
-
-
-# === exchange map ===
-
-
-def test_exchange_examples():
-    assert exchange_map(CircSet(7, (1, 4)), 1) == CircSet(7, (3, 5))
-    assert exchange_map(CircSet(12, (1, 5, 9)), 2) == CircSet(12, (4, 7, 11))
-
-
-def test_exchange_requires_anchor_without_pivot():
-    with pytest.raises(ValueError):
-        exchange_map(CircSet(7, (2, 4)), 1)  # 1 not a member
-    with pytest.raises(ValueError):
-        exchange_map(CircSet(7, (1, 3)), 1)  # k+2 already a member
-    with pytest.raises(ValueError):
-        exchange_map(CircSet(7, (1, 4)), 0)
-
-
-def test_exchange_bijection_on_8_2_1():
-    domain = [
-        s for s in enumerate_separated(8, 2, 1) if 1 in s and 3 not in s
-    ]
-    assert len(domain) == 4  # C(n - kr - 2, r - 1) with n=8, r=2, k=1
-    images = [exchange_map(s, 1) for s in domain]
-    assert len(set(images)) == len(images)
-    for src, dst in zip(domain, images):
-        assert not src.intersects(dst)
-        assert 3 in dst and 1 not in dst
-
-
-def test_exchange_properties_on_grid():
-    for k in (1, 2):
-        for r in (2, 3):
-            for n in range((k + 1) * r + 2, (k + 1) * r + 7):
-                domain = [
-                    s
-                    for s in enumerate_separated(n, r, k)
-                    if 1 in s and (k + 2) not in s
-                ]
-                assert len(domain) == math.comb(n - k * r - 2, r - 1), (n, r, k)
-                images = set()
-                for s in domain:
-                    img = exchange_map(s, k)
-                    assert img.n == n and img.r == r
-                    assert is_k_separated(img, k)
-                    assert not s.intersects(img)
-                    assert (k + 2) in img and 1 not in img
-                    images.add(img)
-                assert len(images) == len(domain)
+    assert tuple(canonical(n, r, k, members, rotations_only)) == least_image(members, n, rotations_only)
 
 
 # === random maximal families ===
@@ -261,7 +191,7 @@ def test_random_maximal_is_reproducible_and_maximal():
     for s in enumerate_separated(9, 3, 1):
         if s.elems in members:
             continue
-        assert not all(s.intersects(t) for t in fam)  # nothing more fits
+        assert not all(s.mask & t.mask for t in fam)  # nothing more fits
 
 
 def test_random_maximal_varies_with_seed():

@@ -21,7 +21,6 @@ from sepekr import (
     build_schrijver,
     chromatic_number,
     enumerate_separated,
-    exceptional_family,
     export_dimacs,
     independence_number,
     max_intersecting,
@@ -160,7 +159,6 @@ def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, ca
     assert run(["enumerate", "--n", "13", "--r", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.startswith("13 3 1 : {1,3,5} ")
     assert len(star_family(13, 3, 1, 1)) == 36
-    assert len(exceptional_family(3, 1)) == 6
     assert builds == []
 
     enumerations.clear()

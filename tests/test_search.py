@@ -1,5 +1,6 @@
 """Exact search: optimum sizes, weighted optima, and extremal class censuses."""
 
+import io
 import random
 import time
 
@@ -10,14 +11,12 @@ from hypothesis import strategies as st
 from sepekr import (
     DisjointnessGraph,
     ResourceLimitError,
-    are_isomorphic,
     build_kneser,
     build_schrijver,
-    canonical_form,
     disjointness_rows,
     enumerate_max_independent,
     enumerate_separated,
-    exceptional_family,
+    export_dimacs,
     extremal_classes,
     is_intersecting,
     max_intersecting,
@@ -30,7 +29,7 @@ import sepekr.core
 import sepekr.search
 import sepekr.weighted
 from sepekr.cli import default_grid
-from sepekr.core import count_separated, dihedral_images
+from sepekr.core import count_separated
 from sepekr.search import _cover_bound
 
 from helpers import (
@@ -38,6 +37,8 @@ from helpers import (
     antipodal_transversal_classes,
     branch_vertex,
     count_classes,
+    dihedral_images,
+    exceptional_members,
     first_fit_clique_bound,
     least_image,
     max_weight_independent,
@@ -77,7 +78,8 @@ def test_witness_is_valid_and_canonical():
         result = max_intersecting(n, r, k)
         assert len(result.witness) == result.optimum
         assert is_intersecting(result.witness)
-        assert canonical_form(result.witness) == result.witness
+        members = [s.elems for s in result.witness]
+        assert tuple(members) == least_image(members, n)
 
 
 def test_optimum_matches_both_oracles():
@@ -152,8 +154,14 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
         max_intersecting,
         extremal_classes,
         lambda n, r, k, **limits: max_intersecting_weighted(n, r, k, lambda s: 1, **limits),
+        lambda n, r, k, deadline: list(build_schrijver(n, r, k).edges(deadline)),
+        lambda n, r, k, deadline: build_schrijver(n, r, k).to_json_dict(deadline),
+        lambda n, r, k, deadline: export_dimacs(build_schrijver(n, r, k), io.StringIO(), deadline=deadline),
     ],
-    ids=["max_intersecting", "extremal_classes", "max_intersecting_weighted"],
+    ids=[
+        "max_intersecting", "extremal_classes", "max_intersecting_weighted",
+        "edges", "to_json_dict", "export_dimacs",
+    ],
 )
 def test_the_time_limit_covers_the_rows(monkeypatch, call):
     real = sepekr.core.disjointness_rows
@@ -259,8 +267,8 @@ def test_classes_frozen_at_6_2_1():
     assert result.classes[0].to_line() == "6 2 1 : {1,3} {1,4} {1,5}"
     assert result.classes[1].to_line() == "6 2 1 : {1,3} {1,5} {3,5}"
     assert result.witness == result.classes[0]
-    assert are_isomorphic(result.classes[0], star_family(6, 2, 1, 1))
-    assert are_isomorphic(result.classes[1], exceptional_family(2, 1))
+    assert least_image([s.elems for s in star_family(6, 2, 1, 1)], 6) == ((1, 3), (1, 4), (1, 5))
+    assert least_image(exceptional_members(2, 1), 6) == ((1, 3), (1, 5), (3, 5))
 
 
 def test_classes_frozen_counts():
@@ -276,11 +284,13 @@ def test_class_representatives_are_canonical_and_distinct():
         reps = result.classes
         assert list(reps) == sorted(reps, key=lambda f: tuple(s.elems for s in f.sets))
         for i, rep in enumerate(reps):
-            assert canonical_form(rep) == rep
+            members = [s.elems for s in rep]
+            assert tuple(members) == least_image(members, n)
             assert is_intersecting(rep)
             assert len(rep) == result.optimum
+            orbit = dihedral_images(members, n)
             for other in reps[i + 1 :]:
-                assert not are_isomorphic(rep, other)
+                assert other.member_keys not in orbit
 
 
 def test_class_count_matches_orbit_oracle():
@@ -321,7 +331,8 @@ def test_rotation_classes_refine_dihedral_classes():
         rotation = extremal_classes(n, r, k, rotations_only=True).classes
         assert len(rotation) >= len(dihedral)
         for rep in rotation:
-            matches = [d for d in dihedral if are_isomorphic(rep, d)]
+            least = least_image(rep.member_keys, n)
+            matches = [d for d in dihedral if least_image(d.member_keys, n) == least]
             assert len(matches) == 1
 
 
@@ -329,8 +340,8 @@ def test_exceptional_families_appear_in_census():
     for r in (2, 3, 4):
         classes = extremal_classes(2 * r + 2, r, 1).classes
         for i in range(1, r // 2 + 1):
-            fam = exceptional_family(r, i)
-            assert any(are_isomorphic(fam, rep) for rep in classes), (r, i)
+            least = least_image(exceptional_members(r, i), 2 * r + 2)
+            assert any(tuple(s.elems for s in rep) == least for rep in classes), (r, i)
 
 
 @pytest.mark.parametrize(
@@ -490,18 +501,29 @@ def _chain_problems(n, r, k, rotations_only):
             problems.append(f"extremal_classes found {result.optimum}, oracle {optimum}")
         if len(result.classes) != count_classes(maxima, n, rotations_only):
             problems.append(f"{len(result.classes)} classes")
-        for rep in result.classes:
-            if tuple(sorted(rep.member_keys)) != least_image(rep.member_keys, n, rotations_only):
-                problems.append(f"representative {rep.to_line()} is not its least image")
-    witness = max_intersecting(n, r, k).witness
-    if tuple(sorted(witness.member_keys)) != least_image(witness.member_keys, n):
-        problems.append(f"witness {witness.to_line()} is not its least image")
     chain, _ = enumerate_max_independent(adj, optimum, perms=perms)
     full, _ = enumerate_max_independent(adj, optimum)
     oracle = {sum(1 << members.index(m) for m in fam) for fam in maxima}
     if len(chain) != len(set(chain)) or not _orbit_closure(chain, perms) == set(full) == oracle:
         problems.append("the orbits of the chain's optima are not all the optima")
     return problems
+
+
+@pytest.mark.parametrize("rotations_only", [False, True])
+def test_every_representative_and_witness_is_its_own_least_image(rotations_only):
+    # by the oracle's group: each class representative, and the dihedral witness, is the
+    # least image of its own members, and no two representatives share an orbit
+    wrong = []
+    for n, r, k in SMALL_INSTANCES:
+        reps = [sorted(c.member_keys) for c in extremal_classes(n, r, k, rotations_only=rotations_only).classes]
+        least = [least_image(rep, n, rotations_only) for rep in reps]
+        if [tuple(rep) for rep in reps] != least or len(set(least)) != len(least):
+            wrong.append((n, r, k))
+        if not rotations_only:
+            witness = sorted(max_intersecting(n, r, k).witness.member_keys)
+            if tuple(witness) != least_image(witness, n):
+                wrong.append((n, r, k, "witness"))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("rotations_only", [False, True])
@@ -625,16 +647,11 @@ GROUP_INSTANCES = list(
 def _group_problems(n, r, k, rotations_only):
     """How _vertex_permutations disagrees with the circle group on one instance, if it does."""
     graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
-    masks = [s.mask for s in graph.vertices.sets]
-    index = {m: i for i, m in enumerate(masks)}
     perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
     problems = []
-    images = dihedral_images(masks, n, rotations_only)
-    if perms != [[index[m] for m in image] for image in images]:
-        problems.append("not the dihedral_images permutations in their order")
     members = [s.elems for s in graph.vertices]
-    if {tuple(p) for p in perms} != {tuple(p) for p in vertex_permutations(members, n, rotations_only)}:
-        problems.append("not the group of the oracle")
+    if perms != vertex_permutations(members, n, rotations_only):
+        problems.append("not the oracle's group in its order")
     adj = graph.adjacency
     for perm in perms:
         if any(sum(1 << perm[w] for w in _members(adj[v])) != adj[perm[v]] for v in range(len(adj))):
