@@ -254,7 +254,7 @@ def _cmd_lemmas(args) -> int:
         if i == 0:
             family = star_family(n, r, k, 1)
         else:
-            family = random_maximal_intersecting(n, r, k, rng)
+            family = random_maximal_intersecting(n, r, k, rng, deadline=args.deadline)
         report = verify_compression_suite(family)
         if not report.passed:
             failures.append((family, report))

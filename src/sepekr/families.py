@@ -30,12 +30,16 @@ def star_family(
 
 
 def random_maximal_intersecting(
-    n: int, r: int, k: int, rng: random.Random
+    n: int, r: int, k: int, rng: random.Random, *, deadline: float | None = None
 ) -> SetFamily:
-    """Greedily grow an intersecting family over a shuffled universe until maximal."""
+    """Greedily grow an intersecting family over a shuffled universe until maximal.
+
+    A time.monotonic() deadline is read once per adjacency row while the rows are built.
+    """
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
     order = list(range(graph.num_vertices))
     rng.shuffle(order)
+    graph.build_adjacency(deadline)
     adjacency, chosen = graph.adjacency, 0
     for idx in order:
         if not adjacency[idx] & chosen:

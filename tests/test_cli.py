@@ -443,8 +443,9 @@ def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
 
 def test_graph_chi_obeys_the_time_limit(capsys):
     started = time.monotonic()
-    argv = ["graph", "--kind", "schrijver", "--n", "12", "--r", "2", "--k", "1", "--chi"]
-    assert run(argv + ["--limit-seconds", "1"]) == 3
+    # SG(11,4,1) takes about 1.3 raw s to colour exactly
+    argv = ["graph", "--kind", "schrijver", "--n", "11", "--r", "4", "--k", "1", "--chi"]
+    assert run(argv + ["--limit-seconds", "0.1"]) == 3
     assert time.monotonic() - started < 10
     assert "time limit" in capsys.readouterr().err
 

@@ -28,6 +28,7 @@ from sepekr import (
     star_family,
 )
 from sepekr.cli import run
+from sepekr.core import count_separated
 
 from helpers import dsatur_steps, max_intersecting_size
 
@@ -316,32 +317,52 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
 
 
 def test_chromatic_time_limit():
-    # SG(10,3,1) takes 0.5-0.6 raw s to colour exactly (250661 steps, on a shared 2-core
+    # SG(11,4,1) takes about 1.3 raw s to colour exactly (140752 steps, on a shared 2-core
     # machine); a budget of 0.05 s aborts it
-    g = build_schrijver(10, 3, 1)
+    g = build_schrijver(11, 4, 1)
     with pytest.raises(ResourceLimitError, match="before colouring step"):
         chromatic_number(g, deadline=time.monotonic() + 0.05)
     assert chromatic_number(build_schrijver(9, 3, 1), deadline=time.monotonic() + 60) == 5
 
 
+def test_chromatic_number_of_every_stable_kneser_graph_within_the_colouring_limit():
+    # chi(SG(n,r,k)) = n - (k+1)(r-1): for k = 1 this is Schrijver's theorem; for k >= 2 it is
+    # Meunier's conjecture (JCTA 2011), which this checks by computation on these instances
+    # only.  All 63 take about 2.5 raw s together.
+    instances = [
+        (n, r, k)
+        for k in range(1, 5)
+        for r in range(2, 5)
+        for n in range((k + 1) * r, 40)
+        if count_separated(n, r, k) <= sepekr.graph.COLORING_MAX_VERTICES
+    ]
+    assert len(instances) == 63
+    for n, r, k in instances:
+        assert chromatic_number(build_schrijver(n, r, k)) == n - (k + 1) * (r - 1), (n, r, k)
+
+
 @pytest.mark.parametrize(
     "n, r, k, chi, steps",
+    # each id ends in the step total of Brélaz's rule alone (degree, then index, after
+    # the colour count), so that it shows what Sewell's tie-break saves
     [
-        pytest.param(8, 3, 1, 4, 102, id="8-3-4-102"),
-        pytest.param(9, 2, 1, 7, 808, id="9-2-7-808"),
-        pytest.param(9, 3, 1, 5, 968, id="9-3-5-968"),
-        pytest.param(10, 2, 1, 8, 7580, id="10-2-8-7580"),
-        pytest.param(11, 2, 1, 9, 61625, id="11-2-9-61625"),
+        pytest.param(8, 3, 1, 4, 72, id="8-3-4-102"),
+        pytest.param(9, 2, 1, 7, 294, id="9-2-7-808"),
+        pytest.param(9, 3, 1, 5, 431, id="9-3-5-968"),
+        pytest.param(10, 2, 1, 8, 751, id="10-2-8-7580"),
+        pytest.param(11, 2, 1, 9, 2334, id="11-2-9-61625"),
+        pytest.param(12, 2, 1, 10, 7097, id="12-2-10-1655571"),
         # not regular, and its tries run deep
-        pytest.param(10, 3, 1, 6, 250661, id="10-3-6-250661"),
-        # k = 0 is the Kneser graph, which is regular, so only the index breaks ties
-        pytest.param(9, 2, 0, 7, 1434, id="kneser-9-2-7-1434"),
+        pytest.param(10, 3, 1, 6, 11798, id="10-3-6-250661"),
+        # k = 0 is the Kneser graph, which is regular, so only the shared count and the
+        # index break ties
+        pytest.param(9, 2, 0, 7, 303, id="kneser-9-2-7-1434"),
     ],
 )
 def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, k, chi, steps):
     # with a deadline the clock is checked at every step, and each colouring step names
-    # itself once; the totals freeze the DSATUR order, the precoloured clique and the
-    # fresh-colour rule
+    # itself once; the totals freeze the DSATUR order with Sewell's tie-break, the
+    # precoloured clique and the fresh-colour rule (tests/helpers.dsatur_steps gives each)
     stages = []
 
     def record(deadline, stage):

@@ -21,6 +21,7 @@ from sepekr import (
     is_intersecting,
     max_intersecting,
     max_intersecting_weighted,
+    random_maximal_intersecting,
     solve_max_independent,
     star_family,
     star_size_formula,
@@ -157,10 +158,11 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
         lambda n, r, k, deadline: list(build_schrijver(n, r, k).edges(deadline)),
         lambda n, r, k, deadline: build_schrijver(n, r, k).to_json_dict(deadline),
         lambda n, r, k, deadline: export_dimacs(build_schrijver(n, r, k), io.StringIO(), deadline=deadline),
+        lambda n, r, k, deadline: random_maximal_intersecting(n, r, k, random.Random(0), deadline=deadline),
     ],
     ids=[
         "max_intersecting", "extremal_classes", "max_intersecting_weighted",
-        "edges", "to_json_dict", "export_dimacs",
+        "edges", "to_json_dict", "export_dimacs", "random_maximal_intersecting",
     ],
 )
 def test_the_time_limit_covers_the_rows(monkeypatch, call):
