@@ -314,7 +314,7 @@ def _cmd_graph(args) -> int:
     if args.alpha:
         seconds_left(args.deadline, "alpha")
         alpha = independence_number(graph, deadline=args.deadline)
-    graph.build_adjacency(args.deadline)  # for num_edges, unless chi or alpha built the rows
+    graph.rows(args.deadline)  # for num_edges, unless chi or alpha built them
     seconds_left(args.deadline, "the output")
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,

@@ -362,8 +362,9 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
-    members when the graph is made.  Rows are built on first use, and so is
-    each member's CircSet, at most once per vertex.
+    members when the graph is made.  Rows are built by the first call of
+    rows(deadline), and each member's CircSet on first use, at most once per
+    vertex.
     """
 
     def __init__(self, n: int, r: int, k: int, masks: tuple[int, ...]) -> None:
@@ -378,17 +379,15 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         """The graph on the members of family, in their (lexicographic) order."""
         return cls(family.n, family.r, family.k, tuple(s.mask for s in family.sets))
 
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        return tuple(disjointness_rows(self.masks))
+    def rows(self, deadline: float | None) -> tuple[int, ...]:
+        """The adjacency rows, built on the first call with a deadline as in disjointness_rows.
 
-    def build_adjacency(self, deadline: float | None = None) -> None:
-        """Build adjacency now, unless it is built, with a deadline as in disjointness_rows.
-
-        The rows take about V*V/8 bytes for V vertices.
+        They are then kept, and a later call reads no deadline.  The rows
+        take about V*V/8 bytes for V vertices.
         """
-        if "adjacency" not in vars(self):
-            vars(self)["adjacency"] = tuple(disjointness_rows(self.masks, deadline))
+        if "_rows" not in vars(self):
+            vars(self)["_rows"] = tuple(disjointness_rows(self.masks, deadline))
+        return vars(self)["_rows"]
 
     @cached_property
     def _members(self) -> list[CircSet | None]:
@@ -404,15 +403,15 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     @property
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
+        """The edge count; it builds the rows with no deadline unless rows(deadline) did."""
+        return sum(row.bit_count() for row in self.rows(None)) // 2
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
 
         The deadline bounds building the rows too, when they are not built yet.
         """
-        self.build_adjacency(deadline)
-        return row_edges(self.adjacency, deadline)
+        return row_edges(self.rows(deadline), deadline)
 
     def subfamily(self, mask: int) -> SetFamily:
         """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k).

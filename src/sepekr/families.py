@@ -39,9 +39,8 @@ def random_maximal_intersecting(
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
     order = list(range(graph.num_vertices))
     rng.shuffle(order)
-    graph.build_adjacency(deadline)
-    adjacency, chosen = graph.adjacency, 0
+    rows, chosen = graph.rows(deadline), 0
     for idx in order:
-        if not adjacency[idx] & chosen:
+        if not rows[idx] & chosen:
             chosen |= 1 << idx
     return graph.subfamily(chosen)

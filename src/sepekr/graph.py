@@ -32,8 +32,7 @@ def independence_number(
 
     The deadline bounds building the adjacency rows too, when they are not built yet.
     """
-    graph.build_adjacency(deadline)
-    return solve_max_independent(graph.adjacency, deadline=deadline)[0]
+    return solve_max_independent(graph.rows(deadline), deadline=deadline)[0]
 
 
 def _colorable(
@@ -126,14 +125,15 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
 
     The clique is a maximum independent set of the complement, found by the
     search core.  Raises ResourceLimitError above COLORING_MAX_VERTICES, or
-    once the time.monotonic() deadline passes.
+    once the time.monotonic() deadline passes; it bounds building the rows
+    too, when they are not built yet.
     """
     v_count = graph.num_vertices
     if v_count > COLORING_MAX_VERTICES:
         raise ResourceLimitError(
             f"{v_count} vertices exceed the colouring limit of {COLORING_MAX_VERTICES}"
         )
-    adj = graph.adjacency
+    adj = graph.rows(deadline)
     full = (1 << v_count) - 1
     complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
     seconds_left(deadline, "the clique search")
@@ -153,7 +153,7 @@ def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | No
     the rows are built, when they are not built yet, and while the edges are
     listed; nothing is written when it passes.
     """
-    graph.build_adjacency(deadline)
+    graph.rows(deadline)
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges(deadline))
     text = "\n".join(lines) + "\n"

@@ -270,23 +270,30 @@ def enumerate_max_independent(
     return found, nodes
 
 
-def _vertex_permutations(graph: DisjointnessGraph) -> list[list[int]]:
+def _vertex_permutations(graph: DisjointnessGraph, deadline: float | None = None) -> list[list[int]]:
     """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i.
 
     Only the two generators move masks: one step (a -> a + 1) and the mirror.
     Rotation s is step composed with rotation s - 1, and reflection s is the
     mirror followed by rotation s, so the list is the n rotations (s = 0..n-1)
     and then the n reflections; the rotation group is its first n.  This is
-    the package's one list of the circle group.
+    the package's one list of the circle group.  The 2n lists take about
+    16 n V bytes for V vertices; a time.monotonic() deadline is read before
+    each one after the identity.
     """
     n, vertex_masks = graph.n, graph.masks
     index = {m: i for i, m in enumerate(vertex_masks)}
     step = [index[rotate_mask(m, n, 1)] for m in vertex_masks]
-    rotations = [list(range(len(vertex_masks)))]
-    for _ in range(n - 1):
-        rotations.append([step[v] for v in rotations[-1]])
     mirror = [index[mirror_mask(m, n)] for m in vertex_masks]
-    return rotations + [[rotation[v] for v in mirror] for rotation in rotations]
+    perms = [list(range(len(vertex_masks)))]
+    for i in range(1, 2 * n):
+        if deadline is not None:
+            seconds_left(deadline, f"symmetry {i + 1} of {2 * n}")
+        if i < n:
+            perms.append([step[v] for v in perms[-1]])
+        else:
+            perms.append([perms[i - n][v] for v in mirror])
+    return perms
 
 
 def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> list[int]:
@@ -314,15 +321,14 @@ def max_intersecting(
     from the orbit chain of the dihedral group.  The witness is the least
     image of the optimum's vertex mask under the group, its canonical form;
     repeated runs are identical.  One deadline (time.monotonic()) covers the
-    whole call: the universe, the symmetries, the solve and the
-    canonicalisation of the witness.
+    whole call: the universe, the symmetries (read before each one is
+    built), the rows, the solve and the canonicalisation of the witness.
     """
     graph = separated_universe(n, r, k, max_vertices)
-    perms = _vertex_permutations(graph)
+    perms = _vertex_permutations(graph, deadline=deadline)
     seconds_left(deadline, "the solve")
-    graph.build_adjacency(deadline)
     optimum, mask, nodes = solve_max_independent(
-        graph.adjacency, deadline=deadline, perms=perms, incumbent=_star_mask(graph)
+        graph.rows(deadline), deadline=deadline, perms=perms, incumbent=_star_mask(graph)
     )
     seconds_left(deadline, "canonicalising the witness")
     least = min(set(_orbit(mask, perms)), key=mask_elems)
@@ -342,8 +348,8 @@ def max_intersecting_weighted(
 
     An arbitrary weight need not respect the circle symmetries, so the solve
     is the plain search and the witness is one optimal family as found, not
-    canonicalised.  One deadline covers the universe, the weights and the
-    solve.
+    canonicalised.  One deadline covers the universe, the weights, the rows
+    and the solve.
     """
     graph = separated_universe(n, r, k, max_vertices)
     weights = [weight_fn(s) for s in graph.vertices]
@@ -351,8 +357,7 @@ def max_intersecting_weighted(
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
     seconds_left(deadline, "the solve")
-    graph.build_adjacency(deadline)
-    optimum, mask, nodes = solve_max_independent(graph.adjacency, weights, deadline=deadline)
+    optimum, mask, nodes = solve_max_independent(graph.rows(deadline), weights, deadline=deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
@@ -370,8 +375,8 @@ def extremal_classes(
     One enumeration, from the star's size as a lower bound on the optimum and
     from the orbit chain of the dihedral group, yields at least one optimum per
     dihedral class, not all of them; the optimum is the size of the sets it
-    returns.  Its optima and node count are kept on the cached universe, keyed
-    by that floor, so a later call on the same universe, under either group,
+    returns.  Its optima and node count are kept on the cached universe, so a
+    later call on the same universe, under either group, builds no rows and
     searches nothing; an enumeration stopped by the deadline keeps nothing.
     Every image of an optimum is an optimum, so each new optimum's dihedral
     orbit is walked once, its images in the order of `_vertex_permutations`,
@@ -381,20 +386,18 @@ def extremal_classes(
     the walk gives one or two representatives, each the least of its orbit.
     Representatives are sorted lexicographically; the witness is the least
     of them.  nodes_explored is the dihedral enumeration's count under
-    either group.  One deadline covers the whole call: the symmetries, the
-    rows, the enumeration and the orbit walks.
+    either group.  One deadline covers the whole call: the symmetries (read
+    before each one is built), the rows, the enumeration and the orbit walks.
     """
     graph = separated_universe(n, r, k, max_vertices)
-    perms = _vertex_permutations(graph)
+    perms = _vertex_permutations(graph, deadline=deadline)
     star = _star_mask(graph).bit_count()
     seconds_left(deadline, "enumerating the optima")
-    optima = vars(graph).setdefault("_optima", {})
-    if star not in optima:
-        graph.build_adjacency(deadline)
-        optima[star] = enumerate_max_independent(
-            graph.adjacency, star, deadline=deadline, perms=perms
+    if "_optima" not in vars(graph):
+        vars(graph)["_optima"] = enumerate_max_independent(
+            graph.rows(deadline), star, deadline=deadline, perms=perms
         )
-    masks, nodes = optima[star]
+    masks, nodes = vars(graph)["_optima"]
     if not masks:
         raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()

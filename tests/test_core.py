@@ -541,10 +541,10 @@ def test_cached_properties_are_computed_once_per_instance():
     family = enumerate_separated(7, 2, 1)
     assert family.member_keys is family.member_keys
     graph = DisjointnessGraph.from_family(family)
-    assert graph.adjacency is graph.adjacency
+    assert graph.rows(None) is graph.rows(None)
     assert graph.vertices is graph.vertices == family
-    graph.build_adjacency(time.monotonic() - 1)  # built already: the deadline is not read
-    assert graph.adjacency is graph.adjacency
+    # built already: the deadline is not read
+    assert graph.rows(time.monotonic() - 1) is graph.rows(None)
 
 
 def test_results_are_named_tuples():

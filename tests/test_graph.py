@@ -68,7 +68,7 @@ def brute_chromatic(adj: tuple[int, ...]) -> int:
 def test_kneser_5_2_counts():
     assert PETERSEN.num_vertices == 10
     assert PETERSEN.num_edges == 15
-    degrees = [row.bit_count() for row in PETERSEN.adjacency]
+    degrees = [row.bit_count() for row in PETERSEN.rows(None)]
     assert degrees == [3] * 10  # 3-regular
 
 
@@ -143,7 +143,7 @@ def test_one_graph_type_per_instance():
     g = build_schrijver(7, 2, 1)
     assert g is sepekr.core.separated_universe(7, 2, 1, 100)
     assert DisjointnessGraph.from_family(g.vertices) == g
-    assert DisjointnessGraph.from_family(g.vertices).adjacency == g.adjacency
+    assert DisjointnessGraph.from_family(g.vertices).rows(None) == g.rows(None)
     assert g.subfamily(0b1011).sets == tuple(g.vertices.sets[i] for i in (0, 1, 3))
     assert g.subfamily(0) == SetFamily(7, 2, 1, ())
 
@@ -199,7 +199,7 @@ def test_schrijver_chromatic_numbers():
 def test_chromatic_matches_brute_force():
     for n, r, k in [(5, 2, 1), (6, 2, 1), (7, 2, 1), (8, 2, 2)]:
         g = build_schrijver(n, r, k)
-        assert chromatic_number(g) == brute_chromatic(g.adjacency), (n, r, k)
+        assert chromatic_number(g) == brute_chromatic(g.rows(None)), (n, r, k)
 
 
 def test_independence_matches_search_and_oracle():
@@ -238,14 +238,14 @@ def small_disjointness_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_disjointness_graphs())
 def test_chromatic_matches_brute_force_on_random_graphs(graph):
-    assert chromatic_number(graph) == brute_chromatic(graph.adjacency)
+    assert chromatic_number(graph) == brute_chromatic(graph.rows(None))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_disjointness_graphs())
 def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
     # the random graphs are not regular, so the degree tie-break decides some steps
-    adj = graph.adjacency
+    adj = graph.rows(None)
     cliques = [
         list(c)
         for size in range(len(adj) + 1)
@@ -276,9 +276,9 @@ def test_colouring_carries_saturation_across_plane_boundaries(c):
     # a vertex that sees c - 1 or c colours sets the top bit-plane of its count; on the
     # complete graphs the counts rise by one per step, and with the chord (vertex 1) a
     # vertex of lower saturation competes with the pair whose count reaches the top plane
-    cases = [(build_kneser(m, 1).adjacency, clique) for m in (c, c + 1) for clique in ([], [0, 1])]
+    cases = [(build_kneser(m, 1).rows(None), clique) for m in (c, c + 1) for clique in ([], [0, 1])]
     cases += [
-        (_matching_and_a_chord(m).adjacency, clique) for m in (c, c + 1) for clique in ([], [0, 2])
+        (_matching_and_a_chord(m).rows(None), clique) for m in (c, c + 1) for clique in ([], [0, 2])
     ]
     stages = []
     with pytest.MonkeyPatch.context() as patch:

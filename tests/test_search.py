@@ -13,11 +13,13 @@ from sepekr import (
     ResourceLimitError,
     build_kneser,
     build_schrijver,
+    chromatic_number,
     disjointness_rows,
     enumerate_max_independent,
     enumerate_separated,
     export_dimacs,
     extremal_classes,
+    independence_number,
     is_intersecting,
     max_intersecting,
     max_intersecting_weighted,
@@ -159,14 +161,18 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
         lambda n, r, k, deadline: build_schrijver(n, r, k).to_json_dict(deadline),
         lambda n, r, k, deadline: export_dimacs(build_schrijver(n, r, k), io.StringIO(), deadline=deadline),
         lambda n, r, k, deadline: random_maximal_intersecting(n, r, k, random.Random(0), deadline=deadline),
+        lambda n, r, k, deadline: chromatic_number(build_schrijver(n, r, k), deadline=deadline),
+        lambda n, r, k, deadline: independence_number(build_schrijver(n, r, k), deadline=deadline),
     ],
     ids=[
         "max_intersecting", "extremal_classes", "max_intersecting_weighted",
         "edges", "to_json_dict", "export_dimacs", "random_maximal_intersecting",
+        "chromatic_number", "independence_number",
     ],
 )
 def test_the_time_limit_covers_the_rows(monkeypatch, call):
     real = sepekr.core.disjointness_rows
+    sepekr.core._universe.cache_clear()  # so that no earlier test's rows are read
 
     def slow(masks, deadline=None):
         rows = real(masks, deadline)
@@ -183,12 +189,19 @@ def test_max_intersecting_time_limit_covers_the_symmetries(monkeypatch):
     real = sepekr.search._vertex_permutations
 
     def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
         time.sleep(0.3)
-        return real(*args, **kwargs)
+        return result
 
     monkeypatch.setattr(sepekr.search, "_vertex_permutations", slow)
     with pytest.raises(ResourceLimitError, match="before the solve"):
         max_intersecting(9, 3, 1, deadline=time.monotonic() + 0.2)
+
+
+def test_the_time_limit_covers_building_the_symmetries():
+    """The 400 symmetries of the 19700 vertices of (200, 2, 1) take far longer than the limit."""
+    with pytest.raises(ResourceLimitError, match=r"^time limit exceeded before symmetry \d+ of 400$"):
+        max_intersecting(200, 2, 1, deadline=time.monotonic() + 0.05)
 
 
 def test_weighted_time_limit_covers_the_weights():
@@ -654,7 +667,7 @@ def _group_problems(n, r, k, rotations_only):
     members = [s.elems for s in graph.vertices]
     if perms != vertex_permutations(members, n, rotations_only):
         problems.append("not the oracle's group in its order")
-    adj = graph.adjacency
+    adj = graph.rows(None)
     for perm in perms:
         if any(sum(1 << perm[w] for w in _members(adj[v])) != adj[perm[v]] for v in range(len(adj))):
             problems.append(f"{perm} is not an automorphism")
@@ -705,12 +718,15 @@ def test_incumbent_must_be_independent(monkeypatch):
 @pytest.mark.parametrize("n, r, k", [(8, 3, 1), (10, 3, 2)])
 def test_the_census_needs_a_floor_at_most_the_optimum(monkeypatch, n, r, k):
     """The star's size is only a floor: one above the optimum finds nothing and is an
-    internal fault, and floor 0 raises itself to the same census."""
+    internal fault, and floor 0 raises itself to the same census.  The universe keeps
+    one census, so each floor is tried on a fresh universe."""
     expected = extremal_classes(n, r, k)
     monkeypatch.setattr(sepekr.search, "_star_mask", lambda graph: (1 << graph.num_vertices) - 1)
+    sepekr.core._universe.cache_clear()
     with pytest.raises(RuntimeError, match="^enumeration returned no optimum"):
         extremal_classes(n, r, k)
     monkeypatch.setattr(sepekr.search, "_star_mask", lambda graph: 0)
+    sepekr.core._universe.cache_clear()
     got = extremal_classes(n, r, k)
     assert got.optimum == expected.optimum
     assert (got.witness, got.classes) == (expected.witness, expected.classes)
@@ -898,7 +914,7 @@ def test_unit_weights_walk_the_same_tree_as_no_weights(graph):
 @pytest.mark.parametrize("n, r, k", [(12, 3, 1), (14, 4, 1), (15, 3, 2)])
 def test_unit_weights_walk_the_same_tree_on_the_symmetry_core(n, r, k):
     graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
-    adj = graph.adjacency
+    adj = graph.rows(None)
     setup = dict(
         perms=sepekr.search._vertex_permutations(graph),
         incumbent=sepekr.search._star_mask(graph),
