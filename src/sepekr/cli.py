@@ -255,7 +255,7 @@ def _cmd_lemmas(args) -> int:
             family = star_family(n, r, k, 1)
         else:
             family = random_maximal_intersecting(n, r, k, rng, deadline=args.deadline)
-        report = verify_compression_suite(family)
+        report = verify_compression_suite(family, deadline=args.deadline)
         if not report.passed:
             failures.append((family, report))
     summary = dict(

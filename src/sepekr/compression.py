@@ -21,28 +21,35 @@ bit a-1 stands for element a, and its primitives are:
 
 ``verify_compression_suite`` reads each member's mask once and runs the
 partition (``_partition``), the derivation (``_derive``) and all nine
-clauses on masks.  Each fact about a member is checked once: the partition
-tests every image for size and k-separation, and the derivation checks each
-reduced component with ``core.check_member_masks`` (the rules and messages
-of ``SetFamily``); every other derived family is made of members already
-checked, as ``_derive`` explains.  ``CircSet`` objects are built only for
-the witnesses of a failed clause and for the member a partition error
-names.
+clauses on masks.  Each fact about a member is checked once per universe:
+the partition tests every image for size and k-separation, and the
+derivation checks each reduced component with ``core.check_member_masks``
+(the rules and messages of ``SetFamily``); every other derived family is
+made of members already checked, as ``_derive`` explains.  Every family of
+an (n, r, k) is a subfamily of its universe, so the suite works these facts
+out on the universe once (``_universe_verdicts``), with the five clauses
+that can only improve on a subfamily, and each family reads them from
+there.  ``CircSet`` objects are built only for the witnesses of a failed
+clause and for the member a partition error names.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
+    DEFAULT_MAX_VERTICES,
     CircSet,
     SetFamily,
     check_member_masks,
+    count_separated,
     disjointness_rows,
     mask_elems,
     mask_k_separated,
     row_edges,
+    seconds_left,
+    separated_universe,
 )
 
 
@@ -148,6 +155,7 @@ def _derive(
     n: int,
     r: int,
     k: int,
+    checked: bool = False,
 ) -> _Derived:
     """Compress the cells and drop the anchor; each component's members are checked.
 
@@ -157,7 +165,10 @@ def _derive(
     and k-separation, raising on a failure first.  reduced is the union of
     the checked components.  A component member has r-1 elements only if its
     image held the anchor and lost it, so bit 0 is clear and compressing it
-    once more is ``m >> 1``, which keeps its size.
+    once more is ``m >> 1``, which keeps its size.  checked skips the
+    component check, for cells of a universe whose own components passed
+    it: smaller cells have a smaller overlap, so each component is a subset
+    of the universe's.
     """
     if r < 2:
         raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
@@ -166,8 +177,9 @@ def _derive(
     overlap = free_images & anchored_images
     components = [_reduce(overlap, k - 1)]
     components += [_reduce(cell, k) for cell in boundary]
-    for component in components:
-        check_member_masks(component, n - k, r - 1, 0)
+    if not checked:
+        for component in components:
+            check_member_masks(component, n - k, r - 1, 0)
     reduced = set().union(*components)
     reduced_image = {_compress_mask(m) for m in reduced}
     return _Derived(free_images | anchored_images, overlap, reduced, reduced_image, components)
@@ -266,7 +278,109 @@ class CompressionReport(NamedTuple):
         }
 
 
-def verify_compression_suite(family: SetFamily) -> CompressionReport:
+def _monotone_clauses(
+    images: dict[int, int], d: _Derived, n: int, r: int, k: int
+) -> dict[str, Callable[[], ClauseResult]]:
+    """The five clauses that can only improve on a subfamily, by id, each checked when it is called.
+
+    Every family of an (n, r, k) is a subfamily of its universe, and each of
+    these clauses reports pairs of members, or members of a derived family,
+    that shrink with the family.  A subfamily keeps each member's image, so
+    its pairs of members with one j-fold image are among the universe's
+    (collision-structure), and its images are among the universe's
+    (compressed-separated).  Its cells are subsets of the universe's cells,
+    so its overlap (the images of both a free and an anchored member) and
+    each of its reduced components are subsets of the universe's; so are
+    the shared members of two components (reduced-components-disjoint), the
+    reduced family (reduced-separated) and its image
+    (reduced-image-separated).  A clause with no witness on the universe
+    therefore has none on any family of it.
+    """
+    return {
+        "collision-structure": lambda: _collision_clause(images, n, k),
+        "compressed-separated": lambda: _clause(
+            "compressed-separated",
+            n - 1,
+            _lex(m for m in d.images if m.bit_count() != r or not mask_k_separated(m, n - 1, k)),
+        ),
+        "reduced-components-disjoint": lambda: _clause(
+            "reduced-components-disjoint",
+            n - k,
+            [
+                m
+                for i, c in enumerate(d.components)
+                for later in d.components[i + 1 :]
+                for m in _lex(c & later)
+            ],
+        ),
+        "reduced-separated": lambda: _clause(
+            "reduced-separated",
+            n - k,
+            _lex(m for m in d.reduced if not mask_k_separated(m, n - k, k)),
+        ),
+        "reduced-image-separated": lambda: _clause(
+            "reduced-image-separated",
+            n - k - 1,
+            _lex(m for m in d.reduced_image if not mask_k_separated(m, n - k - 1, k)),
+        ),
+    }
+
+
+class _Verdicts(NamedTuple):
+    """What the suite works out once on a universe, for every family of it.
+
+    placed: each member's partition cell (0 free, 1 anchored, 2 + i boundary
+    cell i) and its one-step image.
+    passed: the ids of the monotone clauses that pass on the universe.
+    """
+
+    placed: dict[int, tuple[int, int]]
+    passed: frozenset[str]
+
+
+def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdicts | None:
+    """The verdicts of the (n, r, k) universe, worked out on first use and kept on the cached universe.
+
+    None when the parameters are out of the suite's range (the family's own
+    partition or derivation raises for them) or the universe has more than
+    DEFAULT_MAX_VERTICES members, and when the universe fails its partition
+    or its component check, so that each family is checked, and raises, on
+    its own members.  The universe's partition, derivation and monotone
+    clauses run, never its intersecting clauses.  A time.monotonic()
+    deadline is read before the verdicts are built.
+    """
+    if k < 1 or r < 2 or n < (k + 1) * r + 1 or count_separated(n, r, k) > DEFAULT_MAX_VERTICES:
+        return None
+    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
+    if "_verdicts" not in vars(graph):
+        seconds_left(deadline, "the compression verdicts")
+        try:
+            free, anchored, boundary, images = _partition(graph.masks, n, r, k)
+            d = _derive(free, anchored, boundary, images, n, r, k)
+        except (ValueError, RuntimeError):
+            vars(graph)["_verdicts"] = None
+        else:
+            cells = [free, anchored, *boundary]
+            placed = {m: (c, images[m]) for c, cell in enumerate(cells) for m in cell}
+            checks = _monotone_clauses(images, d, n, r, k).items()
+            passed = frozenset(clause_id for clause_id, check in checks if check().passed)
+            vars(graph)["_verdicts"] = _Verdicts(placed, passed)
+    return vars(graph)["_verdicts"]
+
+
+def _placed_partition(
+    masks: Iterable[int], placed: dict[int, tuple[int, int]], k: int
+) -> tuple[list[int], list[int], list[list[int]], dict[int, int]]:
+    """_partition of members of a universe, each placed by the universe's verdicts, none tested again."""
+    cells: list[list[int]] = [[] for _ in range(k + 3)]
+    images: dict[int, int] = {}
+    for m in masks:
+        cell, images[m] = placed[m]
+        cells[cell].append(m)
+    return cells[0], cells[1], cells[2:], images
+
+
+def verify_compression_suite(family: SetFamily, *, deadline: float | None = None) -> CompressionReport:
     """Check every structural clause of the compression argument on one family.
 
     Intended for intersecting families; a non-intersecting input fails the
@@ -276,40 +390,42 @@ def verify_compression_suite(family: SetFamily) -> CompressionReport:
     It is kept so the report lists every claim the size bound rests on.  The
     partition raises ValueError unless k >= 1 and n >= (k+1)r + 1, and the
     derivation unless r >= 2.
+
+    When the universe has at most DEFAULT_MAX_VERTICES members, its verdicts
+    (_universe_verdicts) are worked out on the first call and kept with the
+    cached universe.  A family then reads its partition from them and skips
+    the component check, and each monotone clause that passed on the
+    universe passes here with no witnesses (_monotone_clauses says why).  The
+    three intersecting clauses and size-identity are always checked on the
+    family itself, and so is every clause that failed on the universe.  A
+    time.monotonic() deadline is read before the verdicts are built, and
+    not again.
     """
     n, r, k = family.n, family.r, family.k
     masks = [s.mask for s in family.sets]  # in lexicographic order, as a SetFamily keeps them
-    free, anchored, boundary, images = _partition(masks, n, r, k)
-    d = _derive(free, anchored, boundary, images, n, r, k)
-    shared = [
-        m
-        for i, c in enumerate(d.components)
-        for later in d.components[i + 1 :]
-        for m in _lex(c & later)
-    ]
+    verdicts = _universe_verdicts(n, r, k, deadline)
+    if verdicts is None:
+        free, anchored, boundary, images = _partition(masks, n, r, k)
+        passed = frozenset()
+    else:
+        free, anchored, boundary, images = _placed_partition(masks, verdicts.placed, k)
+        passed = verdicts.passed
+    d = _derive(free, anchored, boundary, images, n, r, k, checked=verdicts is not None)
+    monotone = {
+        clause_id: ClauseResult(clause_id, True, ()) if clause_id in passed else check()
+        for clause_id, check in _monotone_clauses(images, d, n, r, k).items()
+    }
     total = len(masks)
     sizes = f"{total} = {len(d.images)} + {len(d.reduced)}"
     clauses = (
         _clause("input-intersecting", n, _first_pairs(masks)),
-        _collision_clause(images, n, k),
-        _clause(
-            "compressed-separated",
-            n - 1,
-            _lex(m for m in d.images if m.bit_count() != r or not mask_k_separated(m, n - 1, k)),
-        ),
+        monotone["collision-structure"],
+        monotone["compressed-separated"],
         _clause("compressed-intersecting", n - 1, _disjoint_pairs(d.images)),
-        _clause("reduced-components-disjoint", n - k, shared),
+        monotone["reduced-components-disjoint"],
         _clause("reduced-intersecting", n - k, _disjoint_pairs(d.reduced)),
-        _clause(
-            "reduced-separated",
-            n - k,
-            _lex(m for m in d.reduced if not mask_k_separated(m, n - k, k)),
-        ),
-        _clause(
-            "reduced-image-separated",
-            n - k - 1,
-            _lex(m for m in d.reduced_image if not mask_k_separated(m, n - k - 1, k)),
-        ),
+        monotone["reduced-separated"],
+        monotone["reduced-image-separated"],
         ClauseResult(
             "size-identity", total == len(d.images) + len(d.reduced), (), detail=sizes
         ),

@@ -119,6 +119,7 @@ def test_lemmas_reports_every_failing_family(capsys, monkeypatch):
         witness = sepekr.core.CircSet(n, sepekr.core.mask_elems(next(iter(images))))
         return sepekr.compression.ClauseResult("collision-structure", False, (witness,))
 
+    sepekr.core._universe.cache_clear()  # so that the verdicts are built under the fault
     monkeypatch.setattr("sepekr.compression._collision_clause", fail)
     argv = ["lemmas", "--n", "9", "--r", "3", "--k", "1", "--samples", "2"]
     assert run(argv) == 1

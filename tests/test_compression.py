@@ -2,12 +2,15 @@
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+import sepekr.core
 from sepekr import (
     CircSet,
+    ResourceLimitError,
     SetFamily,
     compression,
     enumerate_separated,
@@ -16,8 +19,8 @@ from sepekr import (
     star_family,
     verify_compression_suite,
 )
-from sepekr.compression import _compress_iter_mask, _compress_mask
-from sepekr.core import mask_elems
+from sepekr.compression import ClauseResult, _compress_iter_mask, _compress_mask
+from sepekr.core import DEFAULT_MAX_VERTICES, mask_elems, separated_universe
 
 from helpers import (
     brute_separated,
@@ -38,6 +41,25 @@ CLAUSE_IDS = [
     "reduced-image-separated",
     "size-identity",
 ]
+MONOTONE_IDS = [
+    "collision-structure",
+    "compressed-separated",
+    "reduced-components-disjoint",
+    "reduced-separated",
+    "reduced-image-separated",
+]
+
+
+@pytest.fixture(autouse=True)
+def cold_universe():
+    """Each test starts and ends with an empty universe cache.
+
+    So no compression verdicts kept by an earlier test answer it, and none
+    built under a test's monkeypatched fault outlive it.
+    """
+    sepekr.core._universe.cache_clear()
+    yield
+    sepekr.core._universe.cache_clear()
 
 
 def intersecting_subfamilies(n, r, k):
@@ -75,6 +97,11 @@ def derive_families(family):
 def keys(masks):
     """Masks as the sorted list of their element tuples."""
     return sorted(map(mask_elems, masks))
+
+
+def verdicts(n, r, k):
+    """The compression verdicts kept on the cached (n, r, k) universe, or None."""
+    return vars(separated_universe(n, r, k, DEFAULT_MAX_VERTICES)).get("_verdicts")
 
 
 # === the map itself ===
@@ -166,12 +193,16 @@ def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
 
 @pytest.mark.parametrize("n, r, k", [(9, 3, 1), (13, 3, 2)])
 def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
-    # once in the partition, k - 1 more times in the collision clause, and once per
-    # member of the reduced family for its image
+    # on its own members: once in the partition, k - 1 more times in the collision
+    # clause, and once per member of the reduced family for its image.  The verdicts
+    # are built that way once from the universe's members; a family whose verdicts are
+    # kept then compresses only its reduced members.
     import sepekr.compression
 
     family = random_maximal_intersecting(n, r, k, random.Random(f"{n}:{r}:{k}"))
+    universe = enumerate_separated(n, r, k)
     reduced = derive_families(family).reduced
+    universe_reduced = derive_families(universe).reduced
     calls = []
     real = sepekr.compression._compress_mask
 
@@ -179,7 +210,15 @@ def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
         calls.append(m)
         return real(m)
 
+    sepekr.core._universe.cache_clear()  # so that the verdicts are built in this call
     monkeypatch.setattr("sepekr.compression._compress_mask", counted)
+    assert verify_compression_suite(family).passed
+    assert len(calls) == len(universe) * k + len(universe_reduced) + len(reduced)
+    calls.clear()
+    assert verify_compression_suite(family).passed
+    assert len(calls) == len(reduced)
+    calls.clear()
+    monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
     assert verify_compression_suite(family).passed
     assert len(calls) == len(family) * k + len(reduced)
 
@@ -198,9 +237,15 @@ def test_the_suite_walks_the_input_once(monkeypatch):
         walked.append(list(rows_of))
         return real(rows_of)
 
+    sepekr.core._universe.cache_clear()  # so that the verdicts are built in this call
     monkeypatch.setattr("sepekr.compression.disjointness_rows", counted)
     report = verify_compression_suite(family)
     assert walked.count(masks) == 1
+    # building the verdicts walks no pairs: a second call, on kept verdicts, walks the same
+    cold = walked[:]
+    walked.clear()
+    assert verify_compression_suite(family) == report
+    assert walked == cold
     clause = report.clause("input-intersecting")
     assert not clause.passed
     assert clause.witnesses[:2] == (CircSet(9, (1, 3)), CircSet(9, (2, 4)))
@@ -462,13 +507,16 @@ def test_suite_on_random_maximal_families():
 
 
 def oracle_cases():
-    """(n, r, k, members) for whole universes, random maximal families, their
-    random subfamilies and random (mostly non-intersecting) families."""
+    """(n, r, k, members) for whole universes, the empty family, one member, random
+    maximal families, their random subfamilies and random (mostly non-intersecting)
+    families.  (13, 3, 3) and (5, 2, 1) have n = (k+1)r + 1."""
     rng = random.Random(2024)
-    instances = [(7, 2, 1), (8, 2, 1), (10, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3), (13, 3, 3)]
+    instances = [
+        (7, 2, 1), (8, 2, 1), (10, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3), (13, 3, 3), (5, 2, 1)
+    ]
     for n, r, k in instances:
         universe = brute_separated(n, r, k)
-        families = [universe]
+        families = [universe, [], universe[-1:]]
         for _ in range(8):
             maximal = greedy_maximal_intersecting(n, r, k, rng)
             families.append(maximal)
@@ -491,6 +539,70 @@ def test_suite_agrees_with_the_independent_oracle():
         assert got == compression_oracle(n, r, k, members), family.to_line()
         failed.update(c.clause_id for c in report.clauses if not c.passed)
     assert failed == {"input-intersecting", "compressed-intersecting", "reduced-intersecting"}
+
+
+def test_the_verdicts_change_no_report(monkeypatch):
+    # the same families checked on their own, with the universe's verdicts forced off by
+    # a vertex limit of 0, give the oracle's report, and the report the verdicts give
+    cases = list(oracle_cases())
+    families = [SetFamily(n, r, k, [CircSet(n, m) for m in members]) for n, r, k, members in cases]
+    on_verdicts = []
+    for family in families:
+        on_verdicts.append(verify_compression_suite(family).to_json_dict())
+        assert verdicts(family.n, family.r, family.k) is not None
+    monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)
+    for (n, r, k, members), family, expected in zip(cases, families, on_verdicts):
+        report = verify_compression_suite(family)
+        got = [
+            (c.clause_id, c.passed, [(w.n, w.elems) for w in c.witnesses], c.detail)
+            for c in report.clauses
+        ]
+        assert got == compression_oracle(n, r, k, members), family.to_line()
+        assert report.to_json_dict() == expected, family.to_line()
+
+
+@pytest.mark.parametrize("clause_id", MONOTONE_IDS)
+def test_a_clause_that_fails_on_the_universe_is_checked_on_each_family(monkeypatch, clause_id):
+    # a fault that adds the lexicographically first member of what the clause checks to
+    # its witnesses fails the clause on the universe; each family then reports the
+    # witnesses it gives without verdicts, never a pass read from the universe
+    real = compression._monotone_clauses
+
+    def faulty(images, d, n, r, k):
+        checks = real(images, d, n, r, k)
+        check = checks[clause_id]
+
+        def wrong():
+            first = [CircSet(n, mask_elems(m)) for m in compression._lex(images)[:1]]
+            witnesses = check().witnesses + tuple(first)
+            return ClauseResult(clause_id, not witnesses, witnesses)
+
+        checks[clause_id] = wrong
+        return checks
+
+    monkeypatch.setattr(compression, "_monotone_clauses", faulty)
+    for n, r, k in [(9, 3, 1), (11, 2, 3)]:
+        rng = random.Random(f"fault:{n}:{r}:{k}")
+        universe = enumerate_separated(n, r, k)
+        families = [universe, SetFamily(n, r, k, universe.sets[:1]), star_family(n, r, k, 2)]
+        families += [random_maximal_intersecting(n, r, k, rng) for _ in range(3)]
+        families += [SetFamily(n, r, k, rng.sample(universe.sets, 6)) for _ in range(3)]
+        reports = [verify_compression_suite(family) for family in families]
+        assert verdicts(n, r, k).passed == set(MONOTONE_IDS) - {clause_id}
+        assert all(not report.clause(clause_id).passed for report in reports)
+        with monkeypatch.context() as alone:
+            alone.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)
+            assert [verify_compression_suite(family) for family in families] == reports
+
+
+def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():
+    family = star_family(9, 3, 1, 1)
+    with pytest.raises(ResourceLimitError, match="before the compression verdicts"):
+        verify_compression_suite(family, deadline=time.monotonic() - 1)
+    assert verdicts(9, 3, 1) is None
+    assert verify_compression_suite(family, deadline=time.monotonic() + 60).passed
+    # kept verdicts are read under any deadline: the suite reads it only to build them
+    assert verify_compression_suite(family, deadline=time.monotonic() - 1).passed
 
 
 def test_derive_agrees_with_the_independent_oracle():

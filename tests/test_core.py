@@ -455,6 +455,7 @@ def test_every_bounded_call_takes_one_absolute_deadline():
         "max_intersecting_weighted", "extremal_classes", "independence_number",
         "chromatic_number", "verify_weighted_ekr", "row_edges", "DisjointnessGraph.edges",
         "DisjointnessGraph.to_json_dict", "export_dimacs", "random_maximal_intersecting",
+        "verify_compression_suite",
     ]
     assert [name for name in bounded if "deadline" not in params[name]] == []
 
