@@ -29,18 +29,27 @@ made of members already checked, as ``_derive`` explains.  Every family of
 an (n, r, k) is a subfamily of its universe, so the suite works these facts
 out on the universe once (``_universe_verdicts``), with the five clauses
 that can only improve on a subfamily, and each family reads them from
-there.  ``CircSet`` objects are built only for the witnesses of a failed
-clause and for the member a partition error names.
+there.  The family's members, images and reduced family are subsets of the
+universe's, so the verdicts also keep disjointness rows (``_Table``) of the
+universe's members, which hold its images too, and of its reduced family,
+and the three intersecting clauses ask them whether the family's own masks
+hold a disjoint pair; only a family that has one is walked, for its first
+five pairs.  ``CircSet`` objects are built only for the witnesses of a
+failed clause and for the member a partition error names.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple
+from functools import reduce
+from itertools import count, islice
+from operator import or_
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_MAX_VERTICES,
     CircSet,
+    DisjointnessGraph,
+    ResourceLimitError,
     SetFamily,
     check_member_masks,
     count_separated,
@@ -198,16 +207,48 @@ def _first_pairs(masks: list[int]) -> list[int]:
     return pairs
 
 
-def _disjoint_pairs(masks: Iterable[int]) -> list[int]:
-    """_first_pairs of the masks in any order.
+class _Table(NamedTuple):
+    """Disjointness rows over a universe's masks of one kind, with each mask's vertex index.
 
-    Any order answers whether a pair exists, so only masks that have one are
-    sorted and walked again for the first five.
+    Row i has bit j set when the masks of vertices i and j are disjoint, as
+    core.disjointness_rows builds it.  Every mask asked about must be in
+    index; the table answers for any set of them.
     """
-    masks = list(masks)
-    if next(row_edges(disjointness_rows(masks)), None) is None:
-        return []
-    return _first_pairs(_lex(masks))
+
+    index: dict[int, int]
+    rows: Sequence[int]
+
+    def has_disjoint_pair(self, masks: Iterable[int]) -> bool:
+        """Whether two of the masks are disjoint: their rows ORed together meet their own set.
+
+        One pass of C-level calls, no Python loop over the masks and no walk.
+        """
+        chosen = list(map(self.index.__getitem__, masks))
+        vertices = reduce(or_, map((1).__lshift__, chosen), 0)
+        return bool(reduce(or_, map(self.rows.__getitem__, chosen), 0) & vertices)
+
+
+def _table(masks: Sequence[int], rows: Sequence[int]) -> _Table:
+    return _Table(dict(zip(masks, count())), rows)
+
+
+def _disjoint_pairs(masks: Iterable[int], table: _Table | None, *, ordered: bool) -> list[int]:
+    """_first_pairs of the masks, which are in lexicographic order when ordered is set.
+
+    Any order answers whether a pair exists, so the pairs are walked, after
+    a sort unless ordered, only for masks that have one.  The table answers
+    that without a walk; without a table, masks in lexicographic order take
+    it from the one walk for their first pairs, and masks in any other
+    order from a walk of their own.
+    """
+    if table is not None:
+        if not table.has_disjoint_pair(masks):
+            return []
+    elif not ordered:
+        masks = list(masks)
+        if next(row_edges(disjointness_rows(masks)), None) is None:
+            return []
+    return _first_pairs(masks if ordered else _lex(masks))
 
 
 def _collision_clause(images: dict[int, int], n: int, k: int) -> ClauseResult:
@@ -332,10 +373,21 @@ class _Verdicts(NamedTuple):
     placed: each member's partition cell (0 free, 1 anchored, 2 + i boundary
     cell i) and its one-step image.
     passed: the ids of the monotone clauses that pass on the universe.
+    members: the disjointness table of the universe's members, on the
+    universe's own rows.  It holds the images too: an image is a k-separated
+    r-set of [n-1] (the partition checks it), so also of [n], where the gap
+    across n only grows.
+    reduced: the disjointness table of the universe's reduced family.
+    A family's members, images and reduced family are subsets of the
+    universe's (_monotone_clauses says why), so its three intersecting
+    clauses look up each of their masks in these.  Each table takes about
+    V*V/8 bytes for V masks.
     """
 
     placed: dict[int, tuple[int, int]]
     passed: frozenset[str]
+    members: _Table
+    reduced: _Table
 
 
 def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdicts | None:
@@ -347,25 +399,49 @@ def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdi
     or its component check, so that each family is checked, and raises, on
     its own members.  The universe's partition, derivation and monotone
     clauses run, never its intersecting clauses.  A time.monotonic()
-    deadline is read before the verdicts are built.
+    deadline is read before the partition, the derivation and each
+    monotone clause, and while the rows of each table are built; the verdicts
+    are kept only once all of them are built, so a build the deadline stops
+    keeps nothing.
     """
     if k < 1 or r < 2 or n < (k + 1) * r + 1 or count_separated(n, r, k) > DEFAULT_MAX_VERTICES:
         return None
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
     if "_verdicts" not in vars(graph):
-        seconds_left(deadline, "the compression verdicts")
-        try:
-            free, anchored, boundary, images = _partition(graph.masks, n, r, k)
-            d = _derive(free, anchored, boundary, images, n, r, k)
-        except (ValueError, RuntimeError):
-            vars(graph)["_verdicts"] = None
-        else:
-            cells = [free, anchored, *boundary]
-            placed = {m: (c, images[m]) for c, cell in enumerate(cells) for m in cell}
-            checks = _monotone_clauses(images, d, n, r, k).items()
-            passed = frozenset(clause_id for clause_id, check in checks if check().passed)
-            vars(graph)["_verdicts"] = _Verdicts(placed, passed)
+        vars(graph)["_verdicts"] = _build_verdicts(graph, deadline)
     return vars(graph)["_verdicts"]
+
+
+def _build_verdicts(graph: DisjointnessGraph, deadline: float | None) -> _Verdicts | None:
+    """_universe_verdicts of a universe in the suite's range: None when it fails a check.
+
+    A ResourceLimitError from the deadline is raised, not taken for a failed
+    check, so that the caller keeps nothing.
+    """
+    n, r, k = graph.n, graph.r, graph.k
+    seconds_left(deadline, "the compression verdicts")
+    try:
+        free, anchored, boundary, images = _partition(graph.masks, n, r, k)
+        seconds_left(deadline, "the compression derivation")
+        d = _derive(free, anchored, boundary, images, n, r, k)
+    except ResourceLimitError:  # a RuntimeError too
+        raise
+    except (ValueError, RuntimeError):
+        return None
+    cells = [free, anchored, *boundary]
+    placed = {m: (c, images[m]) for c, cell in enumerate(cells) for m in cell}
+    passed = set()
+    for clause_id, check in _monotone_clauses(images, d, n, r, k).items():
+        seconds_left(deadline, f"the {clause_id} verdict")
+        if check().passed:
+            passed.add(clause_id)
+    reduced = tuple(d.reduced)
+    return _Verdicts(
+        placed,
+        frozenset(passed),
+        _table(graph.masks, graph.rows(deadline)),
+        _table(reduced, tuple(disjointness_rows(reduced, deadline))),
+    )
 
 
 def _placed_partition(
@@ -397,19 +473,20 @@ def verify_compression_suite(family: SetFamily, *, deadline: float | None = None
     the component check, and each monotone clause that passed on the
     universe passes here with no witnesses (_monotone_clauses says why).  The
     three intersecting clauses and size-identity are always checked on the
-    family itself, and so is every clause that failed on the universe.  A
-    time.monotonic() deadline is read before the verdicts are built, and
-    not again.
+    family itself, and so is every clause that failed on the universe.  The
+    intersecting clauses read the verdicts' tables, and walk the family's
+    pairs only when a table reports one.  A time.monotonic() deadline is
+    read while the verdicts are built (_universe_verdicts), and not again.
     """
     n, r, k = family.n, family.r, family.k
     masks = [s.mask for s in family.sets]  # in lexicographic order, as a SetFamily keeps them
     verdicts = _universe_verdicts(n, r, k, deadline)
     if verdicts is None:
         free, anchored, boundary, images = _partition(masks, n, r, k)
-        passed = frozenset()
+        passed, members, reduced = frozenset(), None, None
     else:
         free, anchored, boundary, images = _placed_partition(masks, verdicts.placed, k)
-        passed = verdicts.passed
+        passed, members, reduced = verdicts.passed, verdicts.members, verdicts.reduced
     d = _derive(free, anchored, boundary, images, n, r, k, checked=verdicts is not None)
     monotone = {
         clause_id: ClauseResult(clause_id, True, ()) if clause_id in passed else check()
@@ -418,12 +495,12 @@ def verify_compression_suite(family: SetFamily, *, deadline: float | None = None
     total = len(masks)
     sizes = f"{total} = {len(d.images)} + {len(d.reduced)}"
     clauses = (
-        _clause("input-intersecting", n, _first_pairs(masks)),
+        _clause("input-intersecting", n, _disjoint_pairs(masks, members, ordered=True)),
         monotone["collision-structure"],
         monotone["compressed-separated"],
-        _clause("compressed-intersecting", n - 1, _disjoint_pairs(d.images)),
+        _clause("compressed-intersecting", n - 1, _disjoint_pairs(d.images, members, ordered=False)),
         monotone["reduced-components-disjoint"],
-        _clause("reduced-intersecting", n - k, _disjoint_pairs(d.reduced)),
+        _clause("reduced-intersecting", n - k, _disjoint_pairs(d.reduced, reduced, ordered=False)),
         monotone["reduced-separated"],
         monotone["reduced-image-separated"],
         ClauseResult(

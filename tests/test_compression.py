@@ -224,31 +224,40 @@ def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
 
 
 def test_the_suite_walks_the_input_once(monkeypatch):
-    # a SetFamily keeps its members in lexicographic order, so the first pairs of the
-    # input come from its one walk, without a sort and a second walk
-    import sepekr.compression
-
+    # building the verdicts walks no pairs; on kept verdicts an intersecting family is
+    # answered by the tables alone, and a family with a disjoint pair walks its input,
+    # which a SetFamily keeps in lexicographic order, once, without a sort.  Without
+    # verdicts the input is walked once too.
     family = enumerate_separated(9, 2, 1)
     masks = [s.mask for s in family]
-    walked = []
-    real = sepekr.compression.disjointness_rows
+    built, walked = [], []
+    real_rows, real_edges = compression.disjointness_rows, compression.row_edges
 
-    def counted(rows_of):
-        walked.append(list(rows_of))
-        return real(rows_of)
+    def counted_rows(of, deadline=None):
+        built.append(list(of))
+        return real_rows(of, deadline)
 
-    sepekr.core._universe.cache_clear()  # so that the verdicts are built in this call
-    monkeypatch.setattr("sepekr.compression.disjointness_rows", counted)
+    def counted_edges(rows, deadline=None):
+        walked.append(rows)
+        return real_edges(rows, deadline)
+
+    monkeypatch.setattr("sepekr.compression.disjointness_rows", counted_rows)
+    monkeypatch.setattr("sepekr.compression.row_edges", counted_edges)
+    assert compression._universe_verdicts(9, 2, 1, None) is not None
+    assert walked == []
+    assert len(built) == 1  # the reduced family's table; the members' rows are the universe's
+    built.clear()
+    assert verify_compression_suite(star_family(9, 2, 1, 1)).passed
+    assert built == [] and walked == []
     report = verify_compression_suite(family)
-    assert walked.count(masks) == 1
-    # building the verdicts walks no pairs: a second call, on kept verdicts, walks the same
-    cold = walked[:]
-    walked.clear()
-    assert verify_compression_suite(family) == report
-    assert walked == cold
+    assert built.count(masks) == 1
     clause = report.clause("input-intersecting")
     assert not clause.passed
     assert clause.witnesses[:2] == (CircSet(9, (1, 3)), CircSet(9, (2, 4)))
+    built.clear()
+    monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
+    assert verify_compression_suite(family) == report
+    assert built.count(masks) == 1
 
 
 # === partition ===
@@ -508,8 +517,10 @@ def test_suite_on_random_maximal_families():
 
 def oracle_cases():
     """(n, r, k, members) for whole universes, the empty family, one member, random
-    maximal families, their random subfamilies and random (mostly non-intersecting)
-    families.  (13, 3, 3) and (5, 2, 1) have n = (k+1)r + 1."""
+    maximal families, their random subfamilies, random (mostly non-intersecting)
+    families, and families with exactly one disjoint pair: a maximal family and the
+    first set of the universe that misses exactly one of its members, when there is
+    one.  (13, 3, 3) and (5, 2, 1) have n = (k+1)r + 1."""
     rng = random.Random(2024)
     instances = [
         (7, 2, 1), (8, 2, 1), (10, 3, 1), (9, 2, 2), (11, 3, 2), (11, 2, 3), (13, 3, 3), (5, 2, 1)
@@ -522,6 +533,11 @@ def oracle_cases():
             families.append(maximal)
             families.append(rng.sample(maximal, rng.randint(1, len(maximal))))
             families.append(rng.sample(universe, rng.randint(2, min(12, len(universe)))))
+            families += [
+                maximal + [u]
+                for u in universe
+                if sum(not set(u) & set(m) for m in maximal) == 1 and u not in maximal
+            ][:1]
         for members in families:
             yield n, r, k, members
 
@@ -551,6 +567,7 @@ def test_the_verdicts_change_no_report(monkeypatch):
         on_verdicts.append(verify_compression_suite(family).to_json_dict())
         assert verdicts(family.n, family.r, family.k) is not None
     monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)
+    one_pair = set()
     for (n, r, k, members), family, expected in zip(cases, families, on_verdicts):
         report = verify_compression_suite(family)
         got = [
@@ -559,6 +576,10 @@ def test_the_verdicts_change_no_report(monkeypatch):
         ]
         assert got == compression_oracle(n, r, k, members), family.to_line()
         assert report.to_json_dict() == expected, family.to_line()
+        if len(report.clause("input-intersecting").witnesses) == 2:
+            one_pair.update(c.clause_id for c in report.clauses if len(c.witnesses) == 2)
+    # each table reports a single pair on some family, and the clause walks for it
+    assert one_pair == {"input-intersecting", "compressed-intersecting", "reduced-intersecting"}
 
 
 @pytest.mark.parametrize("clause_id", MONOTONE_IDS)
@@ -603,6 +624,50 @@ def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():
     assert verify_compression_suite(family, deadline=time.monotonic() + 60).passed
     # kept verdicts are read under any deadline: the suite reads it only to build them
     assert verify_compression_suite(family, deadline=time.monotonic() - 1).passed
+
+
+class _Clock:
+    """A stand-in for the time module whose monotonic() counts its own reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads
+
+
+def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
+    # with a clock that counts its reads, a deadline of t stops the build at read t,
+    # in the table builds too: the partition, the derivation, each monotone clause,
+    # then each table's rows (the members' and the reduced family's), before the
+    # incidence and before each row.  A stopped build keeps no verdicts, and a later
+    # call builds them.
+    n, r, k = 9, 3, 1
+    family = star_family(n, r, k, 1)
+    universe = enumerate_separated(n, r, k)
+    members, reduced = len(universe), len(derive_families(universe).reduced)
+    stages = [
+        (1, "the compression verdicts"),
+        (2, "the compression derivation"),
+        *((3 + i, f"the {clause_id} verdict") for i, clause_id in enumerate(MONOTONE_IDS)),
+        (8, "the rows"),
+        (8 + members, f"the row of vertex {members}"),
+        (9 + members, "the rows"),
+        (9 + members + reduced, f"the row of vertex {reduced}"),
+    ]
+    for reads, stage in stages:
+        sepekr.core._universe.cache_clear()
+        with monkeypatch.context() as clocked:
+            clocked.setattr(sepekr.core, "time", _Clock())
+            with pytest.raises(ResourceLimitError, match=f"before {stage}$"):
+                verify_compression_suite(family, deadline=reads)
+        assert verdicts(n, r, k) is None, stage
+    # the last read before the deadline builds them all
+    with monkeypatch.context() as clocked:
+        clocked.setattr(sepekr.core, "time", _Clock())
+        assert verify_compression_suite(family, deadline=reads + 1).passed
+    assert verdicts(n, r, k) is not None
 
 
 def test_derive_agrees_with_the_independent_oracle():
