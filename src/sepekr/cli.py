@@ -192,7 +192,7 @@ def _cmd_enumerate(args) -> int:
         family = SetFamily(args.n, args.r, args.k, ())
     else:
         seconds_left(args.deadline, "the universe")
-        family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES).vertices
+        family = separated_universe(args.n, args.r, args.k, DEFAULT_MAX_VERTICES, args.deadline).vertices
         seconds_left(args.deadline, "the members")
     _emit(
         args,
@@ -252,7 +252,7 @@ def _cmd_lemmas(args) -> int:
     for i in range(total):
         seconds_left(args.deadline, f"checking family {i + 1} of {total}")
         if i == 0:
-            family = star_family(n, r, k, 1)
+            family = star_family(n, r, k, 1, deadline=args.deadline)
         else:
             family = random_maximal_intersecting(n, r, k, rng, deadline=args.deadline)
         report = verify_compression_suite(family, deadline=args.deadline)

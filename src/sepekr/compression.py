@@ -84,7 +84,7 @@ def _circset(n: int, m: int) -> CircSet:
 
 
 def _partition(
-    masks: Iterable[int], n: int, r: int, k: int
+    masks: Iterable[int], n: int, r: int, k: int, deadline: float | None = None
 ) -> tuple[list[int], list[int], list[list[int]], dict[int, int]]:
     """Split the distinct members of a k-separated family into (free, anchored, boundary cells, images).
 
@@ -94,7 +94,8 @@ def _partition(
     member belongs to a boundary cell exactly when its image is not a
     k-separated r-set; a member for which the two tests disagree raises.
     images maps every member, in the given order, to its image under one
-    compression step, so that no later step compresses a member again.
+    compression step, so that no later step compresses a member again.  A
+    time.monotonic() deadline is read once per member.
     """
     if k < 1:
         raise ValueError(f"compression needs k >= 1, got k={k}")
@@ -105,7 +106,9 @@ def _partition(
     anchored: list[int] = []
     boundary: list[list[int]] = [[] for _ in patterns]
     images: dict[int, int] = {}
-    for m in masks:
+    for number, m in enumerate(masks, 1):
+        if deadline is not None:
+            seconds_left(deadline, f"placing member {number}")
         cell = None
         for i, pattern in enumerate(patterns):
             if m & pattern == pattern:
@@ -399,14 +402,15 @@ def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdi
     or its component check, so that each family is checked, and raises, on
     its own members.  The universe's partition, derivation and monotone
     clauses run, never its intersecting clauses.  A time.monotonic()
-    deadline is read before the partition, the derivation and each
-    monotone clause, and while the rows of each table are built; the verdicts
+    deadline is read while the universe is enumerated, before the partition
+    and once per member in it, before the derivation and each monotone
+    clause, and while the rows of each table are built; the verdicts
     are kept only once all of them are built, so a build the deadline stops
     keeps nothing.
     """
     if k < 1 or r < 2 or n < (k + 1) * r + 1 or count_separated(n, r, k) > DEFAULT_MAX_VERTICES:
         return None
-    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
+    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline)
     if "_verdicts" not in vars(graph):
         vars(graph)["_verdicts"] = _build_verdicts(graph, deadline)
     return vars(graph)["_verdicts"]
@@ -421,7 +425,7 @@ def _build_verdicts(graph: DisjointnessGraph, deadline: float | None) -> _Verdic
     n, r, k = graph.n, graph.r, graph.k
     seconds_left(deadline, "the compression verdicts")
     try:
-        free, anchored, boundary, images = _partition(graph.masks, n, r, k)
+        free, anchored, boundary, images = _partition(graph.masks, n, r, k, deadline)
         seconds_left(deadline, "the compression derivation")
         d = _derive(free, anchored, boundary, images, n, r, k)
     except ResourceLimitError:  # a RuntimeError too

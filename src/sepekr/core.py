@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
@@ -253,7 +253,7 @@ def is_k_separated(a: CircSet, k: int) -> bool:
     return mask_k_separated(a.mask, a.n, k)
 
 
-def separated_masks(n: int, r: int, k: int) -> list[int]:
+def separated_masks(n: int, r: int, k: int, *, deadline: float | None = None) -> list[int]:
     """The masks of the k-separated r-subsets of the circle [n], in lexicographic order.
 
     For each first element f, the other r - 1 elements lie in lo..hi with
@@ -261,7 +261,8 @@ def separated_masks(n: int, r: int, k: int) -> list[int]:
     exceeds k), pairwise more than k apart: they are lo + c_i + k i for an
     increasing choice c of r - 1 values from range(hi - lo + 1 - k (r - 2)),
     taken from itertools.combinations in lexicographic order.  Empty when
-    the circle is too small (n < (k+1)r).  k = 0 gives all r-subsets.
+    the circle is too small (n < (k+1)r).  k = 0 gives all r-subsets.  A
+    time.monotonic() deadline is read once per first element.
     """
     check_member_masks((), n, r, k)
     # needed at r = 1 too, where combinations(..., 0) yields one empty tuple for any span
@@ -269,6 +270,8 @@ def separated_masks(n: int, r: int, k: int) -> list[int]:
         return []
     out = []
     for f in range(1, n + 1):
+        if deadline is not None:
+            seconds_left(deadline, f"the sets from element {f}")
         head = 1 << (f - 1)
         span = min(n, f + n - k - 1) - f - k - k * (r - 2)
         for c in combinations(range(f + k, f + k + span), r - 1):
@@ -441,20 +444,43 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         }
 
 
-@lru_cache(maxsize=1)
-def _universe(n: int, r: int, k: int) -> DisjointnessGraph:
-    return DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
+class _LastUniverse:
+    """A one-slot cache of the last universe built, with everything kept on it.
+
+    A call for other parameters builds the new universe before it replaces
+    the kept one, so a build that raises (a deadline read by the
+    enumeration) keeps nothing new.
+    """
+
+    graph: DisjointnessGraph | None = None
+
+    def __call__(self, n: int, r: int, k: int, deadline: float | None) -> DisjointnessGraph:
+        graph = self.graph
+        if graph is None or (graph.n, graph.r, graph.k) != (n, r, k):
+            masks = tuple(separated_masks(n, r, k, deadline=deadline))
+            graph = self.graph = DisjointnessGraph(n, r, k, masks)
+        return graph
+
+    def cache_clear(self) -> None:
+        self.graph = None
 
 
-def separated_universe(n: int, r: int, k: int, max_vertices: int) -> DisjointnessGraph:
+_universe = _LastUniverse()
+
+
+def separated_universe(
+    n: int, r: int, k: int, max_vertices: int, deadline: float | None = None
+) -> DisjointnessGraph:
     """The disjointness graph on the k-separated r-sets of [n]; rows and CircSets are built on first use.
 
     Raises ValueError when n < (k+1)r; checks the count against max_vertices before
     enumerating.  The last instance is cached and shared, rows and CircSets included.
+    A time.monotonic() deadline is read while the sets are enumerated, as in
+    separated_masks; an enumeration it stops caches nothing.
     """
     count = count_separated(n, r, k)
     if n < (k + 1) * r:
         raise ValueError(f"need n >= (k+1)r = {(k + 1) * r}, got n={n}")
     if count > max_vertices:
         raise ResourceLimitError(f"{count} vertices exceed the limit of {max_vertices}")
-    return _universe(n, r, k)
+    return _universe(n, r, k, deadline)

@@ -19,12 +19,21 @@ def is_intersecting(family: SetFamily) -> bool:
 
 
 def star_family(
-    n: int, r: int, k: int, i: int, *, max_vertices: int = DEFAULT_MAX_VERTICES
+    n: int,
+    r: int,
+    k: int,
+    i: int,
+    *,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    deadline: float | None = None,
 ) -> SetFamily:
-    """All k-separated r-sets through the fixed element i."""
+    """All k-separated r-sets through the fixed element i.
+
+    A time.monotonic() deadline is read while the universe is enumerated.
+    """
     if not (1 <= i <= n):
         raise ValueError(f"centre {i} outside 1..{n}")
-    graph = separated_universe(n, r, k, max_vertices)
+    graph = separated_universe(n, r, k, max_vertices, deadline)
     bit = 1 << (i - 1)
     return graph.subfamily(sum(1 << v for v, m in enumerate(graph.masks) if m & bit))
 
@@ -34,9 +43,10 @@ def random_maximal_intersecting(
 ) -> SetFamily:
     """Greedily grow an intersecting family over a shuffled universe until maximal.
 
-    A time.monotonic() deadline is read once per adjacency row while the rows are built.
+    A time.monotonic() deadline is read while the universe is enumerated and
+    once per adjacency row while the rows are built.
     """
-    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES)
+    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline)
     order = list(range(graph.num_vertices))
     rng.shuffle(order)
     rows, chosen = graph.rows(deadline), 0

@@ -20,7 +20,7 @@ vertex indices follow the lexicographic member order.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_MAX_VERTICES,
@@ -73,8 +73,8 @@ def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> tu
     most conflicts inside cand, ties to the lowest index (the walk is not in
     index order), or -1 when cand is empty.  On an independent cand every
     class is one vertex and every degree 0, so the walk returns the vertex
-    count (the weight sum) and the lowest vertex; `_search` takes that answer
-    without the walk once it knows its candidates are independent.
+    count (the weight sum) and the lowest vertex; `_search` closes the
+    subtree of such a node in one step.
     """
     bound = 0
     best_v = best_deg = -1
@@ -133,11 +133,11 @@ def _search(
 
     With target None it optimises: floor is the best weight found so far,
     starting at the weight of the incumbent, which must be an independent
-    set.  Otherwise it enumerates: floor starts at target - 1 and rises to
-    one less than the largest set met, and the sets of exactly floor + 1
-    vertices are collected.  A maximum set has no candidates left, so with
-    target the optimum its node ends as a leaf.  Returns (floor, best mask,
-    nodes explored, collected masks).
+    set.  Otherwise (with weights None) it enumerates: floor starts at
+    target - 1 and rises to one less than the largest set met, and the sets
+    of exactly floor + 1 vertices are collected.  A maximum set has no
+    candidates left, so with target the optimum its node ends as a leaf.
+    Returns (floor, best mask, nodes explored, collected masks).
 
     With perms, a group of automorphisms of the graph (and of the weights),
     the search starts from the orbit chain instead of the single full root:
@@ -159,14 +159,25 @@ def _search(
     maximum sets has at least one member collected; the include and exclude
     children still split their parent, so no set is collected twice.
 
-    Each stack entry also carries free: its candidates are known to be
-    independent.  A node learns it from its own walk when the branch vertex,
-    the candidate with the most conflicts, has none, and both children
-    inherit it, since their candidates are a subset.  A free node skips the
-    walk and takes the walk's answer on an independent set: the candidate
-    count (or weight sum) as its bound and its lowest candidate as its branch
-    vertex.  So it still visits every node of the same tree, and node counts
-    and answers stay those of the walk.
+    A node whose branch vertex, the candidate with the most conflicts, has
+    none is free: its candidates C are independent, and it closes its
+    subtree in one step, with the answer, the node count and (in enumerate
+    mode) the collected sets of the walk.  Below a free node every walk
+    returns the candidate count (or weight sum) and the lowest candidate, so
+    the search includes C's vertices in index order, and along that path cur
+    plus the bound stays cur + W(C).  With weights the path stops at the
+    last candidate of positive weight, at position p (p = |C| without
+    weights), where the floor reaches cur + W(C) and the node is pruned or a
+    leaf.  The exclude child of the path's i-th node has at most the
+    candidates after position i, so a bound no higher than that final floor
+    (one less than it without weights), and is pruned.  So the subtree has
+    exactly 2p nodes, and leaves the floor and the best mask (mask and C's
+    first p vertices) as the walk does.  In enumerate mode, where the weights
+    must be None, the walk ends with floor at least cur + |C| - 1 and the
+    sets of that floor reset by any larger one, then mask | C collected; it
+    collects nothing else, and the subtree is done before anything else is
+    popped, so the collected order is the walk's too.  The deadline is read
+    once for the closed subtree.
     """
     nodes = 0
     value = [1] * len(adj) if weights is None else weights
@@ -178,20 +189,14 @@ def _search(
     found: list[int] = []
     full = (1 << len(adj)) - 1
     if perms is None:
-        stack = [(full, 0, 0, None, False)]
+        stack = [(full, 0, 0, None)]
     else:
         stack = [
-            (
-                full & ~excluded & ~adj[v] & ~(1 << v),
-                value[v],
-                1 << v,
-                _stabiliser(perms, v),
-                False,
-            )
+            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v, _stabiliser(perms, v))
             for v, excluded in reversed(_orbit_chain(len(adj), perms))
         ]
     while stack:
-        cand, cur, mask, group, free = stack.pop()
+        cand, cur, mask, group = stack.pop()
         nodes += 1
         if deadline is not None:
             seconds_left(deadline, f"node {nodes}")
@@ -204,18 +209,22 @@ def _search(
                 found.append(mask)
         if not cand:
             continue
-        if free:
-            # The walk's answer on an independent cand: one class per vertex, v the lowest.
-            v = (cand & -cand).bit_length() - 1
-            if weights is None:
-                bound = cand.bit_count()
-            else:
-                bound = sum(weights[e - 1] for e in mask_elems(cand))
-        else:
-            # The cover gets weights, not value: its weights=None path counts classes faster.
-            bound, v = _cover_bound(cand, adj, weights)
-            free = not adj[v] & cand
+        # The cover gets weights, not value: its weights=None path counts classes faster.
+        bound, v = _cover_bound(cand, adj, weights)
         if cur + bound <= floor:
+            continue
+        if not adj[v] & cand:
+            # Free: the walk's subtree in one step, its path ending at the last positive weight.
+            if target is None:
+                if weights is not None:
+                    last = max(e for e in mask_elems(cand) if weights[e - 1])
+                    cand &= (1 << last) - 1
+                floor, best_mask = cur + bound, mask | cand
+            else:
+                if cur + bound > floor + 1:
+                    floor, found = cur + bound - 1, []
+                found.append(mask | cand)
+            nodes += 2 * cand.bit_count()
             continue
         b = orbit = 1 << v
         stabiliser = None
@@ -223,8 +232,8 @@ def _search(
             for perm in group:
                 orbit |= 1 << perm[v]
             stabiliser = _stabiliser(group, v)
-        stack.append((cand & ~orbit, cur, mask, group, free))
-        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser, free))
+        stack.append((cand & ~orbit, cur, mask, group))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser))
     return floor, best_mask, nodes, found
 
 
@@ -244,7 +253,9 @@ def solve_max_independent(
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
     the incumbent when nothing is.  A deadline, a time.monotonic() value, is
-    read at every node; ResourceLimitError once it passes.
+    read at every node visited; a subtree closed in one step (see `_search`)
+    reads it once and counts all its nodes.  ResourceLimitError once it
+    passes.
     """
     return _search(adj, weights, None, deadline, perms, incumbent)[:3]
 
@@ -265,6 +276,8 @@ def enumerate_max_independent(
     subset along a unique path.  With perms (every element of an automorphism
     group), the search starts from an orbit chain and returns at least one
     set per orbit of the group, not all of them; each set still at most once.
+    A time.monotonic() deadline is read at every node visited, as in
+    `solve_max_independent`; ResourceLimitError once it passes.
     """
     _, _, nodes, found = _search(adj, None, target, deadline, perms)
     return found, nodes
@@ -302,6 +315,21 @@ def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> list[int]:
     return [sum(1 << perm[v] for v in vertices) for perm in perms]
 
 
+def _least(masks: Iterable[int]) -> int:
+    """The lexicographically least of nonempty masks of one size, its elements never listed.
+
+    Two such masks first differ at the lowest bit of their XOR, and the one
+    holding that element is the lesser.
+    """
+    it = iter(masks)
+    least = next(it)
+    for m in it:
+        diff = m ^ least
+        if diff & -diff & m:
+            least = m
+    return least
+
+
 def _star_mask(graph: DisjointnessGraph) -> int:
     """The vertices holding element 1: the star, intersecting and of the star bound's size."""
     return sum(1 << i for i, m in enumerate(graph.masks) if m & 1)
@@ -324,14 +352,14 @@ def max_intersecting(
     whole call: the universe, the symmetries (read before each one is
     built), the rows, the solve and the canonicalisation of the witness.
     """
-    graph = separated_universe(n, r, k, max_vertices)
+    graph = separated_universe(n, r, k, max_vertices, deadline)
     perms = _vertex_permutations(graph, deadline=deadline)
     seconds_left(deadline, "the solve")
     optimum, mask, nodes = solve_max_independent(
         graph.rows(deadline), deadline=deadline, perms=perms, incumbent=_star_mask(graph)
     )
     seconds_left(deadline, "canonicalising the witness")
-    least = min(set(_orbit(mask, perms)), key=mask_elems)
+    least = _least(_orbit(mask, perms))
     return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)
 
 
@@ -351,7 +379,7 @@ def max_intersecting_weighted(
     canonicalised.  One deadline covers the universe, the weights, the rows
     and the solve.
     """
-    graph = separated_universe(n, r, k, max_vertices)
+    graph = separated_universe(n, r, k, max_vertices, deadline)
     weights = [weight_fn(s) for s in graph.vertices]
     for s, w in zip(graph.vertices, weights):
         if not isinstance(w, int) or w < 0:
@@ -359,6 +387,32 @@ def max_intersecting_weighted(
     seconds_left(deadline, "the solve")
     optimum, mask, nodes = solve_max_independent(graph.rows(deadline), weights, deadline=deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
+
+
+def _dihedral_census(graph: DisjointnessGraph, deadline: float | None) -> tuple[list[list[int]], int]:
+    """The dihedral orbit of each class of optima, and the enumeration's node count.
+
+    One enumeration from the star's size, on the orbit chain of the dihedral
+    group, meets at least one optimum per class.  Every image of an optimum
+    is an optimum, so each optimum not yet seen has its orbit walked once,
+    its images in the order of `_vertex_permutations`, and marked as seen;
+    the orbits come in the order their classes were first met.
+    """
+    perms = _vertex_permutations(graph, deadline=deadline)
+    star = _star_mask(graph).bit_count()
+    seconds_left(deadline, "enumerating the optima")
+    masks, nodes = enumerate_max_independent(graph.rows(deadline), star, deadline=deadline, perms=perms)
+    if not masks:
+        raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
+    seen: set[int] = set()
+    orbits = []
+    for mask in masks:
+        seconds_left(deadline, "canonicalising the optima")
+        if mask not in seen:
+            images = _orbit(mask, perms)
+            seen.update(images)
+            orbits.append(images)
+    return orbits, nodes
 
 
 def extremal_classes(
@@ -372,46 +426,28 @@ def extremal_classes(
 ) -> SearchResult:
     """All maximum intersecting families, reported as one representative per symmetry class.
 
-    One enumeration, from the star's size as a lower bound on the optimum and
-    from the orbit chain of the dihedral group, yields at least one optimum per
-    dihedral class, not all of them; the optimum is the size of the sets it
-    returns.  Its optima and node count are kept on the cached universe, so a
-    later call on the same universe, under either group, builds no rows and
-    searches nothing; an enumeration stopped by the deadline keeps nothing.
-    Every image of an optimum is an optimum, so each new optimum's dihedral
-    orbit is walked once, its images in the order of `_vertex_permutations`,
-    and marked as seen.  The class's representative is its least image (the
+    `_dihedral_census` walks the dihedral orbit of one optimum per class; the
+    optimum is the size of the sets it returns.  The orbits and the node
+    count are kept on the cached universe, so a later call on the same
+    universe, under either group, builds no symmetries or rows, searches
+    nothing and walks no orbit; a census stopped by the deadline keeps
+    nothing.  The class's representative is its least image (`_least`, the
     canonical form).  With rotations_only, the first n images and the last n
     are the two rotation orbits of the dihedral class, equal or disjoint, so
-    the walk gives one or two representatives, each the least of its orbit.
+    the orbit gives one or two representatives, each the least of its half.
     Representatives are sorted lexicographically; the witness is the least
     of them.  nodes_explored is the dihedral enumeration's count under
-    either group.  One deadline covers the whole call: the symmetries (read
-    before each one is built), the rows, the enumeration and the orbit walks.
+    either group.  One deadline covers the whole call: the universe, the
+    symmetries (read before each one is built), the rows, the enumeration
+    and the orbit walks.
     """
-    graph = separated_universe(n, r, k, max_vertices)
-    perms = _vertex_permutations(graph, deadline=deadline)
-    star = _star_mask(graph).bit_count()
-    seconds_left(deadline, "enumerating the optima")
-    if "_optima" not in vars(graph):
-        vars(graph)["_optima"] = enumerate_max_independent(
-            graph.rows(deadline), star, deadline=deadline, perms=perms
-        )
-    masks, nodes = vars(graph)["_optima"]
-    if not masks:
-        raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
-    seen: set[int] = set()
-    reps: set[int] = set()
-    for mask in masks:
-        seconds_left(deadline, "canonicalising the optima")
-        if mask in seen:
-            continue
-        images = _orbit(mask, perms)
-        orbit = set(images)
-        seen |= orbit
-        if rotations_only:
-            reps.update(min(set(half), key=mask_elems) for half in (images[:n], images[n:]))
-        else:
-            reps.add(min(orbit, key=mask_elems))
+    graph = separated_universe(n, r, k, max_vertices, deadline)
+    if "_census" not in vars(graph):
+        vars(graph)["_census"] = _dihedral_census(graph, deadline)
+    orbits, nodes = vars(graph)["_census"]
+    if rotations_only:
+        reps = {_least(half) for images in orbits for half in (images[:n], images[n:])}
+    else:
+        reps = {_least(images) for images in orbits}
     classes = tuple(graph.subfamily(m) for m in sorted(reps, key=mask_elems))
-    return SearchResult(n, r, k, masks[0].bit_count(), classes[0], classes, nodes)
+    return SearchResult(n, r, k, orbits[0][0].bit_count(), classes[0], classes, nodes)

@@ -11,9 +11,9 @@ def enumerations(monkeypatch):
     calls = []
     real = sepekr.core.separated_masks
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     sepekr.core._universe.cache_clear()
     monkeypatch.setattr("sepekr.core.separated_masks", counted)

@@ -639,22 +639,26 @@ class _Clock:
 
 def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
     # with a clock that counts its reads, a deadline of t stops the build at read t,
-    # in the table builds too: the partition, the derivation, each monotone clause,
-    # then each table's rows (the members' and the reduced family's), before the
+    # in the table builds too: the universe's enumeration, once per first element,
+    # the partition, once per member, the derivation, each monotone clause, then
+    # each table's rows (the members' and the reduced family's), before the
     # incidence and before each row.  A stopped build keeps no verdicts, and a later
     # call builds them.
     n, r, k = 9, 3, 1
     family = star_family(n, r, k, 1)
     universe = enumerate_separated(n, r, k)
     members, reduced = len(universe), len(derive_families(universe).reduced)
+    built = n + 1 + members  # the reads up to the last member placed
     stages = [
-        (1, "the compression verdicts"),
-        (2, "the compression derivation"),
-        *((3 + i, f"the {clause_id} verdict") for i, clause_id in enumerate(MONOTONE_IDS)),
-        (8, "the rows"),
-        (8 + members, f"the row of vertex {members}"),
-        (9 + members, "the rows"),
-        (9 + members + reduced, f"the row of vertex {reduced}"),
+        *((f, f"the sets from element {f}") for f in range(1, n + 1)),
+        (n + 1, "the compression verdicts"),
+        *((n + 1 + i, f"placing member {i}") for i in range(1, members + 1)),
+        (built + 1, "the compression derivation"),
+        *((built + 2 + i, f"the {clause_id} verdict") for i, clause_id in enumerate(MONOTONE_IDS)),
+        (built + 7, "the rows"),
+        (built + 7 + members, f"the row of vertex {members}"),
+        (built + 8 + members, "the rows"),
+        (built + 8 + members + reduced, f"the row of vertex {reduced}"),
     ]
     for reads, stage in stages:
         sepekr.core._universe.cache_clear()
@@ -668,6 +672,24 @@ def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
         clocked.setattr(sepekr.core, "time", _Clock())
         assert verify_compression_suite(family, deadline=reads + 1).passed
     assert verdicts(n, r, k) is not None
+
+
+def test_the_partition_of_the_verdicts_reads_the_deadline_per_member(monkeypatch):
+    # at 5 ms a member, a partition of the 660 members of (16, 4, 1) that read the
+    # clock only before it starts would overshoot a 0.05 s limit by seconds
+    family = star_family(16, 4, 1, 1)
+    real = compression._compress_mask
+
+    def slow(m):
+        time.sleep(0.005)
+        return real(m)
+
+    monkeypatch.setattr(compression, "_compress_mask", slow)
+    started = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before placing member [0-9]+$"):
+        verify_compression_suite(family, deadline=time.monotonic() + 0.05)
+    assert time.monotonic() - started < 0.5
+    assert verdicts(16, 4, 1) is None
 
 
 def test_derive_agrees_with_the_independent_oracle():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sepekr.core
 import sepekr.search
 
 from sepekr import (
@@ -25,6 +26,7 @@ from sepekr import (
     star_size_formula,
 )
 from sepekr.core import (
+    DEFAULT_MAX_VERTICES,
     ResourceLimitError,
     check_member_masks,
     count_separated,
@@ -33,6 +35,7 @@ from sepekr.core import (
     rotate_mask,
     row_edges,
     seconds_left,
+    separated_universe,
 )
 
 from helpers import brute_separated, circ_gaps
@@ -426,6 +429,25 @@ def test_disjointness_rows_read_the_deadline_before_the_incidence_and_per_row():
     time.sleep(0.3)
     with pytest.raises(ResourceLimitError, match="^time limit exceeded before the row of vertex 2$"):
         next(rows)
+
+
+def test_the_universe_enumeration_reads_the_deadline_per_first_element(monkeypatch):
+    # at 5 ms a first element, enumerating (200, 2, 1) with a clock read only before
+    # it starts would overshoot a 0.05 s limit by a second
+    kept = separated_universe(7, 2, 1, 100)
+    real = sepekr.core.combinations
+
+    def slow(*args):
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(sepekr.core, "combinations", slow)
+    started = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the sets from element [0-9]+$"):
+        separated_universe(200, 2, 1, DEFAULT_MAX_VERTICES, time.monotonic() + 0.05)
+    assert time.monotonic() - started < 0.5
+    # the stopped build cached nothing: the universe kept before it is still the one kept
+    assert separated_universe(7, 2, 1, 100) is kept
 
 
 def test_seconds_left_splits_one_deadline_between_stages():

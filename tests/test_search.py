@@ -32,7 +32,7 @@ import sepekr.core
 import sepekr.search
 import sepekr.weighted
 from sepekr.cli import default_grid
-from sepekr.core import count_separated
+from sepekr.core import count_separated, mask_elems
 from sepekr.search import _cover_bound
 
 from helpers import (
@@ -475,6 +475,61 @@ def test_a_timed_out_enumeration_keeps_nothing(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("first", [False, True], ids=["dihedral_first", "rotations_first"])
+def test_the_census_keeps_each_class_orbit(monkeypatch, first):
+    """A second call on the universe, under either group, builds no symmetries and walks no orbit."""
+    cold = {}
+    for rotations_only in (False, True):
+        sepekr.core._universe.cache_clear()
+        cold[rotations_only] = extremal_classes(12, 5, 1, rotations_only=rotations_only).to_json_dict()
+    sepekr.core._universe.cache_clear()
+    assert extremal_classes(12, 5, 1, rotations_only=first).to_json_dict() == cold[first]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census was worked out again")
+
+    monkeypatch.setattr(sepekr.search, "_vertex_permutations", refuse)
+    monkeypatch.setattr(sepekr.search, "_orbit", refuse)
+    for rotations_only in (not first, first):
+        assert extremal_classes(12, 5, 1, rotations_only=rotations_only).to_json_dict() == cold[rotations_only]
+
+
+def test_a_census_stopped_in_the_orbit_walks_keeps_nothing(monkeypatch):
+    """The first orbit walk ends past the deadline; the next call walks every orbit again."""
+    expected = extremal_classes(12, 5, 1).to_json_dict()
+    sepekr.core._universe.cache_clear()
+    real = sepekr.search._orbit
+    calls = []
+
+    def slow_once(*args):
+        if not calls:
+            time.sleep(0.3)
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sepekr.search, "_orbit", slow_once)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before canonicalising the optima$"):
+        extremal_classes(12, 5, 1, deadline=time.monotonic() + 0.2)
+    calls.clear()
+    assert extremal_classes(12, 5, 1).to_json_dict() == expected
+    assert len(calls) == 5  # one walk per dihedral class
+
+
+@st.composite
+def masks_of_one_size(draw):
+    width = draw(st.integers(1, 70))
+    size = draw(st.integers(1, width))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [sum(1 << b for b in rng.sample(range(width), size)) for _ in range(draw(st.integers(1, 30)))]
+
+
+@settings(max_examples=300)
+@given(masks_of_one_size())
+def test_least_is_the_lexicographically_least_mask(masks):
+    assert sepekr.search._least(masks) == min(masks, key=mask_elems)
+    assert sepekr.search._least(iter(masks)) == min(masks, key=mask_elems)
+
+
 # === orbit chain and incumbent ===
 
 # Every (n, r, k) with k <= 3, n <= 18 and at most 60 vertices: 161 instances.
@@ -815,7 +870,7 @@ def test_cover_bound_picks_the_branch_vertex(graph):
 @settings(max_examples=200)
 @given(random_graphs(40))
 def test_cover_bound_on_an_independent_set(graph):
-    # the answer a search node takes without the walk once its candidates are known independent
+    # the walk's answer on an independent set, on which closing a free subtree in one step rests
     adj, _, cand, weights = graph
     cand = _greedy_independent(adj, cand)
     lowest = (cand & -cand).bit_length() - 1
@@ -823,35 +878,84 @@ def test_cover_bound_on_an_independent_set(graph):
     assert _cover_bound(cand, adj, weights) == (sum(weights[v] for v in _members(cand)), lowest)
 
 
-def _walk_every_node(adj, weights):
-    """solve_max_independent(adj, weights) as a plain DFS that walks the cover at every node."""
+def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
+    """search._search(adj, weights, target, None, perms, incumbent) as a plain DFS that walks the
+    cover at every node, free or not, and closes no subtree in one step.
+
+    With perms, the roots are the orbit chain and each node carries the permutations
+    that fix what it includes (the identity always among them), as in orbital branching.
+    """
     value = [1] * len(adj) if weights is None else weights
-    floor = best = nodes = 0
-    stack = [((1 << len(adj)) - 1, 0, 0)]
+    best, nodes, found = incumbent, 0, []
+    floor = sum(value[v] for v in _members(incumbent)) if target is None else target - 1
+    full = (1 << len(adj)) - 1
+    if perms is None:
+        stack = [(full, 0, 0, [list(range(len(adj)))])]
+    else:
+        stack, excluded = [], 0
+        for v in range(len(adj)):
+            if not excluded >> v & 1:
+                fixing = [p for p in perms if p[v] == v]
+                stack.insert(0, (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v, fixing))
+                excluded |= sum({1 << p[v] for p in perms})
     while stack:
-        cand, cur, mask = stack.pop()
+        cand, cur, mask, group = stack.pop()
         nodes += 1
         if cur > floor:
-            floor, best = cur, mask
+            if target is None:
+                floor, best = cur, mask
+            else:
+                if cur > floor + 1:
+                    floor, found = cur - 1, []
+                found.append(mask)
         if not cand:
             continue
         bound, v = _cover_bound(cand, adj, weights)
         if cur + bound <= floor:
             continue
-        b = 1 << v
-        stack.append((cand & ~b, cur, mask))
-        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b))
-    return floor, best, nodes
+        b, orbit = 1 << v, sum({1 << p[v] for p in group})
+        stack.append((cand & ~orbit, cur, mask, group))
+        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, [p for p in group if p[v] == v]))
+    return floor, best, nodes, found
+
+
+def _search_without_deadline(adj, weights, target=None, perms=None, incumbent=0):
+    return sepekr.search._search(adj, weights, target, None, perms, incumbent)
 
 
 @settings(max_examples=150)
 @given(random_graphs(24))
 def test_skipping_the_walk_keeps_the_search_tree(graph):
+    # floor, best mask, node count and the collected sets in order, free subtrees closed or walked
     adj, _, _, weights = graph
-    assert solve_max_independent(adj) == _walk_every_node(adj, None)
-    assert solve_max_independent(adj, weights) == _walk_every_node(adj, weights)
     few = [w % 3 for w in weights]  # ties and zero weights, where the branch order shows
-    assert solve_max_independent(adj, few) == _walk_every_node(adj, few)
+    for w in (None, weights, few):
+        assert _search_without_deadline(adj, w) == _walk_every_node(adj, w)
+    greedy = _greedy_independent(adj)
+    assert _search_without_deadline(adj, few, incumbent=greedy) == _walk_every_node(
+        adj, few, incumbent=greedy
+    )
+    for target in (0, greedy.bit_count(), greedy.bit_count() + 1):
+        assert _search_without_deadline(adj, None, target) == _walk_every_node(adj, None, target)
+
+
+@pytest.mark.parametrize("n, r, k", [(9, 2, 1), (10, 3, 1), (12, 5, 1), (13, 3, 2), (14, 4, 1)])
+def test_closing_free_subtrees_keeps_the_orbital_search_tree(n, r, k):
+    # the orbit chain and orbital branching under both groups, with the star as incumbent
+    # and the gap weight and its residues mod 3 (zero weights), which every symmetry keeps
+    graph = sepekr.core.separated_universe(n, r, k, 1000)
+    adj, dihedral = graph.rows(None), sepekr.search._vertex_permutations(graph)
+    star = sepekr.search._star_mask(graph)
+    gap = [sepekr.weighted.weight(s, k) for s in graph.vertices]
+    for perms in (dihedral, dihedral[:n]):
+        for w in (None, gap, [x % 3 for x in gap]):
+            assert _search_without_deadline(adj, w, perms=perms, incumbent=star) == _walk_every_node(
+                adj, w, perms=perms, incumbent=star
+            )
+        for target in (1, star.bit_count()):
+            assert _search_without_deadline(adj, None, target, perms) == _walk_every_node(
+                adj, None, target, perms
+            )
 
 
 def test_independent_nodes_skip_the_cover_walk(monkeypatch):
