@@ -72,7 +72,8 @@ def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
         "--limit-vertices",
         type=_positive(int),
         default=default_vertices,
-        help="abort instances with more vertices than this; the V adjacency rows take V*V/8 bytes",
+        help="abort instances with more vertices than this; the V adjacency rows take V*V/8 bytes,"
+        " and a search holds a second, bit-reversed copy, another V*V/8",
     )
 
 

@@ -168,6 +168,7 @@ def _derive(
     r: int,
     k: int,
     checked: bool = False,
+    deadline: float | None = None,
 ) -> _Derived:
     """Compress the cells and drop the anchor; each component's members are checked.
 
@@ -180,19 +181,23 @@ def _derive(
     once more is ``m >> 1``, which keeps its size.  checked skips the
     component check, for cells of a universe whose own components passed
     it: smaller cells have a smaller overlap, so each component is a subset
-    of the universe's.
+    of the universe's.  A time.monotonic() deadline is read before the
+    reductions, the component check and the reduced image.
     """
     if r < 2:
         raise ValueError(f"reduction drops an element, needs r >= 2, got r={r}")
     free_images = {images[m] for m in free}
     anchored_images = {images[m] for m in anchored}
     overlap = free_images & anchored_images
+    seconds_left(deadline, "the reduced components")
     components = [_reduce(overlap, k - 1)]
     components += [_reduce(cell, k) for cell in boundary]
     if not checked:
+        seconds_left(deadline, "the component check")
         for component in components:
             check_member_masks(component, n - k, r - 1, 0)
     reduced = set().union(*components)
+    seconds_left(deadline, "the reduced image")
     reduced_image = {_compress_mask(m) for m in reduced}
     return _Derived(free_images | anchored_images, overlap, reduced, reduced_image, components)
 
@@ -254,10 +259,15 @@ def _disjoint_pairs(masks: Iterable[int], table: _Table | None, *, ordered: bool
     return _first_pairs(masks if ordered else _lex(masks))
 
 
-def _collision_clause(images: dict[int, int], n: int, k: int) -> ClauseResult:
+def _collision_clause(
+    images: dict[int, int], n: int, k: int, deadline: float | None = None
+) -> ClauseResult:
     """Sets identified by j-fold compression must differ in exactly two elements of 1..j+1.
 
     images maps each member to its one-step image, as _partition returns it.
+    A time.monotonic() deadline is read, for each j, before the members are
+    put in buckets by their j-fold image and before the buckets' pairs are
+    walked.
     """
     witnesses: list[int] = []
     masks = list(images)
@@ -265,9 +275,11 @@ def _collision_clause(images: dict[int, int], n: int, k: int) -> ClauseResult:
     for j in range(1, k + 1):
         if j > 1:
             folded = [_compress_mask(m) for m in folded]  # the j-fold images, carried forward
+        seconds_left(deadline, f"the collision-structure buckets of fold {j}")
         buckets: dict[int, list[int]] = {}
         for m, image in zip(masks, folded):
             buckets.setdefault(image, []).append(m)
+        seconds_left(deadline, f"the collision-structure pairs of fold {j}")
         for group in buckets.values():
             for x in range(len(group)):
                 for y in range(x + 1, len(group)):
@@ -323,7 +335,7 @@ class CompressionReport(NamedTuple):
 
 
 def _monotone_clauses(
-    images: dict[int, int], d: _Derived, n: int, r: int, k: int
+    images: dict[int, int], d: _Derived, n: int, r: int, k: int, deadline: float | None = None
 ) -> dict[str, Callable[[], ClauseResult]]:
     """The five clauses that can only improve on a subfamily, by id, each checked when it is called.
 
@@ -338,10 +350,11 @@ def _monotone_clauses(
     the shared members of two components (reduced-components-disjoint), the
     reduced family (reduced-separated) and its image
     (reduced-image-separated).  A clause with no witness on the universe
-    therefore has none on any family of it.
+    therefore has none on any family of it.  A time.monotonic() deadline is
+    read inside collision-structure, the slowest of them (_collision_clause).
     """
     return {
-        "collision-structure": lambda: _collision_clause(images, n, k),
+        "collision-structure": lambda: _collision_clause(images, n, k, deadline),
         "compressed-separated": lambda: _clause(
             "compressed-separated",
             n - 1,
@@ -403,10 +416,11 @@ def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdi
     its own members.  The universe's partition, derivation and monotone
     clauses run, never its intersecting clauses.  A time.monotonic()
     deadline is read while the universe is enumerated, before the partition
-    and once per member in it, before the derivation and each monotone
-    clause, and while the rows of each table are built; the verdicts
-    are kept only once all of them are built, so a build the deadline stops
-    keeps nothing.
+    and once per member in it, before and inside the derivation (_derive),
+    before the members' cells are kept, before and inside each monotone
+    clause (_monotone_clauses), and while the rows of each table are built;
+    the verdicts are kept only once all of them are built, so a build the
+    deadline stops keeps nothing.
     """
     if k < 1 or r < 2 or n < (k + 1) * r + 1 or count_separated(n, r, k) > DEFAULT_MAX_VERTICES:
         return None
@@ -427,15 +441,16 @@ def _build_verdicts(graph: DisjointnessGraph, deadline: float | None) -> _Verdic
     try:
         free, anchored, boundary, images = _partition(graph.masks, n, r, k, deadline)
         seconds_left(deadline, "the compression derivation")
-        d = _derive(free, anchored, boundary, images, n, r, k)
+        d = _derive(free, anchored, boundary, images, n, r, k, deadline=deadline)
     except ResourceLimitError:  # a RuntimeError too
         raise
     except (ValueError, RuntimeError):
         return None
+    seconds_left(deadline, "the members' cells")
     cells = [free, anchored, *boundary]
     placed = {m: (c, images[m]) for c, cell in enumerate(cells) for m in cell}
     passed = set()
-    for clause_id, check in _monotone_clauses(images, d, n, r, k).items():
+    for clause_id, check in _monotone_clauses(images, d, n, r, k, deadline).items():
         seconds_left(deadline, f"the {clause_id} verdict")
         if check().passed:
             passed.add(clause_id)

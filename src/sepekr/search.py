@@ -4,12 +4,15 @@ Vertices are the k-separated r-sets of a circle; two vertices clash when the
 sets are disjoint, so intersecting families are exactly the independent sets.
 One depth-first branch-and-bound core serves two modes: optimise (the
 maximum weight) and enumerate (the independent sets of the largest size, from
-a lower bound on it).  It
-uses Python-int bitsets for adjacency rows and candidate sets, a greedy
-clique-cover upper bound whose clique classes are built bit-parallel, as in
-BBMC (San Segundo et al., 2011), and deterministic branching, so repeated runs
-return identical answers.  `max_intersecting` starts its solve from the star
-as a checked incumbent and from an orbit chain of the circle's symmetry,
+a lower bound on it).  It uses Python-int bitsets for adjacency rows and
+candidate sets, a greedy clique-cover upper bound whose clique classes are
+built bit-parallel, as in BBMC (San Segundo et al., 2011), and deterministic
+branching, so repeated runs return identical answers.  The core works on a
+bit-reversed copy of the rows, vertex i at the top bit minus i, so that the
+cover walk finds the lowest index as the highest bit with one bit_length; it
+keeps the walk's classes, bound, branch vertex and node counts, and
+translates its answers back.  `max_intersecting` starts its solve from the
+star as a checked incumbent and from an orbit chain of the circle's symmetry,
 and branches orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
 is one enumeration from the star's size on the same chain, so it meets at
 least one optimum per class rather than all of them.  Each class, and each
@@ -62,40 +65,62 @@ class SearchResult(NamedTuple):
         }
 
 
-def _cover_bound(cand: int, adj: Sequence[int], weights: list[int] | None) -> tuple[int, int]:
+def _cover_bound(
+    cand: int, adj: Sequence[int], weights: list[int] | None, bits: Sequence[int]
+) -> tuple[int, int]:
     """Greedy partition of cand into cliques, and the branch vertex, from one walk of cand.
 
-    Each class is built bit-parallel from the lowest remaining vertex, keeping
-    the vertices adjacent to every member so far: the first-fit partition in
-    index order.  An independent set takes at most one vertex per clique, so
-    the bound is the clique count, or with (non-negative) weights the sum of
-    per-clique maxima.  Returns (bound, v), where v is the candidate with the
-    most conflicts inside cand, ties to the lowest index (the walk is not in
+    The labels are the search's flipped ones (`_search`): vertex i of the
+    graph is bit size - 1 - i, so its lowest index is the highest bit, and
+    bits[v] is 1 << v.  Each class is built bit-parallel from the highest
+    remaining bit, keeping the vertices adjacent to every member so far: the
+    first-fit partition in index order.  A step reads the highest bit with
+    one bit_length and drops it with one XOR against bits, where a walk from
+    the lowest bit also needs a negation and an AND.  An independent set
+    takes at most one vertex per clique, so the bound is the clique count,
+    or with (non-negative) weights the sum of per-clique maxima.  Returns
+    (bound, v), where v is the candidate with the most conflicts inside
+    cand, ties to the highest bit, the lowest index (the walk is not in
     index order), or -1 when cand is empty.  On an independent cand every
     class is one vertex and every degree 0, so the walk returns the vertex
-    count (the weight sum) and the lowest vertex; `_search` closes the
+    count (the weight sum) and the highest bit; `_search` closes the
     subtree of such a node in one step.
     """
     bound = 0
     best_v = best_deg = -1
     rem = cand
-    # The lowest-bit loop stays inline, not mask_elems: it runs at every node.
+    # The highest-bit loop stays inline, not mask_elems: it runs at every node.
     while rem:
         q = rem
         top = 0 if weights is not None else 1
         while q:
-            b = q & -q
-            v = b.bit_length() - 1
-            rem ^= b
+            v = q.bit_length() - 1
+            rem ^= bits[v]
             row = adj[v]
             q &= row
             deg = (row & cand).bit_count()
-            if deg > best_deg or deg == best_deg and v < best_v:
+            if deg > best_deg or deg == best_deg and v > best_v:
                 best_deg, best_v = deg, v
             if weights is not None and weights[v] > top:
                 top = weights[v]
         bound += top
     return bound, best_v
+
+
+# _REVERSED[b] is the byte b with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _flip(mask: int, size: int) -> int:
+    """mask, of at most size bits, with bit i moved to bit size - 1 - i.
+
+    Each byte's bits are reversed through one table and the bytes are read
+    in the opposite order; the shift that follows is 0 when size is a whole
+    number of bytes.
+    """
+    width = (size + 7) // 8
+    reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED)
+    return int.from_bytes(reversed_bytes, "big") >> (8 * width - size)
 
 
 def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -139,6 +164,16 @@ def _search(
     candidates left, so with target the optimum its node ends as a leaf.
     Returns (floor, best mask, nodes explored, collected masks).
 
+    The DFS runs on flipped labels: vertex i of adj is bit last - i of every
+    row, candidate set and mask, where last + 1 is the vertex count V rounded
+    up to whole bytes.  The lowest index is then the highest bit, which
+    `_cover_bound` reads with one bit_length.  The flipped rows (`_flip`)
+    and bits[v] = 1 << v are built once per call, with the deadline read
+    before each row; they take about V*V/8 and V*V/16 more bytes.  The
+    incumbent and the roots are flipped on entry, and the best mask and the
+    collected masks back on exit.  The weights are reversed with the rows,
+    and perms stay in adj's labels, read as last - perm[last - v].
+
     With perms, a group of automorphisms of the graph (and of the weights),
     the search starts from the orbit chain instead of the single full root:
     the i-th root includes the lowest vertex of orbit i and excludes every
@@ -180,19 +215,36 @@ def _search(
     once for the closed subtree.
     """
     nodes = 0
-    value = [1] * len(adj) if weights is None else weights
     members = [e - 1 for e in mask_elems(incumbent)]
     if incumbent >> len(adj) or any(adj[v] & incumbent for v in members):
         raise ValueError("incumbent is not an independent set of the graph")
-    floor = sum(value[v] for v in members) if target is None else target - 1
-    best_mask = incumbent
+    # The flipped labels: vertex i is bit last - i, in whole bytes so that `_flip` needs no shift.
+    size = (len(adj) + 7) // 8 * 8
+    last = size - 1
+    pad = [0] * (size - len(adj))
+    rows = []
+    for i, row in enumerate(adj):
+        if deadline is not None:
+            seconds_left(deadline, f"the flipped row of vertex {i + 1}")
+        rows.append(_flip(row, size))
+    rows = pad + rows[::-1]
+    bits = [1 << v for v in range(size)]
+    flipped_weights = None if weights is None else [*pad, *reversed(weights)]
+    value = [1] * size if flipped_weights is None else flipped_weights
+    floor = sum(value[last - v] for v in members) if target is None else target - 1
+    best_mask = _flip(incumbent, size)
     found: list[int] = []
     full = (1 << len(adj)) - 1
     if perms is None:
-        stack = [(full, 0, 0, None)]
+        stack = [(_flip(full, size), 0, 0, None)]
     else:
         stack = [
-            (full & ~excluded & ~adj[v] & ~(1 << v), value[v], 1 << v, _stabiliser(perms, v))
+            (
+                _flip(full & ~excluded & ~adj[v] & ~(1 << v), size),
+                value[last - v],
+                bits[last - v],
+                _stabiliser(perms, v),
+            )
             for v, excluded in reversed(_orbit_chain(len(adj), perms))
         ]
     while stack:
@@ -210,15 +262,17 @@ def _search(
         if not cand:
             continue
         # The cover gets weights, not value: its weights=None path counts classes faster.
-        bound, v = _cover_bound(cand, adj, weights)
+        bound, v = _cover_bound(cand, rows, flipped_weights, bits)
         if cur + bound <= floor:
             continue
-        if not adj[v] & cand:
+        row = rows[v]
+        if not row & cand:
             # Free: the walk's subtree in one step, its path ending at the last positive weight.
             if target is None:
-                if weights is not None:
-                    last = max(e for e in mask_elems(cand) if weights[e - 1])
-                    cand &= (1 << last) - 1
+                if flipped_weights is not None:
+                    # The last candidate in index order of positive weight is the lowest such bit.
+                    first = next(e - 1 for e in mask_elems(cand) if flipped_weights[e - 1])
+                    cand = cand >> first << first
                 floor, best_mask = cur + bound, mask | cand
             else:
                 if cur + bound > floor + 1:
@@ -226,15 +280,15 @@ def _search(
                 found.append(mask | cand)
             nodes += 2 * cand.bit_count()
             continue
-        b = orbit = 1 << v
+        b = orbit = bits[v]
         stabiliser = None
         if group is not None:
             for perm in group:
-                orbit |= 1 << perm[v]
-            stabiliser = _stabiliser(group, v)
+                orbit |= bits[last - perm[last - v]]
+            stabiliser = _stabiliser(group, last - v)
         stack.append((cand & ~orbit, cur, mask, group))
-        stack.append((cand & ~adj[v] & ~b, cur + value[v], mask | b, stabiliser))
-    return floor, best_mask, nodes, found
+        stack.append((cand & ~row & ~b, cur + value[v], mask | b, stabiliser))
+    return floor, _flip(best_mask, size), nodes, [_flip(m, size) for m in found]
 
 
 def solve_max_independent(
@@ -253,7 +307,8 @@ def solve_max_independent(
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
     the incumbent when nothing is.  A deadline, a time.monotonic() value, is
-    read at every node visited; a subtree closed in one step (see `_search`)
+    read before each row of the search's bit-reversed copy of adj is built
+    and at every node visited; a subtree closed in one step (see `_search`)
     reads it once and counts all its nodes.  ResourceLimitError once it
     passes.
     """
@@ -276,8 +331,9 @@ def enumerate_max_independent(
     subset along a unique path.  With perms (every element of an automorphism
     group), the search starts from an orbit chain and returns at least one
     set per orbit of the group, not all of them; each set still at most once.
-    A time.monotonic() deadline is read at every node visited, as in
-    `solve_max_independent`; ResourceLimitError once it passes.
+    A time.monotonic() deadline is read while the rows are flipped and at
+    every node visited, as in `solve_max_independent`; ResourceLimitError
+    once it passes.
     """
     _, _, nodes, found = _search(adj, None, target, deadline, perms)
     return found, nodes

@@ -8,6 +8,18 @@ matching bug in the oracle.
 from itertools import combinations
 
 
+class CountingClock:
+    """A stand-in for the time module whose monotonic() counts its own reads, so that a
+    deadline of t passes at read t."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads
+
+
 def circ_gaps(elems: tuple[int, ...], n: int) -> list[int]:
     """Circular gaps via modular distance; element order differs from the package's."""
     e = sorted(elems)
@@ -207,6 +219,33 @@ def branch_vertex(cand: int, adj) -> int:
     members = [v for v in range(len(adj)) if cand >> v & 1]
     degree = {v: sum(adj[v] >> u & 1 for u in members) for v in members}
     return min(members, key=lambda v: (-degree[v], v), default=-1)
+
+
+def cover_walk(cand: int, adj, weights=None) -> tuple[int, int]:
+    """The clique-cover walk of the search in the graph's own labels, from the lowest bit:
+    (first-fit bound, branch vertex with ties to the lowest index, -1 when cand is empty).
+
+    The search runs the same walk from the highest bit on bit-reversed labels;
+    this is the lowest-bit form it replaced, kept as its oracle."""
+    bound = 0
+    best_v = best_deg = -1
+    rem = cand
+    while rem:
+        q = rem
+        top = 0 if weights is not None else 1
+        while q:
+            b = q & -q
+            v = b.bit_length() - 1
+            rem ^= b
+            row = adj[v]
+            q &= row
+            deg = (row & cand).bit_count()
+            if deg > best_deg or deg == best_deg and v < best_v:
+                best_deg, best_v = deg, v
+            if weights is not None and weights[v] > top:
+                top = weights[v]
+        bound += top
+    return bound, best_v
 
 
 def max_weight_independent(vertices, edges, weights=None) -> int:

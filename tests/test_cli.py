@@ -115,7 +115,7 @@ def test_lemmas_seed_changes_nothing_about_verdict(capsys):
 
 
 def test_lemmas_reports_every_failing_family(capsys, monkeypatch):
-    def fail(images, n, k):
+    def fail(images, n, k, deadline=None):
         witness = sepekr.core.CircSet(n, sepekr.core.mask_elems(next(iter(images))))
         return sepekr.compression.ClauseResult("collision-structure", False, (witness,))
 

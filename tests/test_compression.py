@@ -23,6 +23,7 @@ from sepekr.compression import ClauseResult, _compress_iter_mask, _compress_mask
 from sepekr.core import DEFAULT_MAX_VERTICES, mask_elems, separated_universe
 
 from helpers import (
+    CountingClock,
     brute_separated,
     compression_oracle,
     derived_oracle,
@@ -589,8 +590,8 @@ def test_a_clause_that_fails_on_the_universe_is_checked_on_each_family(monkeypat
     # witnesses it gives without verdicts, never a pass read from the universe
     real = compression._monotone_clauses
 
-    def faulty(images, d, n, r, k):
-        checks = real(images, d, n, r, k)
+    def faulty(images, d, n, r, k, deadline=None):
+        checks = real(images, d, n, r, k, deadline)
         check = checks[clause_id]
 
         def wrong():
@@ -626,52 +627,80 @@ def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():
     assert verify_compression_suite(family, deadline=time.monotonic() - 1).passed
 
 
-class _Clock:
-    """A stand-in for the time module whose monotonic() counts its own reads."""
-
-    def __init__(self):
-        self.reads = 0
-
-    def monotonic(self):
-        self.reads += 1
-        return self.reads
-
-
 def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
     # with a clock that counts its reads, a deadline of t stops the build at read t,
     # in the table builds too: the universe's enumeration, once per first element,
-    # the partition, once per member, the derivation, each monotone clause, then
-    # each table's rows (the members' and the reduced family's), before the
-    # incidence and before each row.  A stopped build keeps no verdicts, and a later
-    # call builds them.
+    # the partition, once per member, the derivation (before it, its reductions, its
+    # component check and its reduced image), the members' cells, each monotone
+    # clause (collision-structure also before its buckets and its pairs), then each
+    # table's rows (the members' and the reduced family's), before the incidence and
+    # before each row.  A stopped build keeps no verdicts, and a later call builds them.
     n, r, k = 9, 3, 1
     family = star_family(n, r, k, 1)
     universe = enumerate_separated(n, r, k)
     members, reduced = len(universe), len(derive_families(universe).reduced)
     built = n + 1 + members  # the reads up to the last member placed
+    derived = built + 5  # and up to the members' cells
+    clauses = derived + 7  # and up to the last monotone clause
     stages = [
         *((f, f"the sets from element {f}") for f in range(1, n + 1)),
         (n + 1, "the compression verdicts"),
         *((n + 1 + i, f"placing member {i}") for i in range(1, members + 1)),
         (built + 1, "the compression derivation"),
-        *((built + 2 + i, f"the {clause_id} verdict") for i, clause_id in enumerate(MONOTONE_IDS)),
-        (built + 7, "the rows"),
-        (built + 7 + members, f"the row of vertex {members}"),
-        (built + 8 + members, "the rows"),
-        (built + 8 + members + reduced, f"the row of vertex {reduced}"),
+        (built + 2, "the reduced components"),
+        (built + 3, "the component check"),
+        (built + 4, "the reduced image"),
+        (built + 5, "the members' cells"),
+        (derived + 1, "the collision-structure verdict"),
+        (derived + 2, "the collision-structure buckets of fold 1"),
+        (derived + 3, "the collision-structure pairs of fold 1"),
+        *((derived + 4 + i, f"the {clause_id} verdict") for i, clause_id in enumerate(MONOTONE_IDS[1:])),
+        (clauses + 1, "the rows"),
+        (clauses + 1 + members, f"the row of vertex {members}"),
+        (clauses + 2 + members, "the rows"),
+        (clauses + 2 + members + reduced, f"the row of vertex {reduced}"),
     ]
     for reads, stage in stages:
         sepekr.core._universe.cache_clear()
         with monkeypatch.context() as clocked:
-            clocked.setattr(sepekr.core, "time", _Clock())
+            clocked.setattr(sepekr.core, "time", CountingClock())
             with pytest.raises(ResourceLimitError, match=f"before {stage}$"):
                 verify_compression_suite(family, deadline=reads)
         assert verdicts(n, r, k) is None, stage
     # the last read before the deadline builds them all
     with monkeypatch.context() as clocked:
-        clocked.setattr(sepekr.core, "time", _Clock())
+        clocked.setattr(sepekr.core, "time", CountingClock())
         assert verify_compression_suite(family, deadline=reads + 1).passed
     assert verdicts(n, r, k) is not None
+
+
+def test_the_verdicts_read_the_deadline_inside_the_derivation_and_each_fold(monkeypatch):
+    # the stages a verdict build names, after the partition and before the tables: the
+    # derivation's three reads, the cells, and two reads per fold j = 1..k of collision-structure
+    stages = []
+    real = compression.seconds_left
+
+    def recorded(deadline, stage):
+        if deadline is not None:  # the family's own derivation runs with none
+            stages.append(stage)
+        return real(deadline, stage)
+
+    monkeypatch.setattr(compression, "seconds_left", recorded)
+    n, r, k = 13, 3, 2
+    sepekr.core._universe.cache_clear()
+    assert verify_compression_suite(star_family(n, r, k, 1), deadline=time.monotonic() + 60).passed
+    start = stages.index("the compression derivation")
+    folds = [f"the collision-structure {step} of fold {j}" for j in range(1, k + 1) for step in ("buckets", "pairs")]
+    assert stages[start : start + 6 + 2 * k] == [
+        "the compression derivation",
+        "the reduced components",
+        "the component check",
+        "the reduced image",
+        "the members' cells",
+        "the collision-structure verdict",
+        *folds,
+    ]
+    assert stages[start + 6 + 2 * k :] == [f"the {clause_id} verdict" for clause_id in MONOTONE_IDS[1:]]
 
 
 def test_the_partition_of_the_verdicts_reads_the_deadline_per_member(monkeypatch):

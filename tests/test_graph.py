@@ -310,9 +310,9 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
     with pytest.raises(ResourceLimitError, match="before the colouring"):
         chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
     # the deadline passes before the clique search starts; the search shares it instead of
-    # starting a budget of its own, so it stops at its first node
+    # starting a budget of its own, so it stops at its first read, before its first flipped row
     monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_before)
-    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node 1$"):
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the flipped row of vertex 1$"):
         chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
 
 

@@ -33,13 +33,15 @@ import sepekr.search
 import sepekr.weighted
 from sepekr.cli import default_grid
 from sepekr.core import count_separated, mask_elems
-from sepekr.search import _cover_bound
+from sepekr.search import _cover_bound, _flip
 
 from helpers import (
+    CountingClock,
     all_maximum_intersecting,
     antipodal_transversal_classes,
     branch_vertex,
     count_classes,
+    cover_walk,
     dihedral_images,
     exceptional_members,
     first_fit_clique_bound,
@@ -149,6 +151,18 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
     with pytest.raises(ResourceLimitError, match="before node"):
         solve_max_independent(adj, deadline=time.monotonic() + 0.05)
     assert time.monotonic() - started < 1
+
+
+def test_time_budget_is_read_while_the_rows_are_flipped(monkeypatch):
+    # the rows are built before the call, so the deadline passes while the search flips
+    # them (read once per row) or at node 1, with a clock that counts its reads
+    adj = build_schrijver(9, 3, 1).rows(None)
+    stages = [(1, "the flipped row of vertex 1"), (len(adj), f"the flipped row of vertex {len(adj)}")]
+    for reads, stage in stages + [(len(adj) + 1, "node 1")]:
+        with monkeypatch.context() as clocked:
+            clocked.setattr(sepekr.core, "time", CountingClock())
+            with pytest.raises(ResourceLimitError, match=f"^time limit exceeded before {stage}$"):
+                solve_max_independent(adj, deadline=reads)
 
 
 @pytest.mark.parametrize(
@@ -469,7 +483,7 @@ def test_a_timed_out_enumeration_keeps_nothing(monkeypatch):
     expected = _census(12, 5, 1, True)
     sepekr.core._universe.cache_clear()
     monkeypatch.setattr(sepekr.search, "enumerate_max_independent", expired_once)
-    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node 1$"):
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the flipped row of vertex 1$"):
         extremal_classes(12, 5, 1)
     assert _census(12, 5, 1, True) == expected
     assert len(calls) == 2
@@ -836,15 +850,34 @@ def _greedy_independent(adj, within: int = -1) -> int:
     return greedy
 
 
+def _flipped_cover(adj, weights):
+    """search._cover_bound as a function of a candidate mask in adj's own labels.
+
+    It runs on the bit-reversed rows and weights, as the search does, and its
+    branch vertex is read back in adj's labels.
+    """
+    size = len(adj)
+    rows = [_flip(row, size) for row in reversed(adj)]
+    flipped_weights = None if weights is None else weights[::-1]
+    bits = [1 << v for v in range(size)]
+
+    def cover(cand):
+        bound, v = _cover_bound(_flip(cand, size), rows, flipped_weights, bits)
+        return bound, v if v < 0 else size - 1 - v
+
+    return cover
+
+
 @settings(max_examples=200)
 @given(random_graphs(40))
 def test_cover_bound_is_first_fit_partition(graph):
     adj, edges, cand, weights = graph
     members = _members(cand)
-    assert _cover_bound(cand, adj, None)[0] == first_fit_clique_bound(members, edges)
-    assert _cover_bound(cand, adj, weights)[0] == first_fit_clique_bound(
-        members, edges, weights
-    )
+    plain, weighted = _flipped_cover(adj, None)(cand), _flipped_cover(adj, weights)(cand)
+    assert plain == cover_walk(cand, adj, None)
+    assert weighted == cover_walk(cand, adj, weights)
+    assert plain[0] == first_fit_clique_bound(members, edges)
+    assert weighted[0] == first_fit_clique_bound(members, edges, weights)
 
 
 @settings(max_examples=150)
@@ -852,10 +885,11 @@ def test_cover_bound_is_first_fit_partition(graph):
 def test_cover_bound_is_an_upper_bound(graph):
     adj, edges, cand, weights = graph
     members = _members(cand)
-    assert _cover_bound(cand, adj, None)[0] >= max_weight_independent(members, edges)
-    assert _cover_bound(cand, adj, weights)[0] >= max_weight_independent(
-        members, edges, weights
-    )
+    plain, weighted = _flipped_cover(adj, None)(cand), _flipped_cover(adj, weights)(cand)
+    assert plain == cover_walk(cand, adj, None)
+    assert weighted == cover_walk(cand, adj, weights)
+    assert plain[0] >= max_weight_independent(members, edges)
+    assert weighted[0] >= max_weight_independent(members, edges, weights)
 
 
 @settings(max_examples=200)
@@ -863,8 +897,11 @@ def test_cover_bound_is_an_upper_bound(graph):
 def test_cover_bound_picks_the_branch_vertex(graph):
     # the class walk is not in index order, so ties must still go to the lowest index
     adj, _, cand, weights = graph
-    assert _cover_bound(cand, adj, None)[1] == branch_vertex(cand, adj)
-    assert _cover_bound(cand, adj, weights)[1] == branch_vertex(cand, adj)
+    plain, weighted = _flipped_cover(adj, None)(cand), _flipped_cover(adj, weights)(cand)
+    assert plain == cover_walk(cand, adj, None)
+    assert weighted == cover_walk(cand, adj, weights)
+    assert plain[1] == branch_vertex(cand, adj)
+    assert weighted[1] == branch_vertex(cand, adj)
 
 
 @settings(max_examples=200)
@@ -874,13 +911,29 @@ def test_cover_bound_on_an_independent_set(graph):
     adj, _, cand, weights = graph
     cand = _greedy_independent(adj, cand)
     lowest = (cand & -cand).bit_length() - 1
-    assert _cover_bound(cand, adj, None) == (cand.bit_count(), lowest)
-    assert _cover_bound(cand, adj, weights) == (sum(weights[v] for v in _members(cand)), lowest)
+    plain, weighted = _flipped_cover(adj, None)(cand), _flipped_cover(adj, weights)(cand)
+    assert plain == cover_walk(cand, adj, None)
+    assert weighted == cover_walk(cand, adj, weights)
+    assert plain == (cand.bit_count(), lowest)
+    assert weighted == (sum(weights[v] for v in _members(cand)), lowest)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_flip_reverses_the_bits(data):
+    # sizes past one byte and not whole bytes too; the oracle reverses the binary string
+    size = data.draw(st.integers(1, 300))
+    mask = data.draw(st.integers(0, (1 << size) - 1))
+    assert _flip(mask, size) == int(format(mask, f"0{size}b")[::-1], 2)
+    assert _flip(_flip(mask, size), size) == mask
+    for i in _members(mask):
+        assert _flip(mask, size) >> (size - 1 - i) & 1
 
 
 def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
     """search._search(adj, weights, target, None, perms, incumbent) as a plain DFS that walks the
-    cover at every node, free or not, and closes no subtree in one step.
+    cover at every node, free or not, and closes no subtree in one step.  At each node
+    it checks search._cover_bound, run on the bit-reversed labels, against cover_walk.
 
     With perms, the roots are the orbit chain and each node carries the permutations
     that fix what it includes (the identity always among them), as in orbital branching.
@@ -889,6 +942,7 @@ def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
     best, nodes, found = incumbent, 0, []
     floor = sum(value[v] for v in _members(incumbent)) if target is None else target - 1
     full = (1 << len(adj)) - 1
+    cover = _flipped_cover(adj, weights)
     if perms is None:
         stack = [(full, 0, 0, [list(range(len(adj)))])]
     else:
@@ -910,7 +964,8 @@ def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
                 found.append(mask)
         if not cand:
             continue
-        bound, v = _cover_bound(cand, adj, weights)
+        bound, v = cover_walk(cand, adj, weights)
+        assert cover(cand) == (bound, v)
         if cur + bound <= floor:
             continue
         b, orbit = 1 << v, sum({1 << p[v] for p in group})
@@ -962,9 +1017,9 @@ def test_independent_nodes_skip_the_cover_walk(monkeypatch):
     real = sepekr.search._cover_bound
     walks = []
 
-    def counted(cand, adj, weights):
+    def counted(cand, *rest):
         walks.append(cand)
-        return real(cand, adj, weights)
+        return real(cand, *rest)
 
     monkeypatch.setattr(sepekr.search, "_cover_bound", counted)
     # a walk at every node with candidates would be 13963 walks and 6905 walks
