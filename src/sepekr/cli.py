@@ -72,8 +72,9 @@ def _add_limit_args(p: argparse.ArgumentParser, default_vertices: int) -> None:
         "--limit-vertices",
         type=_positive(int),
         default=default_vertices,
-        help="abort instances with more vertices than this; the V adjacency rows take V*V/8 bytes,"
-        " and a search holds a second, bit-reversed copy, another V*V/8",
+        help="abort instances with more vertices than this; a universe's V adjacency rows take"
+        " V*V/8 bytes, built once in the search's labels, and a search's single-bit masks"
+        " V*V/16 more",
     )
 
 
@@ -315,7 +316,8 @@ def _cmd_graph(args) -> int:
     if args.alpha:
         seconds_left(args.deadline, "alpha")
         alpha = independence_number(graph, deadline=args.deadline)
-    graph.rows(args.deadline)  # for num_edges, unless chi or alpha built them
+    if not args.alpha:  # alpha's search rows count the edges too
+        graph.rows(args.deadline)  # for num_edges, unless chi built them
     seconds_left(args.deadline, "the output")
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,

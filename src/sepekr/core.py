@@ -205,9 +205,20 @@ def rotate_mask(mask: int, n: int, s: int) -> int:
     return (mask << s | mask >> (n - s)) & ((1 << n) - 1)
 
 
+# _BIT_REVERSED[b] is the byte b with its eight bits in reverse order.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def mirror_mask(mask: int, n: int) -> int:
-    """The mirror a -> n + 1 - a of the circle [n] on a mask: the reversal of its n bits."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
+    """The mirror a -> n + 1 - a of the circle [n] on a mask: the reversal of its n bits.
+
+    The package's one bit reversal.  Each byte's bits are reversed through
+    one table and the bytes are read in the opposite order; the shift that
+    follows is 0 when n is a whole number of bytes.
+    """
+    width = (n + 7) // 8
+    reversed_bytes = mask.to_bytes(width, "little").translate(_BIT_REVERSED)
+    return int.from_bytes(reversed_bytes, "big") >> (8 * width - n)
 
 
 def mask_elems(mask: int) -> tuple[int, ...]:
@@ -366,8 +377,8 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
     members when the graph is made.  Rows are built by the first call of
-    rows(deadline), and each member's CircSet on first use, at most once per
-    vertex.
+    rows(deadline), the search's by reversed_rows(deadline), and each
+    member's CircSet on first use, at most once per vertex.
     """
 
     def __init__(self, n: int, r: int, k: int, masks: tuple[int, ...]) -> None:
@@ -388,9 +399,24 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         They are then kept, and a later call reads no deadline.  The rows
         take about V*V/8 bytes for V vertices.
         """
-        if "_rows" not in vars(self):
-            vars(self)["_rows"] = tuple(disjointness_rows(self.masks, deadline))
-        return vars(self)["_rows"]
+        return self._kept("_rows", self.masks, deadline)
+
+    def reversed_rows(self, deadline: float | None) -> tuple[int, ...]:
+        """The rows of the members in reverse order: the search's labels, vertex i at index V - 1 - i.
+
+        Row j is vertex V - 1 - j's, with vertex i at bit V - 1 - i: every
+        row of rows() bit-reversed (mirror_mask) and listed in reverse order,
+        built directly and at the same cost.  Built, read against the
+        deadline and kept as rows() is, with the deadline's stages numbering
+        the rows in these labels; the searches of a universe read these and
+        never build rows().
+        """
+        return self._kept("_reversed_rows", self.masks[::-1], deadline)
+
+    def _kept(self, key: str, masks: Sequence[int], deadline: float | None) -> tuple[int, ...]:
+        if key not in vars(self):
+            vars(self)[key] = tuple(disjointness_rows(masks, deadline))
+        return vars(self)[key]
 
     @cached_property
     def _members(self) -> list[CircSet | None]:
@@ -406,8 +432,9 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     @property
     def num_edges(self) -> int:
-        """The edge count; it builds the rows with no deadline unless rows(deadline) did."""
-        return sum(row.bit_count() for row in self.rows(None)) // 2
+        """The edge count, from either row set that is kept; else it builds rows() with no deadline."""
+        rows = vars(self).get("_reversed_rows") or self.rows(None)
+        return sum(row.bit_count() for row in rows) // 2
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
@@ -449,7 +476,7 @@ class _LastUniverse:
 
     A call for other parameters builds the new universe before it replaces
     the kept one, so a build that raises (a deadline read by the
-    enumeration) keeps nothing new.
+    enumeration or before the member check) keeps nothing new.
     """
 
     graph: DisjointnessGraph | None = None
@@ -458,6 +485,7 @@ class _LastUniverse:
         graph = self.graph
         if graph is None or (graph.n, graph.r, graph.k) != (n, r, k):
             masks = tuple(separated_masks(n, r, k, deadline=deadline))
+            seconds_left(deadline, "the member check")
             graph = self.graph = DisjointnessGraph(n, r, k, masks)
         return graph
 
@@ -476,7 +504,8 @@ def separated_universe(
     Raises ValueError when n < (k+1)r; checks the count against max_vertices before
     enumerating.  The last instance is cached and shared, rows and CircSets included.
     A time.monotonic() deadline is read while the sets are enumerated, as in
-    separated_masks; an enumeration it stops caches nothing.
+    separated_masks, and before they are checked as members; a build it
+    stops caches nothing.
     """
     count = count_separated(n, r, k)
     if n < (k + 1) * r:

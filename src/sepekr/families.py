@@ -9,6 +9,7 @@ from .core import (
     SetFamily,
     disjointness_rows,
     row_edges,
+    seconds_left,
     separated_universe,
 )
 
@@ -29,11 +30,13 @@ def star_family(
 ) -> SetFamily:
     """All k-separated r-sets through the fixed element i.
 
-    A time.monotonic() deadline is read while the universe is enumerated.
+    A time.monotonic() deadline is read while the universe is built and
+    before the star's members are.
     """
     if not (1 <= i <= n):
         raise ValueError(f"centre {i} outside 1..{n}")
     graph = separated_universe(n, r, k, max_vertices, deadline)
+    seconds_left(deadline, "the star's members")
     bit = 1 << (i - 1)
     return graph.subfamily(sum(1 << v for v, m in enumerate(graph.masks) if m & bit))
 

@@ -6,7 +6,7 @@ from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
     separated_universe,
 )
-from .search import solve_max_independent
+from .search import _search, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -30,9 +30,10 @@ def independence_number(
 ) -> int:
     """Exact independence number via the branch-and-bound solver.
 
-    The deadline bounds building the adjacency rows too, when they are not built yet.
+    The search reads the graph's rows in its own labels (reversed_rows); the
+    deadline bounds building them too, when they are not built yet.
     """
-    return solve_max_independent(graph.rows(deadline), deadline=deadline)[0]
+    return _search(graph.reversed_rows(deadline), None, None, deadline)[0]
 
 
 def _colorable(

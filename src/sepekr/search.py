@@ -7,11 +7,14 @@ maximum weight) and enumerate (the independent sets of the largest size, from
 a lower bound on it).  It uses Python-int bitsets for adjacency rows and
 candidate sets, a greedy clique-cover upper bound whose clique classes are
 built bit-parallel, as in BBMC (San Segundo et al., 2011), and deterministic
-branching, so repeated runs return identical answers.  The core works on a
-bit-reversed copy of the rows, vertex i at the top bit minus i, so that the
-cover walk finds the lowest index as the highest bit with one bit_length; it
-keeps the walk's classes, bound, branch vertex and node counts, and
-translates its answers back.  `max_intersecting` starts its solve from the
+branching, so repeated runs return identical answers.  The core works on
+bit-reversed labels, vertex i at bit V - 1 - i, so that the cover walk finds
+the lowest index as the highest bit with one bit_length; it keeps the walk's
+classes, bound, branch vertex and node counts, and translates its answers
+back.  A universe's searches read the one row set it keeps in these labels
+(`DisjointnessGraph.reversed_rows`); `solve_max_independent` and
+`enumerate_max_independent` reverse an arbitrary adj once per call.
+`max_intersecting` starts its solve from the
 star as a checked incumbent and from an orbit chain of the circle's symmetry,
 and branches orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
 is one enumeration from the star's size on the same chain, so it meets at
@@ -23,6 +26,7 @@ vertex indices follow the lexicographic member order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -107,22 +111,6 @@ def _cover_bound(
     return bound, best_v
 
 
-# _REVERSED[b] is the byte b with its eight bits in reverse order.
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _flip(mask: int, size: int) -> int:
-    """mask, of at most size bits, with bit i moved to bit size - 1 - i.
-
-    Each byte's bits are reversed through one table and the bytes are read
-    in the opposite order; the shift that follows is 0 when size is a whole
-    number of bytes.
-    """
-    width = (size + 7) // 8
-    reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED)
-    return int.from_bytes(reversed_bytes, "big") >> (8 * width - size)
-
-
 def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The roots of the orbit chain: (lowest vertex, vertices of the earlier orbits) per orbit.
 
@@ -147,7 +135,7 @@ def _stabiliser(group: Sequence[Sequence[int]], v: int) -> list[Sequence[int]] |
 
 
 def _search(
-    adj: Sequence[int],
+    rows: Sequence[int],
     weights: list[int] | None,
     target: int | None,
     deadline: float | None,
@@ -164,15 +152,16 @@ def _search(
     candidates left, so with target the optimum its node ends as a leaf.
     Returns (floor, best mask, nodes explored, collected masks).
 
-    The DFS runs on flipped labels: vertex i of adj is bit last - i of every
-    row, candidate set and mask, where last + 1 is the vertex count V rounded
-    up to whole bytes.  The lowest index is then the highest bit, which
-    `_cover_bound` reads with one bit_length.  The flipped rows (`_flip`)
-    and bits[v] = 1 << v are built once per call, with the deadline read
-    before each row; they take about V*V/8 and V*V/16 more bytes.  The
-    incumbent and the roots are flipped on entry, and the best mask and the
-    collected masks back on exit.  The weights are reversed with the rows,
-    and perms stay in adj's labels, read as last - perm[last - v].
+    The DFS runs on flipped labels: vertex i of the graph is bit last - i of
+    every row, candidate set and mask, where last = V - 1 for V vertices.
+    The lowest index is then the highest bit, which `_cover_bound` reads
+    with one bit_length.  rows come in these labels: rows[last - i] is
+    vertex i's row, bit-reversed (`DisjointnessGraph.reversed_rows`, or
+    `_reversed` of an arbitrary adj).  Everything else is in the graph's
+    labels: the weights are reversed on entry, the incumbent and the roots
+    are mirrored (`mirror_mask`) on entry, the best mask and the collected
+    masks back on exit, and perms are read as last - perm[last - v].
+    bits[v] = 1 << v is built once per call, about V*V/16 bytes.
 
     With perms, a group of automorphisms of the graph (and of the weights),
     the search starts from the orbit chain instead of the single full root:
@@ -215,37 +204,31 @@ def _search(
     once for the closed subtree.
     """
     nodes = 0
-    members = [e - 1 for e in mask_elems(incumbent)]
-    if incumbent >> len(adj) or any(adj[v] & incumbent for v in members):
-        raise ValueError("incumbent is not an independent set of the graph")
-    # The flipped labels: vertex i is bit last - i, in whole bytes so that `_flip` needs no shift.
-    size = (len(adj) + 7) // 8 * 8
+    size = len(rows)
     last = size - 1
-    pad = [0] * (size - len(adj))
-    rows = []
-    for i, row in enumerate(adj):
-        if deadline is not None:
-            seconds_left(deadline, f"the flipped row of vertex {i + 1}")
-        rows.append(_flip(row, size))
-    rows = pad + rows[::-1]
+    if incumbent >> size:
+        raise ValueError("incumbent is not an independent set of the graph")
+    best_mask = mirror_mask(incumbent, size)
+    members = [e - 1 for e in mask_elems(best_mask)]
+    if any(rows[v] & best_mask for v in members):
+        raise ValueError("incumbent is not an independent set of the graph")
     bits = [1 << v for v in range(size)]
-    flipped_weights = None if weights is None else [*pad, *reversed(weights)]
+    flipped_weights = None if weights is None else weights[::-1]
     value = [1] * size if flipped_weights is None else flipped_weights
-    floor = sum(value[last - v] for v in members) if target is None else target - 1
-    best_mask = _flip(incumbent, size)
+    floor = sum(value[v] for v in members) if target is None else target - 1
     found: list[int] = []
-    full = (1 << len(adj)) - 1
+    full = (1 << size) - 1
     if perms is None:
-        stack = [(_flip(full, size), 0, 0, None)]
+        stack = [(full, 0, 0, None)]
     else:
         stack = [
             (
-                _flip(full & ~excluded & ~adj[v] & ~(1 << v), size),
+                full & ~mirror_mask(excluded, size) & ~rows[last - v] & ~bits[last - v],
                 value[last - v],
                 bits[last - v],
                 _stabiliser(perms, v),
             )
-            for v, excluded in reversed(_orbit_chain(len(adj), perms))
+            for v, excluded in reversed(_orbit_chain(size, perms))
         ]
     while stack:
         cand, cur, mask, group = stack.pop()
@@ -288,7 +271,22 @@ def _search(
             stabiliser = _stabiliser(group, last - v)
         stack.append((cand & ~orbit, cur, mask, group))
         stack.append((cand & ~row & ~b, cur + value[v], mask | b, stabiliser))
-    return floor, _flip(best_mask, size), nodes, [_flip(m, size) for m in found]
+    return floor, mirror_mask(best_mask, size), nodes, [mirror_mask(m, size) for m in found]
+
+
+def _reversed(adj: Sequence[int], deadline: float | None) -> list[int]:
+    """adj in the search's labels: each row bit-reversed, listed last vertex first.
+
+    A time.monotonic() deadline is read before each row, in vertex order.
+    """
+    size = len(adj)
+    rows = []
+    for i, row in enumerate(adj):
+        if deadline is not None:
+            seconds_left(deadline, f"the reversed row of vertex {i + 1}")
+        rows.append(mirror_mask(row, size))
+    rows.reverse()
+    return rows
 
 
 def solve_max_independent(
@@ -306,13 +304,13 @@ def solve_max_independent(
     below it (see `_search`).  An
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
-    the incumbent when nothing is.  A deadline, a time.monotonic() value, is
-    read before each row of the search's bit-reversed copy of adj is built
-    and at every node visited; a subtree closed in one step (see `_search`)
-    reads it once and counts all its nodes.  ResourceLimitError once it
-    passes.
+    the incumbent when nothing is.  adj is reversed into the search's labels
+    once per call, which takes about V*V/8 bytes while it runs.  A deadline,
+    a time.monotonic() value, is read before each row is reversed and at
+    every node visited; a subtree closed in one step (see `_search`) reads
+    it once and counts all its nodes.  ResourceLimitError once it passes.
     """
-    return _search(adj, weights, None, deadline, perms, incumbent)[:3]
+    return _search(_reversed(adj, deadline), weights, None, deadline, perms, incumbent)[:3]
 
 
 def enumerate_max_independent(
@@ -331,37 +329,39 @@ def enumerate_max_independent(
     subset along a unique path.  With perms (every element of an automorphism
     group), the search starts from an orbit chain and returns at least one
     set per orbit of the group, not all of them; each set still at most once.
-    A time.monotonic() deadline is read while the rows are flipped and at
-    every node visited, as in `solve_max_independent`; ResourceLimitError
-    once it passes.
+    adj is reversed once per call, and a time.monotonic() deadline is read
+    before each row is reversed and at every node visited, as in
+    `solve_max_independent`; ResourceLimitError once it passes.
     """
-    _, _, nodes, found = _search(adj, None, target, deadline, perms)
+    _, _, nodes, found = _search(_reversed(adj, deadline), None, target, deadline, perms)
     return found, nodes
 
 
-def _vertex_permutations(graph: DisjointnessGraph, deadline: float | None = None) -> list[list[int]]:
+def _vertex_permutations(graph: DisjointnessGraph, deadline: float | None = None) -> list[tuple[int, ...]]:
     """The circle's symmetries as permutations of the vertices: perm[i] is the image of vertex i.
 
     Only the two generators move masks: one step (a -> a + 1) and the mirror.
-    Rotation s is step composed with rotation s - 1, and reflection s is the
-    mirror followed by rotation s, so the list is the n rotations (s = 0..n-1)
-    and then the n reflections; the rotation group is its first n.  This is
-    the package's one list of the circle group.  The 2n lists take about
-    16 n V bytes for V vertices; a time.monotonic() deadline is read before
-    each one after the identity.
+    Rotation s is rotation s - 1 followed by the step, and reflection s is
+    the mirror followed by rotation s, so the list is the n rotations (s =
+    0..n-1) and then the n reflections; the rotation group is its first n.
+    Each is composed from an earlier one by one itemgetter over the
+    generator's images, at C speed.  This is the package's one list of the
+    circle group.  The 2n tuples take about 16 n V bytes for V vertices; a
+    time.monotonic() deadline is read before each one after the identity.
     """
     n, vertex_masks = graph.n, graph.masks
+    size = len(vertex_masks)
+    if size == 1:  # itemgetter of one index returns the item, not a 1-tuple
+        return [(0,)] * (2 * n)
     index = {m: i for i, m in enumerate(vertex_masks)}
-    step = [index[rotate_mask(m, n, 1)] for m in vertex_masks]
-    mirror = [index[mirror_mask(m, n)] for m in vertex_masks]
-    perms = [list(range(len(vertex_masks)))]
+    # rotations commute, so step after rotation s - 1 is rotation s - 1 read at the step's images
+    step = itemgetter(*[index[rotate_mask(m, n, 1)] for m in vertex_masks])
+    mirror = itemgetter(*[index[mirror_mask(m, n)] for m in vertex_masks])
+    perms = [tuple(range(size))]
     for i in range(1, 2 * n):
         if deadline is not None:
             seconds_left(deadline, f"symmetry {i + 1} of {2 * n}")
-        if i < n:
-            perms.append([step[v] for v in perms[-1]])
-        else:
-            perms.append([perms[i - n][v] for v in mirror])
+        perms.append(step(perms[-1]) if i < n else mirror(perms[i - n]))
     return perms
 
 
@@ -411,8 +411,8 @@ def max_intersecting(
     graph = separated_universe(n, r, k, max_vertices, deadline)
     perms = _vertex_permutations(graph, deadline=deadline)
     seconds_left(deadline, "the solve")
-    optimum, mask, nodes = solve_max_independent(
-        graph.rows(deadline), deadline=deadline, perms=perms, incumbent=_star_mask(graph)
+    optimum, mask, nodes, _ = _search(
+        graph.reversed_rows(deadline), None, None, deadline, perms, _star_mask(graph)
     )
     seconds_left(deadline, "canonicalising the witness")
     least = _least(_orbit(mask, perms))
@@ -441,7 +441,7 @@ def max_intersecting_weighted(
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
     seconds_left(deadline, "the solve")
-    optimum, mask, nodes = solve_max_independent(graph.rows(deadline), weights, deadline=deadline)
+    optimum, mask, nodes, _ = _search(graph.reversed_rows(deadline), weights, None, deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
@@ -457,7 +457,7 @@ def _dihedral_census(graph: DisjointnessGraph, deadline: float | None) -> tuple[
     perms = _vertex_permutations(graph, deadline=deadline)
     star = _star_mask(graph).bit_count()
     seconds_left(deadline, "enumerating the optima")
-    masks, nodes = enumerate_max_independent(graph.rows(deadline), star, deadline=deadline, perms=perms)
+    _, _, nodes, masks = _search(graph.reversed_rows(deadline), None, star, deadline, perms)
     if not masks:
         raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()

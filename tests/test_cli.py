@@ -341,14 +341,14 @@ def test_lemmas_obeys_the_time_limit(capsys):
 
 
 def test_max_family_canonicalises_inside_its_time_limit(capsys, monkeypatch):
-    real = sepekr.search.solve_max_independent
+    real = sepekr.search._search
 
     def slow_solve(*args, **kwargs):
         result = real(*args, **kwargs)
         time.sleep(0.3)
         return result
 
-    monkeypatch.setattr("sepekr.search.solve_max_independent", slow_solve)
+    monkeypatch.setattr("sepekr.search._search", slow_solve)
     argv = ["max-family", "--n", "9", "--r", "3", "--k", "1"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     captured = capsys.readouterr()

@@ -334,6 +334,18 @@ def test_reflect_properties(case):
     assert sorted(gap_vector(t)) == sorted(gap_vector(s))
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_mirror_mask_reverses_the_bits(data):
+    # sizes past one byte and not whole bytes too; the oracle reverses the binary string
+    size = data.draw(st.integers(1, 300))
+    mask = data.draw(st.integers(0, (1 << size) - 1))
+    assert mirror_mask(mask, size) == int(format(mask, f"0{size}b")[::-1], 2)
+    assert mirror_mask(mirror_mask(mask, size), size) == mask
+    for i in range(size):
+        assert mirror_mask(mask, size) >> (size - 1 - i) & 1 == mask >> i & 1
+
+
 @settings(max_examples=100)
 @given(separated_instances())
 def test_separation_monotone_in_k(case):
@@ -385,6 +397,19 @@ def test_disjoint_pairs_walk_the_full_rows(masks):
     assert list(disjointness_rows(masks)) == rows
     pairs = [(u, v) for u, a in enumerate(masks) for v, b in enumerate(masks) if u < v and not a & b]
     assert list(row_edges(disjointness_rows(masks))) == pairs
+
+
+@settings(max_examples=200)
+@given(mask_lists())
+@example([])
+@example([0b1011])
+@example([0b1, 0b10])
+def test_the_reversed_member_order_gives_the_bit_reversed_rows(masks):
+    # the search's labels: the rows of the reversed list are the rows, each bit-reversed,
+    # listed last vertex first
+    size = len(masks)
+    mirrored = [mirror_mask(row, size) for row in disjointness_rows(masks)]
+    assert list(disjointness_rows(masks[::-1])) == mirrored[::-1]
 
 
 def test_row_edges_reads_no_row_past_the_first_pair():
@@ -490,6 +515,7 @@ def test_every_export_is_used_or_documented():
         "enumerate_separated": "the README quick start builds its family with it",
         "is_intersecting": "the documented query for one family, by the one pair walk",
         "expand": "the weighted bound's expansion, kept for a symmetric weighted search",
+        "enumerate_max_independent": "the enumerate mode on an arbitrary adj; the census reads a universe's own rows",
     }
     read = set()
     for path in Path(sepekr.__file__).parent.glob("*.py"):
@@ -565,9 +591,11 @@ def test_cached_properties_are_computed_once_per_instance():
     assert family.member_keys is family.member_keys
     graph = DisjointnessGraph.from_family(family)
     assert graph.rows(None) is graph.rows(None)
+    assert graph.reversed_rows(None) is graph.reversed_rows(None)
     assert graph.vertices is graph.vertices == family
     # built already: the deadline is not read
     assert graph.rows(time.monotonic() - 1) is graph.rows(None)
+    assert graph.reversed_rows(time.monotonic() - 1) is graph.reversed_rows(None)
 
 
 def test_results_are_named_tuples():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sepekr import (
     CircSet,
     DisjointnessGraph,
+    ResourceLimitError,
     SetFamily,
     enumerate_separated,
     extremal_classes,
@@ -17,10 +18,12 @@ from sepekr import (
     star_family,
     star_size_formula,
 )
+import sepekr.core
 from sepekr.core import mask_elems, separated_masks
 from sepekr.search import _orbit, _vertex_permutations
 
 from helpers import (
+    CountingClock,
     brute_separated,
     dihedral_images,
     exceptional_members,
@@ -62,6 +65,29 @@ def test_star_is_intersecting_and_has_formula_size():
                     assert is_intersecting(fam)
                     assert intersecting([s.elems for s in fam])
                     assert len(fam) == star_size_formula(n, r, k)
+
+
+def test_the_star_reads_the_deadline_at_each_stage_of_its_build(monkeypatch):
+    # with a clock that counts its reads, a deadline of t stops the build at read t: the
+    # universe's enumeration, once per first element, its member check and the star's
+    # members; a stopped universe build keeps nothing, and the next read is past the build
+    n, r, k = 9, 3, 1
+    stages = [
+        *((f, f"the sets from element {f}") for f in range(1, n + 1)),
+        (n + 1, "the member check"),
+        (n + 2, "the star's members"),
+    ]
+    for reads, stage in stages:
+        sepekr.core._universe.cache_clear()
+        with monkeypatch.context() as clocked:
+            clocked.setattr(sepekr.core, "time", CountingClock())
+            with pytest.raises(ResourceLimitError, match=f"^time limit exceeded before {stage}$"):
+                star_family(n, r, k, 1, deadline=reads)
+        assert (sepekr.core._universe.graph is None) == (reads <= n + 1), stage
+    sepekr.core._universe.cache_clear()
+    with monkeypatch.context() as clocked:
+        clocked.setattr(sepekr.core, "time", CountingClock())
+        assert star_family(n, r, k, 1, deadline=n + 3) == star_family(n, r, k, 1)
 
 
 def test_star_rejects_bad_center():

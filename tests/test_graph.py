@@ -170,7 +170,8 @@ def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, ca
     for seed in range(3):
         random_maximal_intersecting(12, 3, 1, random.Random(seed))
     assert enumerations == [(12, 3, 1)]
-    assert builds == [112]
+    # once each: the searches' reversed rows, then the sampler's rows
+    assert builds == [112, 112]
 
 
 # === invariants ===
@@ -310,9 +311,9 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
     with pytest.raises(ResourceLimitError, match="before the colouring"):
         chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
     # the deadline passes before the clique search starts; the search shares it instead of
-    # starting a budget of its own, so it stops at its first read, before its first flipped row
+    # starting a budget of its own, so it stops at its first read, before its first reversed row
     monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_before)
-    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the flipped row of vertex 1$"):
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the reversed row of vertex 1$"):
         chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
 
 
@@ -399,3 +400,12 @@ def test_graph_json_shape():
     data = g.to_json_dict()
     assert data["vertices"] == [[1, 3], [1, 4], [2, 4], [2, 5], [3, 5]]
     assert data["edges"] == [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
+
+
+def test_the_search_rows_count_the_edges():
+    # independence_number builds only the rows in the search's labels, and the edge
+    # count reads them instead of building the vertex-label rows
+    graph = DisjointnessGraph.from_family(enumerate_separated(11, 3, 1))
+    assert independence_number(graph) == math.comb(7, 2)  # the star, C(n - kr - 1, r - 1)
+    assert graph.num_edges == sum(1 for a, b in combinations(graph.masks, 2) if not a & b)
+    assert "_rows" not in vars(graph)

@@ -32,8 +32,8 @@ import sepekr.core
 import sepekr.search
 import sepekr.weighted
 from sepekr.cli import default_grid
-from sepekr.core import count_separated, mask_elems
-from sepekr.search import _cover_bound, _flip
+from sepekr.core import count_separated, mask_elems, mirror_mask
+from sepekr.search import _cover_bound
 
 from helpers import (
     CountingClock,
@@ -154,10 +154,10 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
 
 
 def test_time_budget_is_read_while_the_rows_are_flipped(monkeypatch):
-    # the rows are built before the call, so the deadline passes while the search flips
+    # the rows are built before the call, so the deadline passes while the call reverses
     # them (read once per row) or at node 1, with a clock that counts its reads
     adj = build_schrijver(9, 3, 1).rows(None)
-    stages = [(1, "the flipped row of vertex 1"), (len(adj), f"the flipped row of vertex {len(adj)}")]
+    stages = [(1, "the reversed row of vertex 1"), (len(adj), f"the reversed row of vertex {len(adj)}")]
     for reads, stage in stages + [(len(adj) + 1, "node 1")]:
         with monkeypatch.context() as clocked:
             clocked.setattr(sepekr.core, "time", CountingClock())
@@ -197,6 +197,55 @@ def test_the_time_limit_covers_the_rows(monkeypatch, call):
     monkeypatch.setattr(sepekr.core, "disjointness_rows", slow)
     with pytest.raises(ResourceLimitError, match="^time limit exceeded before the row of vertex 2$"):
         call(9, 3, 1, deadline=time.monotonic() + 0.2)
+
+
+UNIVERSE_SEARCHES = {
+    "max_intersecting": max_intersecting,
+    "extremal_classes": extremal_classes,
+    "extremal_classes_rotations": lambda n, r, k: extremal_classes(n, r, k, rotations_only=True),
+    "max_intersecting_weighted": lambda n, r, k: max_intersecting_weighted(n, r, k, lambda s: s.elems[0]),
+}
+
+
+@pytest.mark.parametrize("call", UNIVERSE_SEARCHES.values(), ids=UNIVERSE_SEARCHES.keys())
+def test_a_universe_search_builds_only_the_search_rows_once(monkeypatch, call):
+    # a cold search keeps the rows in its own labels and never the vertex-label rows;
+    # a second search of the universe builds no rows at all
+    graph = sepekr.core.separated_universe(12, 3, 1, 1000)
+    first = call(12, 3, 1)
+    assert "_rows" not in vars(graph)
+    assert len(vars(graph)["_reversed_rows"]) == graph.num_vertices == 112
+
+    def refuse(masks, deadline=None):
+        raise AssertionError("built rows again")
+
+    monkeypatch.setattr(sepekr.core, "disjointness_rows", refuse)
+    for again in UNIVERSE_SEARCHES.values():
+        again(12, 3, 1)
+    assert call(12, 3, 1) == first
+    assert "_rows" not in vars(graph)
+
+
+@pytest.mark.parametrize("n, r, k", [(1, 1, 0), (3, 3, 0), (2, 1, 1)])
+def test_universes_of_one_or_two_vertices(n, r, k):
+    # one vertex (a one-byte mirror, a group of one-element permutations) and two
+    # disjoint vertices
+    members = [s.elems for s in enumerate_separated(n, r, k).sets]
+    assert len(members) == (2 if n == 2 else 1)
+    assert max_intersecting_size(members) == star_size_formula(n, r, k) == 1
+    for result in (
+        max_intersecting(n, r, k),
+        extremal_classes(n, r, k),
+        extremal_classes(n, r, k, rotations_only=True),
+        max_intersecting_weighted(n, r, k, lambda s: 1),
+    ):
+        assert result.optimum == len(result.witness) == 1
+        assert [s.elems for s in result.witness.sets] == [members[0]]
+    assert extremal_classes(n, r, k).classes == (extremal_classes(n, r, k).witness,)
+    graph = sepekr.core.separated_universe(n, r, k, 10)
+    assert independence_number(graph) == 1
+    perms = sepekr.search._vertex_permutations(graph)
+    assert [list(perm) for perm in perms] == vertex_permutations(members, n)
 
 
 def test_max_intersecting_time_limit_covers_the_symmetries(monkeypatch):
@@ -395,7 +444,7 @@ def test_classes_vertex_budget():
     "slow_stage, next_stage",
     [
         ("_vertex_permutations", "enumerating"),
-        ("enumerate_max_independent", "canonicalising"),
+        ("_search", "canonicalising"),
         ("_orbit", "canonicalising"),
     ],
 )
@@ -454,14 +503,14 @@ def test_the_census_is_enumerated_once_per_universe(monkeypatch, first):
         sepekr.core._universe.cache_clear()
         cold[rotations_only] = _census(12, 5, 1, rotations_only)
     calls = []
-    real = sepekr.search.enumerate_max_independent
+    real = sepekr.search._search
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     sepekr.core._universe.cache_clear()
-    monkeypatch.setattr(sepekr.search, "enumerate_max_independent", counted)
+    monkeypatch.setattr(sepekr.search, "_search", counted)
     warm = {group: _census(12, 5, 1, group) for group in (first, not first)}
     assert len(calls) == 1
     assert warm == cold
@@ -472,18 +521,19 @@ def test_the_census_is_enumerated_once_per_universe(monkeypatch, first):
 def test_a_timed_out_enumeration_keeps_nothing(monkeypatch):
     """The next call on the universe enumerates again and gets the cold census."""
     calls = []
-    real = sepekr.search.enumerate_max_independent
+    real = sepekr.search._search
 
-    def expired_once(adj, target, *, deadline=None, perms=None):
+    def expired_once(rows, weights, target, deadline, perms=None):
         calls.append(target)
         if len(calls) == 1:
             deadline = time.monotonic()
-        return real(adj, target, deadline=deadline, perms=perms)
+        return real(rows, weights, target, deadline, perms)
 
     expected = _census(12, 5, 1, True)
     sepekr.core._universe.cache_clear()
-    monkeypatch.setattr(sepekr.search, "enumerate_max_independent", expired_once)
-    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the flipped row of vertex 1$"):
+    monkeypatch.setattr(sepekr.search, "_search", expired_once)
+    # the universe's rows are built and kept, so the search stops at its first node
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before node 1$"):
         extremal_classes(12, 5, 1)
     assert _census(12, 5, 1, True) == expected
     assert len(calls) == 2
@@ -734,7 +784,7 @@ def _group_problems(n, r, k, rotations_only):
     perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
     problems = []
     members = [s.elems for s in graph.vertices]
-    if perms != vertex_permutations(members, n, rotations_only):
+    if [list(perm) for perm in perms] != vertex_permutations(members, n, rotations_only):
         problems.append("not the oracle's group in its order")
     adj = graph.rows(None)
     for perm in perms:
@@ -857,12 +907,12 @@ def _flipped_cover(adj, weights):
     branch vertex is read back in adj's labels.
     """
     size = len(adj)
-    rows = [_flip(row, size) for row in reversed(adj)]
+    rows = [mirror_mask(row, size) for row in reversed(adj)]
     flipped_weights = None if weights is None else weights[::-1]
     bits = [1 << v for v in range(size)]
 
     def cover(cand):
-        bound, v = _cover_bound(_flip(cand, size), rows, flipped_weights, bits)
+        bound, v = _cover_bound(mirror_mask(cand, size), rows, flipped_weights, bits)
         return bound, v if v < 0 else size - 1 - v
 
     return cover
@@ -918,22 +968,10 @@ def test_cover_bound_on_an_independent_set(graph):
     assert weighted == (sum(weights[v] for v in _members(cand)), lowest)
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_flip_reverses_the_bits(data):
-    # sizes past one byte and not whole bytes too; the oracle reverses the binary string
-    size = data.draw(st.integers(1, 300))
-    mask = data.draw(st.integers(0, (1 << size) - 1))
-    assert _flip(mask, size) == int(format(mask, f"0{size}b")[::-1], 2)
-    assert _flip(_flip(mask, size), size) == mask
-    for i in _members(mask):
-        assert _flip(mask, size) >> (size - 1 - i) & 1
-
-
 def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
-    """search._search(adj, weights, target, None, perms, incumbent) as a plain DFS that walks the
-    cover at every node, free or not, and closes no subtree in one step.  At each node
-    it checks search._cover_bound, run on the bit-reversed labels, against cover_walk.
+    """search._search(reversed adj, weights, target, None, perms, incumbent) as a plain DFS
+    that walks the cover at every node, free or not, and closes no subtree in one step.  At
+    each node it checks search._cover_bound, run on the bit-reversed labels, against cover_walk.
 
     With perms, the roots are the orbit chain and each node carries the permutations
     that fix what it includes (the identity always among them), as in orbital branching.
@@ -975,7 +1013,8 @@ def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
 
 
 def _search_without_deadline(adj, weights, target=None, perms=None, incumbent=0):
-    return sepekr.search._search(adj, weights, target, None, perms, incumbent)
+    rows = sepekr.search._reversed(adj, None)
+    return sepekr.search._search(rows, weights, target, None, perms, incumbent)
 
 
 @settings(max_examples=150)
