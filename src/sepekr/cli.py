@@ -316,8 +316,7 @@ def _cmd_graph(args) -> int:
     if args.alpha:
         seconds_left(args.deadline, "alpha")
         alpha = independence_number(graph, deadline=args.deadline)
-    if not args.alpha:  # alpha's search rows count the edges too
-        graph.rows(args.deadline)  # for num_edges, unless chi built them
+    graph.reversed_rows(args.deadline)  # for num_edges, unless chi or alpha built them
     seconds_left(args.deadline, "the output")
     summary = dict(
         kind=args.kind, n=args.n, r=args.r, k=k,

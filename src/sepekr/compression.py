@@ -216,10 +216,12 @@ def _first_pairs(masks: list[int]) -> list[int]:
 
 
 class _Table(NamedTuple):
-    """Disjointness rows over a universe's masks of one kind, with each mask's vertex index.
+    """Disjointness rows over a universe's masks of one kind, with each mask's index in the rows.
 
-    Row i has bit j set when the masks of vertices i and j are disjoint, as
-    core.disjointness_rows builds it.  Every mask asked about must be in
+    Row i has bit j set when the masks of indices i and j are disjoint, as
+    core.disjointness_rows builds it; any consistent labelling will do, and
+    the members' table takes the universe's rows in the search's labels,
+    with the masks in reverse order.  Every mask asked about must be in
     index; the table answers for any set of them.
     """
 
@@ -390,9 +392,10 @@ class _Verdicts(NamedTuple):
     cell i) and its one-step image.
     passed: the ids of the monotone clauses that pass on the universe.
     members: the disjointness table of the universe's members, on the
-    universe's own rows.  It holds the images too: an image is a k-separated
-    r-set of [n-1] (the partition checks it), so also of [n], where the gap
-    across n only grows.
+    universe's one kept row set (DisjointnessGraph.reversed_rows), which
+    the searches and the sampler read too.  It holds the images too: an
+    image is a k-separated r-set of [n-1] (the partition checks it), so
+    also of [n], where the gap across n only grows.
     reduced: the disjointness table of the universe's reduced family.
     A family's members, images and reduced family are subsets of the
     universe's (_monotone_clauses says why), so its three intersecting
@@ -458,7 +461,7 @@ def _build_verdicts(graph: DisjointnessGraph, deadline: float | None) -> _Verdic
     return _Verdicts(
         placed,
         frozenset(passed),
-        _table(graph.masks, graph.rows(deadline)),
+        _table(graph.masks[::-1], graph.reversed_rows(deadline)),
         _table(reduced, tuple(disjointness_rows(reduced, deadline))),
     )
 

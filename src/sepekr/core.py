@@ -376,9 +376,10 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
-    members when the graph is made.  Rows are built by the first call of
-    rows(deadline), the search's by reversed_rows(deadline), and each
-    member's CircSet on first use, at most once per vertex.
+    members when the graph is made.  The graph keeps one row set, in the
+    search's labels, built by the first call of reversed_rows(deadline);
+    every reader of the rows takes these, and each member's CircSet is built
+    on first use, at most once per vertex.
     """
 
     def __init__(self, n: int, r: int, k: int, masks: tuple[int, ...]) -> None:
@@ -388,35 +389,19 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         _set(self, "masks", masks)
         check_member_masks(masks, n, r, k)
 
-    @classmethod
-    def from_family(cls, family: SetFamily) -> "DisjointnessGraph":
-        """The graph on the members of family, in their (lexicographic) order."""
-        return cls(family.n, family.r, family.k, tuple(s.mask for s in family.sets))
-
-    def rows(self, deadline: float | None) -> tuple[int, ...]:
-        """The adjacency rows, built on the first call with a deadline as in disjointness_rows.
-
-        They are then kept, and a later call reads no deadline.  The rows
-        take about V*V/8 bytes for V vertices.
-        """
-        return self._kept("_rows", self.masks, deadline)
-
     def reversed_rows(self, deadline: float | None) -> tuple[int, ...]:
         """The rows of the members in reverse order: the search's labels, vertex i at index V - 1 - i.
 
-        Row j is vertex V - 1 - j's, with vertex i at bit V - 1 - i: every
-        row of rows() bit-reversed (mirror_mask) and listed in reverse order,
-        built directly and at the same cost.  Built, read against the
-        deadline and kept as rows() is, with the deadline's stages numbering
-        the rows in these labels; the searches of a universe read these and
-        never build rows().
+        Row j is vertex V - 1 - j's, with vertex i at bit V - 1 - i: the
+        vertex-order rows, each bit-reversed (mirror_mask) and listed in
+        reverse order, built directly by disjointness_rows(masks[::-1],
+        deadline) on the first call.  They are then kept, and a later call
+        reads no deadline; the deadline's stages number the rows in these
+        labels.  The rows take about V*V/8 bytes for V vertices.
         """
-        return self._kept("_reversed_rows", self.masks[::-1], deadline)
-
-    def _kept(self, key: str, masks: Sequence[int], deadline: float | None) -> tuple[int, ...]:
-        if key not in vars(self):
-            vars(self)[key] = tuple(disjointness_rows(masks, deadline))
-        return vars(self)[key]
+        if "_reversed_rows" not in vars(self):
+            vars(self)["_reversed_rows"] = tuple(disjointness_rows(self.masks[::-1], deadline))
+        return vars(self)["_reversed_rows"]
 
     @cached_property
     def _members(self) -> list[CircSet | None]:
@@ -432,16 +417,20 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     @property
     def num_edges(self) -> int:
-        """The edge count, from either row set that is kept; else it builds rows() with no deadline."""
-        rows = vars(self).get("_reversed_rows") or self.rows(None)
-        return sum(row.bit_count() for row in rows) // 2
+        """The edge count, from the kept rows; it builds them with no deadline when they are not built."""
+        return sum(row.bit_count() for row in self.reversed_rows(None)) // 2
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
 
-        The deadline bounds building the rows too, when they are not built yet.
+        The deadline bounds building the rows too, when they are not built
+        yet.  The kept rows are put back in vertex order one at a time, as
+        the walk reaches them, so a walk stopped early mirrors no more rows
+        than it reads.
         """
-        return row_edges(self.rows(deadline), deadline)
+        rows = self.reversed_rows(deadline)
+        size = len(rows)
+        return row_edges((mirror_mask(row, size) for row in reversed(rows)), deadline)
 
     def subfamily(self, mask: int) -> SetFamily:
         """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k).

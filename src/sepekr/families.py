@@ -8,6 +8,7 @@ from .core import (
     DEFAULT_MAX_VERTICES,
     SetFamily,
     disjointness_rows,
+    mirror_mask,
     row_edges,
     seconds_left,
     separated_universe,
@@ -46,14 +47,20 @@ def random_maximal_intersecting(
 ) -> SetFamily:
     """Greedily grow an intersecting family over a shuffled universe until maximal.
 
-    A time.monotonic() deadline is read while the universe is enumerated and
-    once per adjacency row while the rows are built.
+    The greedy runs on the universe's one row set, in the search's labels
+    (reversed_rows): the shuffle permutes positions whatever they hold, so
+    shuffling the labels V - 1 .. 0 visits the members in the same order as
+    shuffling the vertices 0 .. V - 1, and the chosen labels are mirrored
+    back to vertices at the end.  A time.monotonic() deadline is read while
+    the universe is enumerated and once per adjacency row while the rows
+    are built.
     """
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline)
-    order = list(range(graph.num_vertices))
+    size = graph.num_vertices
+    order = list(range(size - 1, -1, -1))
     rng.shuffle(order)
-    rows, chosen = graph.rows(deadline), 0
+    rows, chosen = graph.reversed_rows(deadline), 0
     for idx in order:
         if not rows[idx] & chosen:
             chosen |= 1 << idx
-    return graph.subfamily(chosen)
+    return graph.subfamily(mirror_mask(chosen, size))

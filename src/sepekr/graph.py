@@ -6,7 +6,7 @@ from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
     separated_universe,
 )
-from .search import _search, solve_max_independent
+from .search import _reversed, _search, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -125,16 +125,19 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     """Exact chromatic number by iterative deepening from a maximum clique.
 
     The clique is a maximum independent set of the complement, found by the
-    search core.  Raises ResourceLimitError above COLORING_MAX_VERTICES, or
-    once the time.monotonic() deadline passes; it bounds building the rows
-    too, when they are not built yet.
+    search core.  The colouring reads the rows in vertex order: the
+    universe's kept rows, in the search's labels, put back through the
+    search's reversal (an involution) for this call and not kept.  Raises
+    ResourceLimitError above COLORING_MAX_VERTICES, or once the
+    time.monotonic() deadline passes; it bounds building the rows too, when
+    they are not built yet, and is read before each row is reversed.
     """
     v_count = graph.num_vertices
     if v_count > COLORING_MAX_VERTICES:
         raise ResourceLimitError(
             f"{v_count} vertices exceed the colouring limit of {COLORING_MAX_VERTICES}"
         )
-    adj = graph.rows(deadline)
+    adj = _reversed(graph.reversed_rows(deadline), deadline)
     full = (1 << v_count) - 1
     complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
     seconds_left(deadline, "the clique search")
@@ -150,11 +153,12 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
 def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | None = None) -> None:
     """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v.
 
-    With a time.monotonic() deadline, it is read once per adjacency row while
-    the rows are built, when they are not built yet, and while the edges are
+    The edges come from the graph's one kept row set (edges()).  With a
+    time.monotonic() deadline, it is read once per adjacency row while the
+    rows are built, when they are not built yet, and while the edges are
     listed; nothing is written when it passes.
     """
-    graph.rows(deadline)
+    graph.reversed_rows(deadline)
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges(deadline))
     text = "\n".join(lines) + "\n"

@@ -524,7 +524,7 @@ def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path,
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
         graph = real(*args, **kwargs)
-        graph.rows(None)  # without a deadline, so that the rows' own checks do not fire
+        graph.reversed_rows(None)  # without a deadline, so that the rows' own checks do not fire
         return graph
 
     monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)

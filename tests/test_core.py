@@ -246,7 +246,7 @@ def test_mask_enumerator_is_lexicographic_and_checked():
 
 def test_graph_checks_its_masks():
     graph = DisjointnessGraph(7, 2, 1, tuple(separated_masks(7, 2, 1)))
-    assert graph == DisjointnessGraph.from_family(enumerate_separated(7, 2, 1))
+    assert graph == DisjointnessGraph(7, 2, 1, tuple(s.mask for s in enumerate_separated(7, 2, 1)))
     assert graph.vertices == enumerate_separated(7, 2, 1)
     with pytest.raises(ValueError, match="is not 1-separated"):
         DisjointnessGraph(7, 2, 1, (0b101, 0b11))
@@ -589,12 +589,10 @@ def test_cached_properties_are_computed_once_per_instance():
     assert s.mask is s.mask == 1 << 79 | 1
     family = enumerate_separated(7, 2, 1)
     assert family.member_keys is family.member_keys
-    graph = DisjointnessGraph.from_family(family)
-    assert graph.rows(None) is graph.rows(None)
+    graph = DisjointnessGraph(7, 2, 1, tuple(separated_masks(7, 2, 1)))
     assert graph.reversed_rows(None) is graph.reversed_rows(None)
     assert graph.vertices is graph.vertices == family
     # built already: the deadline is not read
-    assert graph.rows(time.monotonic() - 1) is graph.rows(None)
     assert graph.reversed_rows(time.monotonic() - 1) is graph.reversed_rows(None)
 
 

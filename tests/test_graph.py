@@ -7,7 +7,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepekr.core
@@ -20,15 +20,20 @@ from sepekr import (
     build_kneser,
     build_schrijver,
     chromatic_number,
+    disjointness_rows,
     enumerate_separated,
     export_dimacs,
+    extremal_classes,
     independence_number,
     max_intersecting,
+    max_intersecting_weighted,
     random_maximal_intersecting,
+    separated_masks,
     star_family,
+    verify_compression_suite,
 )
 from sepekr.cli import run
-from sepekr.core import count_separated
+from sepekr.core import count_separated, row_edges
 
 from helpers import dsatur_steps, max_intersecting_size
 
@@ -68,7 +73,7 @@ def brute_chromatic(adj: tuple[int, ...]) -> int:
 def test_kneser_5_2_counts():
     assert PETERSEN.num_vertices == 10
     assert PETERSEN.num_edges == 15
-    degrees = [row.bit_count() for row in PETERSEN.rows(None)]
+    degrees = [row.bit_count() for row in disjointness_rows(PETERSEN.masks)]
     assert degrees == [3] * 10  # 3-regular
 
 
@@ -142,8 +147,8 @@ def test_one_graph_type_per_instance():
     assert sepekr.graph.DisjointnessGraph is sepekr.core.DisjointnessGraph is DisjointnessGraph
     g = build_schrijver(7, 2, 1)
     assert g is sepekr.core.separated_universe(7, 2, 1, 100)
-    assert DisjointnessGraph.from_family(g.vertices) == g
-    assert DisjointnessGraph.from_family(g.vertices).rows(None) == g.rows(None)
+    assert DisjointnessGraph(7, 2, 1, tuple(separated_masks(7, 2, 1))) == g
+    assert DisjointnessGraph(7, 2, 1, g.masks).reversed_rows(None) == g.reversed_rows(None)
     assert g.subfamily(0b1011).sets == tuple(g.vertices.sets[i] for i in (0, 1, 3))
     assert g.subfamily(0) == SetFamily(7, 2, 1, ())
 
@@ -168,10 +173,60 @@ def test_rows_are_lazy_and_built_once_per_instance(enumerations, monkeypatch, ca
     assert graph.num_vertices == 112
     assert independence_number(graph) == 28
     for seed in range(3):
-        random_maximal_intersecting(12, 3, 1, random.Random(seed))
+        family = random_maximal_intersecting(12, 3, 1, random.Random(seed))
+        assert verify_compression_suite(family).clause("input-intersecting").passed
+    disjoint = [(u, v) for (u, a), (v, b) in combinations(enumerate(graph.masks), 2) if not a & b]
+    assert list(graph.edges()) == disjoint
+    assert graph.num_edges == len(disjoint)
     assert enumerations == [(12, 3, 1)]
-    # once each: the searches' reversed rows, then the sampler's rows
-    assert builds == [112, 112]
+    # once: the searches' rows, which the sampler, the suite's members table, the edges and
+    # the edge count read too
+    assert builds == [112]
+
+
+def test_every_reader_keeps_the_one_row_set(capsys):
+    # each reader of a universe's rows, the colouring included, reads the rows in the
+    # search's labels; none keeps a second row set
+    sepekr.core._universe.cache_clear()
+    graph = build_schrijver(9, 3, 1)  # 30 vertices, within the colouring limit
+    readers = [
+        lambda: max_intersecting(9, 3, 1),
+        lambda: extremal_classes(9, 3, 1),
+        lambda: max_intersecting_weighted(9, 3, 1, lambda s: s.elems[0]),
+        lambda: independence_number(graph),
+        lambda: chromatic_number(graph),
+        lambda: verify_compression_suite(random_maximal_intersecting(9, 3, 1, random.Random(0))),
+        lambda: list(graph.edges()),
+        lambda: graph.num_edges,
+        lambda: graph.to_json_dict(),
+        lambda: export_dimacs(graph, io.StringIO()),
+        lambda: run(["graph", "--kind", "schrijver", "--n", "9", "--r", "3", "--k", "1", "--chi"]),
+    ]
+    for read in readers:
+        read()
+        assert "_rows" not in vars(graph)
+        assert {key for key in vars(graph) if "rows" in key} == {"_reversed_rows"}
+    assert build_schrijver(9, 3, 1) is graph
+    assert capsys.readouterr().out == "schrijver n=9 r=3 k=1: 30 vertices, 138 edges\nchi 5\n"
+
+
+@st.composite
+def member_masks(draw):
+    """n, r and 1 to 12 distinct r-subsets of [n] as masks, in any order, with n <= 10."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 10))
+    masks = st.sampled_from(separated_masks(n, r, 0))
+    return n, r, tuple(draw(st.lists(masks, min_size=1, max_size=12, unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(member_masks())
+@example((1, 1, (0b1,)))
+@example((3, 1, (0b1, 0b100)))
+@example((3, 2, (0b110, 0b11)))
+def test_the_edges_from_the_kept_rows_are_the_vertex_order_pairs(instance):
+    n, r, masks = instance
+    assert list(DisjointnessGraph(n, r, 0, masks).edges()) == list(row_edges(disjointness_rows(masks)))
 
 
 # === invariants ===
@@ -200,7 +255,7 @@ def test_schrijver_chromatic_numbers():
 def test_chromatic_matches_brute_force():
     for n, r, k in [(5, 2, 1), (6, 2, 1), (7, 2, 1), (8, 2, 2)]:
         g = build_schrijver(n, r, k)
-        assert chromatic_number(g) == brute_chromatic(g.rows(None)), (n, r, k)
+        assert chromatic_number(g) == brute_chromatic(list(disjointness_rows(g.masks))), (n, r, k)
 
 
 def test_independence_matches_search_and_oracle():
@@ -233,20 +288,20 @@ def small_disjointness_graphs(draw):
     n = draw(st.integers(min_value=r, max_value=8))
     universe = enumerate_separated(n, r, 0).sets
     members = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True))
-    return DisjointnessGraph.from_family(SetFamily(n, r, 0, tuple(members)))
+    return DisjointnessGraph(n, r, 0, tuple(s.mask for s in SetFamily(n, r, 0, members)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_disjointness_graphs())
 def test_chromatic_matches_brute_force_on_random_graphs(graph):
-    assert chromatic_number(graph) == brute_chromatic(graph.rows(None))
+    assert chromatic_number(graph) == brute_chromatic(list(disjointness_rows(graph.masks)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_disjointness_graphs())
 def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
     # the random graphs are not regular, so the degree tie-break decides some steps
-    adj = graph.rows(None)
+    adj = list(disjointness_rows(graph.masks))
     cliques = [
         list(c)
         for size in range(len(adj) + 1)
@@ -267,9 +322,8 @@ def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
 def _matching_and_a_chord(pairs: int) -> DisjointnessGraph:
     """A complete graph on `pairs` disjoint pairs, plus {1, 3}, which meets two of them."""
     members = [CircSet(2 * pairs, (2 * i + 1, 2 * i + 2)) for i in range(pairs)]
-    return DisjointnessGraph.from_family(
-        SetFamily(2 * pairs, 2, 0, (*members, CircSet(2 * pairs, (1, 3))))
-    )
+    family = SetFamily(2 * pairs, 2, 0, (*members, CircSet(2 * pairs, (1, 3))))
+    return DisjointnessGraph(2 * pairs, 2, 0, tuple(s.mask for s in family))
 
 
 @pytest.mark.parametrize("c", [7, 8, 9, 15, 16, 17])
@@ -277,9 +331,9 @@ def test_colouring_carries_saturation_across_plane_boundaries(c):
     # a vertex that sees c - 1 or c colours sets the top bit-plane of its count; on the
     # complete graphs the counts rise by one per step, and with the chord (vertex 1) a
     # vertex of lower saturation competes with the pair whose count reaches the top plane
-    cases = [(build_kneser(m, 1).rows(None), clique) for m in (c, c + 1) for clique in ([], [0, 1])]
+    cases = [(list(disjointness_rows(build_kneser(m, 1).masks)), clique) for m in (c, c + 1) for clique in ([], [0, 1])]
     cases += [
-        (_matching_and_a_chord(m).rows(None), clique) for m in (c, c + 1) for clique in ([], [0, 2])
+        (list(disjointness_rows(_matching_and_a_chord(m).masks)), clique) for m in (c, c + 1) for clique in ([], [0, 2])
     ]
     stages = []
     with pytest.MonkeyPatch.context() as patch:
@@ -291,7 +345,7 @@ def test_colouring_carries_saturation_across_plane_boundaries(c):
 
 
 def test_chromatic_number_of_the_empty_graph():
-    assert chromatic_number(DisjointnessGraph.from_family(SetFamily(5, 2, 0, ()))) == 0
+    assert chromatic_number(DisjointnessGraph(5, 2, 0, ())) == 0
 
 
 def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
@@ -405,7 +459,7 @@ def test_graph_json_shape():
 def test_the_search_rows_count_the_edges():
     # independence_number builds only the rows in the search's labels, and the edge
     # count reads them instead of building the vertex-label rows
-    graph = DisjointnessGraph.from_family(enumerate_separated(11, 3, 1))
+    graph = DisjointnessGraph(11, 3, 1, tuple(separated_masks(11, 3, 1)))
     assert independence_number(graph) == math.comb(7, 2)  # the star, C(n - kr - 1, r - 1)
     assert graph.num_edges == sum(1 for a, b in combinations(graph.masks, 2) if not a & b)
     assert "_rows" not in vars(graph)

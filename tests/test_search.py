@@ -24,6 +24,7 @@ from sepekr import (
     max_intersecting,
     max_intersecting_weighted,
     random_maximal_intersecting,
+    separated_masks,
     solve_max_independent,
     star_family,
     star_size_formula,
@@ -156,7 +157,7 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
 def test_time_budget_is_read_while_the_rows_are_flipped(monkeypatch):
     # the rows are built before the call, so the deadline passes while the call reverses
     # them (read once per row) or at node 1, with a clock that counts its reads
-    adj = build_schrijver(9, 3, 1).rows(None)
+    adj = list(disjointness_rows(build_schrijver(9, 3, 1).masks))
     stages = [(1, "the reversed row of vertex 1"), (len(adj), f"the reversed row of vertex {len(adj)}")]
     for reads, stage in stages + [(len(adj) + 1, "node 1")]:
         with monkeypatch.context() as clocked:
@@ -762,7 +763,7 @@ def _expected_chain(members, n, rotations_only):
 def test_orbit_chain_is_exactly_the_chain_of_the_definition(rotations_only):
     wrong = []
     for n, r, k in SMALL_INSTANCES:
-        graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
+        graph = DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
         members = [s.elems for s in graph.vertices]
         perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
         if sepekr.search._orbit_chain(len(members), perms) != _expected_chain(
@@ -780,13 +781,13 @@ GROUP_INSTANCES = list(
 
 def _group_problems(n, r, k, rotations_only):
     """How _vertex_permutations disagrees with the circle group on one instance, if it does."""
-    graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
+    graph = DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
     perms = sepekr.search._vertex_permutations(graph)[: n if rotations_only else None]
     problems = []
     members = [s.elems for s in graph.vertices]
     if [list(perm) for perm in perms] != vertex_permutations(members, n, rotations_only):
         problems.append("not the oracle's group in its order")
-    adj = graph.rows(None)
+    adj = list(disjointness_rows(graph.masks))
     for perm in perms:
         if any(sum(1 << perm[w] for w in _members(adj[v])) != adj[perm[v]] for v in range(len(adj))):
             problems.append(f"{perm} is not an automorphism")
@@ -1038,7 +1039,7 @@ def test_closing_free_subtrees_keeps_the_orbital_search_tree(n, r, k):
     # the orbit chain and orbital branching under both groups, with the star as incumbent
     # and the gap weight and its residues mod 3 (zero weights), which every symmetry keeps
     graph = sepekr.core.separated_universe(n, r, k, 1000)
-    adj, dihedral = graph.rows(None), sepekr.search._vertex_permutations(graph)
+    adj, dihedral = list(disjointness_rows(graph.masks)), sepekr.search._vertex_permutations(graph)
     star = sepekr.search._star_mask(graph)
     gap = [sepekr.weighted.weight(s, k) for s in graph.vertices]
     for perms in (dihedral, dihedral[:n]):
@@ -1111,8 +1112,8 @@ def test_unit_weights_walk_the_same_tree_as_no_weights(graph):
 
 @pytest.mark.parametrize("n, r, k", [(12, 3, 1), (14, 4, 1), (15, 3, 2)])
 def test_unit_weights_walk_the_same_tree_on_the_symmetry_core(n, r, k):
-    graph = DisjointnessGraph.from_family(enumerate_separated(n, r, k))
-    adj = graph.rows(None)
+    graph = DisjointnessGraph(n, r, k, tuple(separated_masks(n, r, k)))
+    adj = list(disjointness_rows(graph.masks))
     setup = dict(
         perms=sepekr.search._vertex_permutations(graph),
         incumbent=sepekr.search._star_mask(graph),
