@@ -3,8 +3,13 @@
 Exit codes: 0 success or verified, 1 verification failure, 2 usage error or
 unwritable output path, 3 resource-limit abort.  Output for a fixed invocation
 is byte-identical across runs.  The SEPEKR_THREADS environment variable is
-validated (positive integer) and accepted for compatibility, but the solver is
-sequential, so results never depend on it.
+validated (positive integer) and accepted for compatibility, but the library
+is sequential, so results never depend on it.  `report` computes its grid
+rows in two processes, this one and one forked helper, when fork exists, this
+process may run on two or more CPUs, the grid has two or more rows, no other
+thread is running and SIGCHLD is not ignored.  This process computes every row
+the helper does not deliver, so the rows, stdout bytes, errors and exit codes
+never depend on the helper.
 """
 
 from __future__ import annotations
@@ -353,43 +358,135 @@ def default_grid() -> list[tuple[int, int, int, bool]]:
     return rows
 
 
+def _row_stage(n: int, r: int, k: int) -> str:
+    return f"row n={n} r={r} k={k}"
+
+
+def _report_row(n: int, r: int, k: int, with_classes: bool, deadline: float | None) -> dict:
+    """One grid row: the optimum against the star size and, on the subgrid, the class count."""
+    seconds_left(deadline, _row_stage(n, r, k))
+    formula = star_size_formula(n, r, k)
+    if with_classes:
+        result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, deadline=deadline)
+        class_count: int | None = len(result.classes)
+        multi_expected = k == 1 and n == 2 * r + 2
+        class_ok: bool | None = class_count > 1 if multi_expected else class_count == 1
+    else:
+        result = max_intersecting(n, r, k, deadline=deadline)
+        class_count = None
+        class_ok = None
+    return {
+        "n": n,
+        "r": r,
+        "k": k,
+        "optimum": result.optimum,
+        "formula": formula,
+        "match": result.optimum == formula,
+        "classes": class_count,
+        "class_ok": class_ok,
+        "nodes": result.nodes_explored,
+    }
+
+
+def _share_rows(grid: list, deadline: float | None, records: dict) -> int:
+    """Compute rows into records while one forked helper computes others; the helper's count.
+
+    The helper runs only when fork exists, this process may run on two or
+    more CPUs, the grid has two or more rows, no other thread is running
+    (forking a process with threads can deadlock the child) and SIGCHLD has
+    its default action (so the helper's pid stays this process's to kill and
+    reap).  Otherwise this returns 0 at once.
+
+    Both processes take row indices from one pipe.  It is filled before the
+    fork with fixed-width records, in one write of at most POSIX's least
+    PIPE_BUF (512 bytes), which is atomic and never waits for a reader, and
+    closed for writing, so each read takes one whole record.  The helper
+    sends each row back on a second pipe as one JSON line, shorter than 512
+    bytes and so one atomic write.  It never writes to stdout or stderr and
+    leaves by os._exit, so buffers inherited from this process are never
+    flushed twice.  It stops when the queue is empty, when a row raises, or
+    when this process is gone.
+
+    Once the queue is empty this process waits for the helper's rows while
+    seconds are left before the deadline, then raises ResourceLimitError
+    naming the first row not delivered.  Rows the helper does not deliver are
+    left out of records.  The helper is killed, if still running, and reaped
+    on every way out.
+    """
+    import select  # here, so that only report loads these modules
+    import signal
+    import threading
+
+    width = len(str(len(grid)))
+    if not (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and 2 <= len(grid) <= 512 // width
+        and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+    ):
+        return 0
+    queue, queue_w = os.pipe()
+    results, results_w = os.pipe()
+    os.write(queue_w, b"".join(b"%0*d" % (width, i) for i in range(len(grid))))
+    os.close(queue_w)
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller computes every row
+        pid = None
+    if pid == 0:
+        try:
+            while os.getppid() == parent and (record := os.read(queue, width)):
+                i = int(record)
+                line = json.dumps([i, _report_row(*grid[i], deadline)]) + "\n"
+                os.write(results_w, line.encode())
+        finally:
+            os._exit(0)
+    os.close(results_w)
+    try:
+        while pid and (record := os.read(queue, width)):
+            i = int(record)
+            records[i] = _report_row(*grid[i], deadline)
+        delivered, pending = 0, b""
+        while pid and len(records) < len(grid):
+            # rows already delivered are taken even when the time is up
+            left = None if deadline is None else max(deadline - time.monotonic(), 0)
+            if not select.select([results], [], [], left)[0]:
+                first = min(set(range(len(grid))) - records.keys())
+                seconds_left(deadline, _row_stage(*grid[first][:3]))
+                continue  # select woke before the deadline
+            chunk = os.read(results, 1 << 16)
+            if not chunk:
+                break  # the helper has left
+            *lines, pending = (pending + chunk).split(b"\n")
+            for line in lines:
+                i, row = json.loads(line)
+                records[i] = row
+            delivered += len(lines)
+        return delivered
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(queue)
+        os.close(results)
+
+
 def _cmd_report(args) -> int:
-    rows = default_grid() if args.grid == "default" else default_grid()[:5]
+    grid = default_grid() if args.grid == "default" else default_grid()[:5]
     started = time.monotonic()
-    out_rows = []
-    all_ok = True
-    for n, r, k, with_classes in rows:
-        seconds_left(args.deadline, f"row n={n} r={r} k={k}")
-        formula = star_size_formula(n, r, k)
-        if with_classes:
-            result = extremal_classes(
-                n, r, k, max_vertices=DEFAULT_MAX_VERTICES, deadline=args.deadline
-            )
-            class_count: int | None = len(result.classes)
-            multi_expected = k == 1 and n == 2 * r + 2
-            class_ok: bool | None = (
-                class_count > 1 if multi_expected else class_count == 1
-            )
-        else:
-            result = max_intersecting(n, r, k, deadline=args.deadline)
-            class_count = None
-            class_ok = None
-        match = result.optimum == formula
-        all_ok = all_ok and match and class_ok is not False
-        out_rows.append(
-            {
-                "n": n,
-                "r": r,
-                "k": k,
-                "optimum": result.optimum,
-                "formula": formula,
-                "match": match,
-                "classes": class_count,
-                "class_ok": class_ok,
-                "nodes": result.nodes_explored,
-            }
-        )
+    # with a helper, this process computes the rows it did not deliver, in grid order, so the
+    # rows, errors and exit codes are this process's own whichever process ran a row
+    records: dict[int, dict] = {}
+    delivered = _share_rows(grid, args.deadline, records)
+    out_rows = [
+        records[i] if i in records else _report_row(*row, args.deadline)
+        for i, row in enumerate(grid)
+    ]
     elapsed = time.monotonic() - started
+    all_ok = all(row["match"] and row["class_ok"] is not False for row in out_rows)
 
     def text() -> str:
         lines = [
@@ -411,7 +508,10 @@ def _cmd_report(args) -> int:
         lambda: out_rows,
         text,
     )
-    print(f"grid completed in {elapsed:.1f}s", file=sys.stderr)
+    processes = "2 processes" if delivered else "1 process"
+    print(
+        f"grid completed in {elapsed * 1000:.1f} ms, rows computed by {processes}", file=sys.stderr
+    )
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 

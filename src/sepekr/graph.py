@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
     separated_universe,
@@ -153,17 +155,25 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
 def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | None = None) -> None:
     """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v.
 
-    The edges come from the graph's one kept row set (edges()).  With a
-    time.monotonic() deadline, it is read once per adjacency row while the
-    rows are built, when they are not built yet, and while the edges are
-    listed; nothing is written when it passes.
+    The edges come from the graph's one kept row set (edges()).  The lines
+    go to an anonymous temporary file as the walk yields them, so the text
+    is never held in memory, and are copied to destination after the walk.
+    With a time.monotonic() deadline, it is read once per adjacency row while
+    the rows are built, when they are not built yet, and while the edges are
+    listed; nothing is written to destination when it passes.
     """
+    import shutil
+    import tempfile  # here, so that importing the package loads neither
+
     graph.reversed_rows(deadline)
-    lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges(deadline))
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
+    with tempfile.TemporaryFile("w+", encoding="ascii") as lines:
+        lines.write(f"p edge {graph.num_vertices} {graph.num_edges}\n")
+        edges = (f"e {u + 1} {v + 1}\n" for u, v in graph.edges(deadline))
+        while block := "".join(islice(edges, 1 << 14)):  # a block's join beats a write per line
+            lines.write(block)
+        lines.seek(0)
+        if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
+            with open(destination, "w", encoding="ascii") as fh:
+                shutil.copyfileobj(lines, fh)
+        else:
+            shutil.copyfileobj(lines, destination)

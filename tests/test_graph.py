@@ -449,6 +449,34 @@ def test_dimacs_to_path_matches_filelike(tmp_path):
     assert len(lines) == 16
 
 
+def test_dimacs_streams_the_same_bytes_and_writes_nothing_past_the_deadline(tmp_path, monkeypatch):
+    # 246 790 edges, 16 blocks of lines; the expected text is built from the masks alone
+    graph = build_schrijver(40, 2, 1)
+    masks = graph.masks
+    pairs = [(u, v) for u, v in combinations(range(len(masks)), 2) if not masks[u] & masks[v]]
+    expected = f"p edge {len(masks)} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    path = tmp_path / "g.dimacs"
+    export_dimacs(graph, path)
+    assert path.read_text(encoding="ascii") == expected
+    buf = io.StringIO()
+    export_dimacs(graph, buf)
+    assert buf.getvalue() == expected
+
+    real = DisjointnessGraph.edges
+
+    def stalls_mid_walk(self, deadline=None):
+        for count, edge in enumerate(real(self, deadline), 1):
+            yield edge
+            if count == 20_000:  # lines already in the scratch file when the deadline passes
+                time.sleep(0.3)
+
+    monkeypatch.setattr(DisjointnessGraph, "edges", stalls_mid_walk)
+    late = tmp_path / "late.dimacs"
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the edges of vertex"):
+        export_dimacs(graph, late, deadline=time.monotonic() + 0.2)
+    assert not late.exists()
+
+
 def test_graph_json_shape():
     g = build_schrijver(5, 2)
     data = g.to_json_dict()
