@@ -6,10 +6,11 @@ is byte-identical across runs.  The SEPEKR_THREADS environment variable is
 validated (positive integer) and accepted for compatibility, but the library
 is sequential, so results never depend on it.  `report` computes its grid
 rows in two processes, this one and one forked helper, when fork exists, this
-process may run on two or more CPUs, the grid has two or more rows, no other
-thread is running and SIGCHLD is not ignored.  This process computes every row
-the helper does not deliver, so the rows, stdout bytes, errors and exit codes
-never depend on the helper.
+process may run on two or more CPUs, the grid has rows enough to pay for the
+fork, no other thread is running, SIGCHLD is not ignored, and no profiler or
+replaced library function observes the rows' calls (see _share_rows).  This
+process computes every row the helper does not deliver, so the rows, stdout
+bytes, errors and exit codes never depend on the helper.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import os
 import random
 import sys
 import time
+import types
 from itertools import islice
 
 from .compression import verify_compression_suite
 from .core import (
-    DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, seconds_left, separated_universe,
-    star_size_formula,
+    DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, count_separated, seconds_left,
+    separated_universe, star_size_formula,
 )
 from .families import random_maximal_intersecting, star_family
 from .graph import (
@@ -388,14 +390,37 @@ def _report_row(n: int, r: int, k: int, with_classes: bool, deadline: float | No
     }
 
 
+# The least work, in vertices summed over the grid's rows, that pays for a helper.  Measured on a
+# 2-CPU machine: the fork and the helper's cold first row cost about 3 ms; the quick grid's 50
+# vertices are about 1 ms of rows (3.5-6.0 ms alone, 6.5-9.5 ms with a helper); the default
+# grid's first 1012 vertices take about 6.5 ms, and all its 2692 run a third faster with one.
+_HELPER_MIN_VERTICES = 1000
+
+# (namespace, name, function) for every function the package's modules held when this one was
+# imported, but this module's own: the library functions the rows reach
+_AS_IMPORTED = [
+    (space, name, value)
+    for space in [vars(m) for n, m in list(sys.modules.items()) if n.startswith(f"{__package__}.")]
+    for name, value in list(space.items())
+    if isinstance(value, types.FunctionType)
+    and value.__module__.startswith(f"{__package__}.") and value.__module__ != __name__
+]
+
+
 def _share_rows(grid: list, deadline: float | None, records: dict) -> int:
     """Compute rows into records while one forked helper computes others; the helper's count.
 
     The helper runs only when fork exists, this process may run on two or
-    more CPUs, the grid has two or more rows, no other thread is running
-    (forking a process with threads can deadlock the child) and SIGCHLD has
-    its default action (so the helper's pid stays this process's to kill and
-    reap).  Otherwise this returns 0 at once.
+    more CPUs, the grid has two or more rows holding _HELPER_MIN_VERTICES
+    vertices or more in all (below that the fork and the helper's cold first
+    row cost more than the rows it takes), no other thread is running
+    (forking a process with threads can deadlock the child), SIGCHLD has its
+    default action (so the helper's pid stays this process's to kill and
+    reap), and nothing in this process observes the library's calls: no
+    profiler is set and every library function is still the one imported
+    (_AS_IMPORTED), so a tracer, profiler or test double that wraps one sees
+    every row, as the helper's calls would go unseen.  Otherwise this
+    returns 0 at once.
 
     Both processes take row indices from one pipe.  It is filled before the
     fork with fixed-width records, in one write of at most POSIX's least
@@ -413,19 +438,22 @@ def _share_rows(grid: list, deadline: float | None, records: dict) -> int:
     left out of records.  The helper is killed, if still running, and reaped
     on every way out.
     """
-    import select  # here, so that only report loads these modules
-    import signal
-    import threading
-
     width = len(str(len(grid)))
     if not (
         hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and 2 <= len(grid) <= 512 // width
-        and threading.active_count() == 1
-        and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+        and sum(count_separated(*row[:3]) for row in grid) >= _HELPER_MIN_VERTICES
+        and sys.getprofile() is None
+        and all(space.get(name) is value for space, name, value in _AS_IMPORTED)
     ):
+        return 0
+    import select  # here, so that only a report that may fork loads these modules
+    import signal
+    import threading
+
+    if threading.active_count() != 1 or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
         return 0
     queue, queue_w = os.pipe()
     results, results_w = os.pipe()

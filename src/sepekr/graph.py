@@ -156,8 +156,12 @@ def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | No
     """Write the graph in DIMACS format: 'p edge V E' then 'e u v' lines with 1-based u < v.
 
     The edges come from the graph's one kept row set (edges()).  The lines
-    go to an anonymous temporary file as the walk yields them, so the text
-    is never held in memory, and are copied to destination after the walk.
+    go to an anonymous temporary file in tempfile.gettempdir() (TMPDIR, else
+    usually /tmp) as the walk yields them, so the text is never held in this
+    process's memory, and are copied to destination after the walk.  Where
+    that directory is a tmpfs the file's bytes still take RAM, and a full or
+    unwritable temporary directory raises OSError even when destination
+    could be written.
     With a time.monotonic() deadline, it is read once per adjacency row while
     the rows are built, when they are not built yet, and while the edges are
     listed; nothing is written to destination when it passes.

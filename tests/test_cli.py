@@ -326,6 +326,12 @@ def forks(monkeypatch):
     return children
 
 
+@pytest.fixture
+def any_grid(monkeypatch):
+    """Let every grid of two or more rows, however little work, have a helper."""
+    monkeypatch.setattr("sepekr.cli._HELPER_MIN_VERTICES", 0)
+
+
 def _on_cpus(monkeypatch, count):
     """Let this process see count CPUs: one keeps report's rows in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -344,7 +350,7 @@ HELPER_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(HELPER_RUNS))
-def test_report_bytes_are_the_same_with_and_without_the_helper(capsys, monkeypatch, forks, name):
+def test_report_bytes_are_the_same_with_and_without_the_helper(capsys, monkeypatch, forks, name, any_grid):
     argv, frozen = HELPER_RUNS[name]
     real = sepekr.cli._report_row
     me = os.getpid()
@@ -371,7 +377,7 @@ def test_report_bytes_are_the_same_with_and_without_the_helper(capsys, monkeypat
     assert shared.out == alone.out == frozen.read_text()
 
 
-def test_a_row_that_fails_in_the_helper_is_computed_here(capsys, monkeypatch, forks):
+def test_a_row_that_fails_in_the_helper_is_computed_here(capsys, monkeypatch, forks, any_grid):
     real = sepekr.cli._report_row
     me = os.getpid()
 
@@ -391,7 +397,7 @@ def test_a_row_that_fails_in_the_helper_is_computed_here(capsys, monkeypatch, fo
     _assert_no_child_left()
 
 
-def test_report_never_forks_beside_a_second_thread(capsys, monkeypatch, forks):
+def test_report_never_forks_beside_a_second_thread(capsys, monkeypatch, forks, any_grid):
     _on_cpus(monkeypatch, 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
@@ -406,7 +412,7 @@ def test_report_never_forks_beside_a_second_thread(capsys, monkeypatch, forks):
     assert out_of(capsys) == (DATA / "report.txt").read_text()
 
 
-def test_report_never_forks_while_sigchld_is_ignored(capsys, monkeypatch, forks):
+def test_report_never_forks_while_sigchld_is_ignored(capsys, monkeypatch, forks, any_grid):
     # an ignored SIGCHLD reaps the helper at once, and its pid could be reused before the kill
     _on_cpus(monkeypatch, 2)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -415,6 +421,42 @@ def test_report_never_forks_while_sigchld_is_ignored(capsys, monkeypatch, forks)
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert forks == []
+    assert out_of(capsys) == (DATA / "report.txt").read_text()
+
+
+def test_report_forks_only_for_a_grid_worth_a_helper(capsys, monkeypatch, forks):
+    # the quick grid's 50 vertices cost less than the fork; the default grid's 2692 do not
+    _on_cpus(monkeypatch, 2)
+    assert sum(sepekr.core.count_separated(*row[:3]) for row in sepekr.cli.default_grid()[:5]) == 50
+    assert run(["report", "--grid", "quick"]) == 0
+    captured = capsys.readouterr()
+    assert forks == []
+    assert "rows computed by 1 process\n" in captured.err
+    assert captured.out == (DATA / "report.txt").read_text()
+    assert run(["report", "--grid", "default"]) == 0
+    assert len(forks) == 1
+    assert out_of(capsys) == (DATA.parent / "report_default.txt").read_text()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("observed", ["sepekr.cli.extremal_classes", "sepekr.search._search", "profiler"])
+def test_report_never_forks_while_the_library_is_observed(capsys, monkeypatch, forks, any_grid, observed):
+    # a wrapper or a profiler sees the calls of this process only, so every row runs here
+    _on_cpus(monkeypatch, 2)
+    calls = []
+    previous = sys.getprofile()
+    if observed == "profiler":
+        sys.setprofile(lambda frame, event, arg: calls.append(event))
+    else:
+        module, _, name = observed.rpartition(".")
+        real = getattr(sys.modules[module], name)
+        monkeypatch.setattr(observed, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    try:
+        assert run(["report", "--grid", "quick"]) == 0
+    finally:
+        sys.setprofile(previous)
+    assert forks == []
+    assert len(calls) >= 5  # one or more for each of the five rows
     assert out_of(capsys) == (DATA / "report.txt").read_text()
 
 
@@ -680,16 +722,16 @@ def test_graph_time_limit_covers_the_serialisation(capsys, monkeypatch, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, forks):
+def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, forks, any_grid):
     # rows of 0.2 s in either process: with or without the helper, a row's own check fires
-    real = sepekr.cli.extremal_classes
+    real = sepekr.cli._report_row
 
-    def slow_row(*args, **kwargs):
-        result = real(*args, **kwargs)
+    def slow_row(*row):
+        result = real(*row)
         time.sleep(0.2)
         return result
 
-    monkeypatch.setattr("sepekr.cli.extremal_classes", slow_row)
+    monkeypatch.setattr("sepekr.cli._report_row", slow_row)
     for cpus in (2, 1):
         _on_cpus(monkeypatch, cpus)
         assert run(["report", "--grid", "quick", "--limit-seconds", "0.3"]) == 3
@@ -701,7 +743,7 @@ def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, forks):
     assert len(forks) == 1  # only the two-CPU run forked
 
 
-def test_report_time_limit_stops_a_slow_helper(capsys, monkeypatch, forks):
+def test_report_time_limit_stops_a_slow_helper(capsys, monkeypatch, forks, any_grid):
     # the helper's rows take 5 s; this process ends its own rows well inside the limit (its
     # first row waits 0.1 s, so that the helper takes a row) and stops waiting at the limit
     real = sepekr.cli._report_row
