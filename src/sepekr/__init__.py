@@ -4,86 +4,65 @@ Enumeration of separated sets, a per-instance verification suite for the
 compression argument, exact maximum and weighted-maximum intersecting
 families, extremal classification up to circle symmetry, and
 Kneser/Schrijver graph invariants.
+
+The namespace is lazy (PEP 562): ``import sepekr`` loads no submodule, and
+the first read of a public name imports the module that defines it.
 """
 
-from .core import (
-    CircSet,
-    ResourceLimitError,
-    SetFamily,
-    disjointness_rows,
-    enumerate_separated,
-    gap_vector,
-    is_k_separated,
-    separated_masks,
-    star_size_formula,
-)
-from .families import (
-    is_intersecting,
-    random_maximal_intersecting,
-    star_family,
-)
-from .compression import (
-    ClauseResult,
-    CompressionReport,
-    verify_compression_suite,
-)
-from .search import (
-    SearchResult,
-    enumerate_max_independent,
-    extremal_classes,
-    max_intersecting,
-    max_intersecting_weighted,
-    solve_max_independent,
-)
-from .weighted import (
-    WeightedBoundReport,
-    expand,
-    family_weight,
-    verify_weighted_ekr,
-    weight,
-)
-from .graph import (
-    DisjointnessGraph,
-    build_kneser,
-    build_schrijver,
-    chromatic_number,
-    export_dimacs,
-    independence_number,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircSet",
-    "SetFamily",
-    "enumerate_separated",
-    "separated_masks",
-    "disjointness_rows",
-    "gap_vector",
-    "is_k_separated",
-    "star_size_formula",
-    "is_intersecting",
-    "random_maximal_intersecting",
-    "star_family",
-    "ClauseResult",
-    "CompressionReport",
-    "verify_compression_suite",
-    "ResourceLimitError",
-    "SearchResult",
-    "enumerate_max_independent",
-    "extremal_classes",
-    "max_intersecting",
-    "max_intersecting_weighted",
-    "solve_max_independent",
-    "WeightedBoundReport",
-    "expand",
-    "family_weight",
-    "verify_weighted_ekr",
-    "weight",
-    "DisjointnessGraph",
-    "build_kneser",
-    "build_schrijver",
-    "chromatic_number",
-    "export_dimacs",
-    "independence_number",
-]
+# each public name and the module that defines it, in the order of __all__
+_HOME = {
+    "CircSet": "core",
+    "SetFamily": "core",
+    "enumerate_separated": "core",
+    "separated_masks": "core",
+    "disjointness_rows": "core",
+    "gap_vector": "core",
+    "is_k_separated": "core",
+    "star_size_formula": "core",
+    "is_intersecting": "families",
+    "random_maximal_intersecting": "families",
+    "star_family": "families",
+    "ClauseResult": "compression",
+    "CompressionReport": "compression",
+    "verify_compression_suite": "compression",
+    "ResourceLimitError": "core",
+    "SearchResult": "search",
+    "enumerate_max_independent": "search",
+    "extremal_classes": "search",
+    "max_intersecting": "search",
+    "max_intersecting_weighted": "search",
+    "solve_max_independent": "search",
+    "WeightedBoundReport": "weighted",
+    "expand": "weighted",
+    "family_weight": "weighted",
+    "verify_weighted_ekr": "weighted",
+    "weight": "weighted",
+    "DisjointnessGraph": "core",
+    "build_kneser": "graph",
+    "build_schrijver": "graph",
+    "chromatic_number": "graph",
+    "export_dimacs": "graph",
+    "independence_number": "graph",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """A public name, or one of the six modules, imported on its first read and kept here."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOME.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,27 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 import types
 from itertools import islice
 
-from .compression import verify_compression_suite
+# report, enumerate, max-family and classes call only core and search; lemmas, weighted and
+# graph import the other modules when they run, so that no command compiles a module it never calls
 from .core import (
     DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, count_separated, seconds_left,
     separated_universe, star_size_formula,
 )
-from .families import random_maximal_intersecting, star_family
-from .graph import (
-    build_kneser,
-    build_schrijver,
-    chromatic_number,
-    export_dimacs,
-    independence_number,
-)
 from .search import CLASS_MAX_VERTICES, extremal_classes, max_intersecting
-from .weighted import verify_weighted_ekr
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -254,6 +245,11 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    import random
+
+    from .compression import verify_compression_suite
+    from .families import random_maximal_intersecting, star_family
+
     n, r, k = args.n, args.r, args.k
     rng = random.Random(f"{args.seed}:{n}:{r}:{k}")
     total = args.samples + 1
@@ -295,6 +291,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
+    from .weighted import verify_weighted_ekr
+
     seconds_left(args.deadline, "the universe")
     report = verify_weighted_ekr(
         args.n, args.r, args.k, max_vertices=args.limit_vertices, deadline=args.deadline
@@ -310,6 +308,10 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graph import (
+        build_kneser, build_schrijver, chromatic_number, export_dimacs, independence_number,
+    )
+
     if args.kind == "kneser":
         graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
     else:
@@ -397,7 +399,7 @@ def _report_row(n: int, r: int, k: int, with_classes: bool, deadline: float | No
 _HELPER_MIN_VERTICES = 1000
 
 # (namespace, name, function) for every function the package's modules held when this one was
-# imported, but this module's own: the library functions the rows reach
+# imported, but this module's own: core and search, imported above, hold every one the rows reach
 _AS_IMPORTED = [
     (space, name, value)
     for space in [vars(m) for n, m in list(sys.modules.items()) if n.startswith(f"{__package__}.")]

@@ -592,7 +592,7 @@ def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed alpha although chi is over its limit")
 
-    monkeypatch.setattr("sepekr.cli.independence_number", refuse)
+    monkeypatch.setattr("sepekr.graph.independence_number", refuse)
     assert run(["graph", "--kind", "kneser", "--n", "10", "--r", "3", "--alpha", "--chi"]) == 3
     assert "colouring limit" in capsys.readouterr().err
 
@@ -611,7 +611,7 @@ def test_graph_chi_and_alpha_share_one_time_limit(capsys, monkeypatch):
         time.sleep(0.3)
         return 3
 
-    monkeypatch.setattr("sepekr.cli.chromatic_number", slow_chi)
+    monkeypatch.setattr("sepekr.graph.chromatic_number", slow_chi)
     argv = ["graph", "--kind", "schrijver", "--n", "5", "--r", "2", "--k", "1", "--chi", "--alpha"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     assert "time limit exceeded before alpha" in capsys.readouterr().err
@@ -620,26 +620,26 @@ def test_graph_chi_and_alpha_share_one_time_limit(capsys, monkeypatch):
 
 
 def test_graph_time_limit_covers_the_build(capsys, monkeypatch):
-    real = sepekr.cli.build_schrijver
+    real = sepekr.graph.build_schrijver
 
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("sepekr.cli.build_schrijver", slow_build)
+    monkeypatch.setattr("sepekr.graph.build_schrijver", slow_build)
     argv = ["graph", "--kind", "schrijver", "--n", "7", "--r", "2", "--alpha"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     assert "time limit exceeded before alpha" in capsys.readouterr().err
 
 
 def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatch):
-    real = sepekr.cli.build_kneser
+    real = sepekr.graph.build_kneser
 
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)
+    monkeypatch.setattr("sepekr.graph.build_kneser", slow_build)
     argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", "--format", "json"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     captured = capsys.readouterr()
@@ -674,7 +674,7 @@ def test_graph_time_limit_covers_building_the_rows(capsys, monkeypatch):
 @pytest.mark.parametrize("output", [["--format", "json"], ["--dimacs", "graph.dimacs"]])
 def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path, output):
     # only the per-row check of the listing is left to fire, after a build that ends past it
-    real = sepekr.cli.build_kneser
+    real = sepekr.graph.build_kneser
 
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
@@ -682,7 +682,7 @@ def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path,
         graph.reversed_rows(None)  # without a deadline, so that the rows' own checks do not fire
         return graph
 
-    monkeypatch.setattr("sepekr.cli.build_kneser", slow_build)
+    monkeypatch.setattr("sepekr.graph.build_kneser", slow_build)
     monkeypatch.setattr("sepekr.cli.seconds_left", lambda deadline, stage: None)
     monkeypatch.chdir(tmp_path)
     argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", *output]
@@ -904,9 +904,10 @@ def test_console_script_and_module_agree(tmp_path):
 
 
 def test_importing_sepekr_loads_no_dataclasses_or_inspect():
-    # the modules the import adds, not all of sys.modules: site hooks may preload modules
+    # the modules the import adds, not all of sys.modules: site hooks may preload modules; the
+    # star import loads every module of the package, which the lazy namespace and CLI do not
     code = (
-        "import sys; before = set(sys.modules); import sepekr, sepekr.cli; "
+        "import sys; before = set(sys.modules); from sepekr import *; import sepekr.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
@@ -914,6 +915,43 @@ def test_importing_sepekr_loads_no_dataclasses_or_inspect():
     loaded = proc.stdout.split()
     assert "sepekr.core" in loaded
     assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
+
+
+# the package modules a fresh interpreter adds when it reads one name after a bare import
+# sepekr (the name's module and the layers under it, as CI's "Internal imports follow the
+# layers" allows them), or runs one command after importing sepekr.cli, which loads core and
+# search (the modules the command calls beyond those)
+SECOND_STEP_LOADS = {
+    "sepekr.max_intersecting": ["sepekr.core", "sepekr.search"],
+    "sepekr.verify_compression_suite": ["sepekr.compression", "sepekr.core"],
+    "sepekr.random_maximal_intersecting": ["sepekr.core", "sepekr.families"],
+    "sepekr.build_schrijver": ["sepekr.core", "sepekr.graph", "sepekr.search"],
+    "sepekr.verify_weighted_ekr": ["sepekr.core", "sepekr.families", "sepekr.search", "sepekr.weighted"],
+    "sepekr.search": ["sepekr.core", "sepekr.search"],
+    "report --grid quick": [],
+    "max-family --n 7 --r 2 --k 1": [],
+    "lemmas --n 7 --r 2 --k 1 --samples 3": ["sepekr.compression", "sepekr.families"],
+    "weighted --n 8 --r 2 --k 1": ["sepekr.families", "sepekr.weighted"],
+    "graph --kind kneser --n 5 --r 2": ["sepekr.graph"],
+}
+
+
+@pytest.mark.parametrize("step", SECOND_STEP_LOADS)
+def test_an_import_then_a_read_or_a_command_loads_only_its_layers(step):
+    if step.startswith("sepekr."):
+        first, first_loads, second = "import sepekr", ["sepekr"], step
+    else:
+        first, first_loads = "import sepekr.cli", ["sepekr", "sepekr.cli", "sepekr.core", "sepekr.search"]
+        second = f"assert sepekr.cli.run({step.split()!r}) == 0"
+    code = (
+        f"import sys; before = set(sys.modules); {first}; first = set(sys.modules); {second}; "
+        "ours = lambda names: sorted(n for n in names if n.partition('.')[0] == 'sepekr'); "
+        "print('loaded', *ours(first - before), '|', *ours(set(sys.modules) - first))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == ["loaded", *first_loads, "|", *SECOND_STEP_LOADS[step]]
 
 
 def test_module_exit_code_propagates():

@@ -629,6 +629,36 @@ def test_results_are_named_tuples():
 # === package exports ===
 
 
+def test_the_lazy_namespace_behaves_as_an_eager_one(monkeypatch):
+    import sepekr
+
+    assert [name for name in sepekr.__all__ if name not in dir(sepekr)] == []
+    with pytest.raises(AttributeError, match="^module 'sepekr' has no attribute 'nope'$"):
+        sepekr.nope
+    with pytest.raises(ImportError):
+        exec("from sepekr import nope", {})
+    assert [getattr(sepekr, name).__name__ for name in ("core", "search")] == ["sepekr.core", "sepekr.search"]
+    # the first read keeps the value in the package, where a patch replaces it as usual
+    monkeypatch.delitem(vars(sepekr), "max_intersecting", raising=False)
+    assert "max_intersecting" not in vars(sepekr)
+    assert sepekr.max_intersecting is sepekr.search.max_intersecting
+    assert vars(sepekr)["max_intersecting"] is sepekr.search.max_intersecting
+    monkeypatch.setattr("sepekr.max_intersecting", "patched")
+    assert sepekr.max_intersecting == "patched"
+    from sepekr import max_intersecting
+
+    assert max_intersecting == "patched"
+    # a first read binds what the home module holds then, as the eager `from .core import`
+    # bound it when the package was imported: a patch active then stays after its undo
+    monkeypatch.setitem(vars(sepekr), "gap_vector", None)  # restores the package's binding
+    del vars(sepekr)["gap_vector"]
+    with monkeypatch.context() as patch:
+        patch.setattr("sepekr.core.gap_vector", "patched")
+        assert sepekr.gap_vector == "patched"
+    assert sepekr.core.gap_vector != "patched"
+    assert sepekr.gap_vector == "patched"
+
+
 def test_public_names_resolve_and_star_import_binds_exactly_them():
     import sepekr
 
