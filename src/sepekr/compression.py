@@ -410,7 +410,7 @@ class _Verdicts(NamedTuple):
 
 
 def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdicts | None:
-    """The verdicts of the (n, r, k) universe, worked out on first use and kept on the cached universe.
+    """The (n, r, k) universe's verdicts, built by _build_verdicts and kept (DisjointnessGraph.kept).
 
     None when the parameters are out of the suite's range (the family's own
     partition or derivation raises for them) or the universe has more than
@@ -421,23 +421,18 @@ def _universe_verdicts(n: int, r: int, k: int, deadline: float | None) -> _Verdi
     deadline is read while the universe is enumerated, before the partition
     and once per member in it, before and inside the derivation (_derive),
     before the members' cells are kept, before and inside each monotone
-    clause (_monotone_clauses), and while the rows of each table are built;
-    the verdicts are kept only once all of them are built, so a build the
-    deadline stops keeps nothing.
+    clause (_monotone_clauses), and while the rows of each table are built.
     """
     if k < 1 or r < 2 or n < (k + 1) * r + 1 or count_separated(n, r, k) > DEFAULT_MAX_VERTICES:
         return None
-    graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline)
-    if "_verdicts" not in vars(graph):
-        vars(graph)["_verdicts"] = _build_verdicts(graph, deadline)
-    return vars(graph)["_verdicts"]
+    return separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline).kept(_build_verdicts, deadline)
 
 
 def _build_verdicts(graph: DisjointnessGraph, deadline: float | None) -> _Verdicts | None:
     """_universe_verdicts of a universe in the suite's range: None when it fails a check.
 
     A ResourceLimitError from the deadline is raised, not taken for a failed
-    check, so that the caller keeps nothing.
+    check, so that nothing is kept.
     """
     n, r, k = graph.n, graph.r, graph.k
     seconds_left(deadline, "the compression verdicts")
@@ -489,16 +484,16 @@ def verify_compression_suite(family: SetFamily, *, deadline: float | None = None
     partition raises ValueError unless k >= 1 and n >= (k+1)r + 1, and the
     derivation unless r >= 2.
 
-    When the universe has at most DEFAULT_MAX_VERTICES members, its verdicts
-    (_universe_verdicts) are worked out on the first call and kept with the
-    cached universe.  A family then reads its partition from them and skips
-    the component check, and each monotone clause that passed on the
-    universe passes here with no witnesses (_monotone_clauses says why).  The
-    three intersecting clauses and size-identity are always checked on the
-    family itself, and so is every clause that failed on the universe.  The
-    intersecting clauses read the verdicts' tables, and walk the family's
-    pairs only when a table reports one.  A time.monotonic() deadline is
-    read while the verdicts are built (_universe_verdicts), and not again.
+    When the universe has at most DEFAULT_MAX_VERTICES members, it keeps its
+    verdicts (_universe_verdicts).  A family then reads its partition from
+    them and skips the component check, and each monotone clause that passed
+    on the universe passes here with no witnesses (_monotone_clauses says
+    why).  The three intersecting clauses and size-identity are always
+    checked on the family itself, and so is every clause that failed on the
+    universe.  The intersecting clauses read the verdicts' tables, and walk
+    the family's pairs only when a table reports one.  A time.monotonic()
+    deadline is read while the verdicts are built (_universe_verdicts), and
+    not again.
     """
     n, r, k = family.n, family.r, family.k
     masks = [s.mask for s in family.sets]  # in lexicographic order, as a SetFamily keeps them

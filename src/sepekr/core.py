@@ -12,7 +12,7 @@ import time
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter, ge, gt, le, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 
 class ResourceLimitError(RuntimeError):
@@ -20,6 +20,8 @@ class ResourceLimitError(RuntimeError):
 
 
 DEFAULT_MAX_VERTICES = 20000
+
+_T = TypeVar("_T")
 
 
 def seconds_left(deadline: float | None, stage: str) -> float | None:
@@ -48,11 +50,11 @@ class _Value:
 
     A subclass names its fields in its class statement, as in
     ``class CircSet(_Value, fields=("n", "elems"), order=True)``, and its
-    __init__ sets them with _set.  Instances compare and hash as the
-    tuple of their fields (within one class), order=True adds <, <=, > and >=
-    on that tuple, and assigning or deleting any attribute raises
-    AttributeError.  A cached_property writes to __dict__ directly, so it is
-    computed once per instance.
+    __init__ sets them with _fill, or one at a time with _set.  Instances
+    compare and hash as the tuple of their fields (within one class),
+    order=True adds <, <=, > and >= on that tuple, and assigning or deleting
+    any attribute raises AttributeError.  A cached_property writes to
+    __dict__ directly, so it is computed once per instance.
     """
 
     def __init_subclass__(cls, fields: tuple[str, ...], order: bool = False) -> None:
@@ -71,6 +73,12 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def _fill(self, *values):
+        """Set the fields to values, in their order, without checks; returns self."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -142,14 +150,6 @@ class SetFamily(_Value, fields=("n", "r", "k", "sets")):
         if len(masks) < len(members):
             s = members[len(masks)]
             raise ValueError(f"member {s} has ambient {s.n}, family has {n}")
-
-    def _fill(self, n: int, r: int, k: int, members: tuple[CircSet, ...]) -> SetFamily:
-        """Set the fields, without checks: members must be sorted, distinct and checked already."""
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "k", k)
-        _set(self, "sets", members)
-        return self
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -376,18 +376,30 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
-    members when the graph is made.  The graph keeps one row set, in the
-    search's labels, built by the first call of reversed_rows(deadline);
-    every reader of the rows takes these, and each member's CircSet is built
-    on first use, at most once per vertex.
+    members when the graph is made.  What the graph keeps, its one row set
+    (reversed_rows) and its edge count among them, is built and kept by
+    kept(build, deadline); each member's CircSet is built on first use, at
+    most once per vertex.
     """
 
     def __init__(self, n: int, r: int, k: int, masks: tuple[int, ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "k", k)
-        _set(self, "masks", masks)
+        self._fill(n, r, k, masks)
         check_member_masks(masks, n, r, k)
+
+    def kept(self, build: Callable[[DisjointnessGraph, float | None], _T], deadline: float | None) -> _T:
+        """build(self, deadline) on the graph's first call for build, then kept with the graph.
+
+        The package's one rule for what a graph, and so a universe, keeps:
+        a later call for the same build returns the kept value, None
+        included, and reads no clock; a build that raises (a deadline it
+        reads, say) keeps nothing, so the next call builds again.  Builds are
+        keyed by the builder and live as long as the graph, a universe's
+        until separated_universe replaces it.
+        """
+        kept = vars(self).setdefault("_kept", {})
+        if build not in kept:
+            kept[build] = build(self, deadline)
+        return kept[build]
 
     def reversed_rows(self, deadline: float | None) -> tuple[int, ...]:
         """The rows of the members in reverse order: the search's labels, vertex i at index V - 1 - i.
@@ -395,13 +407,10 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         Row j is vertex V - 1 - j's, with vertex i at bit V - 1 - i: the
         vertex-order rows, each bit-reversed (mirror_mask) and listed in
         reverse order, built directly by disjointness_rows(masks[::-1],
-        deadline) on the first call.  They are then kept, and a later call
-        reads no deadline; the deadline's stages number the rows in these
-        labels.  The rows take about V*V/8 bytes for V vertices.
+        deadline) and kept (kept); the deadline's stages number the rows in
+        these labels.  The rows take about V*V/8 bytes for V vertices.
         """
-        if "_reversed_rows" not in vars(self):
-            vars(self)["_reversed_rows"] = tuple(disjointness_rows(self.masks[::-1], deadline))
-        return vars(self)["_reversed_rows"]
+        return self.kept(_reversed_rows, deadline)
 
     @cached_property
     def _members(self) -> list[CircSet | None]:
@@ -417,8 +426,8 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     @property
     def num_edges(self) -> int:
-        """The edge count, from the kept rows; it builds them with no deadline when they are not built."""
-        return sum(row.bit_count() for row in self.reversed_rows(None)) // 2
+        """The edge count, counted once from the rows and kept; unbuilt rows are built with no deadline."""
+        return self.kept(_edge_count, None)
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
@@ -460,8 +469,16 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
         }
 
 
+def _reversed_rows(graph: DisjointnessGraph, deadline: float | None) -> tuple[int, ...]:
+    return tuple(disjointness_rows(graph.masks[::-1], deadline))
+
+
+def _edge_count(graph: DisjointnessGraph, deadline: float | None) -> int:
+    return sum(row.bit_count() for row in graph.reversed_rows(deadline)) // 2
+
+
 class _LastUniverse:
-    """A one-slot cache of the last universe built, with everything kept on it.
+    """A one-slot cache of the last universe built; what it keeps (DisjointnessGraph.kept) goes with it.
 
     A call for other parameters builds the new universe before it replaces
     the kept one, so a build that raises (a deadline read by the

@@ -483,24 +483,21 @@ def extremal_classes(
     """All maximum intersecting families, reported as one representative per symmetry class.
 
     `_dihedral_census` walks the dihedral orbit of one optimum per class; the
-    optimum is the size of the sets it returns.  The orbits and the node
-    count are kept on the cached universe, so a later call on the same
-    universe, under either group, builds no symmetries or rows, searches
-    nothing and walks no orbit; a census stopped by the deadline keeps
-    nothing.  The class's representative is its least image (`_least`, the
-    canonical form).  With rotations_only, the first n images and the last n
-    are the two rotation orbits of the dihedral class, equal or disjoint, so
-    the orbit gives one or two representatives, each the least of its half.
-    Representatives are sorted lexicographically; the witness is the least
-    of them.  nodes_explored is the dihedral enumeration's count under
-    either group.  One deadline covers the whole call: the universe, the
-    symmetries (read before each one is built), the rows, the enumeration
-    and the orbit walks.
+    optimum is the size of the sets it returns.  The universe keeps the
+    orbits and the node count (`DisjointnessGraph.kept`), so a later call on
+    it, under either group, builds no symmetries or rows, searches nothing
+    and walks no orbit.  The class's representative is its least image
+    (`_least`, the canonical form).  With rotations_only, the first n images
+    and the last n are the two rotation orbits of the dihedral class, equal
+    or disjoint, so the orbit gives one or two representatives, each the
+    least of its half.  Representatives are sorted lexicographically; the
+    witness is the least of them.  nodes_explored is the dihedral
+    enumeration's count under either group.  One deadline covers the whole
+    call: the universe, the symmetries (read before each one is built), the
+    rows, the enumeration and the orbit walks.
     """
     graph = separated_universe(n, r, k, max_vertices, deadline)
-    if "_census" not in vars(graph):
-        vars(graph)["_census"] = _dihedral_census(graph, deadline)
-    orbits, nodes = vars(graph)["_census"]
+    orbits, nodes = graph.kept(_dihedral_census, deadline)
     if rotations_only:
         reps = {_least(half) for images in orbits for half in (images[:n], images[n:])}
     else:

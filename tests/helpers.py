@@ -20,6 +20,11 @@ class CountingClock:
         return self.reads
 
 
+def kept_by_name(graph) -> dict:
+    """What a graph keeps (DisjointnessGraph.kept), by the name of the builder of each value."""
+    return {build.__name__: value for build, value in vars(graph).get("_kept", {}).items()}
+
+
 def circ_gaps(elems: tuple[int, ...], n: int) -> list[int]:
     """Circular gaps via modular distance; element order differs from the package's."""
     e = sorted(elems)

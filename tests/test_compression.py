@@ -29,6 +29,7 @@ from helpers import (
     derived_oracle,
     exceptional_members,
     greedy_maximal_intersecting,
+    kept_by_name,
 )
 
 CLAUSE_IDS = [
@@ -102,7 +103,7 @@ def keys(masks):
 
 def verdicts(n, r, k):
     """The compression verdicts kept on the cached (n, r, k) universe, or None."""
-    return vars(separated_universe(n, r, k, DEFAULT_MAX_VERTICES)).get("_verdicts")
+    return kept_by_name(separated_universe(n, r, k, DEFAULT_MAX_VERTICES)).get("_build_verdicts")
 
 
 # === the map itself ===

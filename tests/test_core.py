@@ -1,16 +1,20 @@
 """Core circular-set arithmetic: construction, gaps, enumeration, symmetries."""
 
 import ast
+import functools
+import gc
 import inspect
 import math
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sepekr.compression
 import sepekr.core
 import sepekr.search
 
@@ -38,7 +42,7 @@ from sepekr.core import (
     separated_universe,
 )
 
-from helpers import brute_separated, circ_gaps
+from helpers import CountingClock, brute_separated, circ_gaps, kept_by_name
 from helpers import dihedral_images as oracle_images
 
 
@@ -624,6 +628,103 @@ def test_results_are_named_tuples():
     }
     with pytest.raises(AttributeError):
         clause.passed = False
+
+
+# === what a universe keeps ===
+
+# each artefact a universe keeps: the module holding its builder, the builder's name, and a
+# read of the (n, r, k) universe that builds it when it is not kept
+KEPT = {
+    "rows": (
+        sepekr.core, "_reversed_rows", lambda n, r, k: separated_universe(n, r, k, 100).reversed_rows(None)
+    ),
+    "edge_count": (
+        sepekr.core, "_edge_count", lambda n, r, k: separated_universe(n, r, k, 100).num_edges
+    ),
+    "census": (
+        sepekr.search, "_dihedral_census", lambda n, r, k: sepekr.search.extremal_classes(n, r, k)
+    ),
+    "verdicts": (
+        sepekr.compression, "_build_verdicts", lambda n, r, k: sepekr.compression._universe_verdicts(n, r, k, None)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KEPT)
+def test_a_universe_builds_each_artefact_once_through_kept(monkeypatch, name):
+    module, builder, read = KEPT[name]
+    real = getattr(module, builder)
+    builds = []
+
+    @functools.wraps(real)
+    def counted(graph, deadline):
+        builds.append((graph.n, graph.r, graph.k))
+        return real(graph, deadline)
+
+    monkeypatch.setattr(module, builder, counted)
+    sepekr.core._universe.cache_clear()
+    # once per graph, whichever reads of the universe ask for it, and as many times
+    first = read(9, 3, 1)
+    for _, _, again in KEPT.values():
+        again(9, 3, 1)
+    assert read(9, 3, 1) == first
+    assert builds == [(9, 3, 1)]
+    graph = separated_universe(9, 3, 1, 100)
+    value = kept_by_name(graph)[builder]
+    # a build the deadline stops keeps nothing: on a graph of the same masks, with a clock
+    # that counts its reads, one full build takes `reads` reads, and a build with a
+    # deadline halfway through them is stopped and the next call builds again
+    with monkeypatch.context() as clocked:
+        clock = CountingClock()
+        clocked.setattr(sepekr.core, "time", clock)
+        assert DisjointnessGraph(9, 3, 1, graph.masks).kept(counted, 10**9) == value
+        reads = clock.reads
+        stopped = DisjointnessGraph(9, 3, 1, graph.masks)
+        clock.reads = 0
+        with pytest.raises(ResourceLimitError):
+            stopped.kept(counted, reads // 2)
+        assert builder not in kept_by_name(stopped)
+        assert stopped.kept(counted, None) == value
+        assert len(builds) == 4
+        # kept: a call reads no clock, not even under a deadline that has passed
+        clock.reads = 0
+        assert stopped.kept(counted, 1) == value and clock.reads == 0
+    # a new universe replaces the old one with everything it kept: the old graph is freed,
+    # and the next universe of the old parameters builds its artefacts again
+    old = weakref.ref(graph)
+    del graph
+    read(10, 3, 1)
+    gc.collect()
+    assert old() is None
+    builds.clear()
+    assert read(9, 3, 1) == first
+    assert builds == [(9, 3, 1)]
+
+
+def test_the_universe_keeps_the_verdicts_when_they_are_none(monkeypatch):
+    # a universe that fails a check of the suite has None for verdicts, and keeps it: the
+    # next family of it is checked on its own members without a second build
+    builds = []
+    real = sepekr.compression._build_verdicts
+
+    @functools.wraps(real)
+    def counted(graph, deadline):
+        builds.append((graph.n, graph.r, graph.k))
+        return real(graph, deadline)
+
+    def failing(*args, **kwargs):
+        raise ValueError("a failed component check")
+
+    sepekr.core._universe.cache_clear()
+    monkeypatch.setattr(sepekr.compression, "_build_verdicts", counted)
+    with monkeypatch.context() as faulty:
+        faulty.setattr(sepekr.compression, "_derive", failing)
+        assert sepekr.compression._universe_verdicts(9, 3, 1, None) is None
+    assert kept_by_name(separated_universe(9, 3, 1, 100)) == {"_build_verdicts": None}
+    assert sepekr.compression._universe_verdicts(9, 3, 1, None) is None
+    family = SetFamily(9, 3, 1, [CircSet(9, (1, 4, 7))])
+    assert sepekr.compression.verify_compression_suite(family).passed
+    assert builds == [(9, 3, 1)]
 
 
 # === package exports ===

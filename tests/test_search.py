@@ -46,6 +46,7 @@ from helpers import (
     dihedral_images,
     exceptional_members,
     first_fit_clique_bound,
+    kept_by_name,
     least_image,
     max_weight_independent,
     max_intersecting_size,
@@ -215,7 +216,7 @@ def test_a_universe_search_builds_only_the_search_rows_once(monkeypatch, call):
     graph = sepekr.core.separated_universe(12, 3, 1, 1000)
     first = call(12, 3, 1)
     assert "_rows" not in vars(graph)
-    assert len(vars(graph)["_reversed_rows"]) == graph.num_vertices == 112
+    assert len(kept_by_name(graph)["_reversed_rows"]) == graph.num_vertices == 112
 
     def refuse(masks, deadline=None):
         raise AssertionError("built rows again")
