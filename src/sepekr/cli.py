@@ -325,11 +325,10 @@ def _cmd_graph(args) -> int:
     if args.alpha:
         seconds_left(args.deadline, "alpha")
         alpha = independence_number(graph, deadline=args.deadline)
-    graph.reversed_rows(args.deadline)  # for num_edges, unless chi or alpha built them
+    num_edges = graph.edge_count(args.deadline)
     seconds_left(args.deadline, "the output")
     summary = dict(
-        kind=args.kind, n=args.n, r=args.r, k=k,
-        num_vertices=graph.num_vertices, num_edges=graph.num_edges,
+        kind=args.kind, n=args.n, r=args.r, k=k, num_vertices=graph.num_vertices, num_edges=num_edges
     )
     if args.dimacs:
         export_dimacs(graph, args.dimacs, deadline=args.deadline)
@@ -337,7 +336,7 @@ def _cmd_graph(args) -> int:
     computed = {name: value for name, value in invariants.items() if value is not None}
     heading = (
         f"{args.kind} n={args.n} r={args.r} k={k}: "
-        f"{graph.num_vertices} vertices, {graph.num_edges} edges"
+        f"{graph.num_vertices} vertices, {num_edges} edges"
     )
     _emit(
         args,

@@ -377,7 +377,7 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
     members when the graph is made.  What the graph keeps, its one row set
-    (reversed_rows) and its edge count among them, is built and kept by
+    (reversed_rows) and its edge count (edge_count), is built and kept by
     kept(build, deadline); each member's CircSet is built on first use, at
     most once per vertex.
     """
@@ -426,8 +426,17 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
 
     @property
     def num_edges(self) -> int:
-        """The edge count, counted once from the rows and kept; unbuilt rows are built with no deadline."""
-        return self.kept(_edge_count, None)
+        """edge_count() with no deadline."""
+        return self.edge_count()
+
+    def edge_count(self, deadline: float | None = None) -> int:
+        """The edge count, counted once from the rows and kept (kept).
+
+        A time.monotonic() deadline is read while the rows are built, when
+        they are not built yet, and once per block of rows while they are
+        counted.
+        """
+        return self.kept(_edge_count, deadline)
 
     def edges(self, deadline: float | None = None) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v) with u < v, in vertex order; deadline as in row_edges.
@@ -473,8 +482,15 @@ def _reversed_rows(graph: DisjointnessGraph, deadline: float | None) -> tuple[in
     return tuple(disjointness_rows(graph.masks[::-1], deadline))
 
 
+_EDGE_COUNT_BLOCK = 1024  # rows counted between two reads of a deadline
+
+
 def _edge_count(graph: DisjointnessGraph, deadline: float | None) -> int:
-    return sum(row.bit_count() for row in graph.reversed_rows(deadline)) // 2
+    rows, count = graph.reversed_rows(deadline), 0
+    for start in range(0, len(rows), _EDGE_COUNT_BLOCK):
+        seconds_left(deadline, f"the edge count at row {start + 1}")
+        count += sum(map(int.bit_count, rows[start : start + _EDGE_COUNT_BLOCK]))
+    return count // 2
 
 
 class _LastUniverse:

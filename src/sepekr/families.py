@@ -45,22 +45,29 @@ def star_family(
 def random_maximal_intersecting(
     n: int, r: int, k: int, rng: random.Random, *, deadline: float | None = None
 ) -> SetFamily:
-    """Greedily grow an intersecting family over a shuffled universe until maximal.
+    """Greedily grow an intersecting family over a uniform random order of the universe until maximal.
 
-    The greedy runs on the universe's one row set, in the search's labels
-    (reversed_rows): the shuffle permutes positions whatever they hold, so
-    shuffling the labels V - 1 .. 0 visits the members in the same order as
-    shuffling the vertices 0 .. V - 1, and the chosen labels are mirrored
-    back to vertices at the end.  A time.monotonic() deadline is read while
-    the universe is enumerated and once per adjacency row while the rows
-    are built.
+    The order is drawn as keys: one rng.random() per vertex, in vertex
+    (lexicographic) order, and the vertices are visited in increasing key
+    order, ties to the lower vertex.  Independent uniform keys make every
+    order equally likely, as random.shuffle does, so the families have the
+    distribution they had when a shuffle drew the order, but a seed draws
+    other families than it did then.  Only random() is called on rng: its
+    sequence for a seed is the one Python's random module keeps across
+    versions.  The greedy runs on the universe's one row set, in the
+    search's labels (reversed_rows), where vertex i is label V - 1 - i: the
+    keys are reversed into label order, the labels sorted from V - 1 down
+    (so that the stable sort sends ties to the lower vertex), and the chosen
+    labels mirrored back to vertices at the end.  A time.monotonic()
+    deadline is read while the universe is enumerated and once per
+    adjacency row while the rows are built.
     """
     graph = separated_universe(n, r, k, DEFAULT_MAX_VERTICES, deadline)
     size = graph.num_vertices
-    order = list(range(size - 1, -1, -1))
-    rng.shuffle(order)
+    keys = [rng.random() for _ in range(size)]
+    keys.reverse()
     rows, chosen = graph.reversed_rows(deadline), 0
-    for idx in order:
+    for idx in sorted(range(size - 1, -1, -1), key=keys.__getitem__):
         if not rows[idx] & chosen:
             chosen |= 1 << idx
     return graph.subfamily(mirror_mask(chosen, size))

@@ -163,15 +163,16 @@ def export_dimacs(graph: DisjointnessGraph, destination, *, deadline: float | No
     unwritable temporary directory raises OSError even when destination
     could be written.
     With a time.monotonic() deadline, it is read once per adjacency row while
-    the rows are built, when they are not built yet, and while the edges are
-    listed; nothing is written to destination when it passes.
+    the rows are built, when they are not built yet, while the edges are
+    counted (DisjointnessGraph.edge_count) and while they are listed; nothing
+    is written to destination when it passes.
     """
     import shutil
     import tempfile  # here, so that importing the package loads neither
 
-    graph.reversed_rows(deadline)
+    num_edges = graph.edge_count(deadline)
     with tempfile.TemporaryFile("w+", encoding="ascii") as lines:
-        lines.write(f"p edge {graph.num_vertices} {graph.num_edges}\n")
+        lines.write(f"p edge {graph.num_vertices} {num_edges}\n")
         edges = (f"e {u + 1} {v + 1}\n" for u, v in graph.edges(deadline))
         while block := "".join(islice(edges, 1 << 14)):  # a block's join beats a write per line
             lines.write(block)

@@ -313,16 +313,16 @@ def dsatur_steps(adj, colors: int, clique) -> tuple[bool, int]:
 
 
 def greedy_maximal_intersecting(n: int, r: int, k: int, rng) -> list[tuple[int, ...]]:
-    """The random maximal family from its definition: shuffle the indices of the
-    separated sets, then keep each set, in that order, that meets every set kept
-    so far.  Returned sorted."""
+    """The random maximal family from its definition: draw rng.random() once per
+    separated set, in lexicographic order, then keep each set, taken in increasing
+    key order (ties in lexicographic order), that meets every set kept so far.
+    Returned sorted."""
     universe = brute_separated(n, r, k)
-    order = list(range(len(universe)))
-    rng.shuffle(order)
+    keys = [rng.random() for _ in universe]
     kept: list[set] = []
-    for i in order:
-        if all(set(universe[i]) & s for s in kept):
-            kept.append(set(universe[i]))
+    for _, s in sorted(zip(keys, universe)):
+        if all(set(s) & t for t in kept):
+            kept.append(set(s))
     return sorted(tuple(sorted(s)) for s in kept)
 
 

@@ -679,7 +679,8 @@ def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path,
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
         graph = real(*args, **kwargs)
-        graph.reversed_rows(None)  # without a deadline, so that the rows' own checks do not fire
+        # the rows and their edge count, without a deadline, so that their own checks do not fire
+        graph.edge_count(None)
         return graph
 
     monkeypatch.setattr("sepekr.graph.build_kneser", slow_build)

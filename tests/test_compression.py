@@ -193,7 +193,22 @@ def test_collision_clause_compresses_each_member_once_per_step(monkeypatch):
     assert len(calls) == 165 * (2 - 1)
 
 
-@pytest.mark.parametrize("n, r, k", [(9, 3, 1), (13, 3, 2)])
+# maximal intersecting families with free, anchored and boundary members in every cell,
+# and a non-empty overlap
+CELL_FAMILIES = {
+    (9, 3, 1): [
+        (1, 3, 7), (1, 5, 7), (2, 5, 7), (2, 7, 9), (3, 5, 7), (3, 5, 9), (3, 7, 9), (4, 7, 9),
+        (5, 7, 9),
+    ],
+    (13, 3, 2): [
+        (1, 4, 7), (1, 7, 10), (1, 7, 11), (2, 7, 10), (2, 7, 11), (2, 7, 12), (3, 7, 10),
+        (3, 7, 11), (3, 7, 12), (3, 7, 13), (4, 7, 10), (4, 7, 11), (4, 7, 12), (4, 7, 13),
+        (7, 10, 13),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, r, k", list(CELL_FAMILIES))
 def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
     # on its own members: once in the partition, k - 1 more times in the collision
     # clause, and once per member of the reduced family for its image.  The verdicts
@@ -201,7 +216,9 @@ def test_the_suite_compresses_each_member_once_per_step(monkeypatch, n, r, k):
     # kept then compresses only its reduced members.
     import sepekr.compression
 
-    family = random_maximal_intersecting(n, r, k, random.Random(f"{n}:{r}:{k}"))
+    family = SetFamily(n, r, k, tuple(CircSet(n, m) for m in CELL_FAMILIES[n, r, k]))
+    free, anchored, boundary, _ = partition(family)
+    assert free and anchored and all(boundary) and derive_families(family).overlap
     universe = enumerate_separated(n, r, k)
     reduced = derive_families(family).reduced
     universe_reduced = derive_families(universe).reduced
@@ -616,6 +633,46 @@ def test_a_clause_that_fails_on_the_universe_is_checked_on_each_family(monkeypat
         with monkeypatch.context() as alone:
             alone.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)
             assert [verify_compression_suite(family) for family in families] == reports
+
+
+def test_collision_structure_flags_a_pair_that_differs_outside_the_window():
+    # Kills the mutant that drops the position test `diff >> (j + 1)` from
+    # _collision_clause, so that two members with one j-fold image that differ in two
+    # elements past j + 1 pass.  No k-separated family has such a pair, so the input is
+    # a crafted image: {1,5,7} is given the one-step image of {1,4,7}, and the two
+    # differ in 4 and 5, two elements, both outside 1..2.
+    a, b = CircSet(9, (1, 4, 7)), CircSet(9, (1, 5, 7))
+    free, anchored, boundary, images = partition(SetFamily(9, 3, 1, (a, b)))
+    images[b.mask] = images[a.mask]
+    derived = compression._derive(free, anchored, boundary, images, 9, 3, 1)
+    checks = compression._monotone_clauses(images, derived, 9, 3, 1)
+    results = {clause_id: check() for clause_id, check in checks.items()}
+    assert [clause_id for clause_id, c in results.items() if not c.passed] == ["collision-structure"]
+    clause = results["collision-structure"]
+    assert clause.clause_id == "collision-structure" and clause.passed is False
+    assert clause.witnesses == (a, b)
+
+
+def test_reduced_image_separated_flags_a_crowded_image(monkeypatch):
+    # Kills the mutant of _monotone_clauses whose reduced-image-separated never reports
+    # a witness.  No family's reduced image fails the clause, so the fault is a
+    # derivation that adds {1,2}, not 1-separated on [7], to every reduced image; the
+    # other clauses read the derivation unchanged.
+    real = compression._derive
+
+    def crowded(*args, **kwargs):
+        derived = real(*args, **kwargs)
+        return derived._replace(reduced_image=derived.reduced_image | {0b11})
+
+    monkeypatch.setattr(compression, "_derive", crowded)
+    family = star_family(9, 3, 1, 1)
+    report = verify_compression_suite(family)
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["reduced-image-separated"]
+    clause = report.clause("reduced-image-separated")
+    assert clause.clause_id == "reduced-image-separated" and clause.passed is False
+    assert clause.witnesses == (CircSet(7, (1, 2)),)
+    monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
+    assert verify_compression_suite(family) == report
 
 
 def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():

@@ -505,6 +505,7 @@ def test_every_bounded_call_takes_one_absolute_deadline():
         "solve_max_independent", "enumerate_max_independent", "max_intersecting",
         "max_intersecting_weighted", "extremal_classes", "independence_number",
         "chromatic_number", "verify_weighted_ekr", "row_edges", "DisjointnessGraph.edges",
+        "DisjointnessGraph.edge_count",
         "DisjointnessGraph.to_json_dict", "export_dimacs", "random_maximal_intersecting",
         "verify_compression_suite",
     ]

@@ -244,7 +244,38 @@ def test_random_maximal_matches_the_greedy_reference_on_interleaved_instances():
 def test_the_seeded_sample_stream_is_pinned():
     # 200 draws at seed 0 on (20,4,2): the lemmas benchmark's members_total
     rng = random.Random(0)
-    assert sum(len(random_maximal_intersecting(20, 4, 2, rng)) for _ in range(200)) == 21274
+    assert sum(len(random_maximal_intersecting(20, 4, 2, rng)) for _ in range(200)) == 21058
+
+
+class OnlyRandom:
+    """An RNG with a random() method and nothing else, so any other kind of draw raises."""
+
+    def __init__(self, random_):
+        self.random = random_
+
+
+def test_the_sampler_draws_only_random_once_per_vertex():
+    seed_draws = random.Random(5).random
+    draws = []
+
+    def counted():
+        draws.append(seed_draws())
+        return draws[-1]
+
+    got = random_maximal_intersecting(12, 3, 1, OnlyRandom(counted))
+    assert len(draws) == len(brute_separated(12, 3, 1))
+    assert [s.elems for s in got] == greedy_maximal_intersecting(12, 3, 1, random.Random(5))
+
+
+def test_equal_keys_visit_the_universe_in_lexicographic_order():
+    # every key ties, so the lower vertex, the lexicographically smaller set, goes first
+    for inst in [(9, 3, 1), (12, 2, 2), (10, 2, 0)]:
+        kept: list[tuple[int, ...]] = []
+        for s in brute_separated(*inst):
+            if all(set(s) & set(t) for t in kept):
+                kept.append(s)
+        got = random_maximal_intersecting(*inst, OnlyRandom(lambda: 0.5))
+        assert [s.elems for s in got] == kept, inst
 
 
 @settings(max_examples=150)

@@ -491,3 +491,46 @@ def test_the_search_rows_count_the_edges():
     assert independence_number(graph) == math.comb(7, 2)  # the star, C(n - kr - 1, r - 1)
     assert graph.num_edges == sum(1 for a, b in combinations(graph.masks, 2) if not a & b)
     assert "_rows" not in vars(graph)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda graph, deadline: graph.edge_count(deadline),
+        lambda graph, deadline: export_dimacs(graph, io.StringIO(), deadline=deadline),
+        lambda graph, deadline: run(
+            ["graph", "--kind", "schrijver", "--n", "9", "--r", "3", "--k", "1", "--limit-seconds", "60"]
+        ),
+    ],
+    ids=["edge_count", "export_dimacs", "cli_graph"],
+)
+def test_the_edge_count_reads_the_deadline_once_per_block_of_rows(monkeypatch, capsys, count):
+    # 30 rows in blocks of 8: the caller's deadline is read once before each block
+    sepekr.core._universe.cache_clear()
+    graph = build_schrijver(9, 3, 1)
+    graph.reversed_rows(None)  # built already, so every stage below is the count's
+    stages = []
+    real = sepekr.core.seconds_left
+
+    def recorded(deadline, stage):
+        if stage.startswith("the edge count"):
+            stages.append((deadline is not None, stage))
+        return real(deadline, stage)
+
+    monkeypatch.setattr(sepekr.core, "seconds_left", recorded)
+    monkeypatch.setattr(sepekr.core, "_EDGE_COUNT_BLOCK", 8)
+    count(graph, time.monotonic() + 60)
+    assert stages == [(True, f"the edge count at row {row}") for row in (1, 9, 17, 25)]
+    assert graph.num_edges == 138 == sum(1 for a, b in combinations(graph.masks, 2) if not a & b)
+    capsys.readouterr()
+
+
+def test_a_passed_deadline_stops_the_edge_count_and_keeps_nothing():
+    sepekr.core._universe.cache_clear()
+    graph = build_schrijver(9, 3, 1)
+    graph.reversed_rows(None)
+    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the edge count at row 1$"):
+        graph.edge_count(time.monotonic() - 1)
+    assert "_edge_count" not in kept_by_name(graph)
+    assert graph.edge_count() == 138
+    assert kept_by_name(graph)["_edge_count"] == 138
