@@ -111,6 +111,29 @@ def _cover_bound(
     return bound, best_v
 
 
+def _value_planes(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """At most 8 bit planes of the weights, rounded up, in the search's labels, each with its shift.
+
+    With top the largest weight and s = max(0, bit_length(top) - 8), each
+    weight w is rounded up to ceil(w / 2^s), one more bit of s if that
+    reaches 2^8, so every rounded weight has at most 8 bits.  Plane j holds
+    the vertices whose rounded weight has bit j, vertex i at bit V - 1 - i,
+    and comes with the shift j + s.  For any mask, the sum over the planes
+    of popcount(plane & mask) << shift is at least the mask's weight sum,
+    and equals it when s is 0 or every weight is a multiple of 2^s.  Each
+    plane is one int(bits, 2) of a V-character string.
+    """
+    top = max(weights, default=0)
+    s = max(0, top.bit_length() - 8)
+    if -(-top >> s) == 1 << 8:
+        s += 1
+    rounded = [-(-w >> s) for w in weights]
+    return [
+        (int("".join(["1" if q >> j & 1 else "0" for q in rounded]), 2), j + s)
+        for j in range(max(rounded, default=0).bit_length())
+    ]
+
+
 def _orbit_chain(size: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The roots of the orbit chain: (lowest vertex, vertices of the earlier orbits) per orbit.
 
@@ -202,6 +225,18 @@ def _search(
     collects nothing else, and the subtree is done before anything else is
     popped, so the collected order is the walk's too.  The deadline is read
     once for the closed subtree.
+
+    Before the walk, a node is pruned when cur plus its candidates' value
+    sum W is at most the floor: the candidate count without weights, and
+    with them the popcounts of `_value_planes`.  This is exact.  The walk's
+    bound sums one value per class, and the classes partition the
+    candidates, so it never exceeds W; every node this check prunes, the
+    walk would prune too, and a node it keeps is walked as before.  Floors,
+    best masks, collected sets and their order, branch vertices and node
+    counts are those of a walk at every node; only walks are skipped.  The
+    planes round each weight up to at most 8 bits, so the sum is still at
+    least W and a weight of 200 bits costs what its top 8 bits cost; they
+    are built once per call, at most 8 planes of V bits, about 8*V/8 bytes.
     """
     nodes = 0
     size = len(rows)
@@ -215,6 +250,7 @@ def _search(
     bits = [1 << v for v in range(size)]
     flipped_weights = None if weights is None else weights[::-1]
     value = [1] * size if flipped_weights is None else flipped_weights
+    planes = None if weights is None else _value_planes(weights)
     floor = sum(value[v] for v in members) if target is None else target - 1
     found: list[int] = []
     full = (1 << size) - 1
@@ -244,6 +280,16 @@ def _search(
                 found.append(mask)
         if not cand:
             continue
+        # The value sum bounds the cover's bound: a node it prunes, the walk would prune too.
+        if planes is None:
+            if cur + cand.bit_count() <= floor:
+                continue
+        else:
+            total = cur
+            for plane, shift in planes:
+                total += (plane & cand).bit_count() << shift
+            if total <= floor:
+                continue
         # The cover gets weights, not value: its weights=None path counts classes faster.
         bound, v = _cover_bound(cand, rows, flipped_weights, bits)
         if cur + bound <= floor:

@@ -653,26 +653,69 @@ def test_collision_structure_flags_a_pair_that_differs_outside_the_window():
     assert clause.witnesses == (a, b)
 
 
+def _report_under_a_faulty_derivation(monkeypatch, fault):
+    """The suite's report on star_family(9, 3, 1, 1) when _derive's result goes through fault.
+
+    The universe's verdicts are built under the fault too; the report is
+    checked to be the same without them.
+    """
+    real = compression._derive
+    monkeypatch.setattr(compression, "_derive", lambda *args, **kwargs: fault(real(*args, **kwargs)))
+    family = star_family(9, 3, 1, 1)
+    report = verify_compression_suite(family)
+    assert verdicts(9, 3, 1) is not None
+    with monkeypatch.context() as alone:
+        alone.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
+        assert verify_compression_suite(family) == report
+    return report
+
+
 def test_reduced_image_separated_flags_a_crowded_image(monkeypatch):
     # Kills the mutant of _monotone_clauses whose reduced-image-separated never reports
     # a witness.  No family's reduced image fails the clause, so the fault is a
     # derivation that adds {1,2}, not 1-separated on [7], to every reduced image; the
     # other clauses read the derivation unchanged.
-    real = compression._derive
-
-    def crowded(*args, **kwargs):
-        derived = real(*args, **kwargs)
-        return derived._replace(reduced_image=derived.reduced_image | {0b11})
-
-    monkeypatch.setattr(compression, "_derive", crowded)
-    family = star_family(9, 3, 1, 1)
-    report = verify_compression_suite(family)
+    report = _report_under_a_faulty_derivation(
+        monkeypatch, lambda d: d._replace(reduced_image=d.reduced_image | {0b11})
+    )
     assert [c.clause_id for c in report.clauses if not c.passed] == ["reduced-image-separated"]
     clause = report.clause("reduced-image-separated")
     assert clause.clause_id == "reduced-image-separated" and clause.passed is False
     assert clause.witnesses == (CircSet(7, (1, 2)),)
-    monkeypatch.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
-    assert verify_compression_suite(family) == report
+
+
+def test_reduced_components_disjoint_flags_a_shared_member(monkeypatch):
+    # Kills the mutant of _monotone_clauses whose reduced-components-disjoint never
+    # reports a witness.  No family's components share a member, so the fault is a
+    # derivation whose overlap component also yields {2,4} on [8], which the first
+    # boundary component yields too; the reduced family, their union, is unchanged.
+    report = _report_under_a_faulty_derivation(
+        monkeypatch, lambda d: d._replace(components=[d.components[0] | {0b1010}, *d.components[1:]])
+    )
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["reduced-components-disjoint"]
+    clause = report.clause("reduced-components-disjoint")
+    assert clause.clause_id == "reduced-components-disjoint" and clause.passed is False
+    assert clause.witnesses == (CircSet(8, (2, 4)),)
+
+
+def test_reduced_separated_flags_a_crowded_member(monkeypatch):
+    # Kills the mutant of _monotone_clauses whose reduced-separated never reports a
+    # witness.  No family's reduced family fails the clause, so the fault is a
+    # derivation that adds {2,3}, not 1-separated on [8], to the overlap component and
+    # so to the reduced family; the reduced image is unchanged.  The reduced family then
+    # has one member more than the size identity counts, and {2,3} meets every other
+    # reduced member in 2, so size-identity fails too and reduced-intersecting does not.
+    report = _report_under_a_faulty_derivation(
+        monkeypatch,
+        lambda d: d._replace(
+            reduced=d.reduced | {0b110}, components=[d.components[0] | {0b110}, *d.components[1:]]
+        ),
+    )
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["reduced-separated", "size-identity"]
+    clause = report.clause("reduced-separated")
+    assert clause.clause_id == "reduced-separated" and clause.passed is False
+    assert clause.witnesses == (CircSet(8, (2, 3)),)
+    assert report.clause("size-identity").detail == "10 = 6 + 5"
 
 
 def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():

@@ -1,6 +1,7 @@
 """Exact search: optimum sizes, weighted optima, and extremal class censuses."""
 
 import io
+import math
 import random
 import time
 
@@ -1025,7 +1026,8 @@ def test_skipping_the_walk_keeps_the_search_tree(graph):
     # floor, best mask, node count and the collected sets in order, free subtrees closed or walked
     adj, _, _, weights = graph
     few = [w % 3 for w in weights]  # ties and zero weights, where the branch order shows
-    for w in (None, weights, few):
+    wide = [w << 94 | w for w in weights]  # below 2^100: the value sum's planes round up
+    for w in (None, weights, few, wide, [0] * len(adj)):
         assert _search_without_deadline(adj, w) == _walk_every_node(adj, w)
     greedy = _greedy_independent(adj)
     assert _search_without_deadline(adj, few, incumbent=greedy) == _walk_every_node(
@@ -1054,7 +1056,8 @@ def test_closing_free_subtrees_keeps_the_orbital_search_tree(n, r, k):
             )
 
 
-def test_independent_nodes_skip_the_cover_walk(monkeypatch):
+def _counted_walks(monkeypatch) -> list[int]:
+    """The candidate sets of every cover walk from here on, in the order they are walked."""
     real = sepekr.search._cover_bound
     walks = []
 
@@ -1063,12 +1066,67 @@ def test_independent_nodes_skip_the_cover_walk(monkeypatch):
         return real(cand, *rest)
 
     monkeypatch.setattr(sepekr.search, "_cover_bound", counted)
-    # a walk at every node with candidates would be 13963 walks and 6905 walks
+    return walks
+
+
+def _plane_sum(planes, mask: int) -> int:
+    return sum((plane & mask).bit_count() << shift for plane, shift in planes)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 1 << 300), min_size=1, max_size=30), st.data())
+def test_value_planes_bound_the_weight_sum_in_at_most_8_planes(weights, data):
+    # a mask in the search's labels, vertex i at bit V - 1 - i; each weight rounds up
+    # by less than 2^s, and weights below 2^8, or those shifted left, round to themselves
+    top = max(weights)
+    planes = sepekr.search._value_planes(weights)
+    mask = data.draw(st.integers(0, (1 << len(weights)) - 1))
+    exact = sum(w for i, w in enumerate(reversed(weights)) if mask >> i & 1)
+    assert len(planes) == min(8, top.bit_length())
+    s = planes[0][1] if planes else 0
+    assert exact <= _plane_sum(planes, mask) <= exact + mask.bit_count() * ((1 << s) - 1)
+    low = [w % 256 for w in weights]
+    low_exact = sum(w for i, w in enumerate(reversed(low)) if mask >> i & 1)
+    assert _plane_sum(sepekr.search._value_planes(low), mask) == low_exact
+    assert _plane_sum(sepekr.search._value_planes([w << 200 for w in low]), mask) == low_exact << 200
+
+
+def test_value_planes_take_one_more_bit_when_rounding_reaches_2_to_the_8():
+    # ceil(511 / 2) = 2^8 needs a ninth plane, so the shift is 2: 511 rounds to 128, 1 to 1
+    assert sepekr.search._value_planes([511, 1]) == [(0b01, 2), *((0, j) for j in range(3, 9)), (0b10, 9)]
+
+
+def test_independent_nodes_skip_the_cover_walk(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    # a walk at every node with candidates would be 13963 walks and 6905 walks; the free
+    # subtrees closed in one step and the nodes pruned by their value sum skip theirs
     assert extremal_classes(18, 8, 1).nodes_explored == 14411
-    assert len(walks) == 1263
+    assert len(walks) == 1230
     walks.clear()
     assert sepekr.weighted.verify_weighted_ekr(15, 3, 1).nodes_explored == 6913
-    assert len(walks) == 6669
+    assert len(walks) == 4352
+
+
+@pytest.mark.parametrize("n, nodes", [(16, 11219), (18, 25233)])
+def test_weighted_solve_nodes_and_optimum(n, nodes):
+    report = sepekr.weighted.verify_weighted_ekr(n, 3, 1)
+    assert report.nodes_explored == nodes
+    assert report.optimum == math.comb(n - 1, 5)  # C(n - 1, (k + 1)r - 1)
+
+
+def test_wide_weights_search_the_tree_of_their_top_bits(monkeypatch):
+    # w << 200 rounds to the planes of w: the same prunes, so the same nodes and walks
+    walks = _counted_walks(monkeypatch)
+    runs = []
+    for shift in (0, 200):
+        result = max_intersecting_weighted(15, 3, 1, lambda s: sepekr.weighted.weight(s, 1) << shift)
+        runs.append((result, len(walks)))
+        walks.clear()
+    (narrow, narrow_walks), (wide, wide_walks) = runs
+    assert wide.optimum == narrow.optimum << 200 == 2002 << 200
+    assert wide.witness == narrow.witness
+    assert wide.nodes_explored == narrow.nodes_explored == 6913
+    assert wide_walks == narrow_walks == 4352
 
 
 @settings(max_examples=100)
