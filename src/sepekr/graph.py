@@ -5,10 +5,10 @@ from __future__ import annotations
 from itertools import islice
 
 from .core import (
-    DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, mask_elems, seconds_left,
-    separated_universe,
+    DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, count_separated, mask_elems,
+    seconds_left, separated_universe,
 )
-from .search import _reversed, _search, solve_max_independent
+from .search import _reversed, _search, _universe_solve, _vertex_permutations, solve_max_independent
 
 COLORING_MAX_VERTICES = 64
 
@@ -25,6 +25,17 @@ def build_schrijver(
     return separated_universe(n, r, k, max_vertices)
 
 
+def _is_universe(graph: DisjointnessGraph) -> bool:
+    """Whether the graph holds every k-separated r-set of [n] once, in any order.
+
+    Its masks are checked members, so distinct masks as many as the closed
+    form counts are the whole universe, and every symmetry of the circle is
+    an automorphism of the graph and of its complement.
+    """
+    masks = graph.masks
+    return 0 < len(masks) == len(set(masks)) == count_separated(graph.n, graph.r, graph.k)
+
+
 def independence_number(
     graph: DisjointnessGraph,
     *,
@@ -32,9 +43,14 @@ def independence_number(
 ) -> int:
     """Exact independence number via the branch-and-bound solver.
 
-    The search reads the graph's rows in its own labels (reversed_rows); the
-    deadline bounds building them too, when they are not built yet.
+    On a whole universe it is `max_intersecting`'s solve (`_universe_solve`):
+    the star as incumbent, the dihedral orbit chain and orbital branching.
+    Any other graph gets the plain search.  The search reads the graph's
+    rows in its own labels (reversed_rows); the deadline bounds building
+    them too, when they are not built yet, and the symmetries on a universe.
     """
+    if _is_universe(graph):
+        return _universe_solve(graph, deadline)[0]
     return _search(graph.reversed_rows(deadline), None, None, deadline)[0]
 
 
@@ -127,12 +143,18 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     """Exact chromatic number by iterative deepening from a maximum clique.
 
     The clique is a maximum independent set of the complement, found by the
-    search core.  The colouring reads the rows in vertex order: the
-    universe's kept rows, in the search's labels, put back through the
-    search's reversal (an involution) for this call and not kept.  Raises
-    ResourceLimitError above COLORING_MAX_VERTICES, or once the
-    time.monotonic() deadline passes; it bounds building the rows too, when
-    they are not built yet, and is read before each row is reversed.
+    plain search, and the colouring precolours it.  On a whole universe the
+    clique number is first proved by an orbital search of the complement
+    (every symmetry of the circle is an automorphism of it), and the plain
+    search stops at its first clique of that size (stop_at): the clique the
+    whole plain search returns, so every colouring step is the same.  The
+    colouring reads the rows in vertex order: the universe's kept rows, in
+    the search's labels, put back through the search's reversal (an
+    involution) for this call and not kept.  Raises ResourceLimitError
+    above COLORING_MAX_VERTICES, or once the time.monotonic() deadline
+    passes; one deadline covers the rows, when they are not built yet (and
+    is read before each row is reversed), the symmetries, both clique
+    searches and the colouring.
     """
     v_count = graph.num_vertices
     if v_count > COLORING_MAX_VERTICES:
@@ -143,7 +165,11 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     full = (1 << v_count) - 1
     complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
     seconds_left(deadline, "the clique search")
-    _, mask, _ = solve_max_independent(complement, deadline=deadline)
+    omega = None
+    if _is_universe(graph):
+        perms = _vertex_permutations(graph, deadline=deadline)
+        omega = solve_max_independent(complement, deadline=deadline, perms=perms)[0]
+    _, mask, _ = solve_max_independent(complement, deadline=deadline, stop_at=omega)
     clique = [e - 1 for e in mask_elems(mask)]
     seconds_left(deadline, "the colouring")
     for c in range(len(clique), v_count + 1):

@@ -13,10 +13,11 @@ the lowest index as the highest bit with one bit_length; it keeps the walk's
 classes, bound, branch vertex and node counts, and translates its answers
 back.  A universe's searches read the one row set it keeps in these labels
 (`DisjointnessGraph.reversed_rows`); `solve_max_independent` and
-`enumerate_max_independent` reverse an arbitrary adj once per call.
-`max_intersecting` starts its solve from the
-star as a checked incumbent and from an orbit chain of the circle's symmetry,
-and branches orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
+`enumerate_max_independent` reverse an arbitrary adj once per call.  A
+universe's solve (`_universe_solve`, behind `max_intersecting` and a
+universe's `independence_number`) starts from the star as a checked
+incumbent and from an orbit chain of the circle's symmetry, and branches
+orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
 is one enumeration from the star's size on the same chain, so it meets at
 least one optimum per class rather than all of them.  Each class, and each
 witness, is represented by the least image of its vertex mask under the
@@ -164,6 +165,7 @@ def _search(
     deadline: float | None,
     perms: Sequence[Sequence[int]] | None = None,
     incumbent: int = 0,
+    stop_at: int | None = None,
 ) -> tuple[int, int, int, list[int]]:
     """The one branch-and-bound DFS behind both search modes.
 
@@ -237,6 +239,14 @@ def _search(
     planes round each weight up to at most 8 bits, so the sum is still at
     least W and a weight of 200 bits costs what its top 8 bits cost; they
     are built once per call, at most 8 planes of V bits, about 8*V/8 bytes.
+
+    In optimise mode a stop_at returns as soon as the floor reaches it: the
+    incumbent's weight, a node's, or the close of a free subtree, whose nodes
+    all count.  It is read only where the floor rises, so a search without
+    it pays nothing per node.  The floor rises only past its old value, so
+    the best mask is the first set met of its weight, and a stop_at of the
+    optimum returns the same optimum and mask as the whole search; one above
+    the optimum never fires.
     """
     nodes = 0
     size = len(rows)
@@ -252,6 +262,8 @@ def _search(
     value = [1] * size if flipped_weights is None else flipped_weights
     planes = None if weights is None else _value_planes(weights)
     floor = sum(value[v] for v in members) if target is None else target - 1
+    if stop_at is not None and floor >= stop_at:
+        return floor, incumbent, nodes, []
     found: list[int] = []
     full = (1 << size) - 1
     if perms is None:
@@ -274,6 +286,8 @@ def _search(
         if cur > floor:
             if target is None:
                 floor, best_mask = cur, mask
+                if stop_at is not None and floor >= stop_at:
+                    break
             else:
                 if cur > floor + 1:
                     floor, found = cur - 1, []
@@ -308,6 +322,8 @@ def _search(
                     floor, found = cur + bound - 1, []
                 found.append(mask | cand)
             nodes += 2 * cand.bit_count()
+            if stop_at is not None and floor >= stop_at:
+                break
             continue
         b = orbit = bits[v]
         stabiliser = None
@@ -342,6 +358,7 @@ def solve_max_independent(
     deadline: float | None = None,
     perms: Sequence[Sequence[int]] | None = None,
     incumbent: int = 0,
+    stop_at: int | None = None,
 ) -> tuple[int, int, int]:
     """Maximum(-weight) independent set; returns (optimum, vertex bitmask, nodes explored).
 
@@ -350,13 +367,17 @@ def solve_max_independent(
     below it (see `_search`).  An
     incumbent mask, checked to be independent (ValueError otherwise), is the
     starting best: the search only looks for something heavier, and returns
-    the incumbent when nothing is.  adj is reversed into the search's labels
-    once per call, which takes about V*V/8 bytes while it runs.  A deadline,
-    a time.monotonic() value, is read before each row is reversed and at
-    every node visited; a subtree closed in one step (see `_search`) reads
-    it once and counts all its nodes.  ResourceLimitError once it passes.
+    the incumbent when nothing is.  stop_at ends the search as soon as it
+    holds a set of at least that weight; with the optimum as stop_at (proved
+    by another search, say) that is the optimum and mask the whole search
+    returns, in fewer nodes (see `_search`).  adj is reversed into the
+    search's labels once per call, which takes about V*V/8 bytes while it
+    runs.  A deadline, a time.monotonic() value, is read before each row is
+    reversed and at every node visited; a subtree closed in one step (see
+    `_search`) reads it once and counts all its nodes.  ResourceLimitError
+    once it passes.
     """
-    return _search(_reversed(adj, deadline), weights, None, deadline, perms, incumbent)[:3]
+    return _search(_reversed(adj, deadline), weights, None, deadline, perms, incumbent, stop_at)[:3]
 
 
 def enumerate_max_independent(
@@ -437,6 +458,27 @@ def _star_mask(graph: DisjointnessGraph) -> int:
     return sum(1 << i for i, m in enumerate(graph.masks) if m & 1)
 
 
+def _universe_solve(
+    graph: DisjointnessGraph, deadline: float | None
+) -> tuple[int, int, int, list[tuple[int, ...]]]:
+    """A universe's largest intersecting family: (optimum, vertex mask, nodes, dihedral permutations).
+
+    The solve starts from the star (every vertex holding 1) as incumbent and
+    from the orbit chain of the dihedral group, and branches orbitally below
+    it.  graph must hold every k-separated r-set of [n] once, in any order,
+    so that the circle's symmetries are automorphisms of it.  The deadline
+    is read before each symmetry after the identity, before the solve,
+    while the rows are built, when they are not built yet, and at every
+    node.
+    """
+    perms = _vertex_permutations(graph, deadline=deadline)
+    seconds_left(deadline, "the solve")
+    optimum, mask, nodes, _ = _search(
+        graph.reversed_rows(deadline), None, None, deadline, perms, _star_mask(graph)
+    )
+    return optimum, mask, nodes, perms
+
+
 def max_intersecting(
     n: int,
     r: int,
@@ -447,19 +489,15 @@ def max_intersecting(
 ) -> SearchResult:
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
-    The solve starts from the star (every vertex holding 1) as incumbent and
-    from the orbit chain of the dihedral group.  The witness is the least
-    image of the optimum's vertex mask under the group, its canonical form;
+    The solve (`_universe_solve`) starts from the star as incumbent and from
+    the orbit chain of the dihedral group.  The witness is the least image
+    of the optimum's vertex mask under the group, its canonical form;
     repeated runs are identical.  One deadline (time.monotonic()) covers the
     whole call: the universe, the symmetries (read before each one is
     built), the rows, the solve and the canonicalisation of the witness.
     """
     graph = separated_universe(n, r, k, max_vertices, deadline)
-    perms = _vertex_permutations(graph, deadline=deadline)
-    seconds_left(deadline, "the solve")
-    optimum, mask, nodes, _ = _search(
-        graph.reversed_rows(deadline), None, None, deadline, perms, _star_mask(graph)
-    )
+    optimum, mask, nodes, perms = _universe_solve(graph, deadline)
     seconds_left(deadline, "canonicalising the witness")
     least = _least(_orbit(mask, perms))
     return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)

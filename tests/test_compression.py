@@ -718,6 +718,21 @@ def test_reduced_separated_flags_a_crowded_member(monkeypatch):
     assert report.clause("size-identity").detail == "10 = 6 + 5"
 
 
+def test_size_identity_flags_a_lost_image(monkeypatch):
+    # Kills the mutant whose size-identity always passes.  No family's sizes break the
+    # identity, so the fault is a derivation that drops the lexicographically first
+    # image, {1,3,5} on [8]; compressed-separated and compressed-intersecting then read
+    # a subset of the images, which has no witness where the images had none.
+    report = _report_under_a_faulty_derivation(
+        monkeypatch, lambda d: d._replace(images=d.images - set(compression._lex(d.images)[:1]))
+    )
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["size-identity"]
+    clause = report.clause("size-identity")
+    assert clause.clause_id == "size-identity" and clause.passed is False
+    assert clause.witnesses == ()
+    assert clause.detail == "10 = 5 + 4"
+
+
 def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():
     family = star_family(9, 3, 1, 1)
     with pytest.raises(ResourceLimitError, match="before the compression verdicts"):

@@ -29,11 +29,12 @@ from sepekr import (
     max_intersecting_weighted,
     random_maximal_intersecting,
     separated_masks,
+    solve_max_independent,
     star_family,
     verify_compression_suite,
 )
 from sepekr.cli import run
-from sepekr.core import count_separated, row_edges
+from sepekr.core import count_separated, mask_elems, row_edges
 
 from helpers import dsatur_steps, kept_by_name, max_intersecting_size
 
@@ -349,26 +350,39 @@ def test_chromatic_number_of_the_empty_graph():
 
 
 def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
+    # on a universe two clique searches run, the orbital proof of the clique number (with
+    # perms) and then the plain search that stops at it; both share the one deadline
     real = sepekr.graph.solve_max_independent
+    calls = []
 
-    def sleep_after(*args, **kwargs):
-        result = real(*args, **kwargs)
-        time.sleep(0.3)
-        return result
+    def sleep_at(call, before):
+        def patched(*args, **kwargs):
+            calls.append("orbital" if kwargs.get("perms") else "plain")
+            if before and len(calls) == call:
+                time.sleep(0.3)
+            result = real(*args, **kwargs)
+            if not before and len(calls) == call:
+                time.sleep(0.3)
+            return result
 
-    def sleep_before(*args, **kwargs):
-        time.sleep(0.3)
-        return real(*args, **kwargs)
+        return patched
 
-    # the clique search ends past the deadline, so the colouring never starts
-    monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_after)
-    with pytest.raises(ResourceLimitError, match="before the colouring"):
-        chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
-    # the deadline passes before the clique search starts; the search shares it instead of
-    # starting a budget of its own, so it stops at its first read, before its first reversed row
-    monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_before)
-    with pytest.raises(ResourceLimitError, match="^time limit exceeded before the reversed row of vertex 1$"):
-        chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
+    cases = [
+        # the last clique search ends past the deadline, so the colouring never starts
+        (2, False, "before the colouring", ["orbital", "plain"]),
+        # the orbital search ends past it, so the plain search stops at its first read,
+        # before its first reversed row
+        (1, False, "^time limit exceeded before the reversed row of vertex 1$", ["orbital", "plain"]),
+        # the deadline passes before the clique search starts; the search shares it instead
+        # of starting a budget of its own, so it stops at its first read
+        (1, True, "^time limit exceeded before the reversed row of vertex 1$", ["orbital"]),
+    ]
+    for call, before, stage, searches in cases:
+        calls.clear()
+        monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_at(call, before))
+        with pytest.raises(ResourceLimitError, match=stage):
+            chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
+        assert calls == searches
 
 
 def test_chromatic_time_limit():
@@ -394,6 +408,105 @@ def test_chromatic_number_of_every_stable_kneser_graph_within_the_colouring_limi
     assert len(instances) == 63
     for n, r, k in instances:
         assert chromatic_number(build_schrijver(n, r, k)) == n - (k + 1) * (r - 1), (n, r, k)
+
+
+class _Precoloured(Exception):
+    """Raised in place of the colouring, once chromatic_number has chosen its clique."""
+
+
+def _complement(adj: list[int]) -> list[int]:
+    full = (1 << len(adj)) - 1
+    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+
+
+def test_the_precoloured_clique_is_the_plain_search_clique_on_every_stable_kneser_graph(monkeypatch):
+    # the orbital proof of the clique number only tells the plain search where to stop,
+    # so it precolours the clique the whole plain search returns, and every colouring
+    # step stays the same; the 63 instances of the chi test, and the 20 Kneser graphs
+    # (k = 0), the edgeless ones with n < 2r among them
+    instances = [
+        (n, r, k)
+        for k in range(5)
+        for r in range(2, 5)
+        for n in range((k + 1) * r, 40)
+        if count_separated(n, r, k) <= sepekr.graph.COLORING_MAX_VERTICES
+    ]
+    assert len(instances) == 63 + 20
+    real = sepekr.graph.solve_max_independent
+    stops, cliques = [], []
+
+    def recorded(*args, **kwargs):
+        if not kwargs.get("perms"):
+            stops.append(kwargs.get("stop_at"))
+        return real(*args, **kwargs)
+
+    def precoloured(adj, colors_allowed, clique, deadline):
+        cliques.append(clique)
+        raise _Precoloured
+
+    monkeypatch.setattr(sepekr.graph, "solve_max_independent", recorded)
+    monkeypatch.setattr(sepekr.graph, "_colorable", precoloured)
+    for n, r, k in instances:
+        graph = build_schrijver(n, r, k)
+        omega, mask, _ = solve_max_independent(_complement(list(disjointness_rows(graph.masks))))
+        with pytest.raises(_Precoloured):
+            chromatic_number(graph)
+        assert (stops.pop(), cliques.pop()) == (omega, [e - 1 for e in mask_elems(mask)]), (n, r, k)
+
+
+def test_the_orbital_proof_stops_the_plain_clique_search_early():
+    # SG(11,2,1): the plain search meets its clique of 5 at node 7 and proves it by node
+    # 2739; the orbital search proves 5 in 242 nodes, and the plain search stops at node 7
+    graph = build_schrijver(11, 2, 1)
+    complement = _complement(list(disjointness_rows(graph.masks)))
+    whole = solve_max_independent(complement)
+    orbital = solve_max_independent(complement, perms=sepekr.search._vertex_permutations(graph))
+    stopped = solve_max_independent(complement, stop_at=orbital[0])
+    assert (whole[0], whole[2], orbital[0], orbital[2]) == (5, 2739, 5, 242)
+    assert stopped == (5, whole[1], 7)
+
+
+@pytest.mark.parametrize("n, r, k", [(9, 3, 1), (12, 3, 1), (13, 4, 1), (11, 2, 3), (9, 2, 0), (9, 3, 0)])
+def test_a_universe_s_independence_number_is_the_orbital_solve(monkeypatch, n, r, k):
+    # in lexicographic order and reversed, a whole universe takes max_intersecting's solve
+    # (the star and the orbit chain), and its alpha is the plain search's
+    real = sepekr.graph._universe_solve
+    solved = []
+
+    def recorded(graph, deadline):
+        solved.append(graph.masks)
+        return real(graph, deadline)
+
+    monkeypatch.setattr(sepekr.graph, "_universe_solve", recorded)
+    masks = tuple(separated_masks(n, r, k))
+    for graph in (build_schrijver(n, r, k), DisjointnessGraph(n, r, k, masks[::-1])):
+        plain = sepekr.search._search(graph.reversed_rows(None), None, None, None)[0]
+        assert independence_number(graph) == plain == max_intersecting(n, r, k).optimum
+        assert solved.pop() == graph.masks
+
+
+def test_a_graph_that_is_not_a_universe_takes_the_plain_path(monkeypatch):
+    # a subset of a universe's masks, the duplicated-mask graph of test_core, as many
+    # masks as the universe with one twice, and the empty graph of an empty universe: no
+    # symmetry is read, and brute force agrees
+    masks = tuple(separated_masks(7, 2, 1))
+    graphs = [
+        DisjointnessGraph(7, 2, 1, tuple(random.Random(7).sample(masks, 9))),
+        DisjointnessGraph(7, 2, 1, masks[1:]),
+        DisjointnessGraph(7, 2, 1, (masks[1], masks[1], masks[0])),
+        DisjointnessGraph(7, 2, 1, masks[:-1] + masks[:1]),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the universe path")
+
+    monkeypatch.setattr(sepekr.graph, "_universe_solve", refuse)
+    monkeypatch.setattr(sepekr.graph, "_vertex_permutations", refuse)
+    for graph in graphs:
+        assert independence_number(graph) == max_intersecting_size([mask_elems(m) for m in graph.masks])
+        assert chromatic_number(graph) == brute_chromatic(list(disjointness_rows(graph.masks)))
+    empty = DisjointnessGraph(3, 2, 1, ())  # no 1-separated 2-set fits on 3 points
+    assert independence_number(empty) == chromatic_number(empty) == 0
 
 
 @pytest.mark.parametrize(

@@ -1037,6 +1037,33 @@ def test_skipping_the_walk_keeps_the_search_tree(graph):
         assert _search_without_deadline(adj, None, target) == _walk_every_node(adj, None, target)
 
 
+@settings(max_examples=150)
+@given(random_graphs(24))
+def test_stopping_at_the_optimum_keeps_the_answer(graph):
+    # the floor first reaches the optimum at the set the whole search keeps, since it
+    # never replaces a set by one of the same weight; a stop_at above it never fires
+    adj, _, _, weights = graph
+    few = [w % 3 for w in weights]
+    wide = [w << 94 | w for w in weights]
+    greedy = _greedy_independent(adj)
+    for w in (None, weights, few, wide, [0] * len(adj)):
+        for incumbent in (0, greedy):
+            whole = solve_max_independent(adj, w, incumbent=incumbent)
+            optimum, mask, nodes = whole
+            stopped = solve_max_independent(adj, w, incumbent=incumbent, stop_at=optimum)
+            assert stopped[:2] == (optimum, mask) and stopped[2] <= nodes
+            assert solve_max_independent(adj, w, incumbent=incumbent, stop_at=optimum + 1) == whole
+
+
+def test_stopping_at_a_node_skips_the_rest_of_the_stack():
+    # a triangle reaches its optimum 1 at node 2, the include child of vertex 0, and stops
+    # there; the whole search pops the exclude child as node 3 and prunes it
+    triangle = [0b110, 0b101, 0b011]
+    assert solve_max_independent(triangle) == (1, 0b1, 3)
+    assert solve_max_independent(triangle, stop_at=1) == (1, 0b1, 2)
+    assert solve_max_independent(triangle, incumbent=0b10, stop_at=1) == (1, 0b10, 0)
+
+
 @pytest.mark.parametrize("n, r, k", [(9, 2, 1), (10, 3, 1), (12, 5, 1), (13, 3, 2), (14, 4, 1)])
 def test_closing_free_subtrees_keeps_the_orbital_search_tree(n, r, k):
     # the orbit chain and orbital branching under both groups, with the star as incumbent
