@@ -4,13 +4,9 @@ Exit codes: 0 success or verified, 1 verification failure, 2 usage error or
 unwritable output path, 3 resource-limit abort.  Output for a fixed invocation
 is byte-identical across runs.  The SEPEKR_THREADS environment variable is
 validated (positive integer) and accepted for compatibility, but the library
-is sequential, so results never depend on it.  `report` computes its grid
-rows in two processes, this one and one forked helper, when fork exists, this
-process may run on two or more CPUs, the grid has rows enough to pay for the
-fork, no other thread is running, SIGCHLD is not ignored, and no profiler or
-replaced library function observes the rows' calls (see _share_rows).  This
-process computes every row the helper does not deliver, so the rows, stdout
-bytes, errors and exit codes never depend on the helper.
+is sequential, so results never depend on it.  Every command, `report`
+included, runs in this one process: `report` computes its grid rows one after
+another, in grid order.
 """
 
 from __future__ import annotations
@@ -20,14 +16,13 @@ import json
 import os
 import sys
 import time
-import types
 from itertools import islice
 
 # report, enumerate, max-family and classes call only core and search; lemmas, weighted and
 # graph import the other modules when they run, so that no command compiles a module it never calls
 from .core import (
-    DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, count_separated, seconds_left,
-    separated_universe, star_size_formula,
+    DEFAULT_MAX_VERTICES, ResourceLimitError, SetFamily, seconds_left, separated_universe,
+    star_size_formula,
 )
 from .search import CLASS_MAX_VERTICES, extremal_classes, max_intersecting
 
@@ -361,13 +356,9 @@ def default_grid() -> list[tuple[int, int, int, bool]]:
     return rows
 
 
-def _row_stage(n: int, r: int, k: int) -> str:
-    return f"row n={n} r={r} k={k}"
-
-
 def _report_row(n: int, r: int, k: int, with_classes: bool, deadline: float | None) -> dict:
     """One grid row: the optimum against the star size and, on the subgrid, the class count."""
-    seconds_left(deadline, _row_stage(n, r, k))
+    seconds_left(deadline, f"row n={n} r={r} k={k}")
     formula = star_size_formula(n, r, k)
     if with_classes:
         result = extremal_classes(n, r, k, max_vertices=DEFAULT_MAX_VERTICES, deadline=deadline)
@@ -391,129 +382,10 @@ def _report_row(n: int, r: int, k: int, with_classes: bool, deadline: float | No
     }
 
 
-# The least work, in vertices summed over the grid's rows, that pays for a helper.  Measured on a
-# 2-CPU machine: the fork and the helper's cold first row cost about 3 ms; the quick grid's 50
-# vertices are about 1 ms of rows (3.5-6.0 ms alone, 6.5-9.5 ms with a helper); the default
-# grid's first 1012 vertices take about 6.5 ms, and all its 2692 run a third faster with one.
-_HELPER_MIN_VERTICES = 1000
-
-# (namespace, name, function) for every function the package's modules held when this one was
-# imported, but this module's own: core and search, imported above, hold every one the rows reach
-_AS_IMPORTED = [
-    (space, name, value)
-    for space in [vars(m) for n, m in list(sys.modules.items()) if n.startswith(f"{__package__}.")]
-    for name, value in list(space.items())
-    if isinstance(value, types.FunctionType)
-    and value.__module__.startswith(f"{__package__}.") and value.__module__ != __name__
-]
-
-
-def _share_rows(grid: list, deadline: float | None, records: dict) -> int:
-    """Compute rows into records while one forked helper computes others; the helper's count.
-
-    The helper runs only when fork exists, this process may run on two or
-    more CPUs, the grid has two or more rows holding _HELPER_MIN_VERTICES
-    vertices or more in all (below that the fork and the helper's cold first
-    row cost more than the rows it takes), no other thread is running
-    (forking a process with threads can deadlock the child), SIGCHLD has its
-    default action (so the helper's pid stays this process's to kill and
-    reap), and nothing in this process observes the library's calls: no
-    profiler is set and every library function is still the one imported
-    (_AS_IMPORTED), so a tracer, profiler or test double that wraps one sees
-    every row, as the helper's calls would go unseen.  Otherwise this
-    returns 0 at once.
-
-    Both processes take row indices from one pipe.  It is filled before the
-    fork with fixed-width records, in one write of at most POSIX's least
-    PIPE_BUF (512 bytes), which is atomic and never waits for a reader, and
-    closed for writing, so each read takes one whole record.  The helper
-    sends each row back on a second pipe as one JSON line, shorter than 512
-    bytes and so one atomic write.  It never writes to stdout or stderr and
-    leaves by os._exit, so buffers inherited from this process are never
-    flushed twice.  It stops when the queue is empty, when a row raises, or
-    when this process is gone.
-
-    Once the queue is empty this process waits for the helper's rows while
-    seconds are left before the deadline, then raises ResourceLimitError
-    naming the first row not delivered.  Rows the helper does not deliver are
-    left out of records.  The helper is killed, if still running, and reaped
-    on every way out.
-    """
-    width = len(str(len(grid)))
-    if not (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and 2 <= len(grid) <= 512 // width
-        and sum(count_separated(*row[:3]) for row in grid) >= _HELPER_MIN_VERTICES
-        and sys.getprofile() is None
-        and all(space.get(name) is value for space, name, value in _AS_IMPORTED)
-    ):
-        return 0
-    import select  # here, so that only a report that may fork loads these modules
-    import signal
-    import threading
-
-    if threading.active_count() != 1 or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
-        return 0
-    queue, queue_w = os.pipe()
-    results, results_w = os.pipe()
-    os.write(queue_w, b"".join(b"%0*d" % (width, i) for i in range(len(grid))))
-    os.close(queue_w)
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller computes every row
-        pid = None
-    if pid == 0:
-        try:
-            while os.getppid() == parent and (record := os.read(queue, width)):
-                i = int(record)
-                line = json.dumps([i, _report_row(*grid[i], deadline)]) + "\n"
-                os.write(results_w, line.encode())
-        finally:
-            os._exit(0)
-    os.close(results_w)
-    try:
-        while pid and (record := os.read(queue, width)):
-            i = int(record)
-            records[i] = _report_row(*grid[i], deadline)
-        delivered, pending = 0, b""
-        while pid and len(records) < len(grid):
-            # rows already delivered are taken even when the time is up
-            left = None if deadline is None else max(deadline - time.monotonic(), 0)
-            if not select.select([results], [], [], left)[0]:
-                first = min(set(range(len(grid))) - records.keys())
-                seconds_left(deadline, _row_stage(*grid[first][:3]))
-                continue  # select woke before the deadline
-            chunk = os.read(results, 1 << 16)
-            if not chunk:
-                break  # the helper has left
-            *lines, pending = (pending + chunk).split(b"\n")
-            for line in lines:
-                i, row = json.loads(line)
-                records[i] = row
-            delivered += len(lines)
-        return delivered
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(queue)
-        os.close(results)
-
-
 def _cmd_report(args) -> int:
     grid = default_grid() if args.grid == "default" else default_grid()[:5]
     started = time.monotonic()
-    # with a helper, this process computes the rows it did not deliver, in grid order, so the
-    # rows, errors and exit codes are this process's own whichever process ran a row
-    records: dict[int, dict] = {}
-    delivered = _share_rows(grid, args.deadline, records)
-    out_rows = [
-        records[i] if i in records else _report_row(*row, args.deadline)
-        for i, row in enumerate(grid)
-    ]
+    out_rows = [_report_row(*row, args.deadline) for row in grid]
     elapsed = time.monotonic() - started
     all_ok = all(row["match"] and row["class_ok"] is not False for row in out_rows)
 
@@ -537,10 +409,7 @@ def _cmd_report(args) -> int:
         lambda: out_rows,
         text,
     )
-    processes = "2 processes" if delivered else "1 process"
-    print(
-        f"grid completed in {elapsed * 1000:.1f} ms, rows computed by {processes}", file=sys.stderr
-    )
+    print(f"grid completed in {elapsed * 1000:.1f} ms", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -307,98 +308,46 @@ def test_graph_csv_leaves_unrequested_invariants_empty(capsys):
     assert out_of(capsys).splitlines()[1] == "schrijver,7,2,1,14,49,,5"
 
 
-# === report's helper process ===
+# === report runs in one process ===
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork made in this process."""
-    children = []
-    real = os.fork
+def one_process(monkeypatch):
+    """Make os.fork fail the test, so that a report must compute every row in this process."""
 
-    def counted():
-        pid = real()
-        if pid:
-            children.append(pid)
-        return pid
+    def no_fork():
+        raise AssertionError("report started a second process")
 
-    monkeypatch.setattr(os, "fork", counted)
-    return children
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
-@pytest.fixture
-def any_grid(monkeypatch):
-    """Let every grid of two or more rows, however little work, have a helper."""
-    monkeypatch.setattr("sepekr.cli._HELPER_MIN_VERTICES", 0)
-
-
-def _on_cpus(monkeypatch, count):
-    """Let this process see count CPUs: one keeps report's rows in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-HELPER_RUNS = {
+REPORT_RUNS = {
     "default-text": (["report", "--grid", "default"], DATA.parent / "report_default.txt"),
     "quick-json": (["report", "--grid", "quick", "--format", "json"], DATA / "report.json"),
     "quick-csv": (["report", "--grid", "quick", "--format", "csv"], DATA / "report.csv"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(HELPER_RUNS))
-def test_report_bytes_are_the_same_with_and_without_the_helper(capsys, monkeypatch, forks, name, any_grid):
-    argv, frozen = HELPER_RUNS[name]
-    real = sepekr.cli._report_row
-    me = os.getpid()
-
-    def paced(*row):
-        if os.getpid() == me:
-            time.sleep(0.05)  # so that the helper takes rows, however busy the machine
-        return real(*row)
-
-    sepekr.core._universe.cache_clear()  # the helper computes its rows cold, as in a fresh run
-    with monkeypatch.context() as patch:
-        patch.setattr("sepekr.cli._report_row", paced)
-        _on_cpus(patch, 2)
-        assert run(argv) == 0
-    shared = capsys.readouterr()
-    assert len(forks) == 1
-    assert "rows computed by 2 processes" in shared.err
-    _assert_no_child_left()
-    _on_cpus(monkeypatch, 1)
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_gives_the_frozen_bytes(capsys, one_process, name):
+    argv, frozen = REPORT_RUNS[name]
     assert run(argv) == 0
-    alone = capsys.readouterr()
-    assert len(forks) == 1  # the sequential path never forks
-    assert "rows computed by 1 process\n" in alone.err
-    assert shared.out == alone.out == frozen.read_text()
-
-
-def test_a_row_that_fails_in_the_helper_is_computed_here(capsys, monkeypatch, forks, any_grid):
-    real = sepekr.cli._report_row
-    me = os.getpid()
-
-    def fails_in_the_helper(*row):
-        if os.getpid() != me:
-            raise RuntimeError("a failure only the helper sees")
-        return real(*row)
-
-    monkeypatch.setattr("sepekr.cli._report_row", fails_in_the_helper)
-    _on_cpus(monkeypatch, 2)
-    assert run(["report", "--grid", "quick", "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert len(forks) == 1
-    assert captured.out == (DATA / "report.json").read_text()
-    assert "rows computed by 1 process\n" in captured.err
-    assert "a failure only the helper sees" not in captured.err
-    _assert_no_child_left()
+    assert captured.out == frozen.read_text()
+    assert re.fullmatch(r"grid completed in \d+\.\d ms\n", captured.err)
 
 
-def test_report_never_forks_beside_a_second_thread(capsys, monkeypatch, forks, any_grid):
-    _on_cpus(monkeypatch, 2)
+def test_report_stays_in_one_process_on_two_cpus(capsys, monkeypatch, one_process):
+    # neither the quick grid's 50 vertices nor the default grid's 2692 start a second process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert sum(sepekr.core.count_separated(*row[:3]) for row in sepekr.cli.default_grid()[:5]) == 50
+    assert run(["report", "--grid", "quick"]) == 0
+    assert out_of(capsys) == (DATA / "report.txt").read_text()
+    assert run(["report", "--grid", "default"]) == 0
+    assert out_of(capsys) == (DATA.parent / "report_default.txt").read_text()
+
+
+def test_report_never_forks_beside_a_second_thread(capsys, one_process):
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
@@ -408,41 +357,21 @@ def test_report_never_forks_beside_a_second_thread(capsys, monkeypatch, forks, a
         release.set()
         waiter.join(30)
     assert not waiter.is_alive()
-    assert forks == []
     assert out_of(capsys) == (DATA / "report.txt").read_text()
 
 
-def test_report_never_forks_while_sigchld_is_ignored(capsys, monkeypatch, forks, any_grid):
-    # an ignored SIGCHLD reaps the helper at once, and its pid could be reused before the kill
-    _on_cpus(monkeypatch, 2)
+def test_report_never_forks_while_sigchld_is_ignored(capsys, one_process):
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         assert run(["report", "--grid", "quick"]) == 0
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert forks == []
     assert out_of(capsys) == (DATA / "report.txt").read_text()
 
 
-def test_report_forks_only_for_a_grid_worth_a_helper(capsys, monkeypatch, forks):
-    # the quick grid's 50 vertices cost less than the fork; the default grid's 2692 do not
-    _on_cpus(monkeypatch, 2)
-    assert sum(sepekr.core.count_separated(*row[:3]) for row in sepekr.cli.default_grid()[:5]) == 50
-    assert run(["report", "--grid", "quick"]) == 0
-    captured = capsys.readouterr()
-    assert forks == []
-    assert "rows computed by 1 process\n" in captured.err
-    assert captured.out == (DATA / "report.txt").read_text()
-    assert run(["report", "--grid", "default"]) == 0
-    assert len(forks) == 1
-    assert out_of(capsys) == (DATA.parent / "report_default.txt").read_text()
-    _assert_no_child_left()
-
-
 @pytest.mark.parametrize("observed", ["sepekr.cli.extremal_classes", "sepekr.search._search", "profiler"])
-def test_report_never_forks_while_the_library_is_observed(capsys, monkeypatch, forks, any_grid, observed):
-    # a wrapper or a profiler sees the calls of this process only, so every row runs here
-    _on_cpus(monkeypatch, 2)
+def test_report_never_forks_while_the_library_is_observed(capsys, monkeypatch, one_process, observed):
+    # a wrapper or a profiler sees the calls of its own process, which computes every row
     calls = []
     previous = sys.getprofile()
     if observed == "profiler":
@@ -455,7 +384,6 @@ def test_report_never_forks_while_the_library_is_observed(capsys, monkeypatch, f
         assert run(["report", "--grid", "quick"]) == 0
     finally:
         sys.setprofile(previous)
-    assert forks == []
     assert len(calls) >= 5  # one or more for each of the five rows
     assert out_of(capsys) == (DATA / "report.txt").read_text()
 
@@ -723,8 +651,8 @@ def test_graph_time_limit_covers_the_serialisation(capsys, monkeypatch, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, forks, any_grid):
-    # rows of 0.2 s in either process: with or without the helper, a row's own check fires
+def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, one_process):
+    # rows of 0.2 s: a later row's own check fires, and no row's output is written
     real = sepekr.cli._report_row
 
     def slow_row(*row):
@@ -733,41 +661,11 @@ def test_report_time_limit_covers_the_whole_grid(capsys, monkeypatch, forks, any
         return result
 
     monkeypatch.setattr("sepekr.cli._report_row", slow_row)
-    for cpus in (2, 1):
-        _on_cpus(monkeypatch, cpus)
-        assert run(["report", "--grid", "quick", "--limit-seconds", "0.3"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert "time limit exceeded before row" in captured.err
-        _assert_no_child_left()
-    assert len(forks) == 1  # only the two-CPU run forked
-
-
-def test_report_time_limit_stops_a_slow_helper(capsys, monkeypatch, forks, any_grid):
-    # the helper's rows take 5 s; this process ends its own rows well inside the limit (its
-    # first row waits 0.1 s, so that the helper takes a row) and stops waiting at the limit
-    real = sepekr.cli._report_row
-    me = os.getpid()
-
-    def slow_in_the_helper(*row):
-        if os.getpid() != me:
-            time.sleep(5)
-        elif row[0] == 4:
-            time.sleep(0.1)
-        return real(*row)
-
-    monkeypatch.setattr("sepekr.cli._report_row", slow_in_the_helper)
-    _on_cpus(monkeypatch, 2)
-    started = time.monotonic()
     assert run(["report", "--grid", "quick", "--limit-seconds", "0.3"]) == 3
-    assert time.monotonic() - started < 1.3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "time limit exceeded before row" in captured.err
-    assert len(forks) == 1
-    _assert_no_child_left()
 
 
 _SMALL_RUNS = {

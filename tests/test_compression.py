@@ -653,6 +653,16 @@ def test_collision_structure_flags_a_pair_that_differs_outside_the_window():
     assert clause.witnesses == (a, b)
 
 
+def _report_with_and_without_verdicts(monkeypatch, family):
+    """The suite's report on family, built with the universe's verdicts and the same without them."""
+    report = verify_compression_suite(family)
+    assert verdicts(family.n, family.r, family.k) is not None
+    with monkeypatch.context() as alone:
+        alone.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
+        assert verify_compression_suite(family) == report
+    return report
+
+
 def _report_under_a_faulty_derivation(monkeypatch, fault):
     """The suite's report on star_family(9, 3, 1, 1) when _derive's result goes through fault.
 
@@ -661,13 +671,55 @@ def _report_under_a_faulty_derivation(monkeypatch, fault):
     """
     real = compression._derive
     monkeypatch.setattr(compression, "_derive", lambda *args, **kwargs: fault(real(*args, **kwargs)))
-    family = star_family(9, 3, 1, 1)
-    report = verify_compression_suite(family)
-    assert verdicts(9, 3, 1) is not None
-    with monkeypatch.context() as alone:
-        alone.setattr("sepekr.compression.DEFAULT_MAX_VERTICES", 0)  # no verdicts
-        assert verify_compression_suite(family) == report
-    return report
+    return _report_with_and_without_verdicts(monkeypatch, star_family(9, 3, 1, 1))
+
+
+def test_input_intersecting_flags_a_member_off_the_centre(monkeypatch):
+    # Kills the mutant whose input-intersecting never reports a witness.  The clause
+    # reads the input alone, so the fault is in the input: star_family(9, 3, 1, 1) with
+    # {1,4,6} moved off the centre to {2,4,6}.  One compression step sends both to
+    # {1,3,5}, so the images, the reduced family and every other clause are the star's.
+    members = [s for s in star_family(9, 3, 1, 1) if s.elems != (1, 4, 6)] + [CircSet(9, (2, 4, 6))]
+    report = _report_with_and_without_verdicts(monkeypatch, SetFamily(9, 3, 1, tuple(members)))
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["input-intersecting"]
+    clause = report.clause("input-intersecting")
+    assert clause.clause_id == "input-intersecting" and clause.passed is False
+    missed = [(1, 3, 5), (1, 3, 7), (1, 3, 8), (1, 5, 7), (1, 5, 8)]  # the star's members {2,4,6} misses
+    assert clause.witnesses == tuple(CircSet(9, elems) for m in missed for elems in (m, (2, 4, 6)))
+
+
+def test_compressed_intersecting_flags_an_image_off_the_anchor(monkeypatch):
+    # Kills the mutant whose compressed-intersecting never reports a witness.  The
+    # images of an intersecting family intersect, so the fault is a derivation that
+    # replaces the image {1,3,6} with {2,4,6} on [8], which avoids the anchor 1 and
+    # misses three other images.  The image count, and with it size-identity, is
+    # unchanged, and {2,4,6} is a 1-separated 3-set, so compressed-separated passes.
+    report = _report_under_a_faulty_derivation(
+        monkeypatch, lambda d: d._replace(images=d.images - {mask((1, 3, 6))} | {mask((2, 4, 6))})
+    )
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["compressed-intersecting"]
+    clause = report.clause("compressed-intersecting")
+    assert clause.clause_id == "compressed-intersecting" and clause.passed is False
+    assert clause.witnesses == tuple(
+        CircSet(8, elems) for elems in [(1, 3, 5), (2, 4, 6), (1, 3, 7), (2, 4, 6), (1, 5, 7), (2, 4, 6)]
+    )
+
+
+def test_reduced_intersecting_flags_a_member_off_the_common_point(monkeypatch):
+    # Kills the mutant whose reduced-intersecting never reports a witness.  The star's
+    # reduced family {2,4} {2,5} {2,6} {2,7} on [8] shares 2, so the fault is a
+    # derivation that replaces {2,7} with {3,8}, which misses the other three.  The
+    # reduced count is unchanged, {3,8} is 1-separated, and the components and the
+    # reduced image are the star's, so no other clause fails.
+    report = _report_under_a_faulty_derivation(
+        monkeypatch, lambda d: d._replace(reduced=d.reduced - {mask((2, 7))} | {mask((3, 8))})
+    )
+    assert [c.clause_id for c in report.clauses if not c.passed] == ["reduced-intersecting"]
+    clause = report.clause("reduced-intersecting")
+    assert clause.clause_id == "reduced-intersecting" and clause.passed is False
+    assert clause.witnesses == tuple(
+        CircSet(8, elems) for elems in [(2, 4), (3, 8), (2, 5), (3, 8), (2, 6), (3, 8)]
+    )
 
 
 def test_reduced_image_separated_flags_a_crowded_image(monkeypatch):
