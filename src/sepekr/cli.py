@@ -307,10 +307,11 @@ def _cmd_graph(args) -> int:
         build_kneser, build_schrijver, chromatic_number, export_dimacs, independence_number,
     )
 
+    limits = dict(max_vertices=args.limit_vertices, deadline=args.deadline)
     if args.kind == "kneser":
-        graph = build_kneser(args.n, args.r, max_vertices=args.limit_vertices)
+        graph = build_kneser(args.n, args.r, **limits)
     else:
-        graph = build_schrijver(args.n, args.r, args.k, max_vertices=args.limit_vertices)
+        graph = build_schrijver(args.n, args.r, args.k, **limits)
     k = graph.k
     chi = alpha = None
     # chi comes first, so that its vertex limit fires before any alpha search is spent

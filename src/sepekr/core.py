@@ -376,7 +376,8 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     """Graph on the member masks of a family of k-separated r-sets of [n]; edges join disjoint members.
 
     Vertex i is masks[i]; the masks are checked as SetFamily(n, r, k, ...)
-    members when the graph is made.  What the graph keeps, its one row set
+    members when the graph is made, except a universe's, which
+    separated_masks builds valid.  What the graph keeps, its one row set
     (reversed_rows) and its edge count (edge_count), is built and kept by
     kept(build, deadline); each member's CircSet is built on first use, at
     most once per vertex.
@@ -453,7 +454,7 @@ class DisjointnessGraph(_Value, fields=("n", "r", "k", "masks")):
     def subfamily(self, mask: int) -> SetFamily:
         """The vertices e - 1 for the elements e of mask, as a family of the same (n, r, k).
 
-        Every mask was checked when the graph was made, so when the chosen
+        Every mask is a valid member (see the class), so when the chosen
         members' elements strictly increase (as on a universe, which is in
         lexicographic order) they are already SetFamily's sorted, distinct
         and checked members, and the family is built without its checks.
@@ -498,7 +499,9 @@ class _LastUniverse:
 
     A call for other parameters builds the new universe before it replaces
     the kept one, so a build that raises (a deadline read by the
-    enumeration or before the member check) keeps nothing new.
+    enumeration) keeps nothing new.  The masks are valid members by
+    construction, so the graph is made without DisjointnessGraph's check,
+    as subfamily makes a family of members it knows are valid.
     """
 
     graph: DisjointnessGraph | None = None
@@ -507,8 +510,7 @@ class _LastUniverse:
         graph = self.graph
         if graph is None or (graph.n, graph.r, graph.k) != (n, r, k):
             masks = tuple(separated_masks(n, r, k, deadline=deadline))
-            seconds_left(deadline, "the member check")
-            graph = self.graph = DisjointnessGraph(n, r, k, masks)
+            graph = self.graph = DisjointnessGraph.__new__(DisjointnessGraph)._fill(n, r, k, masks)
         return graph
 
     def cache_clear(self) -> None:
@@ -526,8 +528,8 @@ def separated_universe(
     Raises ValueError when n < (k+1)r; checks the count against max_vertices before
     enumerating.  The last instance is cached and shared, rows and CircSets included.
     A time.monotonic() deadline is read while the sets are enumerated, as in
-    separated_masks, and before they are checked as members; a build it
-    stops caches nothing.
+    separated_masks; a build it stops caches nothing.  The sets are not
+    checked again as members: separated_masks builds only valid ones.
     """
     count = count_separated(n, r, k)
     if n < (k + 1) * r:

@@ -6,29 +6,36 @@ from itertools import islice
 
 from .core import (
     DEFAULT_MAX_VERTICES, DisjointnessGraph, ResourceLimitError, count_separated, mask_elems,
-    seconds_left, separated_universe,
+    mirror_mask, seconds_left, separated_universe,
 )
-from .search import _reversed, _search, _universe_solve, _vertex_permutations, solve_max_independent
+from .search import _search, _vertex_permutations, max_intersecting
 
 COLORING_MAX_VERTICES = 64
 
 
-def build_kneser(n: int, r: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> DisjointnessGraph:
-    """Kneser graph: all r-subsets of [n], edges between disjoint pairs."""
-    return separated_universe(n, r, 0, max_vertices)
+def build_kneser(
+    n: int, r: int, *, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
+) -> DisjointnessGraph:
+    """Kneser graph: all r-subsets of [n], edges between disjoint pairs.
+
+    A time.monotonic() deadline is read while the sets are enumerated, as in
+    separated_universe.
+    """
+    return separated_universe(n, r, 0, max_vertices, deadline)
 
 
 def build_schrijver(
-    n: int, r: int, k: int = 1, *, max_vertices: int = DEFAULT_MAX_VERTICES
+    n: int, r: int, k: int = 1, *, max_vertices: int = DEFAULT_MAX_VERTICES, deadline: float | None = None
 ) -> DisjointnessGraph:
-    """Induced subgraph of the Kneser graph on the k-separated r-sets."""
-    return separated_universe(n, r, k, max_vertices)
+    """Induced subgraph of the Kneser graph on the k-separated r-sets; deadline as in build_kneser."""
+    return separated_universe(n, r, k, max_vertices, deadline)
 
 
 def _is_universe(graph: DisjointnessGraph) -> bool:
     """Whether the graph holds every k-separated r-set of [n] once, in any order.
 
-    Its masks are checked members, so distinct masks as many as the closed
+    Its masks are valid members (checked when the graph was made, or a
+    universe's by construction), so distinct masks as many as the closed
     form counts are the whole universe, and every symmetry of the circle is
     an automorphism of the graph and of its complement.
     """
@@ -43,15 +50,19 @@ def independence_number(
 ) -> int:
     """Exact independence number via the branch-and-bound solver.
 
-    On a whole universe it is `max_intersecting`'s solve (`_universe_solve`):
-    the star as incumbent, the dihedral orbit chain and orbital branching.
-    Any other graph gets the plain search.  The search reads the graph's
-    rows in its own labels (reversed_rows); the deadline bounds building
-    them too, when they are not built yet, and the symmetries on a universe.
+    On a whole universe it is `max_intersecting`'s optimum: the star as
+    incumbent, the dihedral orbit chain and orbital branching, on the cached
+    (n, r, k) universe, which is this graph itself for a build_kneser or
+    build_schrijver graph that is still the last one built.  Any other graph
+    gets the plain search.  The search
+    reads the graph's rows in its own labels (reversed_rows); the deadline
+    bounds building them too, when they are not built yet, and on a universe
+    the symmetries and the canonical witness.
     """
     if _is_universe(graph):
-        return _universe_solve(graph, deadline)[0]
-    return _search(graph.reversed_rows(deadline), None, None, deadline)[0]
+        n, r, k = graph.n, graph.r, graph.k
+        return max_intersecting(n, r, k, max_vertices=graph.num_vertices, deadline=deadline).optimum
+    return _search(graph.reversed_rows(deadline), deadline=deadline)[0]
 
 
 def _colorable(
@@ -147,31 +158,32 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     clique number is first proved by an orbital search of the complement
     (every symmetry of the circle is an automorphism of it), and the plain
     search stops at its first clique of that size (stop_at): the clique the
-    whole plain search returns, so every colouring step is the same.  The
-    colouring reads the rows in vertex order: the universe's kept rows, in
-    the search's labels, put back through the search's reversal (an
-    involution) for this call and not kept.  Raises ResourceLimitError
-    above COLORING_MAX_VERTICES, or once the time.monotonic() deadline
-    passes; one deadline covers the rows, when they are not built yet (and
-    is read before each row is reversed), the symmetries, both clique
-    searches and the colouring.
+    whole plain search returns, so every colouring step is the same.  Both
+    searches read the complement of the graph's kept rows, in the search's
+    labels, where row j's own vertex is bit j; only the colouring reads the
+    rows in vertex order, a copy made for this call and not kept.  Raises
+    ResourceLimitError above COLORING_MAX_VERTICES, or once the
+    time.monotonic() deadline passes; one deadline covers the rows, when
+    they are not built yet, the symmetries, both clique searches and the
+    colouring.
     """
     v_count = graph.num_vertices
     if v_count > COLORING_MAX_VERTICES:
         raise ResourceLimitError(
             f"{v_count} vertices exceed the colouring limit of {COLORING_MAX_VERTICES}"
         )
-    adj = _reversed(graph.reversed_rows(deadline), deadline)
+    rows = graph.reversed_rows(deadline)
     full = (1 << v_count) - 1
-    complement = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    complement = [full & ~row & ~(1 << j) for j, row in enumerate(rows)]
     seconds_left(deadline, "the clique search")
     omega = None
     if _is_universe(graph):
         perms = _vertex_permutations(graph, deadline=deadline)
-        omega = solve_max_independent(complement, deadline=deadline, perms=perms)[0]
-    _, mask, _ = solve_max_independent(complement, deadline=deadline, stop_at=omega)
+        omega = _search(complement, deadline=deadline, perms=perms)[0]
+    mask = _search(complement, deadline=deadline, stop_at=omega)[1]
     clique = [e - 1 for e in mask_elems(mask)]
     seconds_left(deadline, "the colouring")
+    adj = tuple(mirror_mask(row, v_count) for row in reversed(rows))
     for c in range(len(clique), v_count + 1):
         if _colorable(adj, c, clique, deadline):
             return c

@@ -11,11 +11,11 @@ branching, so repeated runs return identical answers.  The core works on
 bit-reversed labels, vertex i at bit V - 1 - i, so that the cover walk finds
 the lowest index as the highest bit with one bit_length; it keeps the walk's
 classes, bound, branch vertex and node counts, and translates its answers
-back.  A universe's searches read the one row set it keeps in these labels
-(`DisjointnessGraph.reversed_rows`); `solve_max_independent` and
-`enumerate_max_independent` reverse an arbitrary adj once per call.  A
-universe's solve (`_universe_solve`, behind `max_intersecting` and a
-universe's `independence_number`) starts from the star as a checked
+back.  Its callers name each mode by keyword.  A universe's searches read
+the one row set it keeps in these labels (`DisjointnessGraph.reversed_rows`);
+`solve_max_independent` and `enumerate_max_independent` reverse an
+arbitrary adj once per call.  A universe's solve (`max_intersecting`, and
+so a universe's `independence_number`) starts from the star as a checked
 incumbent and from an orbit chain of the circle's symmetry, and branches
 orbitally below it (Ostrowski et al., 2011).  `extremal_classes`
 is one enumeration from the star's size on the same chain, so it meets at
@@ -159,15 +159,11 @@ def _stabiliser(group: Sequence[Sequence[int]], v: int) -> list[Sequence[int]] |
 
 
 def _search(
-    rows: Sequence[int],
-    weights: list[int] | None,
-    target: int | None,
-    deadline: float | None,
-    perms: Sequence[Sequence[int]] | None = None,
-    incumbent: int = 0,
-    stop_at: int | None = None,
+    rows: Sequence[int], *, weights: list[int] | None = None, target: int | None = None,
+    deadline: float | None = None, perms: Sequence[Sequence[int]] | None = None,
+    incumbent: int = 0, stop_at: int | None = None,
 ) -> tuple[int, int, int, list[int]]:
-    """The one branch-and-bound DFS behind both search modes.
+    """The one branch-and-bound DFS behind both search modes, each named by keyword.
 
     With target None it optimises: floor is the best weight found so far,
     starting at the weight of the incumbent, which must be an independent
@@ -377,7 +373,10 @@ def solve_max_independent(
     `_search`) reads it once and counts all its nodes.  ResourceLimitError
     once it passes.
     """
-    return _search(_reversed(adj, deadline), weights, None, deadline, perms, incumbent, stop_at)[:3]
+    rows = _reversed(adj, deadline)
+    return _search(
+        rows, weights=weights, deadline=deadline, perms=perms, incumbent=incumbent, stop_at=stop_at
+    )[:3]
 
 
 def enumerate_max_independent(
@@ -400,7 +399,8 @@ def enumerate_max_independent(
     before each row is reversed and at every node visited, as in
     `solve_max_independent`; ResourceLimitError once it passes.
     """
-    _, _, nodes, found = _search(_reversed(adj, deadline), None, target, deadline, perms)
+    rows = _reversed(adj, deadline)
+    _, _, nodes, found = _search(rows, target=target, deadline=deadline, perms=perms)
     return found, nodes
 
 
@@ -458,27 +458,6 @@ def _star_mask(graph: DisjointnessGraph) -> int:
     return sum(1 << i for i, m in enumerate(graph.masks) if m & 1)
 
 
-def _universe_solve(
-    graph: DisjointnessGraph, deadline: float | None
-) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    """A universe's largest intersecting family: (optimum, vertex mask, nodes, dihedral permutations).
-
-    The solve starts from the star (every vertex holding 1) as incumbent and
-    from the orbit chain of the dihedral group, and branches orbitally below
-    it.  graph must hold every k-separated r-set of [n] once, in any order,
-    so that the circle's symmetries are automorphisms of it.  The deadline
-    is read before each symmetry after the identity, before the solve,
-    while the rows are built, when they are not built yet, and at every
-    node.
-    """
-    perms = _vertex_permutations(graph, deadline=deadline)
-    seconds_left(deadline, "the solve")
-    optimum, mask, nodes, _ = _search(
-        graph.reversed_rows(deadline), None, None, deadline, perms, _star_mask(graph)
-    )
-    return optimum, mask, nodes, perms
-
-
 def max_intersecting(
     n: int,
     r: int,
@@ -489,15 +468,21 @@ def max_intersecting(
 ) -> SearchResult:
     """Exact maximum size of an intersecting family of k-separated r-sets in [n].
 
-    The solve (`_universe_solve`) starts from the star as incumbent and from
-    the orbit chain of the dihedral group.  The witness is the least image
-    of the optimum's vertex mask under the group, its canonical form;
-    repeated runs are identical.  One deadline (time.monotonic()) covers the
-    whole call: the universe, the symmetries (read before each one is
-    built), the rows, the solve and the canonicalisation of the witness.
+    The solve starts from the star (every vertex holding 1) as incumbent
+    and from the orbit chain of the dihedral group, and branches orbitally
+    below it; every symmetry of the circle is an automorphism of the
+    universe.  The witness is the least image of the optimum's vertex mask
+    under the group, its canonical form; repeated runs are identical.  One
+    deadline (time.monotonic()) covers the whole call: the universe, the
+    symmetries (read before each one is built), the solve (read before it,
+    while the rows are built, when they are not built yet, and at every
+    node) and the canonicalisation of the witness.
     """
     graph = separated_universe(n, r, k, max_vertices, deadline)
-    optimum, mask, nodes, perms = _universe_solve(graph, deadline)
+    perms = _vertex_permutations(graph, deadline=deadline)
+    seconds_left(deadline, "the solve")
+    rows = graph.reversed_rows(deadline)
+    optimum, mask, nodes, _ = _search(rows, deadline=deadline, perms=perms, incumbent=_star_mask(graph))
     seconds_left(deadline, "canonicalising the witness")
     least = _least(_orbit(mask, perms))
     return SearchResult(n, r, k, optimum, graph.subfamily(least), None, nodes)
@@ -525,7 +510,7 @@ def max_intersecting_weighted(
         if not isinstance(w, int) or w < 0:
             raise ValueError(f"weight of {s} must be a non-negative integer, got {w!r}")
     seconds_left(deadline, "the solve")
-    optimum, mask, nodes, _ = _search(graph.reversed_rows(deadline), weights, None, deadline)
+    optimum, mask, nodes, _ = _search(graph.reversed_rows(deadline), weights=weights, deadline=deadline)
     return SearchResult(n, r, k, optimum, graph.subfamily(mask), None, nodes)
 
 
@@ -541,7 +526,8 @@ def _dihedral_census(graph: DisjointnessGraph, deadline: float | None) -> tuple[
     perms = _vertex_permutations(graph, deadline=deadline)
     star = _star_mask(graph).bit_count()
     seconds_left(deadline, "enumerating the optima")
-    _, _, nodes, masks = _search(graph.reversed_rows(deadline), None, star, deadline, perms)
+    rows = graph.reversed_rows(deadline)
+    _, _, nodes, masks = _search(rows, target=star, deadline=deadline, perms=perms)
     if not masks:
         raise RuntimeError(f"enumeration returned no optimum of size {star} or more")
     seen: set[int] = set()

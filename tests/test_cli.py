@@ -555,9 +555,10 @@ def test_graph_time_limit_covers_the_build(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr("sepekr.graph.build_schrijver", slow_build)
+    sepekr.core._universe.cache_clear()  # so that the build enumerates the sets, reading the deadline
     argv = ["graph", "--kind", "schrijver", "--n", "7", "--r", "2", "--alpha"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
-    assert "time limit exceeded before alpha" in capsys.readouterr().err
+    assert "time limit exceeded before the sets from element 1" in capsys.readouterr().err
 
 
 def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatch):
@@ -568,10 +569,11 @@ def test_graph_time_limit_covers_the_build_without_invariants(capsys, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr("sepekr.graph.build_kneser", slow_build)
+    sepekr.core._universe.cache_clear()  # so that the build enumerates the sets, reading the deadline
     argv = ["graph", "--kind", "kneser", "--n", "7", "--r", "2", "--format", "json"]
     assert run(argv + ["--limit-seconds", "0.2"]) == 3
     captured = capsys.readouterr()
-    assert "time limit exceeded before the rows" in captured.err
+    assert "time limit exceeded before the sets from element 1" in captured.err
     assert captured.out == ""
 
 
@@ -606,8 +608,9 @@ def test_graph_time_limit_covers_the_edge_listing(capsys, monkeypatch, tmp_path,
 
     def slow_build(*args, **kwargs):
         time.sleep(0.3)
-        graph = real(*args, **kwargs)
-        # the rows and their edge count, without a deadline, so that their own checks do not fire
+        # the sets, the rows and their edge count, without a deadline, so that their own checks
+        # do not fire
+        graph = real(*args, **{**kwargs, "deadline": None})
         graph.edge_count(None)
         return graph
 

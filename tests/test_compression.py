@@ -797,8 +797,8 @@ def test_the_suite_reads_the_deadline_before_it_builds_the_verdicts():
 
 def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
     # with a clock that counts its reads, a deadline of t stops the build at read t,
-    # in the table builds too: the universe's enumeration, once per first element, its
-    # member check, the partition, once per member, the derivation (before it, its reductions, its
+    # in the table builds too: the universe's enumeration, once per first element, the
+    # partition, once per member, the derivation (before it, its reductions, its
     # component check and its reduced image), the members' cells, each monotone
     # clause (collision-structure also before its buckets and its pairs), then each
     # table's rows (the members' and the reduced family's), before the incidence and
@@ -807,14 +807,13 @@ def test_the_verdicts_read_the_deadline_at_each_stage(monkeypatch):
     family = star_family(n, r, k, 1)
     universe = enumerate_separated(n, r, k)
     members, reduced = len(universe), len(derive_families(universe).reduced)
-    built = n + 2 + members  # the reads up to the last member placed
+    built = n + 1 + members  # the reads up to the last member placed
     derived = built + 5  # and up to the members' cells
     clauses = derived + 7  # and up to the last monotone clause
     stages = [
         *((f, f"the sets from element {f}") for f in range(1, n + 1)),
-        (n + 1, "the member check"),
-        (n + 2, "the compression verdicts"),
-        *((n + 2 + i, f"placing member {i}") for i in range(1, members + 1)),
+        (n + 1, "the compression verdicts"),
+        *((n + 1 + i, f"placing member {i}") for i in range(1, members + 1)),
         (built + 1, "the compression derivation"),
         (built + 2, "the reduced components"),
         (built + 3, "the component check"),

@@ -507,7 +507,7 @@ def test_every_bounded_call_takes_one_absolute_deadline():
         "chromatic_number", "verify_weighted_ekr", "row_edges", "DisjointnessGraph.edges",
         "DisjointnessGraph.edge_count",
         "DisjointnessGraph.to_json_dict", "export_dimacs", "random_maximal_intersecting",
-        "verify_compression_suite",
+        "verify_compression_suite", "build_kneser", "build_schrijver",
     ]
     assert [name for name in bounded if "deadline" not in params[name]] == []
 
@@ -521,6 +521,7 @@ def test_every_export_is_used_or_documented():
         "is_intersecting": "the documented query for one family, by the one pair walk",
         "expand": "the weighted bound's expansion, kept for a symmetric weighted search",
         "enumerate_max_independent": "the enumerate mode on an arbitrary adj; the census reads a universe's own rows",
+        "solve_max_independent": "the optimise mode on an arbitrary adj; a universe's searches read its own rows",
     }
     read = set()
     for path in Path(sepekr.__file__).parent.glob("*.py"):

@@ -352,7 +352,7 @@ def test_chromatic_number_of_the_empty_graph():
 def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
     # on a universe two clique searches run, the orbital proof of the clique number (with
     # perms) and then the plain search that stops at it; both share the one deadline
-    real = sepekr.graph.solve_max_independent
+    real = sepekr.graph._search
     calls = []
 
     def sleep_at(call, before):
@@ -371,15 +371,15 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
         # the last clique search ends past the deadline, so the colouring never starts
         (2, False, "before the colouring", ["orbital", "plain"]),
         # the orbital search ends past it, so the plain search stops at its first read,
-        # before its first reversed row
-        (1, False, "^time limit exceeded before the reversed row of vertex 1$", ["orbital", "plain"]),
+        # before its first node
+        (1, False, "^time limit exceeded before node 1$", ["orbital", "plain"]),
         # the deadline passes before the clique search starts; the search shares it instead
         # of starting a budget of its own, so it stops at its first read
-        (1, True, "^time limit exceeded before the reversed row of vertex 1$", ["orbital"]),
+        (1, True, "^time limit exceeded before node 1$", ["orbital"]),
     ]
     for call, before, stage, searches in cases:
         calls.clear()
-        monkeypatch.setattr(sepekr.graph, "solve_max_independent", sleep_at(call, before))
+        monkeypatch.setattr(sepekr.graph, "_search", sleep_at(call, before))
         with pytest.raises(ResourceLimitError, match=stage):
             chromatic_number(build_schrijver(7, 2, 1), deadline=time.monotonic() + 0.2)
         assert calls == searches
@@ -423,7 +423,9 @@ def test_the_precoloured_clique_is_the_plain_search_clique_on_every_stable_knese
     # the orbital proof of the clique number only tells the plain search where to stop,
     # so it precolours the clique the whole plain search returns, and every colouring
     # step stays the same; the 63 instances of the chi test, and the 20 Kneser graphs
-    # (k = 0), the edgeless ones with n < 2r among them
+    # (k = 0), the edgeless ones with n < 2r among them.  Both searches read the complement
+    # of the universe's kept rows, which gives what solve_max_independent gives on the
+    # vertex-order complement, stopped or not
     instances = [
         (n, r, k)
         for k in range(5)
@@ -432,7 +434,7 @@ def test_the_precoloured_clique_is_the_plain_search_clique_on_every_stable_knese
         if count_separated(n, r, k) <= sepekr.graph.COLORING_MAX_VERTICES
     ]
     assert len(instances) == 63 + 20
-    real = sepekr.graph.solve_max_independent
+    real = sepekr.graph._search
     stops, cliques = [], []
 
     def recorded(*args, **kwargs):
@@ -444,14 +446,19 @@ def test_the_precoloured_clique_is_the_plain_search_clique_on_every_stable_knese
         cliques.append(clique)
         raise _Precoloured
 
-    monkeypatch.setattr(sepekr.graph, "solve_max_independent", recorded)
+    monkeypatch.setattr(sepekr.graph, "_search", recorded)
     monkeypatch.setattr(sepekr.graph, "_colorable", precoloured)
     for n, r, k in instances:
         graph = build_schrijver(n, r, k)
-        omega, mask, _ = solve_max_independent(_complement(list(disjointness_rows(graph.masks))))
+        complement = _complement(list(disjointness_rows(graph.masks)))
+        omega, mask, _ = solve_max_independent(complement)
         with pytest.raises(_Precoloured):
             chromatic_number(graph)
         assert (stops.pop(), cliques.pop()) == (omega, [e - 1 for e in mask_elems(mask)]), (n, r, k)
+        kept = _complement(list(graph.reversed_rows(None)))
+        for stop_at in (None, omega):
+            expected = solve_max_independent(complement, stop_at=stop_at)
+            assert real(kept, stop_at=stop_at)[:3] == expected, (n, r, k, stop_at)
 
 
 def test_the_orbital_proof_stops_the_plain_clique_search_early():
@@ -469,20 +476,21 @@ def test_the_orbital_proof_stops_the_plain_clique_search_early():
 @pytest.mark.parametrize("n, r, k", [(9, 3, 1), (12, 3, 1), (13, 4, 1), (11, 2, 3), (9, 2, 0), (9, 3, 0)])
 def test_a_universe_s_independence_number_is_the_orbital_solve(monkeypatch, n, r, k):
     # in lexicographic order and reversed, a whole universe takes max_intersecting's solve
-    # (the star and the orbit chain), and its alpha is the plain search's
-    real = sepekr.graph._universe_solve
+    # (the star and the orbit chain) on its (n, r, k), within its own vertex count, and its
+    # alpha is the plain search's
+    real = sepekr.graph.max_intersecting
     solved = []
 
-    def recorded(graph, deadline):
-        solved.append(graph.masks)
-        return real(graph, deadline)
+    def recorded(n, r, k, **kwargs):
+        solved.append((n, r, k, kwargs["max_vertices"]))
+        return real(n, r, k, **kwargs)
 
-    monkeypatch.setattr(sepekr.graph, "_universe_solve", recorded)
+    monkeypatch.setattr(sepekr.graph, "max_intersecting", recorded)
     masks = tuple(separated_masks(n, r, k))
     for graph in (build_schrijver(n, r, k), DisjointnessGraph(n, r, k, masks[::-1])):
-        plain = sepekr.search._search(graph.reversed_rows(None), None, None, None)[0]
+        plain = sepekr.search._search(graph.reversed_rows(None))[0]
         assert independence_number(graph) == plain == max_intersecting(n, r, k).optimum
-        assert solved.pop() == graph.masks
+        assert solved.pop() == (n, r, k, graph.num_vertices)
 
 
 def test_a_graph_that_is_not_a_universe_takes_the_plain_path(monkeypatch):
@@ -500,7 +508,7 @@ def test_a_graph_that_is_not_a_universe_takes_the_plain_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("took the universe path")
 
-    monkeypatch.setattr(sepekr.graph, "_universe_solve", refuse)
+    monkeypatch.setattr(sepekr.graph, "max_intersecting", refuse)
     monkeypatch.setattr(sepekr.graph, "_vertex_permutations", refuse)
     for graph in graphs:
         assert independence_number(graph) == max_intersecting_size([mask_elems(m) for m in graph.masks])

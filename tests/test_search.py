@@ -526,11 +526,11 @@ def test_a_timed_out_enumeration_keeps_nothing(monkeypatch):
     calls = []
     real = sepekr.search._search
 
-    def expired_once(rows, weights, target, deadline, perms=None):
-        calls.append(target)
+    def expired_once(rows, **modes):
+        calls.append(modes["target"])
         if len(calls) == 1:
-            deadline = time.monotonic()
-        return real(rows, weights, target, deadline, perms)
+            modes["deadline"] = time.monotonic()
+        return real(rows, **modes)
 
     expected = _census(12, 5, 1, True)
     sepekr.core._universe.cache_clear()
@@ -972,7 +972,7 @@ def test_cover_bound_on_an_independent_set(graph):
 
 
 def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
-    """search._search(reversed adj, weights, target, None, perms, incumbent) as a plain DFS
+    """search._search on the reversed adj, with these modes and no deadline, as a plain DFS
     that walks the cover at every node, free or not, and closes no subtree in one step.  At
     each node it checks search._cover_bound, run on the bit-reversed labels, against cover_walk.
 
@@ -1017,7 +1017,7 @@ def _walk_every_node(adj, weights, target=None, perms=None, incumbent=0):
 
 def _search_without_deadline(adj, weights, target=None, perms=None, incumbent=0):
     rows = sepekr.search._reversed(adj, None)
-    return sepekr.search._search(rows, weights, target, None, perms, incumbent)
+    return sepekr.search._search(rows, weights=weights, target=target, perms=perms, incumbent=incumbent)
 
 
 @settings(max_examples=150)
