@@ -65,88 +65,139 @@ def independence_number(
     return _search(graph.reversed_rows(deadline), deadline=deadline)[0]
 
 
-def _colorable(
-    adj: tuple[int, ...], colors_allowed: int, clique: list[int], deadline: float | None
-) -> bool:
-    """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
+def _degree_order(adj: list[int], clique: list[int]) -> tuple[list[int], list[int]]:
+    """adj and the clique relabelled into the colouring's order: degree descending, index ascending.
 
-    Each step colours the DSATUR vertex (Brélaz, "New methods to color the
-    vertices of a graph", 1979): most distinct neighbour colours, then the
-    largest shared count (Sewell, "An improved algorithm for exact graph
-    coloring", DIMACS Series vol. 26, 1996), then highest degree, then lowest
-    index, trying the lowest colour first.  A vertex's shared count sums, over
-    its uncoloured neighbours w, the colours in use (0..top) that neither it
-    nor w sees; it is worked out only when two or more vertices tie on
-    colours, from one bitset per colour in use of the uncoloured vertices that
-    may still take it.  The vertices are relabelled once into the degree order
-    (degree descending, index ascending), so the DSATUR vertex is the lowest
-    bit of the uncoloured vertices with the most neighbour colours and, among
-    them, the largest shared count.  A state is (uncoloured vertices,
-    planes, near, top colour used) in int bitsets: near[c] holds the vertices
-    next to colour c, and the planes bit-slice each vertex's count of distinct
-    neighbour colours, top bit first (planes[-1 - i] holds bit i).  A child adds
-    one to the count of each vertex that meets its colour for the first time,
-    by ripple carry.  A vertex sees at most c colours and c < 2**c.bit_length(),
-    so c.bit_length() planes hold every count and no carry leaves the top plane.
-    Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
+    In these labels the lowest bit of a set of tied vertices is the one
+    Brélaz's rule picks, so chromatic_number relabels once and every try of
+    _colorable reads the same rows.
     """
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     label = {v: new for new, v in enumerate(order)}
     rows = [sum(1 << label[e - 1] for e in mask_elems(adj[v])) for v in order]
-    left = (1 << len(adj)) - 1
+    return rows, [label[v] for v in clique]
+
+
+def _colorable(
+    rows: list[int], colors_allowed: int, clique: list[int], deadline: float | None
+) -> bool:
+    """Backtracking c-colorability with the clique pre-coloured and fresh-colour symmetry breaking.
+
+    rows and clique are in the labels of _degree_order, and c is
+    colors_allowed.  Each step reads the most distinct neighbour colours an
+    uncoloured vertex has, spelt by the planes the filter keeps.  At c none
+    of them can be coloured, and the state has no child.  At c - 1 each of
+    them has one colour left, which any colouring gives it, so the step
+    colours them all and goes on in place (unit propagation): it fails
+    when two of them are next to each other and left with the same colour.
+    The states this leaves do not depend on the order of the forced
+    vertices, so only the dead ends get shorter.  Below c - 1 the step
+    colours the DSATUR vertex (Brélaz, "New methods to color the vertices
+    of a graph", 1979): most distinct neighbour colours, then the largest
+    shared count (Sewell, "An improved algorithm for exact graph coloring",
+    DIMACS Series vol. 26, 1996), then highest degree, then lowest index,
+    pushing one child per colour it may take, lowest first on the stack.  A
+    vertex's shared count sums, over its uncoloured neighbours w, the
+    colours in use (0..top) that neither it nor w sees; it is worked out
+    only when two or more vertices tie on colours, from one bitset per
+    colour in use of the uncoloured vertices that may still take it.  A
+    state is (uncoloured vertices, planes, near, top colour used) in int
+    bitsets: near[c] holds the vertices next to colour c, and the planes
+    bit-slice each vertex's count of distinct neighbour colours, top bit
+    first (planes[-1 - i] holds bit i).  Colouring adds one to the count of
+    each vertex that meets its colour for the first time, by ripple carry.
+    A vertex sees at most c colours and c < 2**c.bit_length(), so
+    c.bit_length() planes hold every count and no carry leaves the top plane.
+    Raises ResourceLimitError once no seconds are left before deadline (None: no deadline).
+    """
+    left = (1 << len(rows)) - 1
     for v in clique:
-        left &= ~(1 << label[v])
+        left &= ~(1 << v)
     planes = [0] * colors_allowed.bit_length()
     near = [0] * colors_allowed
     for color, v in enumerate(clique):
-        near[color] = moved = rows[label[v]] & left
+        near[color] = moved = rows[v] & left
         i = -1
         while moved:
             planes[i], moved = planes[i] ^ moved, planes[i] & moved
             i -= 1
+    forced = colors_allowed - 1
     # the colours a vertex may take after top, highest first, so that the lowest is popped first
-    tries = [range(min(colors_allowed - 1, top + 1), -1, -1) for top in range(-1, colors_allowed)]
+    tries = [range(min(forced, top + 1), -1, -1) for top in range(-1, colors_allowed)]
     steps = 0
     stack = [(left, planes, near, len(clique) - 1)]
     push = stack.append
     while stack:
         left, planes, near, top = stack.pop()
-        if not left:
+        while left:
+            steps += 1
+            if deadline is not None:
+                seconds_left(deadline, f"colouring step {steps}")
+            tied, level = left, 0
+            for plane in planes:
+                level += level
+                if tied & plane:
+                    tied &= plane
+                    level += 1
+            if level > forced:
+                break  # a vertex sees every colour: no child
+            if level == forced:
+                # colour every tied vertex with its one colour left, in place: the state
+                # is this path's own
+                left ^= tied
+                for color in tries[top + 1]:
+                    group = tied & ~near[color]
+                    if not group:
+                        continue
+                    reach, rest = 0, group
+                    while rest:
+                        low = rest & -rest
+                        reach |= rows[low.bit_length() - 1]
+                        rest ^= low
+                    if reach & group:
+                        break  # two forced neighbours need this one colour: no child
+                    reach &= left
+                    moved = reach & ~near[color]
+                    near[color] |= reach
+                    i = -1
+                    while moved:
+                        planes[i], moved = planes[i] ^ moved, planes[i] & moved
+                        i -= 1
+                    if color > top:
+                        top = color
+                else:
+                    continue
+                break
+            bit = tied & -tied
+            if tied != bit:
+                # Sewell's tie-break: the most colours shared with its uncoloured neighbours
+                avail = [left & ~near[c] for c in range(top + 1)]
+                best = -1
+                while tied:
+                    low = tied & -tied
+                    tied ^= low
+                    row = rows[low.bit_length() - 1]
+                    shared = sum((row & free).bit_count() for free in avail if free & low)
+                    if shared > best:
+                        best, bit = shared, low
+            rest = left ^ bit
+            row = rows[bit.bit_length() - 1] & rest
+            for color in tries[top + 1]:
+                seen = near[color]
+                if not seen & bit:
+                    child_near = near[:]
+                    child_near[color] = seen | row
+                    # the pre-colouring's ripple carry, inline: a helper call per child cost 5-10 %
+                    moved = row & ~seen
+                    child = planes[:]
+                    i = -1
+                    while moved:
+                        child[i], moved = child[i] ^ moved, child[i] & moved
+                        i -= 1
+                    push((rest, child, child_near, top if top > color else color))
+            break
+        else:
             return True
-        steps += 1
-        if deadline is not None:
-            seconds_left(deadline, f"colouring step {steps}")
-        tied = left
-        for plane in planes:
-            if tied & plane:
-                tied &= plane
-        bit = tied & -tied
-        if tied != bit:
-            # Sewell's tie-break: the most colours shared with its uncoloured neighbours
-            avail = [left & ~near[c] for c in range(top + 1)]
-            best = -1
-            while tied:
-                low = tied & -tied
-                tied ^= low
-                row = rows[low.bit_length() - 1]
-                shared = sum((row & free).bit_count() for free in avail if free & low)
-                if shared > best:
-                    best, bit = shared, low
-        rest = left ^ bit
-        row = rows[bit.bit_length() - 1] & rest
-        for color in tries[top + 1]:
-            seen = near[color]
-            if not seen & bit:
-                child_near = near[:]
-                child_near[color] = seen | row
-                # the pre-colouring's ripple carry, inline: a helper call per child cost 5-10 %
-                moved = row & ~seen
-                child = planes[:]
-                i = -1
-                while moved:
-                    child[i], moved = child[i] ^ moved, child[i] & moved
-                    i -= 1
-                push((rest, child, child_near, top if top > color else color))
     return False
 
 
@@ -160,8 +211,13 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     search stops at its first clique of that size (stop_at): the clique the
     whole plain search returns, so every colouring step is the same.  Both
     searches read the complement of the graph's kept rows, in the search's
-    labels, where row j's own vertex is bit j; only the colouring reads the
-    rows in vertex order, a copy made for this call and not kept.  Raises
+    labels, where row j's own vertex is bit j.  The colouring reads one copy
+    of the rows relabelled into the degree order (_degree_order), made once
+    for this call, read by every try of c colours and not kept.  Each try
+    proves or refutes c colours by DSATUR backtracking whose forced rounds
+    colour, in one step, every vertex left with one colour (_colorable); the
+    last try, the proof that χ - 1 colours do not suffice, takes most of
+    the steps.  Raises
     ResourceLimitError above COLORING_MAX_VERTICES, or once the
     time.monotonic() deadline passes; one deadline covers the rows, when
     they are not built yet, the symmetries, both clique searches and the
@@ -183,9 +239,10 @@ def chromatic_number(graph: DisjointnessGraph, *, deadline: float | None = None)
     mask = _search(complement, deadline=deadline, stop_at=omega)[1]
     clique = [e - 1 for e in mask_elems(mask)]
     seconds_left(deadline, "the colouring")
-    adj = tuple(mirror_mask(row, v_count) for row in reversed(rows))
+    adj = [mirror_mask(row, v_count) for row in reversed(rows)]
+    rows, clique = _degree_order(adj, clique)
     for c in range(len(clique), v_count + 1):
-        if _colorable(adj, c, clique, deadline):
+        if _colorable(rows, c, clique, deadline):
             return c
     raise AssertionError("a graph is always colourable with one colour per vertex")
 

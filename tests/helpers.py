@@ -270,15 +270,19 @@ def max_weight_independent(vertices, edges, weights=None) -> int:
 
 def dsatur_steps(adj, colors: int, clique) -> tuple[bool, int]:
     """Whether the graph has a proper colouring with `colors` colours, by DSATUR
-    backtracking (Brélaz, 1979), and how many steps that takes.
+    backtracking (Brélaz, 1979) with forced colours, and how many steps that takes.
 
     The clique's vertices get colours 0, 1, ... in clique order.  A step is a
-    partial colouring that leaves a vertex uncoloured.  It colours the uncoloured
-    vertex with the most distinct neighbour colours, then (Sewell, DIMACS Series
-    vol. 26, 1996) the largest shared count, then the highest degree, then the
-    lowest index.  A vertex's shared count sums, over its uncoloured neighbours,
-    the colours used so far that neither of the two sees.  It tries each colour
-    it may take, lowest first, up to one above the highest colour used so far.
+    partial colouring that leaves a vertex uncoloured, and it reads the most
+    distinct colours an uncoloured vertex sees.  If that is all `colors`, the
+    step fails.  If it is `colors - 1`, every vertex that sees that many takes
+    its one colour left, in this one step, and the step fails if two adjacent
+    ones take the same colour.  Otherwise it colours the uncoloured vertex with
+    the most distinct neighbour colours, then (Sewell, DIMACS Series vol. 26,
+    1996) the largest shared count, then the highest degree, then the lowest
+    index.  A vertex's shared count sums, over its uncoloured neighbours, the
+    colours used so far that neither of the two sees.  It tries each colour it
+    may take, lowest first, up to one above the highest colour used so far.
     """
     nbrs = [[u for u in range(len(adj)) if adj[v] >> u & 1] for v in range(len(adj))]
     colour = {v: c for c, v in enumerate(clique)}
@@ -293,6 +297,19 @@ def dsatur_steps(adj, colors: int, clique) -> tuple[bool, int]:
         if not left:
             return True
         steps += 1
+        most = max(len(seen(u)) for u in left)
+        if most == colors:
+            return False
+        if most == colors - 1:
+            forced = {u: min(set(range(colors)) - seen(u)) for u in left if len(seen(u)) == most}
+            if any(forced[u] == forced.get(w) for u in forced for w in nbrs[u]):
+                return False
+            colour.update(forced)
+            if extend(max(top, *forced.values())):
+                return True
+            for u in forced:
+                del colour[u]
+            return False
 
         def avail(u: int) -> set:
             return set(range(top + 1)) - seen(u)

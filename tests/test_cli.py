@@ -527,7 +527,7 @@ def test_graph_checks_the_colouring_limit_before_alpha(capsys, monkeypatch):
 
 def test_graph_chi_obeys_the_time_limit(capsys):
     started = time.monotonic()
-    # SG(11,4,1) takes about 1.3 raw s to colour exactly
+    # SG(11,4,1) takes about 0.5-0.7 raw s to colour exactly
     argv = ["graph", "--kind", "schrijver", "--n", "11", "--r", "4", "--k", "1", "--chi"]
     assert run(argv + ["--limit-seconds", "0.1"]) == 3
     assert time.monotonic() - started < 10

@@ -310,13 +310,15 @@ def test_colouring_takes_the_oracle_steps_in_the_oracle_order(graph):
         if all(adj[u] >> w & 1 for u, w in combinations(c, 2))
     ]
     clique = max(cliques, key=len)
+    rows, labelled = sepekr.graph._degree_order(adj, clique)
     stages = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
         for c in range(len(clique), brute_chromatic(adj) + 1):
             stages.clear()
-            # a deadline that never passes: the clock is read at every step, and only with one
-            colourable = sepekr.graph._colorable(adj, c, clique, math.inf)
+            # a deadline that never passes: the clock is read at every step, and only with one;
+            # every try reads the one relabelling, as in chromatic_number
+            colourable = sepekr.graph._colorable(rows, c, labelled, math.inf)
             assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), c
 
 
@@ -341,8 +343,23 @@ def test_colouring_carries_saturation_across_plane_boundaries(c):
         patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
         for adj, clique in cases:
             stages.clear()
-            colourable = sepekr.graph._colorable(adj, c, clique, math.inf)
+            rows, labelled = sepekr.graph._degree_order(adj, clique)
+            colourable = sepekr.graph._colorable(rows, c, labelled, math.inf)
             assert (colourable, len(stages)) == dsatur_steps(adj, c, clique), (len(adj), clique)
+
+
+def test_two_forced_neighbours_of_one_colour_end_the_step():
+    # a triangle with vertex 0 precoloured, at c = 2: vertices 1 and 2 each have colour 1
+    # left, and they are adjacent, so the first step fails; colouring both forced vertices
+    # without the check would return True
+    adj = [0b110, 0b101, 0b011]
+    rows, clique = sepekr.graph._degree_order(adj, [0])
+    stages = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sepekr.graph, "seconds_left", lambda deadline, stage: stages.append(stage))
+        assert sepekr.graph._colorable(rows, 2, clique, math.inf) is False
+    assert stages == ["colouring step 1"]
+    assert dsatur_steps(adj, 2, [0]) == (False, 1)
 
 
 def test_chromatic_number_of_the_empty_graph():
@@ -386,7 +403,7 @@ def test_chromatic_time_limit_covers_the_clique_search(monkeypatch):
 
 
 def test_chromatic_time_limit():
-    # SG(11,4,1) takes about 1.3 raw s to colour exactly (140752 steps, on a shared 2-core
+    # SG(11,4,1) takes about 0.5-0.7 raw s to colour exactly (93855 steps, on a shared 2-core
     # machine); a budget of 0.05 s aborts it
     g = build_schrijver(11, 4, 1)
     with pytest.raises(ResourceLimitError, match="before colouring step"):
@@ -397,7 +414,7 @@ def test_chromatic_time_limit():
 def test_chromatic_number_of_every_stable_kneser_graph_within_the_colouring_limit():
     # chi(SG(n,r,k)) = n - (k+1)(r-1): for k = 1 this is Schrijver's theorem; for k >= 2 it is
     # Meunier's conjecture (JCTA 2011), which this checks by computation on these instances
-    # only.  All 63 take about 2.5 raw s together.
+    # only.  All 63 take about 0.7 raw s together.
     instances = [
         (n, r, k)
         for k in range(1, 5)
@@ -411,7 +428,7 @@ def test_chromatic_number_of_every_stable_kneser_graph_within_the_colouring_limi
 
 
 class _Precoloured(Exception):
-    """Raised in place of the colouring, once chromatic_number has chosen its clique."""
+    """Raised in place of the relabelling before the colouring, once chromatic_number has chosen its clique."""
 
 
 def _complement(adj: list[int]) -> list[int]:
@@ -442,12 +459,12 @@ def test_the_precoloured_clique_is_the_plain_search_clique_on_every_stable_knese
             stops.append(kwargs.get("stop_at"))
         return real(*args, **kwargs)
 
-    def precoloured(adj, colors_allowed, clique, deadline):
+    def precoloured(adj, clique):
         cliques.append(clique)
         raise _Precoloured
 
     monkeypatch.setattr(sepekr.graph, "_search", recorded)
-    monkeypatch.setattr(sepekr.graph, "_colorable", precoloured)
+    monkeypatch.setattr(sepekr.graph, "_degree_order", precoloured)
     for n, r, k in instances:
         graph = build_schrijver(n, r, k)
         complement = _complement(list(disjointness_rows(graph.masks)))
@@ -519,34 +536,44 @@ def test_a_graph_that_is_not_a_universe_takes_the_plain_path(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, r, k, chi, steps",
-    # each id ends in the step total of Brélaz's rule alone (degree, then index, after
-    # the colour count), so that it shows what Sewell's tie-break saves
+    # each id ends in the step total of Brélaz's rule alone (degree, then index, after the
+    # colour count) with one vertex coloured per step, as the ids were first named, so that
+    # it shows what Sewell's tie-break and the forced rounds save together; the comment
+    # gives Brélaz's rule alone with forced rounds
     [
-        pytest.param(8, 3, 1, 4, 72, id="8-3-4-102"),
-        pytest.param(9, 2, 1, 7, 294, id="9-2-7-808"),
-        pytest.param(9, 3, 1, 5, 431, id="9-3-5-968"),
-        pytest.param(10, 2, 1, 8, 751, id="10-2-8-7580"),
-        pytest.param(11, 2, 1, 9, 2334, id="11-2-9-61625"),
-        pytest.param(12, 2, 1, 10, 7097, id="12-2-10-1655571"),
+        pytest.param(8, 3, 1, 4, 54, id="8-3-4-102"),  # 64
+        pytest.param(9, 2, 1, 7, 198, id="9-2-7-808"),  # 389
+        pytest.param(9, 3, 1, 5, 316, id="9-3-5-968"),  # 595
+        pytest.param(10, 2, 1, 8, 474, id="10-2-8-7580"),  # 3481
+        pytest.param(11, 2, 1, 9, 1394, id="11-2-9-61625"),  # 27697
+        pytest.param(12, 2, 1, 10, 4145, id="12-2-10-1655571"),  # 727766
         # not regular, and its tries run deep
-        pytest.param(10, 3, 1, 6, 11798, id="10-3-6-250661"),
+        pytest.param(10, 3, 1, 6, 7707, id="10-3-6-250661"),  # 108250
         # k = 0 is the Kneser graph, which is regular, so only the shared count and the
         # index break ties
-        pytest.param(9, 2, 0, 7, 303, id="kneser-9-2-7-1434"),
+        pytest.param(9, 2, 0, 7, 208, id="kneser-9-2-7-1434"),  # 675
     ],
 )
 def test_colouring_visits_a_frozen_number_of_steps(monkeypatch, n, r, k, chi, steps):
     # with a deadline the clock is checked at every step, and each colouring step names
-    # itself once; the totals freeze the DSATUR order with Sewell's tie-break, the
-    # precoloured clique and the fresh-colour rule (tests/helpers.dsatur_steps gives each)
-    stages = []
+    # itself once; the totals freeze the DSATUR order with Sewell's tie-break, the forced
+    # rounds, the precoloured clique and the fresh-colour rule (tests/helpers.dsatur_steps
+    # gives each); the relabelling into degree order runs once, for every try
+    stages, relabelled = [], []
+    real = sepekr.graph._degree_order
+
+    def record_order(adj, clique):
+        relabelled.append(len(clique))
+        return real(adj, clique)
 
     def record(deadline, stage):
         stages.append(stage)
 
     monkeypatch.setattr(sepekr.graph, "seconds_left", record)
+    monkeypatch.setattr(sepekr.graph, "_degree_order", record_order)
     assert chromatic_number(build_schrijver(n, r, k), deadline=math.inf) == chi
     assert sum(stage.startswith("colouring step") for stage in stages) == steps
+    assert len(relabelled) == 1 and relabelled[0] < chi
 
 
 # === serialisation ===
